@@ -154,6 +154,10 @@ class HSeries:
             return HSeries(self.caps,
                            {m: c * other for m, c in self.terms.items()})
         a, b = self._unify(other)
+        if a.is_one():
+            return b
+        if b.is_one():
+            return a
         caps = a.caps
         names = a.names
         terms = {}
@@ -225,8 +229,10 @@ class HSeries:
         return not self.terms
 
     def is_one(self) -> bool:
-        zero = (0,) * len(self.names)
-        return set(self.terms) == {zero} and self.terms[zero].is_one()
+        if len(self.terms) != 1:
+            return False
+        c = self.terms.get((0,) * len(self.names))
+        return c is not None and c.is_one()
 
     # -- substitution and extraction ----------------------------------
 

@@ -28,8 +28,11 @@ class CheckReport:
     elapsed_ms: int
 
     def __post_init__(self):
-        assert (self.verdict == "pass") == (self.residual_count == 0) \
-            or self.verdict == "inconclusive"
+        if self.verdict != "inconclusive" \
+                and (self.verdict == "pass") != (self.residual_count == 0):
+            raise ValueError(
+                f"verdict {self.verdict!r} contradicts residual count "
+                f"{self.residual_count}")
 
     @property
     def passed(self) -> bool:

@@ -126,12 +126,11 @@ def build_constant_ops(ltd: LieTypeData, caps: dict) -> dict:
                     * (-ltd.eps[i] * ltd.eps[j])
                 add_r((ltd.iprime(i), i), (ltd.iprime(j), j), qmqinv * coeff)
 
-    m = [HSeries.exp_shift({"h": ltd.bar[i] / 2}, caps) for i in range(N)]
     return {
         "P": TensorOp(N, 2, caps, p_entries),
         "Q": TensorOp(N, 2, caps, q_entries),
         "Rconst": TensorOp(N, 2, caps, r_entries),
-        "M": m,
+        "M": m_diag(ltd, caps),
     }
 
 
@@ -217,7 +216,9 @@ def _solve_normalizer_cached(ltd, L, dz) -> Normalizer:
         cl = res / (2 * c0)
         g = g + hpow * cl
     residual = rhs - g * g.subst_mult("z", shift)
-    assert residual.is_zero(), "functional equation residual must vanish"
+    if not residual.is_zero():
+        raise NormalizerError(
+            f"functional equation residual does not vanish: {residual}")
 
     parts = []
     for l in range(L):
@@ -232,7 +233,10 @@ def _solve_normalizer_cached(ltd, L, dz) -> Normalizer:
         parts.append((l, rest, rl))
         # constant term 1 at z = 0 (at l = 0), 0 at higher orders
         at0 = cl.subs_var("z", RatFunc.zero())
-        assert at0 == (1 if l == 0 else 0)
+        if at0 != (1 if l == 0 else 0):
+            raise NormalizerError(
+                f"h^{l} coefficient is {at0} at z = 0, "
+                f"expected {1 if l == 0 else 0}")
 
     series = _series_oracle(kappa, L, dz)
     rational_expanded = _expand_in_z(g, L, dz)
@@ -313,31 +317,28 @@ def _poly_to_capped(p: RatFunc, caps) -> HSeries:
     out = HSeries.zero(caps)
     terms = p.numer_terms()
     den = p.denom_terms()
-    assert len(den) == 1 and not den[0][0], "expected polynomial numerator"
+    if len(den) != 1 or den[0][0]:
+        raise NormalizerError(f"expected a polynomial in z, got {p}")
     dc = den[0][1]
     for md, coeff in terms:
         extra = {k: v for k, v in md.items() if k != "z"}
-        assert not extra, f"unexpected variables {extra}"
+        if extra:
+            raise NormalizerError(f"unexpected variables {extra} in {p}")
         out = out + zc ** md.get("z", 0) * (coeff / dc)
     return out
 
 
-_PREFACTOR_CACHE = {}
-
-
-def _prefactor(ltd, caps) -> HSeries:
-    key = (ltd, _caps_key(caps))
-    if key not in _PREFACTOR_CACHE:
-        _PREFACTOR_CACHE[key] = HSeries.exp_shift(
-            {"h": Fraction(1, 2) + ltd.kappa}, caps)
-    return _PREFACTOR_CACHE[key]
+@lru_cache(maxsize=None)
+def _prefactor_cached(ltd: LieTypeData, caps_key: tuple) -> HSeries:
+    return HSeries.exp_shift({"h": Fraction(1, 2) + ltd.kappa}, dict(caps_key))
 
 
 def rmatrix(ltd: LieTypeData, norm: Normalizer, arg: Arg, caps: dict) -> TensorOp:
     """e^{(1+2kappa)h/2} * g1(x) * R+(x, e^{h/2}) at x = the given argument."""
     x = arg.to_hseries(caps)
     g1x = norm.g1_at(arg, caps)
-    return rplus(ltd, x, caps).scale(_prefactor(ltd, caps) * g1x)
+    prefactor = _prefactor_cached(ltd, _caps_key(caps))
+    return rplus(ltd, x, caps).scale(prefactor * g1x)
 
 
 # The same object serves both coordinate pictures: additive arguments are

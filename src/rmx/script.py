@@ -433,14 +433,6 @@ def parse_script(text: str) -> IdentityScript:
     return _Parser(text).parse()
 
 
-def _walk(node):
-    yield node
-    for child in getattr(node, "__dataclass_fields__", {}):
-        value = getattr(node, child)
-        if hasattr(value, "__dataclass_fields__"):
-            yield from _walk(value)
-
-
 def _validate(script: IdentityScript):
     if script.family not in ("B", "C", "D"):
         raise ScriptError(f"unknown family {script.family!r}", 1, 1)

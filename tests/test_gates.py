@@ -1,0 +1,53 @@
+"""Correctness gates are exceptions, so ``python -O`` keeps them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from rmx.ratfunc import RatFunc
+from rmx.report import CheckReport
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+GATES = """
+from rmx.ratfunc import RatFunc
+from rmx.report import CheckReport
+
+def raises(fn):
+    try:
+        fn()
+    except ValueError:
+        return True
+    return False
+
+Z = RatFunc.var("Z")
+assert not __debug__
+print(raises(lambda: CheckReport("x", {}, "pass", 1, None, 0)),
+      raises(lambda: CheckReport("x", {}, "fail", 0, None, 0)),
+      raises(lambda: (1 / (1 - Z)).remove_denominator_factor(Z / 2)),
+      raises(lambda: Z.lift(())))
+"""
+
+
+def test_gates_raise():
+    with pytest.raises(ValueError):
+        CheckReport("x", {}, "pass", 2, None, 0)
+    with pytest.raises(ValueError):
+        CheckReport("x", {}, "fail", 0, None, 0)
+    CheckReport("x", {}, "inconclusive", 0, "bound hit", 0)
+    Z = RatFunc.var("Z")
+    with pytest.raises(ValueError):
+        (1 / (1 - Z)).remove_denominator_factor(Z / 2)
+
+
+def test_gates_survive_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-c", GATES], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True"] * 4

@@ -164,3 +164,16 @@ def test_subst_mult_is_homomorphism(a, b):
     lhs = (a * b).subst_mult("Z", f)
     rhs = a.subst_mult("Z", f) * b.subst_mult("Z", f)
     assert lhs == rhs
+
+
+def test_mul_by_exact_one_still_unifies_caps():
+    a = 1 + h(H3) + 3 * h(H3) * h(H3)
+    one = HSeries.one({"h": 2, "u": 2})
+    expected = HSeries({"h": 2, "u": 2}, {(0, 0): 1, (1, 0): 1})
+    for prod in (a * one, one * a):
+        assert prod.caps == {"h": 2, "u": 2}
+        assert prod.names == ("h", "u")
+        assert prod.terms == expected.terms
+    wide = HSeries.one({"h": 4})
+    assert (a * wide).caps == {"h": 3}
+    assert (a * wide).terms == a.terms
