@@ -1,15 +1,18 @@
-"""Built-in named checks for the R-matrix identities.
+"""The check registry and the named checks for the R-matrix identities.
 
 Every check evaluates both sides exactly at finite truncation order and
-reports the number of nonzero residual entries with one witness.  The
-catalog covers the Yang-Baxter equation, crossing symmetry, unitarity,
-the normalizer functional equation and its product chain, the inverse
-transposed chain identity, and the correspondence between the additive
-and multiplicative R-matrix pictures.
+reports the number of nonzero residual entries with one witness.  ``CHECKS``
+maps each name to its check function; the function's keyword signature is
+the check's parameter schema.  This module registers the Yang-Baxter
+equation, crossing symmetry, unitarity, the normalizer functional equation
+and its product chain, the inverse transposed chain identity, and the
+correspondence between the additive and multiplicative R-matrix pictures;
+importing ``rmx`` also imports ``module_checks``, which registers the rest.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .hseries import HSeries
@@ -17,11 +20,29 @@ from .lietype import lie_type_data
 from .ratfunc import RatFunc
 from .report import CheckReport, timed_report
 from .rmatrix import Arg, m_diag, rhat_inv, rmatrix, solve_normalizer
-from .script import EvalError, evaluate_sides, parse_script
+from .script import evaluate_sides, parse_script
 from .tensorop import TensorOp
 
-__all__ = ["builtin_check", "evaluate", "correspondence_check",
-           "CHECK_NAMES", "prefactor_substitute", "PolynomialityError"]
+__all__ = ["CHECKS", "CHECK_NAMES", "builtin_check", "evaluate",
+           "correspondence_check", "prefactor_substitute",
+           "PolynomialityError"]
+
+CHECKS = {}     # check name -> check function
+
+
+def register(name):
+    """Register ``body(family, n, L, **params) -> (verdict, count, witness)``
+    as check ``name``; the check function has the body's signature and
+    reports the arguments it is passed as its params."""
+    def add(body):
+        @functools.wraps(body)
+        def check(family, n, **kwargs):
+            params = {"family": family, "n": n, **kwargs}
+            return timed_report(name, params,
+                                lambda: body(family, n, **kwargs))
+        CHECKS[name] = check
+        return body
+    return add
 
 
 class PolynomialityError(RuntimeError):
@@ -53,79 +74,38 @@ def evaluate(script, name="script") -> CheckReport:
     return timed_report(name, params, run)
 
 
-# ---------------------------------------------------------------- catalog
+# ---------------------------------------------------------- script checks
 
-def _script_header(family, n, L, slots, spectral, formal=()):
-    lines = [f"type {family} {n}", f"order {L}", f"slots {slots}"]
-    if spectral:
-        lines.append("spectral " + " ".join(spectral))
-    for fname, cap in formal:
-        lines.append(f"formal {fname} : {cap}")
-    return "\n".join(lines) + "\n"
-
-
-def _frac_term(coeff: Fraction, name: str) -> str:
-    coeff = Fraction(coeff)
-    if coeff == 1:
-        return f"+{name}"
-    if coeff == -1:
-        return f"-{name}"
-    sign = "+" if coeff > 0 else "-"
-    c = abs(coeff)
-    body = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return f"{sign}{body}{name}"
+# names -> (slots, spectral variables, identity); {kappa} is the type's
+# crossing shift, which is positive.  Rtilde is Rhat, so each _tilde name is
+# an alias that keeps its own report name.
+_SCRIPT_CHECKS = {
+    ("ybe_hat", "ybe_tilde"): (
+        3, "u v", "Rhat[1,2](u) * Rhat[1,3](u+v) * Rhat[2,3](v) == "
+                  "Rhat[2,3](v) * Rhat[1,3](u+v) * Rhat[1,2](u)"),
+    ("crossing_hat", "crossing_tilde"): (
+        2, "u", "Rhat[1,2](u) * conjM[1](Rhat[1,2](u+{kappa}h)^t[1]) == 1"),
+    ("unitarity_hat",): (2, "u", "Rhat[1,2](u) * Rhat[2,1](-u) == 1"),
+}
 
 
-def _ybe(rname):
-    return (f"check {rname}[1,2](u) * {rname}[1,3](u+v) * {rname}[2,3](v) == "
-            f"{rname}[2,3](v) * {rname}[1,3](u+v) * {rname}[1,2](u)\n")
+def _script_body(slots, spectral, identity):
+    def run(family, n, L):
+        kappa = lie_type_data(family, n).kappa
+        script = parse_script(
+            f"type {family} {n}\norder {L}\nslots {slots}\n"
+            f"spectral {spectral}\ncheck {identity.format(kappa=kappa)}\n")
+        return _residual_of(*evaluate_sides(script))
+    return run
 
 
-def _crossing(rname, kappa):
-    shifted = "u" + _frac_term(kappa, "h")
-    return (f"check {rname}[1,2](u) * conjM[1]({rname}[1,2]({shifted})^t[1]) "
-            f"== 1\n")
+for _names, _row in _SCRIPT_CHECKS.items():
+    for _name in _names:
+        register(_name)(_script_body(*_row))
 
 
-def _check_ybe_hat(family, n, L, **_):
-    script = parse_script(
-        _script_header(family, n, L, 3, ("u", "v")) + _ybe("Rhat"))
-    lhs, rhs = evaluate_sides(script)
-    return _residual_of(lhs, rhs)
-
-
-def _check_ybe_tilde(family, n, L, **_):
-    script = parse_script(
-        _script_header(family, n, L, 3, ("u", "v")) + _ybe("Rtilde"))
-    lhs, rhs = evaluate_sides(script)
-    return _residual_of(lhs, rhs)
-
-
-def _check_crossing_hat(family, n, L, **_):
-    kappa = lie_type_data(family, n).kappa
-    script = parse_script(
-        _script_header(family, n, L, 2, ("u",)) + _crossing("Rhat", kappa))
-    lhs, rhs = evaluate_sides(script)
-    return _residual_of(lhs, rhs)
-
-
-def _check_crossing_tilde(family, n, L, **_):
-    kappa = lie_type_data(family, n).kappa
-    script = parse_script(
-        _script_header(family, n, L, 2, ("u",)) + _crossing("Rtilde", kappa))
-    lhs, rhs = evaluate_sides(script)
-    return _residual_of(lhs, rhs)
-
-
-def _check_unitarity_hat(family, n, L, **_):
-    script = parse_script(
-        _script_header(family, n, L, 2, ("u",))
-        + "check Rhat[1,2](u) * Rhat[2,1](-u) == 1\n")
-    lhs, rhs = evaluate_sides(script)
-    return _residual_of(lhs, rhs)
-
-
-def _check_gfunc(family, n, L, **_):
+@register("gfunc")
+def _check_gfunc(family, n, L):
     # the defining functional equation of the normalizing series
     ltd = lie_type_data(family, n)
     norm = solve_normalizer(ltd, L=L)
@@ -139,7 +119,8 @@ def _check_gfunc(family, n, L, **_):
     return _scalar_residual(lhs, rhs.inv())
 
 
-def _check_g_one(family, n, L, **_):
+@register("g_one")
+def _check_g_one(family, n, L):
     # e^{(1+2k)h} g1(Z) g1(1/Z) (Z-e^{-h})(Z-e^{-kh})(1/Z-e^{-h})(1/Z-e^{-kh}) = 1
     ltd = lie_type_data(family, n)
     norm = solve_normalizer(ltd, L=L)
@@ -155,7 +136,8 @@ def _check_g_one(family, n, L, **_):
     return _scalar_residual(lhs, HSeries.one(caps))
 
 
-def _check_csuni(family, n, L, k=1, c=Fraction(1), **_):
+@register("csuni")
+def _check_csuni(family, n, L, k=1, c=Fraction(1)):
     # inverse chain * M * transposed shifted inverse chain = M
     ltd = lie_type_data(family, n)
     norm = solve_normalizer(ltd, L=L)
@@ -181,28 +163,6 @@ def _check_csuni(family, n, L, k=1, c=Fraction(1), **_):
     lhs = chain(Fraction(0)) * mop \
         * chain(-ltd.kappa).transpose_slot(mslot, ltd)
     return _residual_of(lhs, mop)
-
-
-_CATALOG = {
-    "ybe_hat": _check_ybe_hat,
-    "crossing_hat": _check_crossing_hat,
-    "unitarity_hat": _check_unitarity_hat,
-    "ybe_tilde": _check_ybe_tilde,
-    "crossing_tilde": _check_crossing_tilde,
-    "gfunc": _check_gfunc,
-    "g_one": _check_g_one,
-    "csuni": _check_csuni,
-}
-
-CHECK_NAMES = tuple(sorted(_CATALOG))
-
-
-def builtin_check(name, family, n, L=3, **kwargs) -> CheckReport:
-    if name not in _CATALOG:
-        raise KeyError(f"unknown check {name!r}; available: {CHECK_NAMES}")
-    params = {"family": family, "n": n, "L": L, **kwargs}
-    return timed_report(name, params,
-                        lambda: _CATALOG[name](family, n, L, **kwargs))
 
 
 # ------------------------------------------------- prefactor calculus
@@ -276,3 +236,17 @@ def correspondence_check(family, n, alpha, a=2, b=2, l=3, r_start=0,
         return verdict, count, witness
 
     return timed_report("correspondence", params, run)
+
+
+CHECKS["correspondence"] = correspondence_check
+
+
+def builtin_check(name, family, n, L=3, **kwargs) -> CheckReport:
+    """Run the registered check ``name`` at order ``L``; KeyError for an
+    unknown name, TypeError for an argument the check does not take (the
+    correspondence check takes ``l``: call ``correspondence_check``)."""
+    return CHECKS[name](family, n, L=L, **kwargs)
+
+
+CHECK_NAMES = tuple(sorted(name for name, fn in CHECKS.items()
+                           if fn.__module__ == __name__))

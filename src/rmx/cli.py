@@ -1,4 +1,4 @@
-"""Command-line interface for running checks and managing the cache.
+"""Command-line interface for running checks.
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 no failures but
 at least one inconclusive result, 64 usage error.
@@ -6,20 +6,22 @@ at least one inconclusive result, 64 usage error.
 
 from __future__ import annotations
 
+import inspect
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import click
 
-from . import cache as cache_mod
-from .checks import CHECK_NAMES, builtin_check, correspondence_check
+from .checks import CHECKS, evaluate
 from .lietype import lie_type_data
-from .module_checks import MODULE_CHECK_NAMES, module_check
 from .rmatrix import solve_normalizer
+from .script import ScriptError, parse_script
 
 USAGE_EXIT = 64
+
+# Cap variable -> the parameters it feeds, whichever the check takes.
+_CAP_PARAMS = {"u": ("a", "cap_uv"), "v": ("b",)}
 
 
 def _parse_caps(text):
@@ -40,34 +42,80 @@ def _parse_caps(text):
     return out
 
 
-def _dispatch(name, family, n, order, caps, level, extra):
-    kwargs = {k: v for k, v in extra.items() if v is not None}
-    if name == "correspondence":
-        kwargs.pop("k", None)
-        return correspondence_check(
-            family, n,
-            alpha=Fraction(kwargs.pop("alpha", 0)),
-            a=caps.get("u", 2), b=caps.get("v", 2), l=order,
-            **kwargs)
-    if name == "weak_assoc_chain":
-        kwargs.pop("k", None)
-        kwargs.pop("alpha", None)
-        return module_check(name, family, n, L=order, c=level,
-                            cap_uv=caps.get("u", 2), **kwargs)
-    kwargs.pop("r_max", None)
-    if name in MODULE_CHECK_NAMES:
-        kwargs.pop("alpha", None)
-        return module_check(name, family, n, L=order, c=level, **kwargs)
-    if name in CHECK_NAMES:
-        kwargs.pop("alpha", None)
-        if name != "csuni":
-            kwargs.pop("k", None)
-            return builtin_check(name, family, n, L=order, **kwargs)
-        return builtin_check(name, family, n, L=order, c=level, **kwargs)
-    raise click.UsageError(
-        f"unknown check {name!r}; available: "
-        + ", ".join(sorted(CHECK_NAMES + MODULE_CHECK_NAMES
-                           + ("correspondence",))))
+def _integer(key, value, low):
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise click.UsageError(
+            f"{key} must be an integer of at least {low}, got {value!r}")
+    return value
+
+
+def _rational(key, value):
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise click.UsageError(f"{key} must be a rational, got {value!r}")
+
+
+def _lie_type(family, n):
+    try:
+        return lie_type_data(family, _integer("n", n, 1))
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
+def _bind(name, family="C", n=1, order=3, caps=None, level=None, k=None,
+          alpha=None, r_max=None):
+    """Bind options or suite keys to the keyword arguments of check
+    ``name``; returns a thunk that runs it.  Raises UsageError for a bad
+    value or an option the check does not take."""
+    if name not in CHECKS:
+        raise click.UsageError(f"unknown check {name!r}; available: "
+                               + ", ".join(sorted(CHECKS)))
+    check = CHECKS[name]
+    takes = inspect.signature(check).parameters
+    _lie_type(family, n)
+    kwargs = {"l" if "l" in takes else "L": _integer("order", order, 1)}
+    # option, its parameter, and its default where the check takes it
+    for key, param, value, default in (("level", "c", level, 1),
+                                       ("k", "k", k, None),
+                                       ("alpha", "alpha", alpha, 0),
+                                       ("r_max", "r_max", r_max, None)):
+        if value is None and param in takes:
+            value = default
+        if value is None:
+            continue
+        if param not in takes:
+            raise click.UsageError(f"check {name!r} does not take {key}")
+        kwargs[param] = (_rational(key, value) if param in ("c", "alpha")
+                         else _integer(key, value, 1 if param == "k" else 0))
+    if not isinstance(caps or {}, dict):
+        raise click.UsageError(f"caps must be an object, got {caps!r}")
+    for var, cap in (caps or {}).items():
+        params = [p for p in _CAP_PARAMS.get(var, ()) if p in takes]
+        if not params:
+            raise click.UsageError(f"check {name!r} takes no cap on {var!r}")
+        kwargs[params[0]] = _integer(f"cap {var}", cap, 1)
+    return lambda: check(family, n, **kwargs)
+
+
+def _suite_entry(cfg):
+    """The thunk of one suite entry; raises UsageError for a bad entry."""
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("name"), str):
+        raise click.UsageError(
+            f"suite entry must be an object with a \"name\" string: {cfg!r}")
+    if "script" not in cfg:
+        unknown = sorted(set(cfg) - set(inspect.signature(_bind).parameters))
+        if unknown:
+            raise click.UsageError(f"unknown suite keys {unknown} in {cfg!r}")
+        return _bind(**cfg)
+    if set(cfg) != {"name", "script"} or not isinstance(cfg["script"], str):
+        raise click.UsageError(f"script entry {cfg['name']!r} must hold only "
+                               "\"name\" and a \"script\" string")
+    try:
+        script = parse_script(cfg["script"])
+    except ScriptError as exc:
+        raise click.UsageError(f"script entry {cfg['name']!r}: {exc}")
+    return lambda: evaluate(script, name=cfg["name"])
 
 
 def _emit(reports, fmt):
@@ -98,8 +146,8 @@ def cli():
 @click.option("--order", default=3, type=int, help="Truncation order.")
 @click.option("--caps", default=None,
               help="Formal-variable caps, e.g. u=2,v=2.")
-@click.option("--level", default="1",
-              help="Central charge (a rational, e.g. 1 or 1/2).")
+@click.option("--level", default=None,
+              help="Central charge (a rational, e.g. 1 or 1/2); default 1.")
 @click.option("--k", type=int, default=None, help="Word length.")
 @click.option("--alpha", default=None, help="Shift parameter (rational).")
 @click.option("--r-max", "r_max", type=int, default=None,
@@ -108,49 +156,31 @@ def cli():
               default="text")
 def check_cmd(name, family, n, order, caps, level, k, alpha, r_max, fmt):
     """Run one named check and print its report."""
-    try:
-        level = Fraction(level)
-    except ValueError:
-        raise click.UsageError(f"bad level {level!r}")
-    rep = _dispatch(name, family, n, order, _parse_caps(caps), level,
-                    {"k": k, "alpha": alpha, "r_max": r_max})
+    rep = _bind(name, family, n, order, _parse_caps(caps), level, k, alpha,
+                r_max)()
     _emit([rep], fmt)
     raise SystemExit(_exit_code([rep]))
 
 
 @cli.command("suite")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--jobs", default=4, type=int, help="Parallel workers.")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="text")
-def suite_cmd(file, jobs, fmt):
-    """Run every check configured in a JSON suite file.
+def suite_cmd(file, fmt):
+    """Run every check configured in a JSON suite file, in order.
 
     The file holds a list of objects with keys "name", "family", "n",
-    "order" plus optional "caps", "level", "k", "alpha".  Reports are
-    printed in configuration order regardless of completion order.
-    """
+    "order" plus optional "caps", "level", "k", "alpha", "r_max", or "name"
+    and "script".  Every entry is validated before any runs."""
     with open(file) as fh:
-        configs = json.load(fh)
+        try:
+            configs = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise click.UsageError(f"suite file is not JSON: {exc}")
     if not isinstance(configs, list):
         raise click.UsageError("suite file must hold a JSON list")
-
-    def run(cfg):
-        if "name" not in cfg:
-            raise click.UsageError("suite entry missing \"name\"")
-        if "script" in cfg:
-            from .checks import evaluate
-            from .script import parse_script
-            return evaluate(parse_script(cfg["script"]), name=cfg["name"])
-        return _dispatch(
-            cfg["name"], cfg.get("family", "C"), cfg.get("n", 1),
-            cfg.get("order", 3), cfg.get("caps", {}),
-            Fraction(str(cfg.get("level", 1))),
-            {"k": cfg.get("k"), "alpha": cfg.get("alpha"),
-             "r_max": cfg.get("r_max")})
-
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        reports = list(pool.map(run, configs))
+    runs = [_suite_entry(cfg) for cfg in configs]
+    reports = [run() for run in runs]
     _emit(reports, fmt)
     raise SystemExit(_exit_code(reports))
 
@@ -165,40 +195,14 @@ def suite_cmd(file, jobs, fmt):
               default="text")
 def series_cmd(family, n, order, zdeg, fmt):
     """Solve and print the normalizing series to the given order."""
-    norm = solve_normalizer(lie_type_data(family, n), L=order,
+    norm = solve_normalizer(_lie_type(family, n),
+                            L=_integer("order", order, 1),
                             z_degree_oracle=zdeg)
     if fmt == "json":
         click.echo(json.dumps({"family": family, "n": n, "L": order,
                                "g1": norm.g1.to_data()}))
     else:
         click.echo(f"g1[{family}{n}, order {order}] = {norm.g1!r}")
-    raise SystemExit(0)
-
-
-@cli.group("cache")
-def cache_cmd():
-    """Manage the on-disk cache of solved series."""
-
-
-@cache_cmd.command("warm")
-@click.option("--family", default="C")
-@click.option("--n", default=1, type=int)
-@click.option("--order", default=4, type=int)
-def cache_warm(family, n, order):
-    for path in cache_mod.warm([(family, n, order)]):
-        click.echo(path)
-    raise SystemExit(0)
-
-
-@cache_cmd.command("clear")
-def cache_clear():
-    click.echo(f"removed {cache_mod.clear()} entries")
-    raise SystemExit(0)
-
-
-@cache_cmd.command("inspect")
-def cache_inspect():
-    click.echo(json.dumps(cache_mod.inspect()))
     raise SystemExit(0)
 
 

@@ -263,20 +263,17 @@ class HSeries:
         zf0 = RatFunc.var(name) * f0
         out = HSeries.zero(caps)
         tpow = HSeries.one(caps)
+        deriv = a           # k-th derivative of a in ``name``
         k = 0
         while True:
             if k:
                 tpow = tpow * t
                 if tpow.is_zero():
                     break
-
-            def taylor_coeff(c, k=k):
-                d = c
-                for _ in range(k):
-                    d = d.diff(name)
-                return d.subs_var(name, zf0) * (zf0 ** k) * _fact_inv(k)
-
-            out = out + a.map_coeffs(taylor_coeff) * tpow
+                deriv = deriv.map_coeffs(lambda c: c.diff(name))
+            scale = (zf0 ** k) * _fact_inv(k)
+            out = out + deriv.map_coeffs(
+                lambda d: d.subs_var(name, zf0) * scale) * tpow
             k += 1
         return out
 

@@ -36,10 +36,13 @@ class LieTypeData:
     def __post_init__(self):
         for i in range(self.N):
             j = self.iprime(i)
-            assert self.bar[j] == -self.bar[i]
+            if self.bar[j] != -self.bar[i]:
+                raise ValueError(f"bar is not odd under i -> i' at i={i}")
             expected = -1 if self.family == "C" else 1
-            assert self.eps[i] * self.eps[j] == expected
-        assert self.kappa == -Fraction(self.xi_exponent, 2)
+            if self.eps[i] * self.eps[j] != expected:
+                raise ValueError(f"eps_i eps_i' is not {expected} at i={i}")
+        if self.kappa != -Fraction(self.xi_exponent, 2):
+            raise ValueError("kappa is not -xi_exponent/2")
 
 
 def lie_type_data(family: str, n: int) -> LieTypeData:

@@ -1,18 +1,20 @@
 """Named checks for the vacuum-module operator calculus.
 
 Each check realizes both sides of an operator identity on explicit free
-states and reports the exact residual.  The catalog covers the lowering
-operator's normalization, invertibility and exchange relations, the mixed
-raising/lowering exchange, the braiding's shift condition, unitarity and
-Yang-Baxter property, the hexagon relation between the braiding and the
-vertex map, and the weak associativity chain for the vertex maps under the
-prefactored substitution.
+states and reports the exact residual.  The checks are entries of the one
+registry ``checks.CHECKS``, and ``module_check`` is ``checks.builtin_check``.
+This module registers the lowering operator's normalization, invertibility
+and exchange relations, the mixed raising/lowering exchange, the braiding's
+shift condition, unitarity and Yang-Baxter property, the hexagon relation
+between the braiding and the vertex map, and the weak associativity chain
+for the vertex maps under the prefactored substitution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .checks import CHECKS, builtin_check, register
 from .lietype import lie_type_data
 from .ratfunc import RatFunc
 from .report import CheckReport, timed_report
@@ -47,14 +49,16 @@ def _state_residual(lhs: FreeState, rhs: FreeState):
 
 # ---------------------------------------------------------------- lowering
 
-def _check_tminus_vacuum(family, n, L, c=Fraction(1), **_):
+@register("tminus_vacuum")
+def _check_tminus_vacuum(family, n, L, c=Fraction(1)):
     ltd, norm, caps = _context(family, n, L)
     vac = FreeState.vacuum(ltd, norm, caps, c)
     (u,) = _ring_args("U")
     return _state_residual(vac.apply_tminus(1, u), vac.with_identity_open())
 
 
-def _check_roundtrip(family, n, L, k=1, c=Fraction(1), **_):
+@register("roundtrip")
+def _check_roundtrip(family, n, L, k=1, c=Fraction(1)):
     ltd, norm, caps = _context(family, n, L)
     (u,) = _ring_args("U")
     w = _word_state(ltd, norm, caps, c, k)
@@ -76,7 +80,8 @@ def _check_roundtrip(family, n, L, k=1, c=Fraction(1), **_):
     return ("pass" if count == 0 else "fail"), count, witness
 
 
-def _check_rtt_minus(family, n, L, k=1, c=Fraction(1), **_):
+@register("rtt_minus")
+def _check_rtt_minus(family, n, L, k=1, c=Fraction(1)):
     # R(u1-u2) T1(u1) T2(u2) = T2(u2) T1(u1) R(u1-u2) on a k-word state
     ltd, norm, caps = _context(family, n, L)
     u1, u2 = _ring_args("U1", "U2")
@@ -95,7 +100,8 @@ def _check_rtt_minus(family, n, L, k=1, c=Fraction(1), **_):
     return _state_residual(lhs, rhs)
 
 
-def _check_rel_minus(family, n, L, k=1, c=Fraction(1), **_):
+@register("rel_minus")
+def _check_rel_minus(family, n, L, k=1, c=Fraction(1)):
     # T(u) M T(u + kappa h)^t M^{-1} = 1 on a k-word state
     ltd, norm, caps = _context(family, n, L)
     (u,) = _ring_args("U")
@@ -109,7 +115,8 @@ def _check_rel_minus(family, n, L, k=1, c=Fraction(1), **_):
     return _state_residual(st, w.with_identity_open())
 
 
-def _check_mixed(family, n, L, k=1, c=Fraction(1), **_):
+@register("mixed")
+def _check_mixed(family, n, L, k=1, c=Fraction(1)):
     # R(-v+u-hc/2) T1+(u) T2-(v) = T2-(v) T1+(u) R(-v+u+hc/2)
     ltd, norm, caps = _context(family, n, L)
     u, v = _ring_args("U", "Vm")
@@ -148,7 +155,8 @@ def _canonicalized_residual(lhs: FreeState, rhs: FreeState):
     return "fail", count, witness
 
 
-def _check_s_unitarity(family, n, L, c=Fraction(1), **_):
+@register("s_unitarity")
+def _check_s_unitarity(family, n, L, c=Fraction(1)):
     ltd, norm, caps = _context(family, n, L)
     (z,) = _ring_args("Zs")
     two = _two_words(ltd, norm, caps, c)
@@ -156,7 +164,8 @@ def _check_s_unitarity(family, n, L, c=Fraction(1), **_):
     return _canonicalized_residual(out, two)
 
 
-def _check_s_ybe(family, n, L, c=Fraction(1), **_):
+@register("s_ybe")
+def _check_s_ybe(family, n, L, c=Fraction(1)):
     ltd, norm, caps = _context(family, n, L)
     x, y, w = _ring_args("X", "Y", "Ww")
     z1, z2 = _ring_args("Za", "Zb")
@@ -169,7 +178,8 @@ def _check_s_ybe(family, n, L, c=Fraction(1), **_):
     return _canonicalized_residual(lhs, rhs)
 
 
-def _check_s_shift(family, n, L, c=Fraction(1), **_):
+@register("s_shift")
+def _check_s_shift(family, n, L, c=Fraction(1)):
     # the braiding coefficient commutes with translation: the sum of the
     # derivatives in the first factor's arguments equals the derivative in
     # the braiding argument (all additive: d/da = -Z d/dZ on images)
@@ -193,7 +203,8 @@ def _check_s_shift(family, n, L, c=Fraction(1), **_):
     return ("pass" if count == 0 else "fail"), count, witness
 
 
-def _check_hexagon(family, n, L, c=Fraction(1), **_):
+@register("hexagon")
+def _check_hexagon(family, n, L, c=Fraction(1)):
     # S(z1)(Y(z2) x 1) = (Y(z2) x 1) S_{23}(z1) S_{13}(z1+z2)
     ltd, norm, caps = _context(family, n, L)
     x, y, w = _ring_args("X", "Y", "Ww")
@@ -206,10 +217,6 @@ def _check_hexagon(family, n, L, c=Fraction(1), **_):
 
 
 # ------------------------------------------------- weak associativity
-
-class _ShapeError(RuntimeError):
-    pass
-
 
 def _weak_assoc_run(family, n, L, c, cap_uv, r_max):
     ltd, norm, caps = _context(family, n, L, {"u": cap_uv, "v": cap_uv})
@@ -300,29 +307,9 @@ def weak_assoc_chain(family, n, L=2, c=Fraction(0), cap_uv=2,
                                                 cap_uv, r_max))
 
 
-# ---------------------------------------------------------------- catalog
+CHECKS["weak_assoc_chain"] = weak_assoc_chain
 
-_CATALOG = {
-    "tminus_vacuum": _check_tminus_vacuum,
-    "roundtrip": _check_roundtrip,
-    "rtt_minus": _check_rtt_minus,
-    "rel_minus": _check_rel_minus,
-    "mixed": _check_mixed,
-    "s_unitarity": _check_s_unitarity,
-    "s_ybe": _check_s_ybe,
-    "s_shift": _check_s_shift,
-    "hexagon": _check_hexagon,
-}
+module_check = builtin_check
 
-MODULE_CHECK_NAMES = tuple(sorted(_CATALOG)) + ("weak_assoc_chain",)
-
-
-def module_check(name, family, n, L=3, **kwargs) -> CheckReport:
-    if name == "weak_assoc_chain":
-        return weak_assoc_chain(family, n, L=L, **kwargs)
-    if name not in _CATALOG:
-        raise KeyError(f"unknown module check {name!r}; "
-                       f"available: {MODULE_CHECK_NAMES}")
-    params = {"family": family, "n": n, "L": L, **kwargs}
-    return timed_report(name, params,
-                        lambda: _CATALOG[name](family, n, L, **kwargs))
+MODULE_CHECK_NAMES = tuple(sorted(name for name, fn in CHECKS.items()
+                                  if fn.__module__ == __name__))

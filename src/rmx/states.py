@@ -166,8 +166,10 @@ class FreeState:
         if terms:
             lens = terms[0].word_lengths()
             for t in terms:
-                assert t.word_lengths() == lens, "inconsistent word layout"
-                assert t.coeff.m == open_slots + sum(lens)
+                if t.word_lengths() != lens:
+                    raise ValueError("inconsistent word layout")
+                if t.coeff.m != open_slots + sum(lens):
+                    raise ValueError("coefficient slots do not fit the layout")
         self.terms = terms
 
     # -- constructors --------------------------------------------------
@@ -243,7 +245,8 @@ class FreeState:
         for term in self.terms:
             K = term.coeff
             omega = omega_of_term(term)
-            assert omega.m == 2 * w + e
+            if omega.m != 2 * w + e:
+                raise ValueError(f"omega has {omega.m} slots, not {2 * w + e}")
             kmap = {}
             for (krow, kcol), kval in K.entries.items():
                 mkey = (tuple(krow[p] for p in tpos),
@@ -446,7 +449,8 @@ class FreeState:
         return self._map_coeff(act)
 
     def swap_open(self, s1: int, s2: int) -> "FreeState":
-        assert s1 <= self.open and s2 <= self.open
+        if s1 > self.open or s2 > self.open:
+            raise ValueError(f"slots {s1}, {s2} are not both open")
         return self._map_coeff(lambda K: K.swap_slots(s1, s2))
 
     def with_identity_open(self) -> "FreeState":
@@ -686,7 +690,8 @@ class FreeState:
 
     def residual(self, other: "FreeState"):
         """Exact difference: (number of nonzero residual entries, witness)."""
-        assert self.open == other.open, "open-slot layouts differ"
+        if self.open != other.open:
+            raise ValueError("open-slot layouts differ")
         buckets = {}
         for sign, state in ((1, self), (-1, other)):
             for term in state.terms:
@@ -766,7 +771,8 @@ def _invert_omega(omega: TensorOp, k: int) -> TensorOp:
     and the index-transfer tensor flattens to the identity; the inverse
     sandwich is therefore the reshaped matrix inverse."""
     m = 2 * k + 1
-    assert omega.m == m
+    if omega.m != m:
+        raise ValueError(f"omega has {omega.m} slots, not {m}")
     flat = {}
     for (row, col), val in omega.entries.items():
         P, i, Pp = row[:k], row[k], row[k + 1:]

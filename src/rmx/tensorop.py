@@ -34,7 +34,8 @@ class TensorOp:
         self.entries = {}
         for key, val in entries.items():
             row, col = key
-            assert len(row) == m and len(col) == m
+            if len(row) != m or len(col) != m:
+                raise ValueError(f"entry {key} does not have {m} slots")
             if not val.is_zero():
                 self.entries[(tuple(row), tuple(col))] = val
 
@@ -58,7 +59,8 @@ class TensorOp:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        assert (self.N, self.m) == (other.N, other.m)
+        if (self.N, self.m) != (other.N, other.m):
+            raise ValueError("operator shapes differ")
         entries = dict(self.entries)
         for key, val in other.entries.items():
             entries[key] = entries[key] + val if key in entries else val
@@ -85,7 +87,8 @@ class TensorOp:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc, HSeries)):
             return self.scale(other)
-        assert (self.N, self.m) == (other.N, other.m)
+        if (self.N, self.m) != (other.N, other.m):
+            raise ValueError("operator shapes differ")
         by_row = {}
         for (row, col), val in other.entries.items():
             by_row.setdefault(row, []).append((col, val))
@@ -151,9 +154,10 @@ class TensorOp:
         """View this operator in m slots, its i-th slot placed at slots[i]
         (1-based target positions), identity elsewhere."""
         slots = tuple(slots)
-        assert len(slots) == self.m
-        assert len(set(slots)) == self.m
-        assert all(1 <= s <= m for s in slots)
+        if len(slots) != self.m or len(set(slots)) != self.m:
+            raise ValueError(f"embed needs {self.m} distinct slots: {slots}")
+        if not all(1 <= s <= m for s in slots):
+            raise ValueError(f"slots {slots} out of range 1..{m}")
         pos = [s - 1 for s in slots]
         free = [i for i in range(m) if i + 1 not in slots]
         entries = {}
@@ -213,7 +217,8 @@ class TensorOp:
             mode "LR": sum_a x_a * other * y_a
             mode "RL": sum_a y_a * other * x_a
         """
-        assert (self.N, self.m) == (other.N, other.m)
+        if (self.N, self.m) != (other.N, other.m):
+            raise ValueError("operator shapes differ")
         if mode not in ("LR", "RL"):
             raise ValueError(f"unknown odot mode {mode!r}")
         F = sorted(s - 1 for s in first_slots)

@@ -43,6 +43,11 @@ def test_unknown_check_name():
     assert "ybe_hat" in CHECK_NAMES
 
 
+def test_argument_the_check_does_not_take():
+    with pytest.raises(TypeError):
+        builtin_check("unitarity_hat", "C", 1, L=2, k=2)
+
+
 def test_perturbed_ybe_fails():
     text = """\
 type C 1

@@ -1,8 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from rmx.checks import (CHECKS, CHECK_NAMES, builtin_check,
+                        correspondence_check)
 from rmx.cli import main
+from rmx.module_checks import MODULE_CHECK_NAMES, weak_assoc_chain
 
 PERTURBED = """\
 type C 1
@@ -75,7 +79,7 @@ def test_suite_order_is_config_order(tmp_path, capsys):
     ]
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite))
-    code = main(["suite", str(path), "--jobs", "3", "--format", "json"])
+    code = main(["suite", str(path), "--format", "json"])
     reports = json.loads(capsys.readouterr().out)
     assert code == 0
     assert [r["name"] for r in reports] == ["g_one", "gfunc", "unitarity_hat"]
@@ -89,39 +93,70 @@ def test_series_json(capsys):
     assert payload["L"] == 2 and payload["g1"]
 
 
-def test_cache_lifecycle(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("RMX_CACHE_DIR", str(tmp_path / "cache"))
-    assert main(["cache", "warm", "--family", "C", "--n", "1",
-                 "--order", "2"]) == 0
-    capsys.readouterr()
-    assert main(["cache", "inspect"]) == 0
-    entries = json.loads(capsys.readouterr().out)
-    assert len(entries) == 1 and entries[0]["sha256"]
-    digest = entries[0]["sha256"]
-    # warming twice is deterministic
-    assert main(["cache", "warm", "--family", "C", "--n", "1",
-                 "--order", "2"]) == 0
-    capsys.readouterr()
-    main(["cache", "inspect"])
-    assert json.loads(capsys.readouterr().out)[0]["sha256"] == digest
-    assert main(["cache", "clear"]) == 0
-    capsys.readouterr()
-    main(["cache", "inspect"])
-    assert json.loads(capsys.readouterr().out) == []
-
-
-def test_corrupt_cache_entry_recomputed(tmp_path, monkeypatch):
-    from rmx import cache as cache_mod
-    monkeypatch.setenv("RMX_CACHE_DIR", str(tmp_path))
-    norm = cache_mod.load_normalizer("C", 1, 2)
-    path = next(tmp_path.glob("normalizer_*.json"))
-    path.write_text("{broken")
-    with pytest.warns(RuntimeWarning, match="corrupt cache entry"):
-        again = cache_mod.load_normalizer("C", 1, 2)
-    assert again.g1 == norm.g1
-    # the entry was rewritten and is valid again
-    json.loads(path.read_text())
-
-
 def test_usage_error_without_subcommand():
     assert main([]) == 64
+
+
+VALID = {"name": "unitarity_hat", "order": 2}
+BAD_SUITES = {
+    "misspelled key": {"name": "gfunc", "order": 2, "levle": 1},
+    "unused key": {"name": "gfunc", "order": 2, "k": 2},
+    "missing name": {"family": "C", "order": 2},
+    "non-object entry": "gfunc",
+    "unparsable script": {"name": "bad", "script": "type C 1\norder 2\n"},
+}
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "ybe_hat", "--order", "0"],
+    ["check", "ybe_hat", "--n", "0"],
+    ["check", "ybe_hat", "--family", "Q"],
+    ["check", "ybe_hat", "--family", "D", "--n", "1"],
+    ["check", "unitarity_hat", "--k", "2"],
+    ["check", "tminus_vacuum", "--alpha", "1"],
+    ["check", "weak_assoc_chain", "--caps", "v=2"],
+] + [["suite", case] for case in BAD_SUITES], ids=" ".join)
+def test_usage_errors(args, tmp_path, capsys):
+    if args[0] == "suite":
+        # the valid first entry must not run either
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps([VALID, BAD_SUITES[args[1]]]))
+        args = ["suite", str(path)]
+    assert main(args) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+
+
+def _api_report(entry):
+    name, L = entry["name"], entry["order"]
+    if name == "correspondence":
+        return correspondence_check("C", 1, alpha=0, a=1, b=1, l=L)
+    if name == "weak_assoc_chain":
+        return weak_assoc_chain("C", 1, L=L, c=Fraction(1), cap_uv=1)
+    if name in MODULE_CHECK_NAMES or name == "csuni":
+        return builtin_check(name, "C", 1, L=L, c=Fraction(1))
+    return builtin_check(name, "C", 1, L=L)
+
+
+def test_every_registered_check_runs_in_a_suite(tmp_path, capsys):
+    assert sorted(CHECK_NAMES + MODULE_CHECK_NAMES) == sorted(CHECKS)
+    assert len(CHECKS) == 19
+    suite = []
+    for name in sorted(CHECKS):
+        entry = {"name": name, "family": "C", "n": 1, "order": 2}
+        if name == "weak_assoc_chain":
+            entry.update(order=1, caps={"u": 1})
+        if name == "correspondence":
+            entry.update(order=1, caps={"u": 1, "v": 1})
+        suite.append(entry)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    code = main(["suite", str(path), "--format", "json"])
+    reports = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [r["name"] for r in reports] == [e["name"] for e in suite]
+    for entry, got in zip(suite, reports):
+        want = json.loads(_api_report(entry).to_json())
+        del got["elapsed_ms"], want["elapsed_ms"]
+        assert got == want

@@ -13,8 +13,13 @@ from rmx.report import CheckReport
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 GATES = """
+from rmx.cli import main
+from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
 from rmx.report import CheckReport
+from rmx.rmatrix import solve_normalizer
+from rmx.states import FreeState
+from rmx.tensorop import TensorOp
 
 def raises(fn):
     try:
@@ -24,11 +29,18 @@ def raises(fn):
     return False
 
 Z = RatFunc.var("Z")
+caps = {"h": 2}
+ltd = lie_type_data("C", 1)
+vac = FreeState.vacuum(ltd, solve_normalizer(ltd, L=2), caps, 1)
 assert not __debug__
 print(raises(lambda: CheckReport("x", {}, "pass", 1, None, 0)),
       raises(lambda: CheckReport("x", {}, "fail", 0, None, 0)),
       raises(lambda: (1 / (1 - Z)).remove_denominator_factor(Z / 2)),
-      raises(lambda: Z.lift(())))
+      raises(lambda: Z.lift(())),
+      raises(lambda: TensorOp.identity(2, 1, caps)
+             * TensorOp.identity(2, 2, caps)),
+      raises(lambda: vac.residual(vac.with_identity_open())),
+      main(["check", "ybe_hat", "--order", "0"]) == 64)
 """
 
 
@@ -50,4 +62,4 @@ def test_gates_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", GATES], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True"] * 4
+    assert out.stdout.split() == ["True"] * 7

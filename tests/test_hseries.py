@@ -87,6 +87,18 @@ def test_subst_mult_plain_var():
     assert out == HSeries.const(Z, H2) - HSeries.const(Z, H2) * h(H2) * Fraction(1, 2)
 
 
+def test_subst_mult_differentiates_once_per_order(monkeypatch):
+    # orders 0..3 of a one-coefficient series need derivatives 1..3 only
+    calls = []
+    diff = RatFunc.diff
+    monkeypatch.setattr(RatFunc, "diff",
+                        lambda self, name: calls.append(name) or diff(self, name))
+    caps = {"h": 4}
+    HSeries.const(1 / (1 - Z), caps).subst_mult(
+        "Z", HSeries.exp_shift({"h": 1}, caps))
+    assert calls == ["Z"] * 3
+
+
 def test_coeff_cap_errors():
     a = HSeries.one(H3)
     with pytest.raises(ValueError):
