@@ -13,6 +13,7 @@ importing ``rmx`` also imports ``module_checks``, which registers the rest.
 from __future__ import annotations
 
 import functools
+import inspect
 from fractions import Fraction
 
 from .hseries import HSeries
@@ -62,10 +63,15 @@ def _scalar_residual(lhs: HSeries, rhs: HSeries):
     return "fail", 1, repr(diff)
 
 
+def script_params(script) -> dict:
+    """The params of a parsed identity script's report."""
+    return {"family": script.family, "n": script.n, "L": script.order,
+            "slots": script.slots}
+
+
 def evaluate(script, name="script") -> CheckReport:
     """Evaluate a parsed identity script to a report."""
-    params = {"family": script.family, "n": script.n, "L": script.order,
-              "slots": script.slots}
+    params = script_params(script)
 
     def run():
         lhs, rhs = evaluate_sides(script)
@@ -241,11 +247,17 @@ def correspondence_check(family, n, alpha, a=2, b=2, l=3, r_start=0,
 CHECKS["correspondence"] = correspondence_check
 
 
+def order_keyword(check) -> str:
+    """The keyword under which ``check`` takes its truncation order."""
+    return "l" if "l" in inspect.signature(check).parameters else "L"
+
+
 def builtin_check(name, family, n, L=3, **kwargs) -> CheckReport:
-    """Run the registered check ``name`` at order ``L``; KeyError for an
-    unknown name, TypeError for an argument the check does not take (the
-    correspondence check takes ``l``: call ``correspondence_check``)."""
-    return CHECKS[name](family, n, L=L, **kwargs)
+    """Run the registered check ``name`` at order ``L``, passed under the
+    check's own order keyword; KeyError for an unknown name, TypeError for
+    an argument the check does not take."""
+    check = CHECKS[name]
+    return check(family, n, **{order_keyword(check): L}, **kwargs)
 
 
 CHECK_NAMES = tuple(sorted(name for name, fn in CHECKS.items()

@@ -1,7 +1,9 @@
 """Command-line interface for running checks.
 
-Exit codes: 0 all checks passed, 1 at least one failed, 2 no failures but
-at least one inconclusive result, 64 usage error.
+Exit codes: 0 all checks passed, 1 at least one failed or raised an error,
+2 no failures or errors but at least one inconclusive result, 64 usage
+error.  A check that raises while it runs gets an "error" report, and the
+other entries of a suite still run.
 """
 
 from __future__ import annotations
@@ -9,12 +11,14 @@ from __future__ import annotations
 import inspect
 import json
 import sys
+import time
 from fractions import Fraction
 
 import click
 
-from .checks import CHECKS, evaluate
+from .checks import CHECKS, evaluate, order_keyword, script_params
 from .lietype import lie_type_data
+from .report import CheckReport
 from .rmatrix import solve_normalizer
 from .script import ScriptError, parse_script
 
@@ -63,18 +67,32 @@ def _lie_type(family, n):
         raise click.UsageError(str(exc))
 
 
+def _guarded(name, params, run):
+    """A thunk that runs ``run`` and reports an exception it raises as an
+    "error" verdict with witness "<ExceptionType>: <message>"."""
+    def thunk():
+        start = time.monotonic()
+        try:
+            return run()
+        except Exception as exc:
+            return CheckReport(name, params, "error", 0,
+                               f"{type(exc).__name__}: {exc}",
+                               int((time.monotonic() - start) * 1000))
+    return thunk
+
+
 def _bind(name, family="C", n=1, order=3, caps=None, level=None, k=None,
           alpha=None, r_max=None):
     """Bind options or suite keys to the keyword arguments of check
-    ``name``; returns a thunk that runs it.  Raises UsageError for a bad
-    value or an option the check does not take."""
+    ``name``; returns a guarded thunk that runs it.  Raises UsageError for
+    a bad value or an option the check does not take."""
     if name not in CHECKS:
         raise click.UsageError(f"unknown check {name!r}; available: "
                                + ", ".join(sorted(CHECKS)))
     check = CHECKS[name]
     takes = inspect.signature(check).parameters
     _lie_type(family, n)
-    kwargs = {"l" if "l" in takes else "L": _integer("order", order, 1)}
+    kwargs = {order_keyword(check): _integer("order", order, 1)}
     # option, its parameter, and its default where the check takes it
     for key, param, value, default in (("level", "c", level, 1),
                                        ("k", "k", k, None),
@@ -95,7 +113,8 @@ def _bind(name, family="C", n=1, order=3, caps=None, level=None, k=None,
         if not params:
             raise click.UsageError(f"check {name!r} takes no cap on {var!r}")
         kwargs[params[0]] = _integer(f"cap {var}", cap, 1)
-    return lambda: check(family, n, **kwargs)
+    return _guarded(name, {"family": family, "n": n, **kwargs},
+                    lambda: check(family, n, **kwargs))
 
 
 def _suite_entry(cfg):
@@ -115,7 +134,8 @@ def _suite_entry(cfg):
         script = parse_script(cfg["script"])
     except ScriptError as exc:
         raise click.UsageError(f"script entry {cfg['name']!r}: {exc}")
-    return lambda: evaluate(script, name=cfg["name"])
+    return _guarded(cfg["name"], script_params(script),
+                    lambda: evaluate(script, name=cfg["name"]))
 
 
 def _emit(reports, fmt):
@@ -127,7 +147,7 @@ def _emit(reports, fmt):
 
 
 def _exit_code(reports) -> int:
-    if any(r.verdict == "fail" for r in reports):
+    if any(r.verdict in ("fail", "error") for r in reports):
         return 1
     if any(r.verdict == "inconclusive" for r in reports):
         return 2
@@ -171,7 +191,8 @@ def suite_cmd(file, fmt):
 
     The file holds a list of objects with keys "name", "family", "n",
     "order" plus optional "caps", "level", "k", "alpha", "r_max", or "name"
-    and "script".  Every entry is validated before any runs."""
+    and "script".  Every entry is validated before any runs; an entry that
+    raises while it runs gets an "error" report and the rest still run."""
     with open(file) as fh:
         try:
             configs = json.load(fh)
@@ -190,14 +211,14 @@ def suite_cmd(file, fmt):
 @click.option("--n", default=1, type=int)
 @click.option("--order", default=4, type=int)
 @click.option("--zdeg", default=10, type=int,
-              help="Degree of the independent series oracle.")
+              help="Degree of the independent series oracle (at least 1).")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="text")
 def series_cmd(family, n, order, zdeg, fmt):
     """Solve and print the normalizing series to the given order."""
     norm = solve_normalizer(_lie_type(family, n),
                             L=_integer("order", order, 1),
-                            z_degree_oracle=zdeg)
+                            z_degree_oracle=_integer("zdeg", zdeg, 1))
     if fmt == "json":
         click.echo(json.dumps({"family": family, "n": n, "L": order,
                                "g1": norm.g1.to_data()}))

@@ -17,17 +17,43 @@ zero is 0/1.  This pair is unique for each rational function, so equality,
 hashing, printing and serialization are structural.  It is exactly the form
 sympy's ``cancel`` returns.
 
-Which operations reduce by gcd.  Sums and products of two fractions with
-non-integer denominators, quotients and derivatives go through sympy, which
-cancels by a polynomial gcd.  The other operations rebuild the canonical
-form directly, because no polynomial common factor can appear:
+Denominator factorizations.  Each field keeps a registry of the irreducible
+denominator factors met in it: primitive integer polynomials with a positive
+graded-lex leading coefficient, appended as they are found and never
+removed.  A value carries its denominator as a pair ``(c, (e_0, e_1, ...))``
+meaning D = c * p_0^e_0 * p_1^e_1 * ..., where c is the positive integer
+content of D and p_i is the registry's i-th factor.  In the R-matrix
+computations these are a few monomials and binomials such as ``1 - z``,
+``u - v`` and ``u*v - 1``.
 
-* multiplying N/D by a rational constant p/q only rescales N and D, so at
-  most an integer content has to be divided out;
-* adding P/d with d an integer (a polynomial or a constant) gives
-  (d*N + D*P)/(d*D), and gcd(d*N + D*P, D) = gcd(d*N, D) = 1 over Q;
-* lifting to more variables, or dropping variables that do not occur,
-  keeps gcd, content and the graded-lex leading term.
+Which operations reduce by gcd.  Sums, differences, products and
+derivatives do not: they cancel by exact trial division against the known
+factors only, then divide out the joint integer content.  The sign needs no
+fixing, because every factor has a positive leading coefficient.
+
+* N1/D1 + N2/D2: the common denominator takes the larger exponent of each
+  factor.  Only a factor with the same positive exponent on both sides is
+  tried: where the exponents differ, the new numerator is a unit times the
+  other side's numerator modulo that factor, which it does not divide.
+* N1/D1 * N2/D2: N1 is tried against the factors of D2 that D1 lacks, and
+  N2 against those of D1 that D2 lacks; exponents add.
+* d/dx of N/(c * prod p^e): with R the product of the factors that contain
+  x, it is (N' R - N sum e p' R/p) / (c prod p^e R).  No factor of R divides
+  that numerator, so only the factors free of x are tried.
+* Multiplying N/D by a rational constant p/q only rescales N and D; adding
+  P/d with d an integer (a polynomial or a constant) gives
+  (d*N + D*P)/(d*D), and gcd(d*N + D*P, D) = gcd(d*N, D) = 1 over Q.  Both
+  keep the factorization up to the content, as do negation, positive powers
+  and lifting to more variables (which keeps gcd, content and the
+  graded-lex leading term).
+
+A value that arrives without a factorization (from ``var``, ``/``,
+``subs_var``, ``from_data``, ``trim`` or a negative power) gets one on its
+first use in a sum, product or derivative of fractions: its denominator is
+divided by the registry's factors, and what is left is split with sympy's
+``factor_list``, whose new factors join the registry.  Quotients,
+``subs_var``, ``from_data`` and ``remove_denominator_factor`` still reduce
+by sympy's gcd.
 """
 
 from __future__ import annotations
@@ -110,36 +136,246 @@ def _is_const(f) -> bool:
     return f.numer.is_ground and f.denom.is_ground
 
 
-def _mul_const(f, p: int, q: int):
-    """f * p/q with gcd(p, q) = 1, q > 0 and f, p nonzero.
+def _quotient(f, p):
+    """``f / p`` if ``p`` divides ``f``, else None.
 
-    With f = N/D, the product p*N / (q*D) is reduced over Q[x]; since
+    ``p`` is primitive and both have integer coefficients, so by Gauss's
+    lemma an exact quotient has integer coefficients too; the division stops
+    at the first leading term that ``p``'s does not divide over Z.
+    """
+    ring = f.ring
+    lead, mdiv = ring.leading_expv, ring.monomial_div
+    if len(p) == 1:
+        # an irreducible monomial is a variable: shift every exponent
+        (lm, _), = p.items()
+        q = {}
+        for m, c in f.items():
+            qm = mdiv(m, lm)
+            if qm is None:
+                return None
+            q[qm] = c
+        return ring.dtype(q)
+    mmul = ring.monomial_mul
+    lm = lead(p)
+    lc = p[lm].numerator
+    tail = [(m, c.numerator) for m, c in p.items() if m != lm]
+    rem = {m: c.numerator for m, c in f.items()}
+    q = {}
+    while rem:
+        m = lead(rem)
+        qm = mdiv(m, lm)
+        if qm is None:
+            return None
+        c, r = divmod(rem.pop(m), lc)
+        if r:
+            return None
+        q[qm] = _QQ(c)
+        for pm, pc in tail:
+            km = mmul(pm, qm)
+            v = rem.get(km, 0) - pc * c
+            if v:
+                rem[km] = v
+            else:
+                del rem[km]
+    return ring.dtype(q)
+
+
+def _times(poly, factors, exps):
+    """``poly * prod factors[i]**exps[i]``."""
+    for p, e in zip(factors, exps):
+        if e:
+            poly = poly * (p if e == 1 else p ** e)
+    return poly
+
+
+def _cancel(num, den, p, e):
+    """Divide ``num`` and ``den`` by ``p`` as often as ``p`` divides ``num``,
+    at most ``e`` times; ``p**e`` divides ``den``.  Returns the new
+    ``(num, den, e)``."""
+    while e:
+        q = _quotient(num, p)
+        if q is None:
+            break
+        num, den, e = q, _quotient(den, p), e - 1
+    return num, den, e
+
+
+def _padded(exps, n):
+    return list(exps) + [0] * (n - len(exps))
+
+
+def _primitive(poly):
+    """(unit, g) with poly = unit * g, g primitive over Z with a positive
+    leading coefficient and ``unit`` rational."""
+    den = 1
+    for c in poly.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    num = 0
+    for c in poly.values():
+        num = gcd(num, c.numerator * (den // c.denominator))
+    if poly.LC < 0:
+        num = -num
+    g = poly.ring.dtype({m: _QQ(c.numerator * (den // c.denominator) // num)
+                         for m, c in poly.items()})
+    return _QQ(num, den), g
+
+
+class _Registry:
+    """The irreducible denominator factors met in one field, append-only,
+    and the interned factorization pairs that index into them."""
+
+    __slots__ = ("ring", "factors", "pairs", "lifts")
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.factors = []   # primitive, irreducible, positive leading coeff
+        self.pairs = {}     # (content, exponents) -> itself
+        self.lifts = {}     # source names -> our index of each source factor
+
+    def pair(self, content, exps):
+        """The interned pair; trailing zero exponents are dropped."""
+        exps = list(exps)
+        while exps and not exps[-1]:
+            exps.pop()
+        key = (content, tuple(exps))
+        return self.pairs.setdefault(key, key)
+
+    def index(self, poly):
+        """The index of ``poly``, registered if it is new."""
+        for i, p in enumerate(self.factors):
+            if p == poly:
+                return i
+        self.factors.append(poly)
+        return len(self.factors) - 1
+
+    def factorize(self, den):
+        """The pair of a canonical denominator ``den``; ValueError if its
+        content is not a positive integer."""
+        if any(c.denominator != 1 for c in den.values()):
+            # trial division below is exact only over Z
+            raise ValueError(f"denominator is not canonical: {den}")
+        exps = []
+        for p in self.factors:
+            e = 0
+            while not den.is_ground:
+                q = _quotient(den, p)
+                if q is None:
+                    break
+                den, e = q, e + 1
+            exps.append(e)
+        content = den.LC
+        if not den.is_ground:
+            content, parts = den.factor_list()
+            for poly, k in parts:
+                unit, poly = _primitive(poly)
+                content *= unit ** k
+                i = self.index(poly)
+                exps += [0] * (i + 1 - len(exps))
+                exps[i] += k
+        if content.denominator != 1 or content <= 0:
+            raise ValueError(
+                f"denominator is not canonical: its content is {content}")
+        return self.pair(int(content.numerator), exps)
+
+    def lifted(self, pair, src, idx_map):
+        """``pair`` from the field over ``src`` moved into this one, whose
+        variables contain ``src``'s at positions ``idx_map``."""
+        content, exps = pair
+        where = self.lifts.setdefault(src, [])
+        factors = _registry(src).factors
+        while len(where) < len(exps):
+            where.append(self.index(_lift_poly(factors[len(where)], self.ring,
+                                               idx_map)))
+        out = [0] * len(self.factors)
+        for i, e in zip(where, exps):
+            out[i] = e
+        return self.pair(content, out)
+
+
+@lru_cache(maxsize=None)
+def _registry(names: tuple) -> _Registry:
+    return _Registry(_field_for(names).ring)
+
+
+# -- arithmetic on values with the same variables ------------------------
+
+def _negated(a):
+    return RatFunc(a.vars, -a._val, a._fac)
+
+
+def _rescaled(a, val, mul, div):
+    """``val``, whose denominator is a's times ``mul / div``, carrying a's
+    factorization with the content rescaled."""
+    if a._fac is None:
+        return RatFunc(a.vars, val)
+    content, exps = a._fac
+    return RatFunc(a.vars, val,
+                   _registry(a.vars).pair(content * mul // div, exps))
+
+
+def _finish(a, reg, num, den, content, exps):
+    """The value num/den with den = content * prod p**exps over ``reg``'s
+    factors, after dividing out the joint integer content."""
+    g = _content(num, content)
+    if g != 1:
+        num, den, content = _scale(num, 1, g), _scale(den, 1, g), content // g
+    return RatFunc(a.vars, a._val.raw_new(num, den), reg.pair(content, exps))
+
+
+def _mul_const(a, p: int, q: int):
+    """a * p/q with gcd(p, q) = 1, q > 0 and a, p nonzero.
+
+    With a = N/D, the product p*N / (q*D) is reduced over Q[x]; since
     gcd(p, q) = 1 and gcd(cont N, cont D) = 1, its joint integer content is
     gcd(p, cont D) * gcd(q, cont N).
     """
+    f = a._val
     num, den = f.numer, f.denom
     g_p = _content(den, p) if p not in (1, -1) else 1
     g_q = _content(num, q) if q != 1 else 1
-    return f.raw_new(_scale(num, p // g_p, g_q), _scale(den, q // g_q, g_p))
+    return _rescaled(a, f.raw_new(_scale(num, p // g_p, g_q),
+                                  _scale(den, q // g_q, g_p)), q // g_q, g_p)
 
 
-def _mul(f, g):
+def _mul(a, b):
+    f, g = a._val, b._val
     if not f or not g:
-        return f.field.zero
+        return RatFunc(a.vars, f.field.zero)
     if _is_const(g):
-        return _mul_const(f, _ground(g.numer), _ground(g.denom))
+        return _mul_const(a, _ground(g.numer), _ground(g.denom))
     if _is_const(f):
-        return _mul_const(g, _ground(f.numer), _ground(f.denom))
-    return f * g
+        return _mul_const(b, _ground(f.numer), _ground(f.denom))
+    return _mul_fractions(a, b)
 
 
-def _add_intden(f, g):
-    """f + g where the denominator of g is a (positive) integer.
+def _mul_fractions(a, b):
+    """a * b: each numerator is tried against the other side's factors that
+    its own denominator lacks."""
+    c1, ea = a._factors()
+    c2, eb = b._factors()
+    n = max(len(ea), len(eb))
+    ea, eb = _padded(ea, n), _padded(eb, n)
+    reg = _registry(a.vars)
+    factors = reg.factors
+    num1, den1, num2, den2 = a._val.numer, a._val.denom, b._val.numer, \
+        b._val.denom
+    for i, p in enumerate(factors[:n]):
+        if eb[i] and not ea[i]:
+            num1, den2, eb[i] = _cancel(num1, den2, p, eb[i])
+        elif ea[i] and not eb[i]:
+            num2, den1, ea[i] = _cancel(num2, den1, p, ea[i])
+    return _finish(a, reg, num1 * num2, den1 * den2, c1 * c2,
+                   [x + y for x, y in zip(ea, eb)])
 
-    With f = N/D and g = P/d the sum (d*N + D*P)/(d*D) has no polynomial
+
+def _add_intden(a, b):
+    """a + b where the denominator of b is a (positive) integer.
+
+    With a = N/D and b = P/d the sum (d*N + D*P)/(d*D) has no polynomial
     common factor, and d*D keeps a positive leading coefficient, so only
     the joint integer content is divided out.
     """
+    f, g = a._val, b._val
     num_f, den_f = f.numer, f.denom
     d = _ground(g.denom)
     if den_f.is_ground:
@@ -150,25 +386,76 @@ def _add_intden(f, g):
         prod = den_f * g.numer
     num = _scale(num_f, d) + prod
     if not num:
-        return f.field.zero
+        return RatFunc(a.vars, f.field.zero)
     den = _scale(den_f, d)
     content = _content(num, _content(den))
     if content != 1:
         num = _scale(num, 1, content)
         den = _scale(den, 1, content)
-    return f.raw_new(num, den)
+    return _rescaled(a, f.raw_new(num, den), d, content)
 
 
-def _add(f, g):
+def _add(a, b):
+    f, g = a._val, b._val
     if not g:
-        return f
+        return a
     if not f:
-        return g
+        return b
     if g.denom.is_ground:
-        return _add_intden(f, g)
+        return _add_intden(a, b)
     if f.denom.is_ground:
-        return _add_intden(g, f)
-    return f + g
+        return _add_intden(b, a)
+    return _add_fractions(a, b)
+
+
+def _add_fractions(a, b):
+    """a + b over the common denominator with the larger exponent of each
+    factor; only factors with equal exponents on both sides can cancel."""
+    c1, ea = a._factors()
+    c2, eb = b._factors()
+    n = max(len(ea), len(eb))
+    ea, eb = _padded(ea, n), _padded(eb, n)
+    reg = _registry(a.vars)
+    factors = reg.factors
+    content = c1 // gcd(c1, c2) * c2
+    up_a = [max(y - x, 0) for x, y in zip(ea, eb)]
+    up_b = [max(x - y, 0) for x, y in zip(ea, eb)]
+    num = _scale(_times(a._val.numer, factors, up_a), content // c1) \
+        + _scale(_times(b._val.numer, factors, up_b), content // c2)
+    if not num:
+        return RatFunc(a.vars, a._val.field.zero)
+    den = _scale(_times(a._val.denom, factors, up_a), content // c1)
+    exps = [max(x, y) for x, y in zip(ea, eb)]
+    for i, p in enumerate(factors[:n]):
+        if ea[i] and ea[i] == eb[i]:
+            num, den, exps[i] = _cancel(num, den, p, exps[i])
+    return _finish(a, reg, num, den, content, exps)
+
+
+def _diff(a, i):
+    """The derivative of a by its ``i``-th variable."""
+    content, exps = a._factors()
+    reg = _registry(a.vars)
+    factors = reg.factors
+    num, den = a._val.numer, a._val.denom
+    # R is the product of the factors that contain the variable
+    in_r = [int(e > 0 and factors[k].degree(i) > 0)
+            for k, e in enumerate(exps)]
+    # (N' R - N sum e p' R/p) / (D R)
+    new = _times(num.diff(i), factors, in_r)
+    for k, e in enumerate(exps):
+        if in_r[k]:
+            others = [int(j != k and r) for j, r in enumerate(in_r)]
+            new = new - _scale(_times(num * factors[k].diff(i), factors,
+                                      others), e)
+    if not new:
+        return RatFunc(a.vars, a._val.field.zero)
+    den = _times(den, factors, in_r)
+    exps = [e + r for e, r in zip(exps, in_r)]
+    for k, p in enumerate(factors[:len(exps)]):
+        if exps[k] and not in_r[k]:
+            new, den, exps[k] = _cancel(new, den, p, exps[k])
+    return _finish(a, reg, new, den, content, exps)
 
 
 class RatFunc:
@@ -180,11 +467,18 @@ class RatFunc:
     the polynomial path.
     """
 
-    __slots__ = ("vars", "_val")
+    __slots__ = ("vars", "_val", "_fac")
 
-    def __init__(self, names, val):
+    def __init__(self, names, val, fac=None):
         self.vars = tuple(names)
         self._val = val
+        self._fac = fac     # the denominator's (content, exponents), or None
+
+    def _factors(self):
+        """The denominator's factorization, recovered on first use."""
+        if self._fac is None:
+            self._fac = _registry(self.vars).factorize(self._val.denom)
+        return self._fac
 
     # -- constructors -------------------------------------------------
 
@@ -222,7 +516,9 @@ class RatFunc:
         idx_map = [names.index(v) for v in self.vars]
         num = _lift_poly(self._val.numer, fld.ring, idx_map)
         den = _lift_poly(self._val.denom, fld.ring, idx_map)
-        return RatFunc(names, fld.raw_new(num, den))
+        fac = None if self._fac is None else _registry(names).lifted(
+            self._fac, self.vars, idx_map)
+        return RatFunc(names, fld.raw_new(num, den), fac)
 
     def _unify(self, other):
         if not isinstance(other, RatFunc):
@@ -289,7 +585,7 @@ class RatFunc:
         a, b = self._unify(other)
         if not a.vars:
             return RatFunc((), a._val + b._val)
-        return RatFunc(a.vars, _add(a._val, b._val))
+        return _add(a, b)
 
     __radd__ = __add__
 
@@ -297,13 +593,13 @@ class RatFunc:
         a, b = self._unify(other)
         if not a.vars:
             return RatFunc((), a._val - b._val)
-        return RatFunc(a.vars, _add(a._val, -b._val))
+        return _add(a, _negated(b))
 
     def __rsub__(self, other):
         a, b = self._unify(other)
         if not a.vars:
             return RatFunc((), b._val - a._val)
-        return RatFunc(a.vars, _add(b._val, -a._val))
+        return _add(b, _negated(a))
 
     def __mul__(self, other):
         if not isinstance(other, RatFunc):
@@ -315,7 +611,7 @@ class RatFunc:
         a, b = self._unify(other)
         if not a.vars:
             return RatFunc((), a._val * b._val)
-        return RatFunc(a.vars, _mul(a._val, b._val))
+        return _mul(a, b)
 
     __rmul__ = __mul__
 
@@ -324,7 +620,7 @@ class RatFunc:
             return RatFunc(self.vars, self._val.field.zero)
         if not self._val:
             return self
-        return RatFunc(self.vars, _mul_const(self._val, c.numerator, c.denominator))
+        return _mul_const(self, c.numerator, c.denominator)
 
     def __truediv__(self, other):
         a, b = self._unify(other)
@@ -339,7 +635,7 @@ class RatFunc:
         return RatFunc(a.vars, b._val / a._val)
 
     def __neg__(self):
-        return RatFunc(self.vars, -self._val)
+        return _negated(self)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -355,8 +651,12 @@ class RatFunc:
             num, den = val.numer, val.denom
             if num.LC < 0:
                 num, den = -num, -den
-            val, n = val.raw_new(den, num), -n
-        return RatFunc(self.vars, val ** n)
+            return RatFunc(self.vars, val.raw_new(den, num) ** -n)
+        if self._fac is None:
+            return RatFunc(self.vars, val ** n)
+        content, exps = self._fac
+        return RatFunc(self.vars, val ** n, _registry(self.vars).pair(
+            content ** n, [e * n for e in exps]))
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -379,8 +679,7 @@ class RatFunc:
         """Partial derivative with respect to the ring variable ``name``."""
         if name not in self.vars:
             return RatFunc.zero()
-        fld = _field_for(self.vars)
-        return RatFunc(self.vars, self._val.diff(fld.gens[self.vars.index(name)]))
+        return _diff(self, self.vars.index(name))
 
     def subs_var(self, name: str, value: "RatFunc") -> "RatFunc":
         """Substitute ``name`` by ``value`` (an arbitrary RatFunc).

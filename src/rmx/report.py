@@ -1,7 +1,8 @@
 """Check reports with exact residuals.
 
 A report's verdict is "pass" iff the residual count is zero; "inconclusive"
-is reserved for bounded searches that hit their bound.  Residuals are entry
+is reserved for bounded searches that hit their bound, and "error" for a
+check that raised an exception (its witness names it).  Residuals are entry
 counts plus one witness entry, never norms: the arithmetic is exact, so any
 nonzero residual is meaningful.
 """
@@ -22,13 +23,13 @@ _FIELD_ORDER = ("name", "params", "verdict", "residual_count", "witness",
 class CheckReport:
     name: str
     params: dict
-    verdict: str                 # "pass" | "fail" | "inconclusive"
+    verdict: str                 # "pass" | "fail" | "inconclusive" | "error"
     residual_count: int
     witness: object              # None, or (row, col, entry-repr), or str
     elapsed_ms: int
 
     def __post_init__(self):
-        if self.verdict != "inconclusive" \
+        if self.verdict not in ("inconclusive", "error") \
                 and (self.verdict == "pass") != (self.residual_count == 0):
             raise ValueError(
                 f"verdict {self.verdict!r} contradicts residual count "
@@ -51,7 +52,7 @@ class CheckReport:
         if self.residual_count:
             tail = f"residuals={self.residual_count} " \
                    f"witness={self.witness!r} " + tail
-        elif self.verdict == "inconclusive" and self.witness:
+        elif self.verdict in ("inconclusive", "error") and self.witness:
             tail = f"{self.witness} " + tail
         return f"{head} ({params}) {tail}"
 

@@ -195,6 +195,10 @@ def _rhs_product(kappa, caps, zval):
 def solve_normalizer(ltd: LieTypeData, L: int = 4, z_degree_oracle: int = 10) -> Normalizer:
     if L < 1:
         raise ValueError("order cap must be at least 1")
+    if z_degree_oracle < 1:
+        # below 1 the oracle keeps at most the z^0 terms, which the at-0
+        # check already covers
+        raise ValueError("series oracle degree must be at least 1")
     return _solve_normalizer_cached(ltd, L, z_degree_oracle)
 
 

@@ -113,3 +113,11 @@ def test_correspondence_inconclusive_bound():
     rep = correspondence_check("C", 1, alpha=0, a=2, b=2, l=2, r_max=0)
     assert rep.verdict == "inconclusive"
     assert rep.residual_count == 0
+
+
+def test_builtin_check_passes_the_order_keyword_the_check_takes():
+    got = builtin_check("correspondence", "C", 1, L=1, alpha=0, a=1, b=1)
+    want = correspondence_check("C", 1, alpha=0, a=1, b=1, l=1)
+    got, want = got.to_dict(), want.to_dict()
+    del got["elapsed_ms"], want["elapsed_ms"]
+    assert got == want

@@ -71,6 +71,52 @@ def test_suite_with_negative_control(tmp_path, capsys):
     assert reports[1]["residual_count"] > 0
 
 
+POLE = """\
+type C 1
+order 2
+slots 2
+spectral u
+check Rhat[1,2](u-u) == 1
+"""
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_suite_entry_error_keeps_other_reports(tmp_path, capsys, fmt):
+    suite = [
+        {"name": "unitarity_hat", "family": "C", "n": 1, "order": 2},
+        {"name": "at_pole", "script": POLE},
+    ]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    code = main(["suite", str(path), "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 1
+    if fmt == "text":
+        lines = out.splitlines()
+        assert lines[0].startswith("PASS ") and lines[1].startswith("ERROR ")
+        assert "EvalError: " in lines[1]
+        return
+    reports = json.loads(out)
+    assert [r["name"] for r in reports] == ["unitarity_hat", "at_pole"]
+    assert [r["verdict"] for r in reports] == ["pass", "error"]
+    assert reports[1]["residual_count"] == 0
+    assert reports[1]["witness"].startswith("EvalError: ")
+    assert reports[1]["params"] == {"family": "C", "n": 1, "L": 2,
+                                    "slots": 2}
+
+
+def test_check_error_report(monkeypatch, capsys):
+    def broken(family, n, L):
+        raise ZeroDivisionError("pole")
+
+    monkeypatch.setitem(CHECKS, "gfunc", broken)
+    code = main(["check", "gfunc", "--order", "2", "--format", "json"])
+    report, = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert (report["verdict"], report["residual_count"], report["witness"]) \
+        == ("error", 0, "ZeroDivisionError: pole")
+
+
 def test_suite_order_is_config_order(tmp_path, capsys):
     suite = [
         {"name": "g_one", "family": "C", "n": 1, "order": 2},
@@ -115,6 +161,8 @@ BAD_SUITES = {
     ["check", "unitarity_hat", "--k", "2"],
     ["check", "tminus_vacuum", "--alpha", "1"],
     ["check", "weak_assoc_chain", "--caps", "v=2"],
+    ["series", "--zdeg", "0"],
+    ["series", "--zdeg", "-1"],
 ] + [["suite", case] for case in BAD_SUITES], ids=" ".join)
 def test_usage_errors(args, tmp_path, capsys):
     if args[0] == "suite":

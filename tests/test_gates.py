@@ -6,8 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from sympy import QQ
 
-from rmx.ratfunc import RatFunc
+from rmx.ratfunc import RatFunc, _field_for
 from rmx.report import CheckReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -15,7 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 GATES = """
 from rmx.cli import main
 from rmx.lietype import lie_type_data
-from rmx.ratfunc import RatFunc
+from rmx.ratfunc import RatFunc, _field_for
 from rmx.report import CheckReport
 from rmx.rmatrix import solve_normalizer
 from rmx.states import FreeState
@@ -29,6 +30,9 @@ def raises(fn):
     return False
 
 Z = RatFunc.var("Z")
+ring = _field_for(("Z",)).ring
+# 1/(-Z): a denominator with negative leading coefficient is not canonical
+not_canonical = RatFunc(("Z",), Z._val.raw_new(ring.one, -ring.gens[0]))
 caps = {"h": 2}
 ltd = lie_type_data("C", 1)
 vac = FreeState.vacuum(ltd, solve_normalizer(ltd, L=2), caps, 1)
@@ -40,6 +44,7 @@ print(raises(lambda: CheckReport("x", {}, "pass", 1, None, 0)),
       raises(lambda: TensorOp.identity(2, 1, caps)
              * TensorOp.identity(2, 2, caps)),
       raises(lambda: vac.residual(vac.with_identity_open())),
+      raises(not_canonical._factors),
       main(["check", "ybe_hat", "--order", "0"]) == 64)
 """
 
@@ -53,6 +58,10 @@ def test_gates_raise():
     Z = RatFunc.var("Z")
     with pytest.raises(ValueError):
         (1 / (1 - Z)).remove_denominator_factor(Z / 2)
+    ring = _field_for(("Z",)).ring
+    for den in (-ring.gens[0], ring.gens[0] * QQ(1, 2)):
+        with pytest.raises(ValueError):
+            RatFunc(("Z",), Z._val.raw_new(ring.one, den))._factors()
 
 
 def test_gates_survive_python_O():
@@ -62,4 +71,4 @@ def test_gates_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", GATES], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True"] * 7
+    assert out.stdout.split() == ["True"] * 8

@@ -74,3 +74,9 @@ def test_pole_detection():
     norm = solve_normalizer(ltd, L=2)
     with pytest.raises(ZeroDivisionError):
         norm.g1_at(Arg.make(1), {"h": 2})
+
+
+@pytest.mark.parametrize("dz", [0, -1])
+def test_vacuous_series_oracle_rejected(dz):
+    with pytest.raises(ValueError):
+        solve_normalizer(lie_type_data("C", 1), L=2, z_degree_oracle=dz)

@@ -277,3 +277,158 @@ def test_negative_power_sign():
     assert f.denom_terms() == [({}, -1), ({"Z": 1}, 1)]
     assert repr(f) == "(-1)/(-1 + Z)"
     assert repr((1 - Z) ** -1 + 1) == repr(RatFunc.one() / (1 - Z) + 1)
+
+
+# -- factor-pool differential tests: gcd-free fractions against sympy ------
+#
+# Denominators are products of powers of a fixed pool of irreducible
+# factors, like the R-matrix denominators; numerators are sometimes
+# multiplied by pool factors, and some pairs are drawn so that their sum
+# cancels a factor, so that trial division really divides, at equal and at
+# unequal exponents.  Results of single operations and of chains (carried
+# factorizations) must be sympy's canonical form.
+
+POOL = (lambda x, y: x, lambda x, y: y, lambda x, y: x - y,
+        lambda x, y: 1 - x, lambda x, y: x * y - 1,
+        lambda x, y: 2 * x + 3 * y,     # not monic
+        lambda x, y: x ** 2 + y)        # not linear
+POOL_NAMES = (("x", "y"), ("x", "y", "z"))
+pool_index = st.integers(0, len(POOL) - 1)
+
+
+def _pool(names):
+    ring = _field_for(names).ring
+    x, y = ring.gens[names.index("x")], ring.gens[names.index("y")]
+    return [f(x, y) for f in POOL]
+
+
+@st.composite
+def pool_denominators(draw, names):
+    pool = _pool(names)
+    den = _field_for(names).ring(QQ(draw(st.integers(1, 6))))
+    for i, k in draw(st.lists(st.tuples(pool_index, st.integers(1, 3)),
+                              max_size=3)):
+        den *= pool[i] ** k
+    return den
+
+
+@st.composite
+def pool_numerators(draw, names):
+    num = _poly(_field_for(names), _terms(draw, names, 1))
+    for i in draw(st.lists(pool_index, max_size=2)):
+        num *= _pool(names)[i]
+    return num
+
+
+@st.composite
+def pooled(draw, names=None):
+    names = names or draw(st.sampled_from(POOL_NAMES))
+    fld = _field_for(names)
+    return RatFunc(names, fld.new(draw(pool_numerators(names)),
+                                  draw(pool_denominators(names))))
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """a = N/D and b = (p**j * M - N)/D, so that a + b = p**j * M / D."""
+    names = draw(st.sampled_from(POOL_NAMES))
+    fld = _field_for(names)
+    den = draw(pool_denominators(names))
+    num = draw(pool_numerators(names))
+    p = _pool(names)[draw(pool_index)] ** draw(st.integers(1, 2))
+    other = p * draw(pool_numerators(names)) - num
+    return RatFunc(names, fld.new(num, den)), RatFunc(names, fld.new(other, den))
+
+
+def _in_field(names, a):
+    return _expected(names, a.numer_terms(), a.denom_terms())
+
+
+def _check_diff(a, name):
+    fld = _field_for(a.vars)
+    ref = _in_field(a.vars, a).diff(fld.gens[a.vars.index(name)])
+    _assert_canonical(a.diff(name), a.vars, ref)
+
+
+@given(pooled(), pooled())
+def test_pool_fraction_ops_match_sympy(a, b):
+    for op in (add, sub, mul):
+        _check(op, a, b)
+        _check(op, b, a)
+        _check(op, a ** 2, b)       # a power carries its factorization
+
+
+@given(cancelling_pairs(), pooled())
+def test_pool_cancellation_matches_sympy(ab, c):
+    a, b = ab
+    for op in (add, sub):
+        _check(op, a, b)
+    _check(add, a + b, c)          # a carried factorization meets a fresh one
+    _check(mul, a + b, c)
+    _check(sub, a + b, b)          # cancels back to a
+
+
+@settings(max_examples=30)
+@given(pooled(), pooled(), pooled(), pooled())
+def test_pool_chains_match_sympy(a, b, c, d):
+    names = tuple(sorted(set(a.vars) | set(b.vars) | set(c.vars)
+                         | set(d.vars)))
+    fa, fb, fc, fd = (_in_field(names, v) for v in (a, b, c, d))
+    _assert_canonical((a + b) * c - d, names, (fa + fb) * fc - fd)
+    _assert_canonical((a * b - c) * (c + d), names,
+                      (fa * fb - fc) * (fc + fd))
+    wide = ("x", "y", "z")
+    _assert_canonical((a * b).lift(wide) * c, wide,
+                      _in_field(wide, a) * _in_field(wide, b)
+                      * _in_field(wide, c))
+    _assert_canonical(a.lift(wide) * d + b, wide,
+                      _in_field(wide, a) * _in_field(wide, d)
+                      + _in_field(wide, b))
+
+
+@settings(max_examples=50)
+@given(pooled(), pooled(), st.sampled_from(("x", "y", "z")))
+def test_pool_diff_matches_sympy(a, b, name):
+    if name not in a.vars:
+        assert a.diff(name).is_zero()
+        return
+    _check_diff(a, name)
+    _check_diff(a * b, name)        # a carried factorization
+    _check_diff((a + b).diff(name) * a, name)
+
+
+@given(st.data())
+def test_pool_diff_cancels_factors_free_of_the_variable(data):
+    # d/dx (p*M + K) / (p**k * D) with p and K free of x: p divides p*M'
+    names = data.draw(st.sampled_from(POOL_NAMES))
+    name = data.draw(st.sampled_from(names))
+    i = names.index(name)
+    fld = _field_for(names)
+    p = data.draw(st.sampled_from([f for f in _pool(names) if not f.degree(i)]))
+    free = data.draw(pool_numerators(names))
+    free = fld.ring.dtype({m: c for m, c in free.items() if not m[i]})
+    num = p * data.draw(pool_numerators(names)) + free
+    den = p ** data.draw(st.integers(1, 3)) * data.draw(pool_denominators(names))
+    _check_diff(RatFunc(names, fld.new(num, den)), name)
+
+
+def test_fraction_ops_take_no_gcd(monkeypatch):
+    """Sums, differences, products and derivatives of multivariate fractions
+    never reach sympy's fraction arithmetic, which reduces by a gcd."""
+    from sympy.polys.fields import FracElement
+    x, y = RatFunc.var("x"), RatFunc.var("y")
+    a = (x + 2 * y) / ((x - y) ** 2 * (x * y - 1))
+    b = (3 - x * y) / ((x - y) * (2 * x + 3 * y))
+    c = RatFunc(("x", "y", "z"), _field_for(("x", "y", "z")).new(
+        *_pool(("x", "y", "z"))[1:3]))       # y / (x - y), not yet factored
+
+    def boom(*args):
+        raise AssertionError("sympy fraction arithmetic was called")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "diff"):
+        monkeypatch.setattr(FracElement, name, boom)
+    results = [a + b, a - b, a * b, b * a, (a + b) * c - a, c * b - c,
+               a.diff("x"), (a * b).diff("y"), c.diff("z"), c.diff("x")]
+    monkeypatch.undo()
+    assert results[0] - b == a and results[2] / b == a
