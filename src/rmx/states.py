@@ -435,17 +435,17 @@ class FreeState:
     def mul_open(self, op: TensorOp, slots) -> "FreeState":
         """Left-multiply the open-slot block by an operator embedded at the
         given open slots."""
-        return self._map_coeff(lambda K: _embed_total(op, slots, K.m) * K)
+        return self._map_coeff(lambda K: op.embed(tuple(slots), K.m) * K)
 
     def mul_open_right(self, op: TensorOp, slots) -> "FreeState":
         """Right-multiply the open-slot block by an embedded operator."""
-        return self._map_coeff(lambda K: K * _embed_total(op, slots, K.m))
+        return self._map_coeff(lambda K: K * op.embed(tuple(slots), K.m))
 
     def odot_open(self, op: TensorOp, slots, first_slots, mode="LR") -> "FreeState":
         """Combine an operator on the open slots with the state coefficient
         by the ordered slot product, splitting at ``first_slots``."""
         def act(K):
-            return _embed_total(op, slots, K.m).odot(K, first_slots, mode)
+            return op.embed(tuple(slots), K.m).odot(K, first_slots, mode)
         return self._map_coeff(act)
 
     def swap_open(self, s1: int, s2: int) -> "FreeState":
@@ -756,10 +756,6 @@ class FreeState:
 
 def _diag_op(N, caps, diag) -> TensorOp:
     return TensorOp(N, 1, caps, {((i,), (i,)): diag[i] for i in range(N)})
-
-
-def _embed_total(op: TensorOp, slots, m: int) -> TensorOp:
-    return op.embed(tuple(slots), m)
 
 
 def _invert_omega(omega: TensorOp, k: int) -> TensorOp:

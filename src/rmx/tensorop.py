@@ -223,6 +223,9 @@ class TensorOp:
             raise ValueError(f"unknown odot mode {mode!r}")
         F = sorted(s - 1 for s in first_slots)
         G = [i for i in range(self.m) if i not in F]
+        if mode == "RL":
+            # y_a * other * x_a is the LR product with the halves swapped
+            F, G = G, F
 
         def split(t):
             return tuple(t[i] for i in F), tuple(t[i] for i in G)
@@ -235,36 +238,20 @@ class TensorOp:
                 out[i] = x
             return tuple(out)
 
-        # index other by the contraction pattern of each mode
+        # (A odot B)[R,C] = sum A[(R_F,K'_G),(K_F,C_G)] B[(K_F,R_G),(C_F,K'_G)]
+        bmap = {}
+        for (br, bc), bv in other.entries.items():
+            kf, rg = split(br)
+            cf, kg = split(bc)
+            bmap.setdefault((kf, kg), []).append((rg, cf, bv))
         entries = {}
-        if mode == "LR":
-            # (A odot_LR B)[R,C] = sum A[(R_F,K'_G),(K_F,C_G)] B[(K_F,R_G),(C_F,K'_G)]
-            bmap = {}
-            for (br, bc), bv in other.entries.items():
-                kf, rg = split(br)
-                cf, kg = split(bc)
-                bmap.setdefault((kf, kg), []).append((rg, cf, bv))
-            for (ar, ac), av in self.entries.items():
-                rf, kg = split(ar)
-                kf, cg = split(ac)
-                for rg, cf, bv in bmap.get((kf, kg), ()):
-                    key = (join(rf, rg), join(cf, cg))
-                    prod = av * bv
-                    entries[key] = entries[key] + prod if key in entries else prod
-        else:
-            # (A odot_RL B)[R,C] = sum A[(K_F,R_G),(C_F,K_G)] B[(R_F,K_G),(K_F,C_G)]
-            bmap = {}
-            for (br, bc), bv in other.entries.items():
-                rf, kg = split(br)
-                kf, cg = split(bc)
-                bmap.setdefault((kf, kg), []).append((rf, cg, bv))
-            for (ar, ac), av in self.entries.items():
-                kf, rg = split(ar)
-                cf, kg = split(ac)
-                for rf, cg, bv in bmap.get((kf, kg), ()):
-                    key = (join(rf, rg), join(cf, cg))
-                    prod = av * bv
-                    entries[key] = entries[key] + prod if key in entries else prod
+        for (ar, ac), av in self.entries.items():
+            rf, kg = split(ar)
+            kf, cg = split(ac)
+            for rg, cf, bv in bmap.get((kf, kg), ()):
+                key = (join(rf, rg), join(cf, cg))
+                prod = av * bv
+                entries[key] = entries[key] + prod if key in entries else prod
         return TensorOp(self.N, self.m, self._join_caps(other), entries)
 
     # -- entrywise maps ------------------------------------------------

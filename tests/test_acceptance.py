@@ -21,6 +21,7 @@ from rmx.module_checks import module_check, weak_assoc_chain
 from rmx.ratfunc import RatFunc
 from rmx.rmatrix import Arg, rhat, rtilde, solve_normalizer
 from rmx.script import parse_script
+from rmx.states import FreeState
 
 FAMILIES = [("B", 1), ("C", 1), ("D", 2)]
 
@@ -134,11 +135,38 @@ check Rhat[1,2](u) * Rhat[1,3](u+v) * Rhat[2,3](v) == Rhat[2,3](v) * Rhat[1,3](u
 """
 
 
-def test_criterion_11_negative_control():
-    rep = evaluate(parse_script(PERTURBED), name="perturbed_ybe")
+def _assert_fails(rep):
     assert rep.verdict == "fail"
     assert rep.residual_count > 0
     assert rep.witness is not None
+
+
+def test_criterion_11_negative_control():
+    _assert_fails(evaluate(parse_script(PERTURBED), name="perturbed_ybe"))
+
+
+# unitarity without the sign flip, and crossing with the shift u+3h for
+# kappa = 2 of type C1
+@pytest.mark.parametrize("identity", [
+    "Rhat[1,2](u) * Rhat[2,1](u) == 1",
+    "Rhat[1,2](u) * conjM[1](Rhat[1,2](u+3h)^t[1]) == 1"])
+def test_criterion_11_perturbed_identities(identity):
+    text = f"type C 1\norder 3\nslots 2\nspectral u\ncheck {identity}\n"
+    _assert_fails(evaluate(parse_script(text), name="perturbed"))
+
+
+def test_criterion_11_perturbed_roundtrip():
+    # the lowering operator's inverse applied at U + h instead of U
+    ltd = lie_type_data("C", 1)
+    norm = solve_normalizer(ltd, L=3)
+    u = RatFunc.var("U")
+    w = FreeState.pure(ltd, norm, {"h": 3}, Fraction(1),
+                       [[Arg.make(RatFunc.var("V1"))]])
+    st = w.apply_tminus(1, Arg.make(u))
+    st = st.apply_tminus_inv(1, Arg.make(u, {"h": Fraction(1)}),
+                             shared_slot=st.open)
+    count, witness = st.residual(w.with_identity_open())
+    assert count > 0 and witness is not None
 
 
 def test_criterion_11_exit_codes(tmp_path, capsys):

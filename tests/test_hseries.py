@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from rmx.hseries import HSeries
@@ -189,3 +190,82 @@ def test_mul_by_exact_one_still_unifies_caps():
     wide = HSeries.one({"h": 4})
     assert (a * wide).caps == {"h": 3}
     assert (a * wide).terms == a.terms
+
+
+# -- differential tests against sympy.series -------------------------------
+#
+# Series in h whose coefficients are rational in the ring variable z, built
+# twice from the same draws: as an HSeries and as a sympy expression.  Each
+# h-coefficient of a product, an inverse and a substitution z -> z*exp(a*h)
+# must equal the matching coefficient of sympy's series of the same
+# expression, after cancel.
+
+sz, sh = sympy.symbols("z h")
+DEN_POOL = (lambda z: z, lambda z: 1 - z, lambda z: 2 * z + 3)
+L_SERIES = 3
+fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def z_rational(draw):
+    """A rational function of z, as a RatFunc and as a sympy expression."""
+    coeffs = draw(st.lists(fracs, min_size=1, max_size=3))
+    dens = draw(st.lists(st.sampled_from(DEN_POOL), max_size=2))
+    z = RatFunc.var("z")
+    num = sum((c * z ** i for i, c in enumerate(coeffs)), RatFunc.zero())
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * sz ** i
+               for i, c in enumerate(coeffs))
+    for f in dens:
+        num, expr = num / f(z), expr / f(sz)
+    return num, expr
+
+
+@st.composite
+def z_series(draw, unit=False):
+    caps = {"h": L_SERIES}
+    terms, expr = {}, sympy.Integer(0)
+    for l in range(L_SERIES):
+        coeff, e = draw(z_rational())
+        if unit and l == 0 and coeff.is_zero():
+            coeff, e = RatFunc.one(), sympy.Integer(1)
+        terms[(l,)] = coeff
+        expr += e * sh ** l
+    return HSeries(caps, terms), expr
+
+
+def _to_sympy(f):
+    def poly(terms):
+        return sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.Mul(*(sympy.Symbol(v) ** e for v, e in md.items()))
+                   for md, c in terms)
+
+    return poly(f.numer_terms()) / poly(f.denom_terms())
+
+
+def _assert_matches_series(s, expr):
+    ref = sympy.expand(sympy.series(expr, sh, 0, L_SERIES).removeO())
+    for l in range(L_SERIES):
+        ours = _to_sympy(s.coeff({"h": l}))
+        assert sympy.cancel(ref.coeff(sh, l) - ours) == 0, l
+
+
+@settings(max_examples=10)
+@given(z_series(), z_series())
+def test_mul_matches_sympy_series(a, b):
+    _assert_matches_series(a[0] * b[0], a[1] * b[1])
+
+
+@settings(max_examples=10)
+@given(z_series(unit=True))
+def test_inv_matches_sympy_series(a):
+    _assert_matches_series(a[0].inv(), 1 / a[1])
+
+
+@settings(max_examples=8)
+@given(z_series(), st.sampled_from([Fraction(-2), Fraction(-1, 2),
+                                    Fraction(1), Fraction(3, 2)]))
+def test_subst_mult_matches_sympy_series(a, alpha):
+    factor = HSeries.exp_shift({"h": alpha}, {"h": L_SERIES})
+    expr = a[1].subs(sz, sz * sympy.exp(
+        sympy.Rational(alpha.numerator, alpha.denominator) * sh))
+    _assert_matches_series(a[0].subst_mult("z", factor), expr)

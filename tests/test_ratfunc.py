@@ -1,11 +1,14 @@
 from fractions import Fraction
-from operator import add, mul, sub
+from functools import lru_cache
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import QQ
+from sympy.polys.fields import field
+from sympy.polys.orderings import grlex
 
-from rmx.ratfunc import RatFunc, _field_for
+from rmx.ratfunc import RatFunc, _registry, _ring_for
 
 Z = RatFunc.var("Z")
 W = RatFunc.var("W")
@@ -130,15 +133,42 @@ def test_canonical_equality_hash(a):
     assert hash(a) == hash(b)
 
 
-# -- differential tests: gcd-free paths against sympy's cancel ------------
+# -- differential tests: RatFunc against sympy's cancel --------------------
 #
-# Operands are built directly in sympy's fields, so they do not depend on
-# the arithmetic under test; the reference for each result reduces the
-# expected numerator and denominator with sympy's cancel.  Canonical forms
-# must agree structurally, not just compare equal.
+# Operands are built from sympy's own canonical pairs: the numerator is
+# copied and the denominator split by the registry, so they do not depend on
+# the arithmetic under test.  The reference for each result is computed in
+# sympy's rational-function field, which reduces by gcd.  The result's
+# expanded numerator and denominator must be sympy's pair structurally, its
+# factorization the one the registry gives that denominator afresh, and its
+# repr, to_data and hash those of a twin built from sympy's pair.
 
 NAMES = ("V", "W", "Z")
 small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@lru_cache(maxsize=None)
+def _field_for(names):
+    return field(",".join(names), QQ, order=grlex)[0]
+
+
+def _integer_poly(names, poly):
+    assert all(c.denominator == 1 for c in poly.values())
+    return _ring_for(names).dtype({m: int(c.numerator)
+                                   for m, c in poly.items()})
+
+
+def _from_sympy(names, f):
+    """The RatFunc holding sympy's canonical pair ``f`` over ``names``."""
+    return RatFunc(names, _integer_poly(names, f.numer),
+                   _registry(names).factorize(_integer_poly(names, f.denom)))
+
+
+def _make(names, num, den=None):
+    """num/den, two polynomials over ``names``, reduced by sympy."""
+    fld = _field_for(names)
+    return _from_sympy(names, fld.new(num, fld.ring.one if den is None
+                                      else den))
 
 
 def _terms(draw, names, min_size):
@@ -158,10 +188,8 @@ def field_ratfuncs(draw, integer_denominator=False):
     fld = _field_for(names)
     num = _poly(fld, _terms(draw, names, 0))
     if integer_denominator:
-        den = fld.ring.one
-    else:
-        den = _poly(fld, _terms(draw, names, 1))
-    return RatFunc(names, fld.new(num, den))
+        return _make(names, num)
+    return _make(names, num, _poly(fld, _terms(draw, names, 1)))
 
 
 def _expected(names, num_terms, den_terms):
@@ -178,21 +206,29 @@ def _expected(names, num_terms, den_terms):
     return fld.new(poly(num_terms), poly(den_terms))
 
 
+def _in_field(names, a):
+    return _expected(names, a.numer_terms(), a.denom_terms())
+
+
 def _sympy_op(op, a, b):
     """a <op> b computed in sympy's field over the union of variables."""
     names = tuple(sorted(set(a.vars) | set(b.vars)))
-    fa = _expected(names, a.numer_terms(), a.denom_terms())
-    fb = _expected(names, b.numer_terms(), b.denom_terms())
-    return names, op(fa, fb)
+    return names, op(_in_field(names, a), _in_field(names, b))
+
+
+def _sympy_terms(names, poly):
+    return [({v: e for v, e in zip(names, m) if e},
+             Fraction(int(c.numerator), int(c.denominator)))
+            for m, c in sorted(poly.terms())]
 
 
 def _assert_canonical(result, names, ref):
     """``result`` holds exactly sympy's canonical pair ``ref`` over ``names``."""
     assert result.vars == names
-    assert result._val.field == ref.field
-    assert dict(result._val.numer) == dict(ref.numer)
-    assert dict(result._val.denom) == dict(ref.denom)
-    twin = RatFunc(names, ref)
+    assert result.numer_terms() == _sympy_terms(names, ref.numer)
+    assert result.denom_terms() == _sympy_terms(names, ref.denom)
+    twin = _from_sympy(names, ref)
+    assert result._fac == twin._fac
     assert repr(result) == repr(twin)
     assert result.to_data() == twin.to_data()
     assert hash(result) == hash(twin)
@@ -220,7 +256,7 @@ def test_field_constant_mul_matches_sympy(a, name, c):
     # a constant that lives in a field with variables, as left by cancellation
     c = Fraction(c)
     fld = _field_for((name,))
-    k = RatFunc((name,), fld.new(fld.ring(QQ(c.numerator, c.denominator))))
+    k = _make((name,), fld.ring(QQ(c.numerator, c.denominator)))
     _check(mul, a, k)
     _check(mul, k, a)
 
@@ -245,10 +281,31 @@ def test_constant_add_sub_match_sympy(a, c):
     _assert_canonical(c - a, names, _sympy_op(sub, k, a)[1])
 
 
+def test_constant_add_sub_do_not_lift(monkeypatch):
+    """An int or Fraction operand is added without lifting it to a value
+    with variables, as constant scaling already is."""
+    f = (Z + 2 * W) / (1 - Z * W)
+    calls = []
+    lift = RatFunc.lift
+
+    def spy(self, names):
+        calls.append(names)
+        return lift(self, names)
+
+    monkeypatch.setattr(RatFunc, "lift", spy)
+    results = [f + 1, 1 - f, f - Fraction(1, 2)]
+    monkeypatch.undo()
+    assert calls == []
+    assert results[0] - f == 1 and results[1] + f == 1
+    assert f - results[2] == Fraction(1, 2)
+
+
 @given(field_ratfuncs(), field_ratfuncs())
 def test_fraction_ops_match_sympy(a, b):
     for op in (add, sub, mul):
         _check(op, a, b)
+    if not b.is_zero():
+        _check(truediv, a, b)
 
 
 @given(field_ratfuncs(), st.sets(st.sampled_from(NAMES + ("U", "Y"))))
@@ -265,7 +322,8 @@ def test_powers_are_canonical(a, n):
     if n < 0 and a.is_zero():
         return
     fld = _field_for(a.vars)
-    num, den = a._val.numer, a._val.denom
+    ref = _in_field(a.vars, a)
+    num, den = ref.numer, ref.denom
     if n < 0:
         num, den = den, num
     ref = fld.new(num ** abs(n), den ** abs(n)) if n else fld.one
@@ -279,7 +337,7 @@ def test_negative_power_sign():
     assert repr((1 - Z) ** -1 + 1) == repr(RatFunc.one() / (1 - Z) + 1)
 
 
-# -- factor-pool differential tests: gcd-free fractions against sympy ------
+# -- factor-pool differential tests ----------------------------------------
 #
 # Denominators are products of powers of a fixed pool of irreducible
 # factors, like the R-matrix denominators; numerators are sometimes
@@ -323,25 +381,19 @@ def pool_numerators(draw, names):
 @st.composite
 def pooled(draw, names=None):
     names = names or draw(st.sampled_from(POOL_NAMES))
-    fld = _field_for(names)
-    return RatFunc(names, fld.new(draw(pool_numerators(names)),
-                                  draw(pool_denominators(names))))
+    return _make(names, draw(pool_numerators(names)),
+                 draw(pool_denominators(names)))
 
 
 @st.composite
 def cancelling_pairs(draw):
     """a = N/D and b = (p**j * M - N)/D, so that a + b = p**j * M / D."""
     names = draw(st.sampled_from(POOL_NAMES))
-    fld = _field_for(names)
     den = draw(pool_denominators(names))
     num = draw(pool_numerators(names))
     p = _pool(names)[draw(pool_index)] ** draw(st.integers(1, 2))
     other = p * draw(pool_numerators(names)) - num
-    return RatFunc(names, fld.new(num, den)), RatFunc(names, fld.new(other, den))
-
-
-def _in_field(names, a):
-    return _expected(names, a.numer_terms(), a.denom_terms())
+    return _make(names, num, den), _make(names, other, den)
 
 
 def _check_diff(a, name):
@@ -366,6 +418,19 @@ def test_pool_cancellation_matches_sympy(ab, c):
     _check(add, a + b, c)          # a carried factorization meets a fresh one
     _check(mul, a + b, c)
     _check(sub, a + b, b)          # cancels back to a
+
+
+@given(pooled(), pooled(), st.sampled_from(POOL_NAMES))
+def test_pool_division_matches_sympy(a, b, names):
+    # the divisor's numerator shares factors with the dividend's, and it
+    # is multiplied by a factor that is new to the registry
+    new = _make(names, _field_for(names).ring.gens[0] ** 3 + 5)
+    _check(truediv, a * b, b)
+    _check(truediv, a, b * new)
+    _check(truediv, RatFunc.const(Fraction(-2, 3)), a)
+    _check(truediv, a, RatFunc.const(Fraction(-2, 3)))
+    names, ref = _sympy_op(mul, a, b)
+    _assert_canonical((a * b) ** -2, names, ref ** -2)
 
 
 @settings(max_examples=30)
@@ -409,26 +474,116 @@ def test_pool_diff_cancels_factors_free_of_the_variable(data):
     free = fld.ring.dtype({m: c for m, c in free.items() if not m[i]})
     num = p * data.draw(pool_numerators(names)) + free
     den = p ** data.draw(st.integers(1, 3)) * data.draw(pool_denominators(names))
-    _check_diff(RatFunc(names, fld.new(num, den)), name)
+    _check_diff(_make(names, num, den), name)
+
+
+def _sympy_subs(a, name, value):
+    """a with ``name`` replaced by ``value``, in sympy's field over the
+    variables the result still has."""
+    names = tuple(sorted((set(a.vars) - {name}) | set(value.vars)))
+    fld = _field_for(names)
+    gens = dict(zip(names, fld.gens))
+    gens[name] = _in_field(names, value)
+    fa = _in_field(a.vars, a)
+
+    def evaluate(poly):
+        acc = fld.zero
+        for monom, coeff in poly.terms():
+            term = fld(coeff)
+            for v, e in zip(a.vars, monom):
+                if e:
+                    term *= gens[v] ** e
+            acc += term
+        return acc
+
+    den = evaluate(fa.denom)
+    if not den:
+        return None, None
+    ref = evaluate(fa.numer) / den
+    used = tuple(v for i, v in enumerate(names)
+                 if any(m[i] for m in list(ref.numer) + list(ref.denom)))
+    if not used:
+        return (), ref
+    return used, _expected(used, _sympy_terms(names, ref.numer),
+                           _sympy_terms(names, ref.denom))
+
+
+@settings(max_examples=40)
+@given(pooled(), st.sampled_from(("x", "y")), st.data())
+def test_subs_var_matches_sympy(a, name, data):
+    x, y = RatFunc.var("x"), RatFunc.var("y")
+    p, q = (_make(("x", "y"), _pool(("x", "y"))[data.draw(pool_index)])
+            for _ in range(2))
+    value = data.draw(st.sampled_from(
+        [RatFunc.const(data.draw(small)), y ** 2, x * RatFunc.var("w"),
+         RatFunc.var("z") ** -1, 1 - x, p / q]))
+    names, ref = _sympy_subs(a, name, value)
+    if names is None:
+        with pytest.raises(ZeroDivisionError):
+            a.subs_var(name, value)
+        return
+    result = a.subs_var(name, value)
+    if not names:
+        assert result.vars == () and result.as_fraction() == \
+            Fraction(int(ref.numer.LC), int(ref.denom.LC))
+        return
+    _assert_canonical(result, names, ref)
+
+
+@given(pooled(), st.data())
+def test_remove_denominator_factor_matches_sympy(a, data):
+    names = a.vars
+    fld = _field_for(names)
+    pool = _pool(names)
+    fp = pool[data.draw(pool_index)] ** data.draw(st.integers(1, 2))
+    fp *= data.draw(st.sampled_from([QQ(1), QQ(-1), QQ(2), QQ(-3)]))
+    if data.draw(st.booleans()):
+        fp *= pool[data.draw(pool_index)]
+    # the former gcd-based definition: divide the denominator by fp over Q
+    # as often as it goes
+    fa = _in_field(names, a)
+    den, k = fa.denom, 0
+    while True:
+        q, r = divmod(den, fp)
+        if r or not q:
+            break
+        den, k = q, k + 1
+    got_k, rest = a.remove_denominator_factor(_make(names, fp))
+    assert got_k == k
+    _assert_canonical(rest, names, fld.new(fa.numer, den))
+    assert rest == a * _make(names, fp) ** k
 
 
 def test_fraction_ops_take_no_gcd(monkeypatch):
-    """Sums, differences, products and derivatives of multivariate fractions
-    never reach sympy's fraction arithmetic, which reduces by a gcd."""
+    """No operation on multivariate fractions reaches sympy's polynomial gcd
+    or cancel, or its rational-function arithmetic."""
     from sympy.polys.fields import FracElement
+    from sympy.polys.rings import PolyElement
     x, y = RatFunc.var("x"), RatFunc.var("y")
     a = (x + 2 * y) / ((x - y) ** 2 * (x * y - 1))
     b = (3 - x * y) / ((x - y) * (2 * x + 3 * y))
-    c = RatFunc(("x", "y", "z"), _field_for(("x", "y", "z")).new(
-        *_pool(("x", "y", "z"))[1:3]))       # y / (x - y), not yet factored
+    c = _make(("x", "y", "z"), *_pool(("x", "y", "z"))[1:3])   # y / (x - y)
+    data = (a * b).to_data()
 
-    def boom(*args):
-        raise AssertionError("sympy fraction arithmetic was called")
+    def boom(*args, **kwargs):
+        raise AssertionError("sympy gcd or fraction arithmetic was called")
 
+    for name in ("gcd", "cancel", "cofactors"):
+        monkeypatch.setattr(PolyElement, name, boom)
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                 "__rmul__", "diff"):
+                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
+                 "__neg__", "diff"):
         monkeypatch.setattr(FracElement, name, boom)
     results = [a + b, a - b, a * b, b * a, (a + b) * c - a, c * b - c,
-               a.diff("x"), (a * b).diff("y"), c.diff("z"), c.diff("x")]
+               a.diff("x"), (a * b).diff("y"), c.diff("z"), c.diff("x"),
+               a / b, b / (x ** 3 + 5 * y), 1 / c, b ** -2,
+               a.subs_var("x", y / (1 - y)), c.subs_var("y", x * y),
+               (a + x - a).trim(), a.lift(("w", "x", "y", "z")),
+               RatFunc.from_data(data),
+               a.remove_denominator_factor(y - x)]
     monkeypatch.undo()
     assert results[0] - b == a and results[2] / b == a
+    assert results[10] * b == a and results[13] * b ** 2 == 1
+    assert results[16] == x and results[16].vars == ("x",)
+    assert results[18] == a * b
+    assert results[19] == (2, a * (y - x) ** 2)
