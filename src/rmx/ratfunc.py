@@ -30,9 +30,11 @@ zero is 0/1.  This pair is unique for each rational function, and so is
 its factorization over a registry, so equality is structural.  It is
 exactly the form sympy's ``cancel`` returns.  The expanded denominator is
 built only where it is needed: by ``denom_terms`` (and through it ``repr``,
-``to_data`` and failure witnesses), by ``hash``, as the numerator of a
-reciprocal, and in a sum with a constant.  ``denom_is_monomial`` and
-``remove_denominator_factor`` read the factorization.
+``to_data`` and failure witnesses), by ``hash`` and as the numerator of a
+reciprocal.  ``denom_is_monomial`` and ``remove_denominator_factor`` read
+the factorization.  Integers read out of the ring are converted with
+``int``: sympy's ZZ may use gmpy2's or flint's integer type, which would
+otherwise leak into ``Fraction``s and serialized data.
 
 No operation reduces by a polynomial gcd.  Each cancels by exact trial
 division against the registry's factors only, then divides out the joint
@@ -54,9 +56,10 @@ integer content:
   it split by sympy's ``factor_list``, whose factors join the registry.
   Negative powers, ``subs_var`` and ``from_data`` divide this way; nothing
   else factors.
-* N/D + p/q is (q*N + p*D)/(q*D), where no factor of D can cancel.  An
-  ``int`` or ``Fraction`` is added or multiplied without being lifted to
-  the variables.
+* An ``int`` or ``Fraction`` operand is not lifted to the variables.  A
+  product with it rescales the numerator and the content; a sum adds it as
+  the value p/q over the same variables, which has no factors, so only the
+  joint content can cancel.
 * Multiplying by a constant, negation, a positive power and moving to a
   larger or smaller variable tuple (``lift``, ``trim``) only rescale the
   numerator and the content, multiply exponents, or map factors into the
@@ -229,10 +232,11 @@ class _Registry:
                     break
                 den, e = q, e + 1
             exps.append(e)
-        content = den.LC
+        content = int(den.LC)
         if not den.is_ground:
             # what is left has a factor the registry does not hold
             content, parts = den.factor_list()
+            content = int(content)
             for poly, k in parts:
                 if poly.LC < 0:
                     poly, content = -poly, content * (-1) ** k
@@ -303,20 +307,6 @@ def _mul_const(a, p: int, q: int):
                    _registry(a.vars).pair(content // g_p * (q // g_q), exps))
 
 
-def _add_const(a, p: int, q: int):
-    """a + p/q with gcd(p, q) = 1, q > 0 and p nonzero.
-
-    With a = N/D the sum is (q*N + p*D) / (q*D), and no factor of D divides
-    q*N, so only the joint content is divided out.
-    """
-    content, exps = a._fac
-    reg = _registry(a.vars)
-    num = _scale(a._num, q) + _scale(reg.expand(a._fac), p)
-    if not num:
-        return _zero(a.vars)
-    return _finish(a.vars, reg, num, content * q, exps)
-
-
 def _is_const(a) -> bool:
     return a._num.is_ground and not a._fac[1]
 
@@ -325,9 +315,9 @@ def _mul(a, b):
     if not a._num or not b._num:
         return _zero(a.vars)
     if _is_const(b):
-        return _mul_const(a, b._num.LC, b._fac[0])
+        return _mul_const(a, int(b._num.LC), b._fac[0])
     if _is_const(a):
-        return _mul_const(b, a._num.LC, a._fac[0])
+        return _mul_const(b, int(a._num.LC), a._fac[0])
     return _mul_fractions(a, b)
 
 
@@ -501,16 +491,14 @@ class RatFunc:
             return self._num
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return Fraction(self._num.LC, self._fac[0])
+        return Fraction(int(self._num.LC), self._fac[0])
 
     # -- arithmetic ---------------------------------------------------
 
     def _plus(self, c: Fraction) -> "RatFunc":
         if not self.vars:
             return RatFunc((), self._num + c)
-        if not c:
-            return self
-        return _add_const(self, c.numerator, c.denominator)
+        return _add(self, _const_in(self.vars, c))
 
     def __add__(self, other):
         if not isinstance(other, RatFunc):
@@ -626,7 +614,7 @@ class RatFunc:
         def eval_poly(poly):
             acc = RatFunc.zero()
             for monom, coeff in poly.terms():
-                term = RatFunc.const(coeff)
+                term = RatFunc.const(int(coeff))
                 for v, e in zip(self.vars, monom):
                     if v == name or e == 0:
                         continue
@@ -667,7 +655,7 @@ class RatFunc:
         out = []
         for monom, coeff in sorted(poly.terms()):
             md = {v: e for v, e in zip(self.vars, monom) if e}
-            out.append((md, Fraction(coeff)))
+            out.append((md, Fraction(int(coeff))))
         return out
 
     def denom_is_monomial(self) -> bool:

@@ -94,6 +94,26 @@ def test_serialization_roundtrip():
         assert RatFunc.from_data(f.to_data()) == f
 
 
+def test_integers_leave_the_ring_as_int():
+    """Coefficients and contents read out of sympy's ZZ are plain ints, so
+    Fractions and serialized data hold no gmpy2 or flint integers."""
+    f = (2 * Z - 4 * W) / (6 * (1 - Z) ** 2 * (Z * W - 3))
+    values = [f, f / (3 * Z ** 2 - 12), f ** -2, f.subs_var("W", Z / 2),
+              f.remove_denominator_factor(1 - Z)[1], (f - f) + Fraction(7, 3),
+              RatFunc.from_data(f.to_data())]
+    for v in values:
+        names, num, den = v.to_data()
+        for _, pair in num + den:
+            assert [type(x) for x in pair] == [int, int], (v, pair)
+        for _, c in v.numer_terms() + v.denom_terms():
+            assert type(c.numerator) is int and type(c.denominator) is int
+        if v.vars:
+            assert type(v._fac[0]) is int
+        if v.is_constant():
+            c = v.as_fraction()
+            assert type(c.numerator) is int and type(c.denominator) is int
+
+
 consts = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
 
