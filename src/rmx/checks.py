@@ -194,10 +194,11 @@ def prefactor_substitute(op: TensorOp, r: int, xname: str, yname: str,
     scaled = op.scale((x - y) ** r)
     for key in sorted(scaled.entries):
         series = scaled.entries[key]
-        for mono, coeff in series.terms.items():
+        for k, coeff in series.terms.items():
             if not _coeff_is_poly_x_laurent_y(coeff, xname, yname):
                 raise PolynomialityError(
-                    f"entry {key}, monomial {mono}: coefficient {coeff} is "
+                    f"entry {key}, monomial {series.caps.monos[k]}: "
+                    f"coefficient {coeff} is "
                     f"not polynomial in {xname} / Laurent in {yname}")
     return scaled.subs_ring_var(yname, x * RatFunc.var(zname))
 

@@ -5,74 +5,158 @@ where the x_i are the capped formal variables (the deformation variable h is
 one of them) and the Z_j are uncapped ring variables handled inside RatFunc.
 A cap of c keeps exponents 0..c-1.
 
-All values are immutable; every operation prunes monomials that violate a cap
-immediately, so truncation errors cannot accumulate.
+The caps are fixed once per computation: a cap set is one interned ``Caps``
+object, shared by every series, operator and state built over it.  Binary
+operations require both operands to hold the same object and raise
+ValueError otherwise; ``with_caps`` is the one explicit conversion.  Terms
+are keyed by monomial numbers of the caps, numbered so that a product of
+two monomials is numbered by the sum of their numbers, and only products
+can leave the caps.
+
+All values are immutable and hold only nonzero coefficients.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial
 
 from .ratfunc import RatFunc
 
-__all__ = ["HSeries"]
+__all__ = ["Caps", "HSeries"]
 
 
-def _fact_inv(k: int) -> Fraction:
-    return Fraction(1, factorial(k))
+class Caps(Mapping):
+    """One cap set, interned: equal cap sets are the same object.
+
+    A read-only mapping from the capped variables, ``names`` in sorted
+    order, to their caps; it compares equal to the plain dict.  A monomial
+    is numbered in mixed radix, digit i running over 0..2*c_i - 2, so that
+    the numbers of two monomials within the caps add without carrying.
+    ``monos`` maps the number of each monomial within the caps to its
+    exponent tuple and ``index`` maps back; the constant monomial is 0.
+    """
+
+    __slots__ = ("names", "_caps", "monos", "index")
+    _interned = {}
+
+    def __init__(self, items: tuple):
+        if any(not isinstance(c, int) or c < 1 for _, c in items):
+            raise ValueError(f"caps must be integers >= 1: {dict(items)}")
+        self.names = tuple(n for n, _ in items)
+        self._caps = dict(items)
+        strides = [1]
+        for _, cap in reversed(items[1:]):
+            strides.insert(0, strides[0] * (2 * cap - 1))
+        self.index = {
+            mono: sum(e * s for e, s in zip(mono, strides))
+            for mono in itertools.product(*(range(c) for _, c in items))}
+        self.monos = {k: mono for mono, k in self.index.items()}
+
+    @staticmethod
+    def of(caps) -> "Caps":
+        """The interned cap set of a dict (or of a Caps, returned as is)."""
+        if type(caps) is Caps:
+            return caps
+        key = tuple(sorted(caps.items()))
+        found = Caps._interned.get(key)
+        if found is None:
+            found = Caps._interned.setdefault(key, Caps(key))
+        return found
+
+    def match(self, other: "Caps") -> "Caps":
+        """Self, if ``other`` is the same cap set; a mismatch raises."""
+        if other is not self:
+            raise ValueError(f"caps differ: {self._caps} and {dict(other)}; "
+                             "convert one side explicitly with with_caps")
+        return self
+
+    def __getitem__(self, name):
+        return self._caps[name]
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self):
+        return len(self.names)
+
+    __hash__ = object.__hash__      # equal cap sets are one object
+
+    def __repr__(self):
+        return f"Caps({self._caps})"
+
+
+def _series(caps: Caps, terms: dict) -> "HSeries":
+    """A series from its caps and its number-keyed nonzero terms, as is."""
+    out = object.__new__(HSeries)
+    out.caps = caps
+    out.terms = terms
+    return out
+
+
+def _add_into(terms: dict, k: int, coeff: RatFunc):
+    """terms[k] += coeff, keeping only nonzero coefficients."""
+    if k in terms:
+        coeff = terms[k] + coeff
+        if coeff.is_zero():
+            del terms[k]
+            return
+    terms[k] = coeff
 
 
 class HSeries:
-    """Truncated series: dict of capped-variable monomials to RatFunc."""
+    """Truncated series: monomial number of its caps -> nonzero RatFunc."""
 
-    __slots__ = ("caps", "names", "terms")
+    __slots__ = ("caps", "terms")
 
-    def __init__(self, caps: dict, terms: dict):
-        self.caps = dict(caps)
-        self.names = tuple(sorted(self.caps))
-        pruned = {}
+    def __init__(self, caps, terms: dict):
+        """``terms`` maps exponent tuples, aligned with the sorted cap names,
+        to coefficients; monomials beyond a cap are zero and are dropped."""
+        self.caps = caps = Caps.of(caps)
+        self.terms = {}
         for mono, coeff in terms.items():
-            if any(e >= self.caps[n] for n, e in zip(self.names, mono)):
-                continue
+            mono = tuple(mono)
+            if len(mono) != len(caps) or min(mono, default=0) < 0:
+                raise ValueError(f"{mono} is not a monomial in {caps.names}")
             if isinstance(coeff, (int, Fraction)):
                 coeff = RatFunc.const(coeff)
-            if not coeff.is_zero():
-                pruned[mono] = coeff
-        self.terms = pruned
+            if mono in caps.index and not coeff.is_zero():
+                self.terms[caps.index[mono]] = coeff
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def const(value, caps: dict) -> "HSeries":
+    def const(value, caps) -> "HSeries":
         if isinstance(value, (int, Fraction)):
             value = RatFunc.const(value)
-        zero = (0,) * len(caps)
-        return HSeries(caps, {zero: value})
+        return _series(Caps.of(caps), {} if value.is_zero() else {0: value})
 
     @staticmethod
-    def zero(caps: dict) -> "HSeries":
-        return HSeries(caps, {})
+    def zero(caps) -> "HSeries":
+        return _series(Caps.of(caps), {})
 
     @staticmethod
-    def one(caps: dict) -> "HSeries":
+    def one(caps) -> "HSeries":
         return HSeries.const(1, caps)
 
     @staticmethod
-    def capped_var(name: str, caps: dict) -> "HSeries":
+    def capped_var(name: str, caps) -> "HSeries":
+        caps = Caps.of(caps)
         if name not in caps:
             raise KeyError(f"no cap declared for formal variable {name!r}")
-        names = tuple(sorted(caps))
-        mono = tuple(1 if n == name else 0 for n in names)
-        return HSeries(caps, {mono: RatFunc.one()})
+        k = caps.index.get(tuple(int(n == name) for n in caps.names))
+        return _series(caps, {} if k is None else {k: RatFunc.one()})
 
     @staticmethod
-    def exp_shift(linear: dict, caps: dict) -> "HSeries":
+    def exp_shift(linear: dict, caps) -> "HSeries":
         """exp(sum coeff*var) for a linear form in the capped variables.
 
         ``linear`` maps variable names (h included) to rational coefficients;
         half-integer coefficients are exact.
         """
+        caps = Caps.of(caps)
         out = HSeries.one(caps)
         for name, coeff in linear.items():
             coeff = Fraction(coeff)
@@ -86,89 +170,74 @@ class HSeries:
             k = 0
             while True:
                 k += 1
-                term = term * x * (coeff * _fact_inv(k) * factorial(k - 1))
+                term = term * x * (coeff / k)
                 if term.is_zero():
                     break
                 acc = acc + term
             out = out * acc
         return out
 
-    # -- cap/variable unification -------------------------------------
+    # -- caps ---------------------------------------------------------
 
-    def _remap(self, caps: dict) -> "HSeries":
-        names = tuple(sorted(caps))
-        if names == self.names and all(caps[n] == self.caps[n] for n in names):
-            return self
-        pos = {n: i for i, n in enumerate(names)}
-        terms = {}
-        for mono, coeff in self.terms.items():
-            m2 = [0] * len(names)
-            for n, e in zip(self.names, mono):
-                m2[pos[n]] = e
-            terms[tuple(m2)] = coeff
-        return HSeries(caps, terms)
+    def _operand(self, other) -> "HSeries":
+        """``other`` as a series over these caps; other caps raise."""
+        if isinstance(other, HSeries):
+            self.caps.match(other.caps)
+            return other
+        return HSeries.const(other, self.caps)
 
-    def _unify(self, other):
-        if not isinstance(other, HSeries):
-            other = HSeries.const(other, self.caps)
-        if self.caps == other.caps:
-            return self, other
-        caps = dict(self.caps)
-        for n, c in other.caps.items():
-            caps[n] = min(c, caps[n]) if n in caps else c
-        return self._remap(caps), other._remap(caps)
-
-    def with_caps(self, caps: dict) -> "HSeries":
+    def with_caps(self, caps) -> "HSeries":
         """Re-truncate into the given cap set (must cover all used variables)."""
-        for n, e in zip(self.names, map(max, zip(*self.terms))) if self.terms else []:
-            if e and n not in caps:
-                raise KeyError(f"variable {n!r} not covered by new caps")
-        return self._remap(dict(caps))
+        caps = Caps.of(caps)
+        if caps is self.caps:
+            return self
+        terms = {}
+        for k, coeff in self.terms.items():
+            exps = dict(zip(self.caps.names, self.caps.monos[k]))
+            if any(e and n not in caps for n, e in exps.items()):
+                raise KeyError(f"variables {exps} not covered by new caps")
+            j = caps.index.get(tuple(exps.get(n, 0) for n in caps.names))
+            if j is not None:
+                terms[j] = coeff
+        return _series(caps, terms)
+
+    # the name the benchmark tracer (perfbench/tracer.py) patches
+    _remap = with_caps
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._unify(other)
-        terms = dict(a.terms)
-        for mono, coeff in b.terms.items():
-            terms[mono] = terms[mono] + coeff if mono in terms else coeff
-        return HSeries(a.caps, terms)
+        terms = dict(self.terms)
+        for k, coeff in self._operand(other).terms.items():
+            _add_into(terms, k, coeff)
+        return _series(self.caps, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HSeries(self.caps, {m: -c for m, c in self.terms.items()})
+        return _series(self.caps, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        a, b = self._unify(other)
-        return a + (-b)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
-        a, b = self._unify(other)
-        return b + (-a)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc)):
-            if isinstance(other, (int, Fraction)):
-                other = RatFunc.const(other)
-            return HSeries(self.caps,
-                           {m: c * other for m, c in self.terms.items()})
-        a, b = self._unify(other)
-        if a.is_one():
+            return self.map_coeffs(lambda c: c * other)
+        b = self._operand(other)
+        if self.is_one():
             return b
         if b.is_one():
-            return a
-        caps = a.caps
-        names = a.names
+            return self
+        within = self.caps.monos
         terms = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                if any(e >= caps[n] for n, e in zip(names, mono)):
-                    continue
-                prod = c1 * c2
-                terms[mono] = terms[mono] + prod if mono in terms else prod
-        return HSeries(caps, terms)
+        for i, c1 in self.terms.items():
+            for j, c2 in b.terms.items():
+                if i + j in within:
+                    _add_into(terms, i + j, c1 * c2)
+        return _series(self.caps, terms)
 
     __rmul__ = __mul__
 
@@ -186,14 +255,12 @@ class HSeries:
 
     def inv(self) -> "HSeries":
         """Multiplicative inverse, by Neumann iteration around the constant term."""
-        zero = (0,) * len(self.names)
-        c0 = self.terms.get(zero)
-        if c0 is None or c0.is_zero():
+        c0 = self.terms.get(0)
+        if c0 is None:
             raise ZeroDivisionError(
-                f"series is not invertible: constant coefficient is {c0 or 0}")
+                "series is not invertible: constant coefficient is 0")
         c0inv = RatFunc.one() / c0
-        rest = HSeries(self.caps,
-                       {m: c for m, c in self.terms.items() if m != zero})
+        rest = _series(self.caps, {k: c for k, c in self.terms.items() if k})
         t = rest * c0inv          # nilpotent part of self/c0
         acc = HSeries.one(self.caps)
         power = HSeries.one(self.caps)
@@ -208,19 +275,13 @@ class HSeries:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, RatFunc)):
-            if isinstance(other, (int, Fraction)):
-                other = RatFunc.const(other)
             return self * (RatFunc.one() / other)
-        a, b = self._unify(other)
-        return a * b.inv()
+        return self * self._operand(other).inv()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
-            other = HSeries.const(other, self.caps)
-        if not isinstance(other, HSeries):
+        if not isinstance(other, (HSeries, int, Fraction, RatFunc)):
             return NotImplemented
-        a, b = self._unify(other)
-        return a.terms == b.terms
+        return self.terms == self._operand(other).terms
 
     def __hash__(self):
         raise TypeError("HSeries is unhashable; compare by equality")
@@ -229,15 +290,14 @@ class HSeries:
         return not self.terms
 
     def is_one(self) -> bool:
-        if len(self.terms) != 1:
-            return False
-        c = self.terms.get((0,) * len(self.names))
-        return c is not None and c.is_one()
+        terms = self.terms
+        return len(terms) == 1 and 0 in terms and terms[0].is_one()
 
     # -- substitution and extraction ----------------------------------
 
     def map_coeffs(self, fn) -> "HSeries":
-        return HSeries(self.caps, {m: fn(c) for m, c in self.terms.items()})
+        return _series(self.caps, {k: d for k, c in self.terms.items()
+                                   if not (d := fn(c)).is_zero()})
 
     def subs_ring_var(self, name: str, value: RatFunc) -> "HSeries":
         """Exact substitution of an uncapped ring variable in every coefficient."""
@@ -249,11 +309,10 @@ class HSeries:
         ``factor`` must be a unit whose constant coefficient is itself free of
         ``name``; typical use is Z -> Z*exp(a*h).
         """
-        a, f = self._unify(factor)
-        caps, names = a.caps, a.names
-        zero = (0,) * len(names)
-        f0 = f.terms.get(zero)
-        if f0 is None or f0.is_zero():
+        f = self._operand(factor)
+        caps = self.caps
+        f0 = f.terms.get(0)
+        if f0 is None:
             raise ZeroDivisionError(
                 "substitution factor is not a unit (zero constant coefficient)")
         if name in f0.trim().vars:
@@ -263,7 +322,7 @@ class HSeries:
         zf0 = RatFunc.var(name) * f0
         out = HSeries.zero(caps)
         tpow = HSeries.one(caps)
-        deriv = a           # k-th derivative of a in ``name``
+        deriv = self        # k-th derivative of self in ``name``
         k = 0
         while True:
             if k:
@@ -271,7 +330,7 @@ class HSeries:
                 if tpow.is_zero():
                     break
                 deriv = deriv.map_coeffs(lambda c: c.diff(name))
-            scale = (zf0 ** k) * _fact_inv(k)
+            scale = (zf0 ** k) * Fraction(1, factorial(k))
             out = out + deriv.map_coeffs(
                 lambda d: d.subs_var(name, zf0) * scale) * tpow
             k += 1
@@ -279,14 +338,15 @@ class HSeries:
 
     def coeff(self, monomial: dict) -> RatFunc:
         """Exact coefficient of a capped-variable monomial."""
+        caps = self.caps
         for n, e in monomial.items():
-            if n not in self.caps:
+            if n not in caps:
                 raise KeyError(f"unknown capped variable {n!r}")
-            if e >= self.caps[n]:
+            if e >= caps[n]:
                 raise ValueError(
-                    f"monomial exponent {n}^{e} is at or beyond the cap {self.caps[n]}")
-        mono = tuple(monomial.get(n, 0) for n in self.names)
-        return self.terms.get(mono, RatFunc.zero())
+                    f"monomial exponent {n}^{e} is at or beyond the cap {caps[n]}")
+        k = caps.index[tuple(monomial.get(n, 0) for n in caps.names)]
+        return self.terms.get(k, RatFunc.zero())
 
     def classical_part(self) -> RatFunc:
         """Coefficient of h^0 restricted to the zero monomial in all capped vars."""
@@ -303,18 +363,17 @@ class HSeries:
             raise KeyError(f"unknown capped variable {name!r}")
         if self.caps[name] < 2:
             raise ValueError(f"cap of {name!r} too small to differentiate")
-        caps = dict(self.caps)
-        caps[name] -= 1
-        idx = self.names.index(name)
+        caps = Caps.of({**self.caps, name: self.caps[name] - 1})
+        idx = caps.names.index(name)
+        monos = self.caps.monos
         terms = {}
-        for mono, coeff in self.terms.items():
+        for k, coeff in self.terms.items():
+            mono = monos[k]
             e = mono[idx]
-            if e == 0:
-                continue
-            m2 = mono[:idx] + (e - 1,) + mono[idx + 1:]
-            c2 = coeff * e
-            terms[m2] = terms[m2] + c2 if m2 in terms else c2
-        return HSeries(caps, terms)
+            if e:
+                m2 = mono[:idx] + (e - 1,) + mono[idx + 1:]
+                terms[caps.index[m2]] = coeff * e
+        return _series(caps, terms)
 
     def diff_ring_var(self, name: str) -> "HSeries":
         """d/d(name) for an uncapped ring variable (no cap loss)."""
@@ -322,23 +381,29 @@ class HSeries:
 
     # -- printing / serialization -------------------------------------
 
+    def _sorted_terms(self):
+        """(exponent tuple, coefficient) pairs by total degree, then
+        lexicographically."""
+        monos = self.caps.monos
+        return sorted(((monos[k], c) for k, c in self.terms.items()),
+                      key=lambda mc: (sum(mc[0]), mc[0]))
+
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=lambda m: (sum(m), m)):
+        for mono, coeff in self._sorted_terms():
             factors = [f"{n}^{e}" if e > 1 else n
-                       for n, e in zip(self.names, mono) if e]
-            coeff = repr(self.terms[mono])
+                       for n, e in zip(self.caps.names, mono) if e]
+            coeff = repr(coeff)
             if "/" in coeff or " " in coeff:
                 coeff = f"({coeff})"
             parts.append("*".join([coeff] + factors))
         return " + ".join(parts)
 
     def to_data(self):
-        caps = [[n, self.caps[n]] for n in self.names]
-        terms = [[list(m), self.terms[m].to_data()]
-                 for m in sorted(self.terms, key=lambda m: (sum(m), m))]
+        caps = [[n, self.caps[n]] for n in self.caps.names]
+        terms = [[list(m), c.to_data()] for m, c in self._sorted_terms()]
         return [caps, terms]
 
     @staticmethod

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .hseries import HSeries
+from .hseries import Caps, HSeries
 from .lietype import LieTypeData, lie_type_data
 from .ratfunc import RatFunc
 from .tensorop import TensorOp
@@ -140,7 +140,7 @@ def m_diag(ltd: LieTypeData, caps: dict) -> list:
 
 def rplus(ltd: LieTypeData, x: HSeries, caps: dict) -> TensorOp:
     """R+(x, q) = q^{-1}(x-1)(x-xi)R - (q^{-2}-1)(x-xi)P + xi(q^{-2}-1)(x-1)Q."""
-    ops = _constant_ops_cached(ltd, _caps_key(caps))
+    ops = _constant_ops_cached(ltd, Caps.of(caps))
     xi = HSeries.exp_shift({"h": -ltd.kappa}, caps)
     qinv = _q(caps, -1)
     qinv2m1 = _q(caps, -2) - 1
@@ -152,13 +152,9 @@ def rplus(ltd: LieTypeData, x: HSeries, caps: dict) -> TensorOp:
     return out
 
 
-def _caps_key(caps: dict) -> tuple:
-    return tuple(sorted(caps.items()))
-
-
 @lru_cache(maxsize=None)
-def _constant_ops_cached(ltd: LieTypeData, caps_key: tuple) -> dict:
-    return build_constant_ops(ltd, dict(caps_key))
+def _constant_ops_cached(ltd: LieTypeData, caps: Caps) -> dict:
+    return build_constant_ops(ltd, caps)
 
 
 @dataclass(frozen=True)
@@ -177,7 +173,7 @@ class Normalizer:
         if (1 - mono).is_zero():
             raise ZeroDivisionError(
                 "R-matrix pole: argument equals 1 at order zero")
-        g = self.g1._remap(dict(caps))
+        g = self.g1._remap(caps)
         f = arg.exp_factor(caps)
         if not f.is_one():
             g = g.subst_mult("z", f)
@@ -253,10 +249,10 @@ def _solve_normalizer_cached(ltd, L, dz) -> Normalizer:
 def _zshift_capped(s: HSeries, kappa) -> HSeries:
     """z -> z*e^{-kappa h} when z is a capped variable of s."""
     caps = s.caps
-    zi = s.names.index("z")
-    hi = s.names.index("h")
+    zi = caps.names.index("z")
     out = HSeries.zero(caps)
-    for mono, coeff in s.terms.items():
+    for k, coeff in s.terms.items():
+        mono = caps.monos[k]
         m = mono[zi]
         piece = HSeries(caps, {mono: coeff})
         if m:
@@ -279,12 +275,13 @@ def _series_oracle(kappa, L: int, dz: int) -> HSeries:
     hpow = HSeries.one(caps)
     hvar = HSeries.capped_var("h", caps)
     half_c0_inv = (1 - zc) ** 2 * Fraction(1, 2)    # 1/(2 g0)
-    hidx = sorted(caps).index("h")
+    hidx = zc.caps.names.index("h")
     for l in range(1, L):
         hpow = hpow * hvar
         res_l = rhs - g * _zshift_capped(g, kappa)
         picked = HSeries.zero(caps)
-        for mono, coeff in res_l.terms.items():
+        for k, coeff in res_l.terms.items():
+            mono = zc.caps.monos[k]
             if mono[hidx] == l:
                 m2 = mono[:hidx] + (0,) + mono[hidx + 1:]
                 picked = picked + HSeries(caps, {m2: coeff})
@@ -333,15 +330,15 @@ def _poly_to_capped(p: RatFunc, caps) -> HSeries:
 
 
 @lru_cache(maxsize=None)
-def _prefactor_cached(ltd: LieTypeData, caps_key: tuple) -> HSeries:
-    return HSeries.exp_shift({"h": Fraction(1, 2) + ltd.kappa}, dict(caps_key))
+def _prefactor_cached(ltd: LieTypeData, caps: Caps) -> HSeries:
+    return HSeries.exp_shift({"h": Fraction(1, 2) + ltd.kappa}, caps)
 
 
 def rmatrix(ltd: LieTypeData, norm: Normalizer, arg: Arg, caps: dict) -> TensorOp:
     """e^{(1+2kappa)h/2} * g1(x) * R+(x, e^{h/2}) at x = the given argument."""
     x = arg.to_hseries(caps)
     g1x = norm.g1_at(arg, caps)
-    prefactor = _prefactor_cached(ltd, _caps_key(caps))
+    prefactor = _prefactor_cached(ltd, Caps.of(caps))
     return rplus(ltd, x, caps).scale(prefactor * g1x)
 
 
@@ -353,5 +350,5 @@ rtilde = rmatrix
 
 def rhat_inv(ltd: LieTypeData, norm: Normalizer, arg: Arg, caps: dict) -> TensorOp:
     """Inverse through unitarity: P * R(-a) * P."""
-    p = _constant_ops_cached(ltd, _caps_key(caps))["P"]
+    p = _constant_ops_cached(ltd, Caps.of(caps))["P"]
     return p * rmatrix(ltd, norm, arg.neg(), caps) * p

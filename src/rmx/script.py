@@ -70,9 +70,6 @@ class EvalError(RuntimeError):
 class LinForm:
     coeffs: tuple            # sorted ((name, Fraction), ...)
 
-    def as_dict(self):
-        return dict(self.coeffs)
-
 
 @dataclass(frozen=True)
 class RAtom:

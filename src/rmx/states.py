@@ -29,10 +29,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hseries import HSeries
-from .lietype import lie_type_data
+from .hseries import Caps, HSeries
 from .ratfunc import RatFunc
-from .rmatrix import Arg, m_diag, rhat, rhat_inv, solve_normalizer
+from .rmatrix import Arg, m_diag, rhat, rhat_inv
 from .tensorop import TensorOp
 
 __all__ = ["FreeState", "Term", "arg_sum", "arg_diff", "arg_h",
@@ -151,7 +150,8 @@ class FreeState:
     are genuine matrix slots of the ambient space; the remaining slots
     correspond one-to-one to word positions (factor by factor, left to
     right).  All terms share the same open count, factor count and word
-    lengths, so the slot layout is uniform across the state.
+    lengths, so the slot layout is uniform across the state.  Every
+    coefficient holds the state's caps.
     """
 
     __slots__ = ("ltd", "norm", "caps", "c", "open", "terms")
@@ -159,7 +159,7 @@ class FreeState:
     def __init__(self, ltd, norm, caps, c, open_slots, terms):
         self.ltd = ltd
         self.norm = norm
-        self.caps = dict(caps)
+        self.caps = Caps.of(caps)
         self.c = Fraction(c)
         self.open = open_slots
         terms = tuple(t for t in terms if not t.coeff.is_zero())
@@ -170,6 +170,7 @@ class FreeState:
                     raise ValueError("inconsistent word layout")
                 if t.coeff.m != open_slots + sum(lens):
                     raise ValueError("coefficient slots do not fit the layout")
+                self.caps.match(t.coeff.caps)
         self.terms = terms
 
     # -- constructors --------------------------------------------------
@@ -247,6 +248,7 @@ class FreeState:
             omega = omega_of_term(term)
             if omega.m != 2 * w + e:
                 raise ValueError(f"omega has {omega.m} slots, not {2 * w + e}")
+            caps = K.caps.match(omega.caps)
             kmap = {}
             for (krow, kcol), kval in K.entries.items():
                 mkey = (tuple(krow[p] for p in tpos),
@@ -273,7 +275,6 @@ class FreeState:
                     val = kval * oval
                     key = (nrow, ncol)
                     entries[key] = entries[key] + val if key in entries else val
-            caps = K._join_caps(omega)
             out_terms.append(Term(TensorOp(K.N, K.m + q, caps, entries),
                                   new_words_of_term(term)))
         return self._replace(out_terms, self.open + q)
@@ -722,35 +723,6 @@ class FreeState:
                 f"factors={self.factors}, word_lengths={lens}, "
                 f"terms={len(self.terms)})")
 
-    # -- serialization --------------------------------------------------
-
-    def to_data(self):
-        def slot_data(a, d):
-            return [[a.mono.to_data(), [[n, str(cf)] for n, cf in a.shift]], d]
-
-        terms = [[[[slot_data(a, d) for a, d in w] for w in t.words],
-                  t.coeff.entries_data()]
-                 for t in self.terms]
-        return [self.ltd.family, self.ltd.n, str(self.c),
-                sorted(self.caps.items()), self.open, terms]
-
-    @staticmethod
-    def from_data(data) -> "FreeState":
-        family, n, c, caps_list, open_slots, terms = data
-        caps = {k: v for k, v in caps_list}
-        ltd = lie_type_data(family, n)
-        norm = solve_normalizer(ltd, L=caps["h"])
-        out_terms = []
-        for words_data, coeff_data in terms:
-            words = tuple(
-                tuple((Arg.make(RatFunc.from_data(mono),
-                                {nm: Fraction(cf) for nm, cf in shift}), d)
-                      for (mono, shift), d in w)
-                for w in words_data)
-            out_terms.append(Term(TensorOp.from_entries_data(coeff_data),
-                                  words))
-        return FreeState(ltd, norm, caps, Fraction(c), open_slots, out_terms)
-
 
 # ---------------------------------------------------------------- helpers
 
@@ -822,8 +794,9 @@ def _min_caps(caps_list):
 
 
 def _with_caps(K: TensorOp, caps) -> TensorOp:
-    if K.caps == caps:
+    caps = Caps.of(caps)
+    if K.caps is caps:
         return K
     return TensorOp(K.N, K.m, caps,
-                    {key: val.with_caps(dict(caps))
+                    {key: val.with_caps(caps)
                      for key, val in K.entries.items()})

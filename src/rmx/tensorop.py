@@ -2,8 +2,9 @@
 
 Rows and columns are tuples of 0-based per-slot indices, so an operator on m
 slots maps index tuples of length m to index tuples of length m.  Entries are
-HSeries; absent entries are zero.  Slot arguments in the public API are
-1-based, matching the usual subscript notation A_{rs} for embeddings.
+HSeries over the operator's caps; absent entries are zero.  Slot arguments in
+the public API are 1-based, matching the usual subscript notation A_{rs} for
+embeddings.
 """
 
 from __future__ import annotations
@@ -11,33 +12,27 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .hseries import HSeries
+from .hseries import Caps, HSeries
 from .ratfunc import RatFunc
 
 __all__ = ["TensorOp"]
-
-
-def _as_hseries(value, caps):
-    if isinstance(value, HSeries):
-        return value
-    return HSeries.const(value, caps)
 
 
 class TensorOp:
 
     __slots__ = ("N", "m", "caps", "entries")
 
-    def __init__(self, N: int, m: int, caps: dict, entries: dict):
+    def __init__(self, N: int, m: int, caps, entries: dict):
         self.N = N
         self.m = m
-        self.caps = dict(caps)
+        self.caps = caps = Caps.of(caps)
         self.entries = {}
         for key, val in entries.items():
-            row, col = key
-            if len(row) != m or len(col) != m:
+            if len(key[0]) != m or len(key[1]) != m:
                 raise ValueError(f"entry {key} does not have {m} slots")
+            caps.match(val.caps)
             if not val.is_zero():
-                self.entries[(tuple(row), tuple(col))] = val
+                self.entries[key] = val
 
     # -- constructors -------------------------------------------------
 
@@ -54,17 +49,20 @@ class TensorOp:
     @staticmethod
     def unit(N, i, j, caps, coeff=1) -> "TensorOp":
         """Single-slot matrix unit e_ij (0-based), optionally scaled."""
-        return TensorOp(N, 1, caps, {((i,), (j,)): _as_hseries(coeff, caps)})
+        if not isinstance(coeff, HSeries):
+            coeff = HSeries.const(coeff, caps)
+        return TensorOp(N, 1, caps, {((i,), (j,)): coeff})
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
         if (self.N, self.m) != (other.N, other.m):
             raise ValueError("operator shapes differ")
+        caps = self.caps.match(other.caps)
         entries = dict(self.entries)
         for key, val in other.entries.items():
             entries[key] = entries[key] + val if key in entries else val
-        return TensorOp(self.N, self.m, self._join_caps(other), entries)
+        return TensorOp(self.N, self.m, caps, entries)
 
     def __sub__(self, other):
         return self + (-other)
@@ -72,12 +70,6 @@ class TensorOp:
     def __neg__(self):
         return TensorOp(self.N, self.m, self.caps,
                         {k: -v for k, v in self.entries.items()})
-
-    def _join_caps(self, other):
-        caps = dict(self.caps)
-        for n, c in other.caps.items():
-            caps[n] = min(c, caps[n]) if n in caps else c
-        return caps
 
     def scale(self, scalar) -> "TensorOp":
         """Multiply every entry by a scalar (HSeries, RatFunc or rational)."""
@@ -89,6 +81,7 @@ class TensorOp:
             return self.scale(other)
         if (self.N, self.m) != (other.N, other.m):
             raise ValueError("operator shapes differ")
+        caps = self.caps.match(other.caps)
         by_row = {}
         for (row, col), val in other.entries.items():
             by_row.setdefault(row, []).append((col, val))
@@ -98,7 +91,7 @@ class TensorOp:
                 key = (row, col)
                 prod = a * b
                 entries[key] = entries[key] + prod if key in entries else prod
-        return TensorOp(self.N, self.m, self._join_caps(other), entries)
+        return TensorOp(self.N, self.m, caps, entries)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc, HSeries)):
@@ -114,7 +107,7 @@ class TensorOp:
         raise TypeError("TensorOp is unhashable")
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.entries.values())
+        return not self.entries
 
     def is_identity(self) -> bool:
         return (self - TensorOp.identity(self.N, self.m, self.caps)).is_zero()
@@ -219,6 +212,7 @@ class TensorOp:
         """
         if (self.N, self.m) != (other.N, other.m):
             raise ValueError("operator shapes differ")
+        caps = self.caps.match(other.caps)
         if mode not in ("LR", "RL"):
             raise ValueError(f"unknown odot mode {mode!r}")
         F = sorted(s - 1 for s in first_slots)
@@ -252,7 +246,7 @@ class TensorOp:
                 key = (join(rf, rg), join(cf, cg))
                 prod = av * bv
                 entries[key] = entries[key] + prod if key in entries else prod
-        return TensorOp(self.N, self.m, self._join_caps(other), entries)
+        return TensorOp(self.N, self.m, caps, entries)
 
     # -- entrywise maps ------------------------------------------------
 
@@ -269,15 +263,14 @@ class TensorOp:
     # -- reporting ------------------------------------------------------
 
     def nonzero_count(self) -> int:
-        return sum(1 for v in self.entries.values() if not v.is_zero())
+        return len(self.entries)
 
     def witness(self):
         """A deterministic sample nonzero entry: (row, col, repr) or None."""
-        for key in sorted(self.entries):
-            v = self.entries[key]
-            if not v.is_zero():
-                return (list(key[0]), list(key[1]), repr(v))
-        return None
+        if not self.entries:
+            return None
+        row, col = min(self.entries)
+        return (list(row), list(col), repr(self.entries[(row, col)]))
 
     def __repr__(self):
         return (f"TensorOp(N={self.N}, m={self.m}, "

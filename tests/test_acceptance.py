@@ -16,6 +16,7 @@ import pytest
 
 from rmx.checks import builtin_check, correspondence_check, evaluate
 from rmx.cli import main
+from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.module_checks import module_check, weak_assoc_chain
 from rmx.ratfunc import RatFunc
@@ -167,6 +168,44 @@ def test_criterion_11_perturbed_roundtrip():
                              shared_slot=st.open)
     count, witness = st.residual(w.with_identity_open())
     assert count > 0 and witness is not None
+
+
+def _assert_fails_from_order_one(residual):
+    # the perturbation enters at h^1, so orders 1 and 2 must both see it
+    assert residual.coeff({"h": 0}).is_zero()
+    assert not residual.coeff({"h": 1}).is_zero()
+    assert not residual.coeff({"h": 2}).is_zero()
+
+
+@pytest.mark.parametrize("family,n", [("C", 1), ("B", 1)])
+def test_criterion_11_perturbed_gfunc(family, n):
+    # the functional equation of g1 with the shift -(kappa+1)h for -kappa*h
+    ltd = lie_type_data(family, n)
+    g = solve_normalizer(ltd, L=3).g1
+    caps = {"h": 3}
+    lhs = g * g.subst_mult("z", HSeries.exp_shift({"h": -(ltd.kappa + 1)},
+                                                  caps))
+    rhs = HSeries.one(caps)
+    for a in (-1, 1, -ltd.kappa, ltd.kappa):
+        rhs = rhs * (1 - HSeries.const(RatFunc.var("z"), caps)
+                     * HSeries.exp_shift({"h": Fraction(a)}, caps))
+    _assert_fails_from_order_one(lhs - rhs.inv())
+
+
+@pytest.mark.parametrize("family,n", [("C", 1), ("B", 1)])
+def test_criterion_11_perturbed_g_one(family, n):
+    # the product chain of g1 with the prefactor e^{(2+2kappa)h}
+    ltd = lie_type_data(family, n)
+    norm = solve_normalizer(ltd, L=3)
+    caps = {"h": 3}
+    Z = RatFunc.var("Z")
+    lhs = HSeries.exp_shift({"h": 2 + 2 * ltd.kappa}, caps) \
+        * norm.g1_at(Arg.make(Z), caps) * norm.g1_at(Arg.make(1 / Z), caps)
+    for mono in (Z, 1 / Z):
+        for a in (-1, -ltd.kappa):
+            lhs = lhs * (HSeries.const(mono, caps)
+                         - HSeries.exp_shift({"h": Fraction(a)}, caps))
+    _assert_fails_from_order_one(lhs - 1)
 
 
 def test_criterion_11_exit_codes(tmp_path, capsys):

@@ -7,13 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from rmx.hseries import HSeries
 from rmx.ratfunc import RatFunc, _registry, _ring_for
 from rmx.report import CheckReport
+from rmx.tensorop import TensorOp
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 GATES = """
 from rmx.cli import main
+from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc, _registry, _ring_for
 from rmx.report import CheckReport
@@ -43,6 +46,9 @@ print(raises(lambda: CheckReport("x", {}, "pass", 1, None, 0)),
              * TensorOp.identity(2, 2, caps)),
       raises(lambda: vac.residual(vac.with_identity_open())),
       raises(lambda: _registry(("Z",)).factorize(not_canonical)),
+      raises(lambda: HSeries.one(caps) * HSeries.one({"h": 3}))
+      and raises(lambda: TensorOp.identity(2, 1, caps)
+                 + TensorOp.identity(2, 1, {"h": 3})),
       main(["check", "ybe_hat", "--order", "0"]) == 64)
 """
 
@@ -62,6 +68,11 @@ def test_gates_raise():
     for den in (-z, 1 - z ** 2):
         with pytest.raises(ValueError):
             _registry(("Z",)).factorize(den)
+    # a mismatch of caps raises; nothing merges them silently
+    with pytest.raises(ValueError):
+        HSeries.one({"h": 2}) * HSeries.one({"h": 3})
+    with pytest.raises(ValueError):
+        TensorOp.identity(2, 1, {"h": 2}) + TensorOp.identity(2, 1, {"h": 3})
 
 
 def test_gates_survive_python_O():
@@ -71,4 +82,4 @@ def test_gates_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", GATES], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True"] * 8
+    assert out.stdout.split() == ["True"] * 9

@@ -1,10 +1,12 @@
+import itertools
+import operator
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from rmx.hseries import HSeries
+from rmx.hseries import Caps, HSeries
 from rmx.ratfunc import RatFunc
 
 Z = RatFunc.var("Z")
@@ -179,17 +181,33 @@ def test_subst_mult_is_homomorphism(a, b):
     assert lhs == rhs
 
 
-def test_mul_by_exact_one_still_unifies_caps():
+def test_caps_are_interned():
+    caps = Caps.of({"u": 2, "h": 3})
+    assert caps is Caps.of({"h": 3, "u": 2}) is Caps.of(caps)
+    assert caps == {"h": 3, "u": 2} and caps != {"h": 3}
+    assert caps.names == ("h", "u") and dict(caps) == {"h": 3, "u": 2}
+    assert HSeries.one({"h": 3, "u": 2}).caps is caps
+    with pytest.raises(ValueError):
+        Caps.of({"h": 0})
+
+
+def test_binary_ops_reject_other_caps():
     a = 1 + h(H3) + 3 * h(H3) * h(H3)
-    one = HSeries.one({"h": 2, "u": 2})
-    expected = HSeries({"h": 2, "u": 2}, {(0, 0): 1, (1, 0): 1})
-    for prod in (a * one, one * a):
-        assert prod.caps == {"h": 2, "u": 2}
-        assert prod.names == ("h", "u")
-        assert prod.terms == expected.terms
-    wide = HSeries.one({"h": 4})
-    assert (a * wide).caps == {"h": 3}
-    assert (a * wide).terms == a.terms
+    ops = (operator.mul, operator.add, operator.sub, operator.truediv,
+           operator.eq)
+    for other in (HSeries.one({"h": 2, "u": 2}), HSeries.one({"h": 4}),
+                  1 + h(H2)):
+        for op in ops:
+            with pytest.raises(ValueError):
+                op(a, other)
+            with pytest.raises(ValueError):
+                op(other, a)
+        with pytest.raises(ValueError):
+            HSeries.const(Z, H3).subst_mult("Z", other)
+    # the one conversion is explicit, and re-truncates
+    assert a.with_caps(H2) == 1 + h(H2)
+    assert a.with_caps({"h": 2, "u": 2}) * HSeries.one({"h": 2, "u": 2}) \
+        == HSeries({"h": 2, "u": 2}, {(0, 0): 1, (1, 0): 1})
 
 
 # -- differential tests against sympy.series -------------------------------
@@ -269,3 +287,74 @@ def test_subst_mult_matches_sympy_series(a, alpha):
     expr = a[1].subs(sz, sz * sympy.exp(
         sympy.Rational(alpha.numerator, alpha.denominator) * sh))
     _assert_matches_series(a[0].subst_mult("z", factor), expr)
+
+
+# -- multivariate differential tests against sympy -------------------------
+#
+# Series in several capped variables with coefficients rational in z, as an
+# HSeries and as a sympy polynomial in the capped variables over QQ(z).
+# Products must match sympy's expanded product with every exponent at or
+# beyond its cap dropped; an inverse must give exactly 1 in that product.
+
+MULTI_CAPS = ({"h": 3, "u": 2}, {"h": 2, "u": 2, "v": 2})
+
+
+@st.composite
+def multi_series(draw, caps, unit=False):
+    names = sorted(caps)
+    gens = sympy.symbols(names)
+    terms, expr = {}, sympy.Integer(0)
+    for mono in itertools.product(*(range(caps[n]) for n in names)):
+        if unit and not any(mono):
+            coeff, e = RatFunc.one(), sympy.Integer(1)
+        elif draw(st.booleans()):
+            coeff, e = draw(z_rational())
+        else:
+            continue
+        terms[mono] = coeff
+        expr += e * sympy.Mul(*(g ** k for g, k in zip(gens, mono)))
+    return HSeries(caps, terms), expr
+
+
+def _truncated_product(caps, ea, eb):
+    """mono -> coefficient of sympy's expanded ea*eb, within the caps."""
+    names = sorted(caps)
+    poly = sympy.Poly(sympy.expand(ea * eb), *sympy.symbols(names))
+    return {m: c for m, c in poly.terms()
+            if all(e < caps[n] for n, e in zip(names, m))}
+
+
+def _assert_matches(s, ref):
+    names = s.caps.names
+    monos = set(ref) | {m for m in itertools.product(
+        *(range(s.caps[n]) for n in names))
+        if not s.coeff(dict(zip(names, m))).is_zero()}
+    for m in monos:
+        ours = _to_sympy(s.coeff(dict(zip(names, m))))
+        assert sympy.cancel(ref.get(m, 0) - ours) == 0, m
+
+
+@pytest.mark.parametrize("caps", MULTI_CAPS)
+@settings(max_examples=8)
+@given(data=st.data())
+def test_multivariate_mul_matches_sympy(caps, data):
+    a, ea = data.draw(multi_series(caps))
+    b, eb = data.draw(multi_series(caps))
+    _assert_matches(a * b, _truncated_product(caps, ea, eb))
+
+
+@pytest.mark.parametrize("caps", MULTI_CAPS)
+@settings(max_examples=6)
+@given(data=st.data())
+def test_multivariate_inv_matches_sympy(caps, data):
+    a, ea = data.draw(multi_series(caps, unit=True))
+    inv = a.inv()
+    names = sorted(caps)
+    einv = sum((_to_sympy(inv.coeff(dict(zip(names, m))))
+                * sympy.Mul(*(g ** k for g, k in zip(sympy.symbols(names), m)))
+                for m in itertools.product(*(range(caps[n]) for n in names))),
+               sympy.Integer(0))
+    ref = _truncated_product(caps, ea, einv)
+    zero = tuple(0 for _ in names)
+    assert sympy.cancel(ref.pop(zero) - 1) == 0
+    assert all(sympy.cancel(c) == 0 for c in ref.values())

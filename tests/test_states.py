@@ -166,23 +166,6 @@ def test_merge_requires_uniform_word():
         d.merge_y(1, 2, ring("Zz"))
 
 
-def test_serialization_roundtrip():
-    ltd, norm, caps, c = make_ctx()
-    st = FreeState.pure(ltd, norm, caps, c, [[ring("V1")]]) \
-        .apply_tminus(1, ring("U"))
-    back = FreeState.from_data(st.to_data())
-    assert back == st
-    assert back.c == st.c and back.open == st.open
-
-
-def test_serialization_is_json_compatible():
-    import json
-    ltd, norm, caps, c = make_ctx(extra_caps={"u": 2})
-    st = FreeState.pure(ltd, norm, caps, c, [[Arg.make(1, {"u": -1})]])
-    data = json.loads(json.dumps(st.to_data()))
-    assert FreeState.from_data(data) == st
-
-
 def test_residual_reports_witness():
     ltd, norm, caps, c = make_ctx()
     a = FreeState.pure(ltd, norm, caps, c, [[ring("X")]])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ import pytest
 from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
-from rmx.serialize import dumps, loads
 from rmx.tensorop import TensorOp
 
 CAPS = {"h": 3}
@@ -143,5 +143,22 @@ def test_odot_lr_identity_is_mul():
 def test_serialization_roundtrip():
     rng = random.Random(10)
     a = rand_op(rng, N, 2)
-    assert loads(dumps(a)) == a
-    assert dumps(loads(dumps(a))) == dumps(a)
+    text = json.dumps(a.entries_data())
+    back = TensorOp.from_entries_data(json.loads(text))
+    assert back == a
+    assert json.dumps(back.entries_data()) == text
+
+
+def test_binary_ops_reject_other_caps():
+    rng = random.Random(11)
+    a = rand_op(rng, N, 2)
+    for caps in ({"h": 2}, {"h": 3, "u": 2}):
+        b = TensorOp.identity(N, 2, caps)
+        for op in (lambda x, y: x * y, lambda x, y: x + y,
+                   lambda x, y: x.odot(y, (1,), "LR")):
+            with pytest.raises(ValueError):
+                op(a, b)
+            with pytest.raises(ValueError):
+                op(b, a)
+    with pytest.raises(ValueError):
+        TensorOp(N, 1, CAPS, {((0,), (0,)): HSeries.one({"h": 2})})
