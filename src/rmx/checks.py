@@ -20,7 +20,7 @@ from .hseries import HSeries
 from .lietype import lie_type_data
 from .ratfunc import RatFunc
 from .report import CheckReport, timed_report
-from .rmatrix import Arg, m_diag, rhat_inv, rmatrix, solve_normalizer
+from .rmatrix import Arg, diag_op, m_diag, rhat_inv, rmatrix, solve_normalizer
 from .script import evaluate_sides, parse_script
 from .tensorop import TensorOp
 
@@ -162,10 +162,7 @@ def _check_csuni(family, n, L, k=1, c=Fraction(1)):
             out = out * rhat_inv(ltd, norm, arg, caps).embed((i, mslot), m)
         return out
 
-    mdiag = m_diag(ltd, caps)
-    mop = TensorOp(ltd.N, 1, caps,
-                   {((i,), (i,)): mdiag[i] for i in range(ltd.N)}).embed(
-        (mslot,), m)
+    mop = diag_op(ltd.N, caps, m_diag(ltd, caps)).embed((mslot,), m)
     lhs = chain(Fraction(0)) * mop \
         * chain(-ltd.kappa).transpose_slot(mslot, ltd)
     return _residual_of(lhs, mop)

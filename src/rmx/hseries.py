@@ -180,11 +180,15 @@ class HSeries:
     # -- caps ---------------------------------------------------------
 
     def _operand(self, other) -> "HSeries":
-        """``other`` as a series over these caps; other caps raise."""
+        """``other`` as a series over these caps; other caps raise, and an
+        operand that is not a series or a coefficient gives NotImplemented,
+        so that the other operand's reflected operation runs."""
         if isinstance(other, HSeries):
             self.caps.match(other.caps)
             return other
-        return HSeries.const(other, self.caps)
+        if isinstance(other, (int, Fraction, RatFunc)):
+            return HSeries.const(other, self.caps)
+        return NotImplemented
 
     def with_caps(self, caps) -> "HSeries":
         """Re-truncate into the given cap set (must cover all used variables)."""
@@ -207,8 +211,11 @@ class HSeries:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
         terms = dict(self.terms)
-        for k, coeff in self._operand(other).terms.items():
+        for k, coeff in other.terms.items():
             _add_into(terms, k, coeff)
         return _series(self.caps, terms)
 
@@ -218,15 +225,19 @@ class HSeries:
         return _series(self.caps, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._operand(other))
+        other = self._operand(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return self._operand(other) + (-self)
+        other = self._operand(other)
+        return other if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc)):
             return self.map_coeffs(lambda c: c * other)
         b = self._operand(other)
+        if b is NotImplemented:
+            return b
         if self.is_one():
             return b
         if b.is_one():
@@ -276,7 +287,8 @@ class HSeries:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, RatFunc)):
             return self * (RatFunc.one() / other)
-        return self * self._operand(other).inv()
+        other = self._operand(other)
+        return other if other is NotImplemented else self * other.inv()
 
     def __eq__(self, other):
         if not isinstance(other, (HSeries, int, Fraction, RatFunc)):
@@ -310,6 +322,8 @@ class HSeries:
         ``name``; typical use is Z -> Z*exp(a*h).
         """
         f = self._operand(factor)
+        if f is NotImplemented:
+            raise TypeError(f"cannot substitute by a {type(factor).__name__}")
         caps = self.caps
         f0 = f.terms.get(0)
         if f0 is None:

@@ -24,8 +24,8 @@ from .ratfunc import RatFunc
 from .tensorop import TensorOp
 
 __all__ = ["Arg", "build_constant_ops", "rplus", "solve_normalizer",
-           "Normalizer", "rmatrix", "rhat", "rtilde", "rhat_inv",
-           "m_diag", "NormalizerError"]
+           "Normalizer", "rmatrix", "rhat", "rhat_inv", "m_diag",
+           "diag_op", "NormalizerError"]
 
 
 class NormalizerError(RuntimeError):
@@ -67,9 +67,6 @@ class Arg:
         for n, c in extra.items():
             d[n] = d.get(n, Fraction(0)) + Fraction(c)
         return Arg.make(self.mono, d)
-
-    def times(self, mono: RatFunc) -> "Arg":
-        return Arg.make(self.mono * mono, self.shift_dict())
 
     def exp_factor(self, caps: dict) -> HSeries:
         return HSeries.exp_shift(self.shift_dict(), caps)
@@ -136,6 +133,12 @@ def build_constant_ops(ltd: LieTypeData, caps: dict) -> dict:
 
 def m_diag(ltd: LieTypeData, caps: dict) -> list:
     return [HSeries.exp_shift({"h": ltd.bar[i] / 2}, caps) for i in range(ltd.N)]
+
+
+def diag_op(N: int, caps: dict, diag) -> TensorOp:
+    """The single-slot diagonal operator with the given entries, such as
+    M = diag_op(ltd.N, caps, m_diag(ltd, caps))."""
+    return TensorOp(N, 1, caps, {((i,), (i,)): diag[i] for i in range(N)})
 
 
 def rplus(ltd: LieTypeData, x: HSeries, caps: dict) -> TensorOp:
@@ -345,7 +348,6 @@ def rmatrix(ltd: LieTypeData, norm: Normalizer, arg: Arg, caps: dict) -> TensorO
 # The same object serves both coordinate pictures: additive arguments are
 # passed through their exponential image, multiplicative ones directly.
 rhat = rmatrix
-rtilde = rmatrix
 
 
 def rhat_inv(ltd: LieTypeData, norm: Normalizer, arg: Arg, caps: dict) -> TensorOp:

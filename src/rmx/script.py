@@ -46,7 +46,7 @@ from fractions import Fraction
 from .hseries import HSeries
 from .lietype import lie_type_data
 from .ratfunc import RatFunc
-from .rmatrix import Arg, m_diag, rmatrix, solve_normalizer
+from .rmatrix import Arg, diag_op, m_diag, rmatrix, solve_normalizer
 from .tensorop import TensorOp
 
 __all__ = ["parse_script", "print_script", "ScriptError", "EvalError",
@@ -571,9 +571,7 @@ class _Context:
                     f"({_print_linform(node.arg)}): {exc}") from exc
             return r.embed(node.slots, m)
         if isinstance(node, MAtom):
-            single = TensorOp(ltd.N, 1, caps,
-                              {((i,), (i,)): self.mdiag[i] for i in range(ltd.N)})
-            return single.embed((node.slot,), m)
+            return diag_op(ltd.N, caps, self.mdiag).embed((node.slot,), m)
         if isinstance(node, PAtom):
             p = TensorOp(ltd.N, 2, caps,
                          {((i, j), (j, i)): HSeries.one(caps)

@@ -31,20 +31,19 @@ from fractions import Fraction
 
 from .hseries import Caps, HSeries
 from .ratfunc import RatFunc
-from .rmatrix import Arg, m_diag, rhat, rhat_inv
+from .rmatrix import Arg, diag_op, m_diag, rhat, rhat_inv
 from .tensorop import TensorOp
 
-__all__ = ["FreeState", "Term", "arg_sum", "arg_diff", "arg_h",
-           "CROSSING_CONJ"]
+__all__ = ["FreeState", "Term", "arg_sum", "arg_diff", "arg_h"]
 
-# Sign of the diagonal conjugation wrapped around slot-transposed chains in
-# crossing-type combinations.  With the twisted transposition used here
-# (e_ij -> eps_i eps_j e_{j'i'}) the diagonal matrix M transposes to its own
-# inverse, which exchanges the roles of M and M^{-1} relative to the
-# untwisted convention; -1 is the choice under which the transposed-chain
-# pairing identities hold exactly (verified by the round-trip, unitarity and
+# Crossing-type combinations put the diagonal matrix M on the word slots of
+# a slot-transposed chain as M^{-1} before the chain and M after it (the
+# sign -1 of ``TensorOp.conj_diag``).  With the twisted transposition used
+# here (e_ij -> eps_i eps_j e_{j'i'}) M transposes to its own inverse, which
+# exchanges the roles of M and M^{-1} relative to the untwisted convention;
+# this is the choice under which the transposed-chain pairing identities
+# hold exactly (verified by the round-trip, unitarity and
 # weak-associativity tests).
-CROSSING_CONJ = -1
 
 
 # ---------------------------------------------------------------- arguments
@@ -176,10 +175,9 @@ class FreeState:
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def vacuum(ltd, norm, caps, c, factors=1) -> "FreeState":
+    def vacuum(ltd, norm, caps, c) -> "FreeState":
         k = TensorOp.identity(ltd.N, 0, caps)
-        return FreeState(ltd, norm, caps, c, 0,
-                         [Term(k, tuple(() for _ in range(factors)))])
+        return FreeState(ltd, norm, caps, c, 0, [Term(k, ((),))])
 
     @staticmethod
     def pure(ltd, norm, caps, c, words) -> "FreeState":
@@ -225,23 +223,22 @@ class FreeState:
 
     # -- sandwich composition ------------------------------------------
 
-    def _compose(self, targets, omega_of_term, extra_modes, new_words_of_term):
+    def _compose(self, targets, omega_of_term, new_words_of_term, extra=None):
         """Contract a sandwich tensor into every term.
 
         ``targets`` are the global sym slots being rewritten; the tensor
         returned by ``omega_of_term`` lives on w + e + w slots (w wordop,
-        e extras, w sym).  Each extra is either "new" (a fresh open matrix
-        slot is appended after the existing open block) or ("shared", s)
-        (its matrix factor is multiplied from the left onto open slot s).
+        e extras, w sym), with e = 0 for ``extra=None`` and e = 1 otherwise.
+        The one extra is either "new" (a fresh open matrix slot is appended
+        after the existing open block) or an open slot s (its matrix factor
+        is multiplied from the left onto open slot s).
         ``new_words_of_term`` gives the replacement words per term.
         """
         w = len(targets)
-        e = len(extra_modes)
+        e = 0 if extra is None else 1
         tpos = [t - 1 for t in targets]
-        news = [x for x, mode in enumerate(extra_modes) if mode == "new"]
-        shared = [(x, mode[1] - 1) for x, mode in enumerate(extra_modes)
-                  if mode != "new"]
-        q = len(news)
+        shared = None if extra in (None, "new") else extra - 1
+        q = int(extra == "new")
         out_terms = []
         for term in self.terms:
             K = term.coeff
@@ -253,25 +250,25 @@ class FreeState:
             for (krow, kcol), kval in K.entries.items():
                 mkey = (tuple(krow[p] for p in tpos),
                         tuple(kcol[p] for p in tpos),
-                        tuple(krow[s] for _, s in shared))
+                        None if shared is None else krow[shared])
                 kmap.setdefault(mkey, []).append((krow, kcol, kval))
             entries = {}
             for (orow, ocol), oval in omega.entries.items():
                 P, I, Pp = orow[:w], orow[w:w + e], orow[w + e:]
                 Q, J, Qp = ocol[:w], ocol[w:w + e], ocol[w + e:]
-                mkey = (P, Q, tuple(J[x] for x, _ in shared))
+                mkey = (P, Q, None if shared is None else J[0])
                 for krow, kcol, kval in kmap.get(mkey, ()):
                     row = list(krow)
                     col = list(kcol)
-                    for x, s in shared:
-                        row[s] = I[x]
+                    if shared is not None:
+                        row[shared] = I[0]
                     for p, rp, cp in zip(tpos, Pp, Qp):
                         row[p] = rp
                         col[p] = cp
-                    nrow = (tuple(row[:self.open])
-                            + tuple(I[x] for x in news) + tuple(row[self.open:]))
-                    ncol = (tuple(col[:self.open])
-                            + tuple(J[x] for x in news) + tuple(col[self.open:]))
+                    nrow = (tuple(row[:self.open]) + I[:q]
+                            + tuple(row[self.open:]))
+                    ncol = (tuple(col[:self.open]) + J[:q]
+                            + tuple(col[self.open:]))
                     val = kval * oval
                     key = (nrow, ncol)
                     entries[key] = entries[key] + val if key in entries else val
@@ -351,47 +348,29 @@ class FreeState:
         return _chain_omega(N, caps, wslots, list(range(1, k + 1)),
                             [left, *([None] * (k - 1)), right])
 
-    def apply_tminus(self, factor: int, u: Arg, shared_slot=None,
-                     nu_transform=None) -> "FreeState":
+    def apply_tminus(self, factor: int, u: Arg, shared_slot=None) -> "FreeState":
         """Apply the lowering operator at argument u to one factor.
 
-        ``nu_transform(omega, nu_slot)`` may post-process the sandwich
-        tensor on the operator's matrix slot (transposition, diagonal
-        conjugation) before composition."""
-        targets = self._sym_slots(factor)
-        k = len(targets)
-        mode = "new" if shared_slot is None else ("shared", shared_slot)
+        With ``shared_slot=None`` a fresh open matrix slot is appended;
+        otherwise the operator's matrix factor is multiplied from the left
+        onto the existing open slot."""
+        return self._compose(
+            self._sym_slots(factor),
+            lambda t: self._tminus_omega(self._plain_word(t, factor), u),
+            lambda t: t.words, "new" if shared_slot is None else shared_slot)
 
-        def omega_of(term):
-            om = self._tminus_omega(self._plain_word(term, factor), u)
-            if nu_transform is not None:
-                om = nu_transform(om, k + 1)
-            return om
+    def apply_tminus_inv(self, factor: int, u: Arg, shared_slot=None) -> "FreeState":
+        """Apply the inverse of the lowering operator at argument u, with
+        open slots as in ``apply_tminus``.
 
-        return self._compose(targets, omega_of, [mode], lambda t: t.words)
-
-    def apply_tminus_inv(self, factor: int, u: Arg, shared_slot=None,
-                         method="chain") -> "FreeState":
-        """Apply the inverse of the lowering operator at argument u.
-
-        ``method="chain"`` uses the displayed split formula: the diagonal
-        and transposed-chain part acts on the word-slot group from both
-        sides of the plain-chain part, realized with the ordered slot
-        product over the word-slot group.  ``method="matrix"`` inverts the
-        lowering sandwich tensor directly (flattening it to a matrix over
-        matrix-slot/word-index triples) and serves as an independent
-        cross-check."""
-        targets = self._sym_slots(factor)
-        k = len(targets)
-        mode = "new" if shared_slot is None else ("shared", shared_slot)
-
-        def omega_of(term):
-            word_args = self._plain_word(term, factor)
-            if method == "matrix":
-                return _invert_omega(self._tminus_omega(word_args, u), k)
-            return self._tminus_inv_omega(word_args, u)
-
-        return self._compose(targets, omega_of, [mode], lambda t: t.words)
+        It uses the displayed split formula: the diagonal and
+        transposed-chain part acts on the word-slot group from both sides of
+        the plain-chain part, realized with the ordered slot product over
+        the word-slot group."""
+        return self._compose(
+            self._sym_slots(factor),
+            lambda t: self._tminus_inv_omega(self._plain_word(t, factor), u),
+            lambda t: t.words, "new" if shared_slot is None else shared_slot)
 
     def _tminus_inv_omega(self, word_args, u: Arg):
         k = len(word_args)
@@ -402,32 +381,30 @@ class FreeState:
         hc2 = self.c / 2
         kappa = ltd.kappa
         md = m_diag(ltd, caps)
-        diag = _diag_op(N, caps, md)
-        diag_inv = _diag_op(N, caps, [d.inv() for d in md])
+        diag = diag_op(N, caps, md)
+        diag_inv = diag_op(N, caps, [d.inv() for d in md])
         # transposed chain at -u + a_i - hc/2 - kappa*h, slots i descending,
-        # wrapped by the word-slot diagonals
+        # after M^{-1} on the word slots
         afull = TensorOp.identity(N, wslots, caps)
         for i in range(1, k + 1):
-            afull = afull * (diag if CROSSING_CONJ == 1 else diag_inv) \
-                .embed((i,), wslots)
+            afull = afull * diag_inv.embed((i,), wslots)
         for i in range(k, 0, -1):
             r = rhat(ltd, self.norm,
                      arg_h(arg_diff(word_args[i - 1], u), -hc2 - kappa),
                      caps)
             afull = afull * r.embed((i, nu), wslots).transpose_slot(i, ltd)
-        # plain side: inverse diagonals on word slots, then the word with the
+        # plain side: M on the word slots, then the word with the
         # plus-shifted chain to its right
-        minv = TensorOp.identity(N, wslots, caps)
+        mword = TensorOp.identity(N, wslots, caps)
         for i in range(1, k + 1):
-            minv = minv * (diag_inv if CROSSING_CONJ == 1 else diag) \
-                .embed((i,), wslots)
+            mword = mword * diag.embed((i,), wslots)
         plus = TensorOp.identity(N, wslots, caps)
         for i, a in enumerate(word_args, start=1):
             plus = plus * rhat(ltd, self.norm,
                                arg_h(arg_diff(a, u), hc2), caps) \
                 .embed((i, nu), wslots)
         bomega = _chain_omega(N, caps, wslots, list(range(1, k + 1)),
-                              [minv, *([None] * (k - 1)), plus])
+                              [mword, *([None] * (k - 1)), plus])
         aemb = afull.embed(tuple(range(1, wslots + 1)), total)
         return aemb.odot(bomega, tuple(range(1, k + 1)), "LR")
 
@@ -442,11 +419,11 @@ class FreeState:
         """Right-multiply the open-slot block by an embedded operator."""
         return self._map_coeff(lambda K: K * op.embed(tuple(slots), K.m))
 
-    def odot_open(self, op: TensorOp, slots, first_slots, mode="LR") -> "FreeState":
+    def odot_open(self, op: TensorOp, slots, first_slots) -> "FreeState":
         """Combine an operator on the open slots with the state coefficient
-        by the ordered slot product, splitting at ``first_slots``."""
+        by the ordered slot product "LR", splitting at ``first_slots``."""
         def act(K):
-            return op.embed(tuple(slots), K.m).odot(K, first_slots, mode)
+            return op.embed(tuple(slots), K.m).odot(K, first_slots, "LR")
         return self._map_coeff(act)
 
     def swap_open(self, s1: int, s2: int) -> "FreeState":
@@ -488,8 +465,8 @@ class FreeState:
         wslots = m + k
         N, caps, ltd = self.ltd.N, self.caps, self.ltd
         md = m_diag(ltd, caps)
-        diag = _diag_op(N, caps, md)
-        diag_inv = _diag_op(N, caps, [d.inv() for d in md])
+        diag = diag_op(N, caps, md)
+        diag_inv = diag_op(N, caps, [d.inv() for d in md])
 
         def omega_of(term):
             us = [a for a, _ in term.words[f1 - 1]]
@@ -523,8 +500,7 @@ class FreeState:
                 [r1, *([None] * (m - 1)), r2inv, *([None] * (k - 1)), r3])
             afull = TensorOp.identity(N, wslots, caps)
             for i in range(1, m + 1):
-                afull = afull * (diag if CROSSING_CONJ == 1 else diag_inv) \
-                    .embed((i,), wslots)
+                afull = afull * diag_inv.embed((i,), wslots)
             for i in range(m, 0, -1):
                 for j in range(m + 1, wslots + 1):
                     arg = arg_h(arg_sum(z, arg_diff(us[i - 1], vs[j - m - 1])),
@@ -532,13 +508,12 @@ class FreeState:
                     afull = afull * rhat(ltd, self.norm, arg, caps) \
                         .embed((i, j), wslots).transpose_slot(i, ltd)
             for i in range(1, m + 1):
-                afull = afull * (diag_inv if CROSSING_CONJ == 1 else diag) \
-                    .embed((i,), wslots)
+                afull = afull * diag.embed((i,), wslots)
             aemb = afull.embed(tuple(range(1, wslots + 1)),
                                wslots + wslots)
             return aemb.odot(bomega, tuple(range(1, m + 1)), "LR")
 
-        return self._compose(targets, omega_of, [], lambda t: t.words)
+        return self._compose(targets, omega_of, lambda t: t.words)
 
     # -- vertex maps ----------------------------------------------------
 
@@ -604,7 +579,7 @@ class FreeState:
 
     # -- translation ----------------------------------------------------
 
-    def translate_d(self, factor=None) -> "FreeState":
+    def translate_d(self) -> "FreeState":
         """The translation operator: the sum over word slots of the formal
         derivative with respect to the slot argument.
 
@@ -613,10 +588,9 @@ class FreeState:
         capped-variable argument, formal differentiation with the recorded
         cap loss) and the original coefficient with the slot's derivative
         order raised.  The vacuum has no slots, so it maps to zero."""
-        factors = range(1, self.factors + 1) if factor is None else [factor]
         out = []
         for term in self.terms:
-            for f in factors:
+            for f in range(1, self.factors + 1):
                 for j, (arg, dorder) in enumerate(term.words[f - 1]):
                     dk = _arg_derivative(term.coeff, arg)
                     if dk is not None and not dk.is_zero():
@@ -659,7 +633,7 @@ class FreeState:
             words[factor - 1] = tuple(w)
             return tuple(words)
 
-        return self._compose(targets, omega_of, [], new_words)
+        return self._compose(targets, omega_of, new_words)
 
     def canonicalize(self) -> "FreeState":
         """Sort every word into the fixed total order on argument images by
@@ -725,35 +699,6 @@ class FreeState:
 
 
 # ---------------------------------------------------------------- helpers
-
-def _diag_op(N, caps, diag) -> TensorOp:
-    return TensorOp(N, 1, caps, {((i,), (i,)): diag[i] for i in range(N)})
-
-
-def _invert_omega(omega: TensorOp, k: int) -> TensorOp:
-    """Invert a lowering sandwich tensor.
-
-    Flattened over composite indices (matrix slot, new word rows, new word
-    columns) x (matrix slot, old word rows, old word columns), composition
-    of sandwich tensors on a shared matrix slot is matrix multiplication,
-    and the index-transfer tensor flattens to the identity; the inverse
-    sandwich is therefore the reshaped matrix inverse."""
-    m = 2 * k + 1
-    if omega.m != m:
-        raise ValueError(f"omega has {omega.m} slots, not {m}")
-    flat = {}
-    for (row, col), val in omega.entries.items():
-        P, i, Pp = row[:k], row[k], row[k + 1:]
-        Q, j, Qp = col[:k], col[k], col[k + 1:]
-        flat[((i,) + Pp + Qp, (j,) + P + Q)] = val
-    inv = TensorOp(omega.N, m, omega.caps, flat).inv()
-    out = {}
-    for (row, col), val in inv.entries.items():
-        i, Pp, Qp = row[0], row[1:k + 1], row[k + 1:]
-        j, P, Q = col[0], col[1:k + 1], col[k + 1:]
-        out[(P + (i,) + Pp, Q + (j,) + Qp)] = val
-    return TensorOp(omega.N, m, omega.caps, out)
-
 
 def _arg_derivative(K: TensorOp, arg: Arg):
     """Derivative of a coefficient with respect to a slot argument.

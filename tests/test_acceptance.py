@@ -20,9 +20,9 @@ from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.module_checks import module_check, weak_assoc_chain
 from rmx.ratfunc import RatFunc
-from rmx.rmatrix import Arg, rhat, rtilde, solve_normalizer
+from rmx.rmatrix import Arg, rhat, solve_normalizer
 from rmx.script import parse_script
-from rmx.states import FreeState
+from rmx.states import FreeState, arg_diff, arg_h
 
 FAMILIES = [("B", 1), ("C", 1), ("D", 2)]
 
@@ -37,14 +37,14 @@ def test_criterion_1_normalizer(family, n):
     assert rep.passed, rep.to_text()
 
 
-# 2. classical limits: both R-matrices are the identity at order zero
+# 2. classical limit: the R-matrix is the identity at order zero; one
+# object serves the additive and the multiplicative picture
 @pytest.mark.parametrize("family,n", FAMILIES)
-@pytest.mark.parametrize("build", [rhat, rtilde])
-def test_criterion_2_classical_limit(family, n, build):
+def test_criterion_2_classical_limit(family, n):
     ltd = lie_type_data(family, n)
     norm = solve_normalizer(ltd, L=1)
     caps = {"h": 1}
-    op = build(ltd, norm, Arg.make(RatFunc.var("Z")), caps)
+    op = rhat(ltd, norm, Arg.make(RatFunc.var("Z")), caps)
     for (row, col), series in sorted(op.entries.items()):
         expected = 1 if row == col else 0
         assert (series.classical_part() - RatFunc.const(expected)).is_zero(), \
@@ -168,6 +168,69 @@ def test_criterion_11_perturbed_roundtrip():
                              shared_slot=st.open)
     count, witness = st.residual(w.with_identity_open())
     assert count > 0 and witness is not None
+
+
+def _c1_states(L, words):
+    ltd = lie_type_data("C", 1)
+    norm = solve_normalizer(ltd, L=L)
+    state = FreeState.pure(ltd, norm, {"h": L}, Fraction(1),
+                           [[Arg.make(RatFunc.var(v)) for v in word]
+                            for word in words])
+    return ltd, norm, state
+
+
+def _ring(name):
+    return Arg.make(RatFunc.var(name))
+
+
+def _assert_state_fails(lhs, rhs):
+    count, witness = lhs.residual(rhs)
+    assert count > 0 and witness is not None
+
+
+# The rtt_minus and mixed controls below leave no residual at L=2, so they
+# also fail if the truncation drops order 2.
+
+def test_criterion_11_perturbed_rtt_minus():
+    # R(u1-u2+h) T1(u1) T2(u2) against T2(u2) T1(u1) R(u1-u2)
+    ltd, norm, w = _c1_states(3, [["V1"]])
+    u1, u2 = _ring("U1"), _ring("U2")
+    r = rhat(ltd, norm, arg_diff(u1, u2), w.caps)
+    r_off = rhat(ltd, norm, arg_h(arg_diff(u1, u2), 1), w.caps)
+    lhs = w.apply_tminus(1, u2)
+    a = lhs.open
+    lhs = lhs.apply_tminus(1, u1)
+    lhs = lhs.mul_open(r_off, (lhs.open, a)).swap_open(a, lhs.open)
+    rhs = w.apply_tminus(1, u1)
+    a = rhs.open
+    rhs = rhs.apply_tminus(1, u2)
+    rhs = rhs.mul_open_right(r, (a, rhs.open))
+    _assert_state_fails(lhs, rhs)
+
+
+def test_criterion_11_perturbed_mixed():
+    # the exchange of T+(u) and T-(v) with R(-v+u+hc/2) on both sides
+    ltd, norm, w = _c1_states(3, [["V1"]])
+    u, v = _ring("U"), _ring("Vm")
+    r = rhat(ltd, norm, arg_h(arg_diff(u, v), w.c / 2), w.caps)
+    lhs = w.apply_tminus(1, v)
+    a = lhs.open
+    lhs = lhs.apply_tplus(1, u)
+    lhs = lhs.mul_open(r, (lhs.open, a)).swap_open(a, lhs.open)
+    rhs = w.apply_tplus(1, u)
+    a = rhs.open
+    rhs = rhs.apply_tminus(1, v)
+    rhs = rhs.mul_open_right(r, (a, rhs.open))
+    _assert_state_fails(lhs, rhs)
+
+
+def test_criterion_11_perturbed_hexagon():
+    # the hexagon with S_13 at z1 instead of z1+z2
+    _, _, three = _c1_states(3, [["X"], ["Y"], ["Ww"]])
+    z1, z2 = _ring("Za"), _ring("Zb")
+    lhs = three.merge_y(1, 2, z2).braiding_s(1, 2, z1)
+    rhs = three.braiding_s(1, 3, z1).braiding_s(2, 3, z1).merge_y(1, 2, z2)
+    _assert_state_fails(lhs.canonicalize(), rhs.canonicalize())
 
 
 def _assert_fails_from_order_one(residual):

@@ -210,6 +210,23 @@ def test_binary_ops_reject_other_caps():
         == HSeries({"h": 2, "u": 2}, {(0, 0): 1, (1, 0): 1})
 
 
+def test_operator_operand_reaches_its_reflected_op():
+    # a series times an operator scales the operator; a series plus an
+    # operator is no operation at all
+    from rmx.tensorop import TensorOp
+    op = TensorOp.identity(2, 1, H2)
+    hh = h(H2)
+    for scalar in (HSeries.one(H2), 1 + hh):
+        out = scalar * op
+        assert isinstance(out, TensorOp)
+        assert out == op.scale(scalar)
+    for bad in (operator.add, operator.sub, operator.truediv):
+        with pytest.raises(TypeError):
+            bad(hh, op)
+    with pytest.raises(TypeError):
+        HSeries.const(Z, H2).subst_mult("Z", op)
+
+
 # -- differential tests against sympy.series -------------------------------
 #
 # Series in h whose coefficients are rational in the ring variable z, built

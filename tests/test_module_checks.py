@@ -81,13 +81,13 @@ def test_negative_control_wrong_shift():
     u = Arg.make(RatFunc.var("U"))
     w = FreeState.pure(ltd, norm, caps, Fraction(1),
                        [[Arg.make(RatFunc.var("V1"))]])
-    st = w.apply_tminus(
-        1, arg_h(u, ltd.kappa + 1),
-        nu_transform=lambda om, nu: om.transpose_slot(nu, ltd)
-                                      .conj_diag(md, nu, 1))
-    st = st.apply_tminus(1, u, shared_slot=st.open)
-    count, _ = st.residual(w.with_identity_open())
-    assert count > 0
+    st = w.apply_tminus(1, arg_h(u, ltd.kappa + 1))
+    nu = st.open
+    st = st._map_coeff(
+        lambda K: K.transpose_slot(nu, ltd).conj_diag(md, nu, 1))
+    st = st.apply_tminus(1, u, shared_slot=nu)
+    count, witness = st.residual(w.with_identity_open())
+    assert count > 0 and witness is not None
 
 
 def test_report_params_round_trip():

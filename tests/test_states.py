@@ -6,6 +6,7 @@ from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
 from rmx.rmatrix import Arg, solve_normalizer
 from rmx.states import FreeState, arg_diff, arg_h, arg_sum
+from rmx.tensorop import TensorOp
 
 
 def make_ctx(L=2, c=1, extra_caps=None):
@@ -45,15 +46,59 @@ def test_tminus_vacuum_normalization():
     assert out == vac.with_identity_open()
 
 
+def _invert_omega(omega: TensorOp, k: int) -> TensorOp:
+    """Oracle for the inverse lowering operator: invert its sandwich tensor.
+
+    Flattened over composite indices (matrix slot, new word rows, new word
+    columns) x (matrix slot, old word rows, old word columns), composition
+    of sandwich tensors on a shared matrix slot is matrix multiplication,
+    and the index-transfer tensor flattens to the identity; the inverse
+    sandwich is therefore the reshaped matrix inverse."""
+    m = 2 * k + 1
+    assert omega.m == m
+    flat = {}
+    for (row, col), val in omega.entries.items():
+        P, i, Pp = row[:k], row[k], row[k + 1:]
+        Q, j, Qp = col[:k], col[k], col[k + 1:]
+        flat[((i,) + Pp + Qp, (j,) + P + Q)] = val
+    inv = TensorOp(omega.N, m, omega.caps, flat).inv()
+    out = {}
+    for (row, col), val in inv.entries.items():
+        i, Pp, Qp = row[0], row[1:k + 1], row[k + 1:]
+        j, P, Q = col[0], col[1:k + 1], col[k + 1:]
+        out[(P + (i,) + Pp, Q + (j,) + Qp)] = val
+    return TensorOp(omega.N, m, omega.caps, out)
+
+
+@pytest.mark.parametrize("family,n,L", [("C", 1, 3), ("B", 1, 2)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_tminus_inv_chain_matches_matrix_oracle(family, n, L, k):
+    ltd = lie_type_data(family, n)
+    st = FreeState.vacuum(ltd, solve_normalizer(ltd, L=L), {"h": L}, 1)
+    u = ring("U")
+    word = tuple(ring(f"V{i}") for i in range(1, k + 1))
+    assert st._tminus_inv_omega(word, u) == \
+        _invert_omega(st._tminus_omega(word, u), k)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("method", ["chain", "matrix"])
 def test_tminus_roundtrip(k, method):
+    # "matrix" applies the oracle inverse, so the oracle is itself checked
+    # to undo the lowering operator
     ltd, norm, caps, c = make_ctx()
     u = ring("U")
     w = FreeState.pure(ltd, norm, caps, c,
                        [[ring(f"V{i}") for i in range(1, k + 1)]])
     st = w.apply_tminus(1, u)
-    st = st.apply_tminus_inv(1, u, shared_slot=st.open, method=method)
+    if method == "chain":
+        st = st.apply_tminus_inv(1, u, shared_slot=st.open)
+    else:
+        st = st._compose(
+            st._sym_slots(1),
+            lambda t: _invert_omega(st._tminus_omega(st._plain_word(t, 1), u),
+                                    k),
+            lambda t: t.words, st.open)
     assert st == w.with_identity_open()
 
 

@@ -80,6 +80,35 @@ def test_transpose_matches_basis_rule():
             assert t == expect
 
 
+def dense_transpose(a, slot, ltd):
+    """Brute-force oracle: expand A over embedded matrix units and replace
+    the unit e_ij at ``slot`` by eps_i eps_j e_{j'i'}."""
+    total = TensorOp.zero(a.N, a.m, a.caps)
+    for (row, col), val in a.entries.items():
+        term = TensorOp.identity(a.N, a.m, a.caps)
+        for s in range(a.m):
+            i, j = row[s], col[s]
+            if s == slot - 1:
+                u = TensorOp.unit(a.N, ltd.iprime(j), ltd.iprime(i), a.caps,
+                                  ltd.eps[i] * ltd.eps[j])
+            else:
+                u = TensorOp.unit(a.N, i, j, a.caps)
+            term = term * u.embed((s + 1,), a.m)
+        total = total + term.scale(val)
+    return total
+
+
+@pytest.mark.parametrize("family,n", [("B", 1), ("D", 2)])
+def test_transpose_against_dense_oracle(family, n):
+    # B1 has a middle index (i = i'), D2 has none
+    ltd = lie_type_data(family, n)
+    rng = random.Random(12)
+    for _ in range(3):
+        a = rand_op(rng, ltd.N, 2, density=0.3)
+        for slot in (1, 2):
+            assert a.transpose_slot(slot, ltd) == dense_transpose(a, slot, ltd)
+
+
 def test_conj_diag_roundtrip():
     diag = [HSeries.exp_shift({"h": Fraction(k, 2)}, CAPS) for k in range(N)]
     rng = random.Random(4)
