@@ -155,12 +155,11 @@ def _check_csuni(family, n, L, k=1, c=Fraction(1)):
 
     def chain(extra_shift):
         # R(-u+v_k+...)^-1 ... R(-u+v_1+...)^-1 embedded at (i, k+1)
-        out = TensorOp.identity(ltd.N, m, caps)
-        for i in range(k, 0, -1):
-            arg = Arg.make(RatFunc.var(f"v{i}") / u,
-                           {"h": -(hc2 + extra_shift)})
-            out = out * rhat_inv(ltd, norm, arg, caps).embed((i, mslot), m)
-        return out
+        return TensorOp.chain(ltd.N, m, caps, [
+            (rhat_inv(ltd, norm, Arg.make(RatFunc.var(f"v{i}") / u,
+                                          {"h": -(hc2 + extra_shift)}), caps),
+             (i, mslot))
+            for i in range(k, 0, -1)])
 
     mop = diag_op(ltd.N, caps, m_diag(ltd, caps)).embed((mslot,), m)
     lhs = chain(Fraction(0)) * mop \

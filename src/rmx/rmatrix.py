@@ -351,6 +351,6 @@ rhat = rmatrix
 
 
 def rhat_inv(ltd: LieTypeData, norm: Normalizer, arg: Arg, caps: dict) -> TensorOp:
-    """Inverse through unitarity: P * R(-a) * P."""
-    p = _constant_ops_cached(ltd, Caps.of(caps))["P"]
-    return p * rmatrix(ltd, norm, arg.neg(), caps) * p
+    """Inverse through unitarity: P * R(-a) * P, that is R(-a) with its two
+    slots exchanged."""
+    return rmatrix(ltd, norm, arg.neg(), caps).swap_slots(1, 2)

@@ -14,11 +14,14 @@ vacuum vector.  Each term keeps
 The raising operator adds word slots; the lowering operator, its inverse,
 the braiding and the RTT swap act through "sandwich tensors": an operator
 expression X_0 . T(b_1) . X_1 . T(b_2) ... X_n with matrix factors X_i is
-encoded as a tensor on ``wordop + extra + sym`` slots, built as the slot
-product X_0 * C_1 * X_1 * C_2 * ... * X_n where C_j is a cup-cap tensor
-transferring the j-th generator's indices from its wordop slot to its sym
-slot.  Composing such a tensor into a state contracts its wordop block
-with the state's sym block and rewrites the word.
+encoded as a tensor on ``wordop + extra + sym`` slots.  Each X_i is one
+ordered product of embedded R-matrices (``TensorOp.chain``).  The sandwich
+is built by a walk from the left: a generator at operator slot s reads its
+row index from the current column at s and writes each column index back
+into s, recording both on its sym slot; a matrix factor is joined on its
+rows.  Composing a sandwich into a state contracts its wordop block with
+the state's sym block and rewrites the word; an operator that opens a new
+matrix slot first appends an identity open slot and then acts on it.
 
 All operations return new states; nothing is mutated.
 """
@@ -87,57 +90,55 @@ class Term:
         return tuple(tuple(_slot_key(s) for s in w) for w in self.words)
 
 
-def _cupcap(N, caps, total, pairs) -> TensorOp:
-    """Index-transfer tensor on ``total`` slots.
-
-    For each pair (i, j) the row indices at slots i and j agree, and the
-    column indices at slots i and j agree (independently of the rows); every
-    unpaired slot carries a plain Kronecker delta between its row and column.
-    """
-    one = HSeries.one(caps)
-    paired = {s for p in pairs for s in p}
-    unpaired = [s for s in range(1, total + 1) if s not in paired]
-    entries = {}
-    for rvals in itertools.product(range(N), repeat=len(pairs)):
-        for cvals in itertools.product(range(N), repeat=len(pairs)):
-            for uvals in itertools.product(range(N), repeat=len(unpaired)):
-                row = [0] * total
-                col = [0] * total
-                for (i, j), r, c in zip(pairs, rvals, cvals):
-                    row[i - 1] = row[j - 1] = r
-                    col[i - 1] = col[j - 1] = c
-                for s, u in zip(unpaired, uvals):
-                    row[s - 1] = col[s - 1] = u
-                entries[(tuple(row), tuple(col))] = one
-    return TensorOp(N, total, caps, entries)
-
-
 def _chain_omega(N, caps, wslots, sym_wordops, mats) -> TensorOp:
     """Sandwich tensor for X_0 T(b_1) X_1 T(b_2) ... X_n.
 
     ``wslots`` is the number of operator slots (word slots plus extras);
     ``sym_wordops[j]`` is the 1-based operator slot carrying the j-th
     generator; ``mats`` has length len(sym_wordops)+1, each entry a TensorOp
-    on the operator slots (or None for identity).  The result lives on
-    wslots + len(sym_wordops) slots, sym slots appended in generator order.
-    """
-    total = wslots + len(sym_wordops)
+    on the operator slots (or None for identity after the first).  The
+    result lives on wslots + len(sym_wordops) slots, sym slots appended in
+    generator order.
 
-    def emb(mat):
+    The walk keeps a frontier (row, current column, generator rows so far,
+    generator columns so far) -> series over the product read so far."""
+    if len(mats) != len(sym_wordops) + 1:
+        raise ValueError(f"{len(mats)} matrices for "
+                         f"{len(sym_wordops)} generators")
+    frontier = {(row, col, (), ()): val
+                for (row, col), val in mats[0].entries.items()}
+    for wop, mat in zip(sym_wordops, mats[1:]):
+        s = wop - 1
+        frontier = {(row, col[:s] + (x,) + col[s + 1:], grow + (col[s],),
+                     gcol + (x,)): val
+                    for (row, col, grow, gcol), val in frontier.items()
+                    for x in range(N)}
         if mat is None:
-            return None
-        return mat.embed(tuple(range(1, wslots + 1)), total)
+            continue
+        by_row = {}
+        for (row, col), val in mat.entries.items():
+            by_row.setdefault(row, []).append((col, val))
+        joined = {}
+        for (row, mid, grow, gcol), val in frontier.items():
+            for col, mval in by_row.get(mid, ()):
+                key = (row, col, grow, gcol)
+                prod = val * mval
+                joined[key] = joined[key] + prod if key in joined else prod
+        frontier = joined
+    return TensorOp(N, wslots + len(sym_wordops), caps,
+                    {(row + grow, col + gcol): val
+                     for (row, col, grow, gcol), val in frontier.items()})
 
-    out = emb(mats[0])
-    for j, wop in enumerate(sym_wordops):
-        cup = _cupcap(N, caps, total, [(wop, wslots + 1 + j)])
-        out = cup if out is None else out * cup
-        nxt = emb(mats[j + 1])
-        if nxt is not None:
-            out = out * nxt
-    if out is None:
-        out = TensorOp.identity(N, total, caps)
-    return out
+
+def _placed(n, placed):
+    """The n + 1 matrix factors of a sandwich with n generators: each
+    ``(position, matrix)`` pair puts its matrix after the position-th
+    generator, matrices at one position multiply in order, and the other
+    positions hold None."""
+    mats = [None] * (n + 1)
+    for pos, mat in placed:
+        mats[pos] = mat if mats[pos] is None else mats[pos] * mat
+    return mats
 
 
 # ---------------------------------------------------------------- states
@@ -184,13 +185,14 @@ class FreeState:
         """The monomial state with the given per-factor argument words.
 
         Each word position gets one open matrix slot (in global word order)
-        whose indices coincide with those of the generator, realized by a
-        cup-cap coefficient.
+        whose row and column indices coincide with those of the generator.
         """
         words = tuple(tuple((a, 0) for a in w) for w in words)
         total = sum(len(w) for w in words)
-        pairs = [(j, total + j) for j in range(1, total + 1)]
-        k = _cupcap(ltd.N, caps, 2 * total, pairs)
+        one = HSeries.one(caps)
+        idx = list(itertools.product(range(ltd.N), repeat=total))
+        k = TensorOp(ltd.N, 2 * total, caps,
+                     {(r + r, c + c): one for r in idx for c in idx})
         return FreeState(ltd, norm, caps, c, total, [Term(k, words)])
 
     # -- layout helpers ------------------------------------------------
@@ -223,22 +225,30 @@ class FreeState:
 
     # -- sandwich composition ------------------------------------------
 
-    def _compose(self, targets, omega_of_term, new_words_of_term, extra=None):
+    def _open_slot(self, shared_slot):
+        """The state and the open slot an operator's matrix factor acts on:
+        ``shared_slot``, or, for None, a new identity open slot appended
+        after the existing open block."""
+        if shared_slot is not None:
+            return self, shared_slot
+        st = self.with_identity_open()
+        return st, st.open
+
+    def _compose(self, targets, omega_of_term, new_words_of_term, shared=None):
         """Contract a sandwich tensor into every term.
 
         ``targets`` are the global sym slots being rewritten; the tensor
         returned by ``omega_of_term`` lives on w + e + w slots (w wordop,
-        e extras, w sym), with e = 0 for ``extra=None`` and e = 1 otherwise.
-        The one extra is either "new" (a fresh open matrix slot is appended
-        after the existing open block) or an open slot s (its matrix factor
-        is multiplied from the left onto open slot s).
-        ``new_words_of_term`` gives the replacement words per term.
+        e extras, w sym), with e = 0 for ``shared=None`` and e = 1 for an
+        open slot s, onto which the extra's matrix factor is multiplied from
+        the left.  ``new_words_of_term`` gives the replacement words per
+        term.
         """
         w = len(targets)
-        e = 0 if extra is None else 1
+        e = 0 if shared is None else 1
         tpos = [t - 1 for t in targets]
-        shared = None if extra in (None, "new") else extra - 1
-        q = int(extra == "new")
+        if shared is not None:
+            shared -= 1
         out_terms = []
         for term in self.terms:
             K = term.coeff
@@ -265,16 +275,12 @@ class FreeState:
                     for p, rp, cp in zip(tpos, Pp, Qp):
                         row[p] = rp
                         col[p] = cp
-                    nrow = (tuple(row[:self.open]) + I[:q]
-                            + tuple(row[self.open:]))
-                    ncol = (tuple(col[:self.open]) + J[:q]
-                            + tuple(col[self.open:]))
                     val = kval * oval
-                    key = (nrow, ncol)
+                    key = (tuple(row), tuple(col))
                     entries[key] = entries[key] + val if key in entries else val
-            out_terms.append(Term(TensorOp(K.N, K.m + q, caps, entries),
+            out_terms.append(Term(TensorOp(K.N, K.m, caps, entries),
                                   new_words_of_term(term)))
-        return self._replace(out_terms, self.open + q)
+        return self._replace(out_terms)
 
     # -- raising operator ----------------------------------------------
 
@@ -285,41 +291,26 @@ class FreeState:
         With ``shared_slot=None`` a fresh open matrix slot is appended;
         otherwise the generator's matrix factor is multiplied from the left
         onto the existing open slot."""
-        N = self.ltd.N
-        pos = self._sym_base(factor)        # insert sym slot after this index
-        newopen = self.open + (1 if shared_slot is None else 0)
+        st, nu = self._open_slot(shared_slot)
+        N = st.ltd.N
+        pos = st._sym_base(factor)          # insert sym slot after this index
+        s = nu - 1
         out_terms = []
-        for term in self.terms:
+        for term in st.terms:
             K = term.coeff
             entries = {}
             for (krow, kcol), val in K.entries.items():
-                if shared_slot is None:
-                    for p in range(N):
-                        for qq in range(N):
-                            nrow = (krow[:self.open] + (p,)
-                                    + krow[self.open:pos] + (p,) + krow[pos:])
-                            ncol = (kcol[:self.open] + (qq,)
-                                    + kcol[self.open:pos] + (qq,) + kcol[pos:])
-                            key = (nrow, ncol)
-                            entries[key] = entries[key] + val \
-                                if key in entries else val
-                else:
-                    s = shared_slot - 1
-                    mm = krow[s]
-                    for p in range(N):
-                        row = list(krow)
-                        row[s] = p
-                        nrow = tuple(row[:pos]) + (p,) + tuple(row[pos:])
-                        ncol = kcol[:pos] + (mm,) + kcol[pos:]
-                        key = (nrow, ncol)
-                        entries[key] = entries[key] + val \
-                            if key in entries else val
+                mm = krow[s]
+                for p in range(N):
+                    row = list(krow)
+                    row[s] = p
+                    nrow = tuple(row[:pos]) + (p,) + tuple(row[pos:])
+                    entries[(nrow, kcol[:pos] + (mm,) + kcol[pos:])] = val
             words = list(term.words)
             words[factor - 1] = ((arg, 0),) + words[factor - 1]
-            out_terms.append(Term(TensorOp(N, K.m + (2 if shared_slot is None
-                                                     else 1), K.caps, entries),
+            out_terms.append(Term(TensorOp(N, K.m + 1, K.caps, entries),
                                   tuple(words)))
-        return self._replace(out_terms, newopen)
+        return st._replace(out_terms)
 
     # -- lowering operator ---------------------------------------------
 
@@ -333,20 +324,18 @@ class FreeState:
         k = len(word_args)
         wslots = k + 1
         nu = k + 1
-        N, caps = self.ltd.N, self.caps
+        N, caps, ltd = self.ltd.N, self.caps, self.ltd
         hc2 = self.c / 2
-        left = TensorOp.identity(N, wslots, caps)
-        for i, a in enumerate(word_args, start=1):
-            r = rhat(self.ltd, self.norm,
-                     arg_h(arg_diff(a, u), -hc2), self.caps)
-            left = left * r.embed((i, nu), wslots)
-        right = TensorOp.identity(N, wslots, caps)
-        for i in range(k, 0, -1):
-            r = rhat_inv(self.ltd, self.norm,
-                         arg_h(arg_diff(word_args[i - 1], u), hc2), self.caps)
-            right = right * r.embed((i, nu), wslots)
+        left = TensorOp.chain(N, wslots, caps, [
+            (rhat(ltd, self.norm, arg_h(arg_diff(a, u), -hc2), caps), (i, nu))
+            for i, a in enumerate(word_args, start=1)])
+        right = TensorOp.chain(N, wslots, caps, [
+            (rhat_inv(ltd, self.norm,
+                      arg_h(arg_diff(word_args[i - 1], u), hc2), caps),
+             (i, nu))
+            for i in range(k, 0, -1)])
         return _chain_omega(N, caps, wslots, list(range(1, k + 1)),
-                            [left, *([None] * (k - 1)), right])
+                            _placed(k, [(0, left), (k, right)]))
 
     def apply_tminus(self, factor: int, u: Arg, shared_slot=None) -> "FreeState":
         """Apply the lowering operator at argument u to one factor.
@@ -354,10 +343,11 @@ class FreeState:
         With ``shared_slot=None`` a fresh open matrix slot is appended;
         otherwise the operator's matrix factor is multiplied from the left
         onto the existing open slot."""
-        return self._compose(
-            self._sym_slots(factor),
-            lambda t: self._tminus_omega(self._plain_word(t, factor), u),
-            lambda t: t.words, "new" if shared_slot is None else shared_slot)
+        st, nu = self._open_slot(shared_slot)
+        return st._compose(
+            st._sym_slots(factor),
+            lambda t: st._tminus_omega(st._plain_word(t, factor), u),
+            lambda t: t.words, nu)
 
     def apply_tminus_inv(self, factor: int, u: Arg, shared_slot=None) -> "FreeState":
         """Apply the inverse of the lowering operator at argument u, with
@@ -367,45 +357,39 @@ class FreeState:
         transposed-chain part acts on the word-slot group from both sides of
         the plain-chain part, realized with the ordered slot product over
         the word-slot group."""
-        return self._compose(
-            self._sym_slots(factor),
-            lambda t: self._tminus_inv_omega(self._plain_word(t, factor), u),
-            lambda t: t.words, "new" if shared_slot is None else shared_slot)
+        st, nu = self._open_slot(shared_slot)
+        return st._compose(
+            st._sym_slots(factor),
+            lambda t: st._tminus_inv_omega(st._plain_word(t, factor), u),
+            lambda t: t.words, nu)
 
     def _tminus_inv_omega(self, word_args, u: Arg):
         k = len(word_args)
         wslots = k + 1
         nu = k + 1
-        total = wslots + k
         N, caps, ltd = self.ltd.N, self.caps, self.ltd
         hc2 = self.c / 2
-        kappa = ltd.kappa
         md = m_diag(ltd, caps)
         diag = diag_op(N, caps, md)
         diag_inv = diag_op(N, caps, [d.inv() for d in md])
         # transposed chain at -u + a_i - hc/2 - kappa*h, slots i descending,
         # after M^{-1} on the word slots
-        afull = TensorOp.identity(N, wslots, caps)
-        for i in range(1, k + 1):
-            afull = afull * diag_inv.embed((i,), wslots)
-        for i in range(k, 0, -1):
-            r = rhat(ltd, self.norm,
-                     arg_h(arg_diff(word_args[i - 1], u), -hc2 - kappa),
-                     caps)
-            afull = afull * r.embed((i, nu), wslots).transpose_slot(i, ltd)
+        afull = TensorOp.chain(N, wslots, caps, [
+            *((diag_inv, (i,)) for i in range(1, k + 1)),
+            *((rhat(ltd, self.norm,
+                    arg_h(arg_diff(word_args[i - 1], u), -hc2 - ltd.kappa),
+                    caps).transpose_slot(1, ltd), (i, nu))
+              for i in range(k, 0, -1))])
         # plain side: M on the word slots, then the word with the
         # plus-shifted chain to its right
-        mword = TensorOp.identity(N, wslots, caps)
-        for i in range(1, k + 1):
-            mword = mword * diag.embed((i,), wslots)
-        plus = TensorOp.identity(N, wslots, caps)
-        for i, a in enumerate(word_args, start=1):
-            plus = plus * rhat(ltd, self.norm,
-                               arg_h(arg_diff(a, u), hc2), caps) \
-                .embed((i, nu), wslots)
+        mword = TensorOp.chain(N, wslots, caps,
+                               [(diag, (i,)) for i in range(1, k + 1)])
+        plus = TensorOp.chain(N, wslots, caps, [
+            (rhat(ltd, self.norm, arg_h(arg_diff(a, u), hc2), caps), (i, nu))
+            for i, a in enumerate(word_args, start=1)])
         bomega = _chain_omega(N, caps, wslots, list(range(1, k + 1)),
-                              [mword, *([None] * (k - 1)), plus])
-        aemb = afull.embed(tuple(range(1, wslots + 1)), total)
+                              _placed(k, [(0, mword), (k, plus)]))
+        aemb = afull.embed(tuple(range(1, wslots + 1)), wslots + k)
         return aemb.odot(bomega, tuple(range(1, k + 1)), "LR")
 
     # -- open-slot algebra ---------------------------------------------
@@ -474,43 +458,35 @@ class FreeState:
             if any(d for _, d in term.words[f1 - 1] + term.words[f2 - 1]):
                 raise ValueError("braiding on a derivative-marked word")
 
+            def arg(i, j, hshift):
+                return arg_h(arg_sum(z, arg_diff(us[i - 1], vs[j - m - 1])),
+                             hshift)
+
             def chain(hshift, inverse=False):
                 # block chain: first-block index ascending outer,
                 # second-block index descending inner; the inverse chain
                 # multiplies the inverted factors in reversed order
-                out = TensorOp.identity(N, wslots, caps)
                 order = [(i, j) for i in range(1, m + 1)
                          for j in range(wslots, m, -1)]
                 if inverse:
                     order.reverse()
-                for i, j in order:
-                    arg = arg_h(arg_sum(z, arg_diff(us[i - 1], vs[j - m - 1])),
-                                hshift)
-                    r = (rhat_inv if inverse else rhat)(
-                        ltd, self.norm, arg, caps)
-                    out = out * r.embed((i, j), wslots)
-                return out
+                build = rhat_inv if inverse else rhat
+                return TensorOp.chain(N, wslots, caps, [
+                    (build(ltd, self.norm, arg(i, j, hshift), caps), (i, j))
+                    for i, j in order])
 
-            r1 = chain(0)
-            r2inv = chain(self.c, inverse=True)
-            r3 = chain(0)
+            outer = chain(0)
             bomega = _chain_omega(
-                N, caps, wslots,
-                list(range(1, m + 1)) + list(range(m + 1, wslots + 1)),
-                [r1, *([None] * (m - 1)), r2inv, *([None] * (k - 1)), r3])
-            afull = TensorOp.identity(N, wslots, caps)
-            for i in range(1, m + 1):
-                afull = afull * diag_inv.embed((i,), wslots)
-            for i in range(m, 0, -1):
-                for j in range(m + 1, wslots + 1):
-                    arg = arg_h(arg_sum(z, arg_diff(us[i - 1], vs[j - m - 1])),
-                                -(self.c + ltd.kappa))
-                    afull = afull * rhat(ltd, self.norm, arg, caps) \
-                        .embed((i, j), wslots).transpose_slot(i, ltd)
-            for i in range(1, m + 1):
-                afull = afull * diag.embed((i,), wslots)
-            aemb = afull.embed(tuple(range(1, wslots + 1)),
-                               wslots + wslots)
+                N, caps, wslots, list(range(1, wslots + 1)),
+                _placed(wslots, [(0, outer), (m, chain(self.c, inverse=True)),
+                                 (wslots, outer)]))
+            afull = TensorOp.chain(N, wslots, caps, [
+                *((diag_inv, (i,)) for i in range(1, m + 1)),
+                *((rhat(ltd, self.norm, arg(i, j, -(self.c + ltd.kappa)),
+                        caps).transpose_slot(1, ltd), (i, j))
+                  for i in range(m, 0, -1) for j in range(m + 1, wslots + 1)),
+                *((diag, (i,)) for i in range(1, m + 1))])
+            aemb = afull.embed(tuple(range(1, wslots + 1)), wslots + wslots)
             return aemb.odot(bomega, tuple(range(1, m + 1)), "LR")
 
         return self._compose(targets, omega_of, lambda t: t.words)
@@ -622,9 +598,7 @@ class FreeState:
             d = arg_diff(a[0], b[0])
             r = rhat(self.ltd, self.norm, d, caps)
             rinv = rhat_inv(self.ltd, self.norm, d, caps)
-            return _chain_omega(N, caps, 2, [2, 1],
-                                [rinv.embed((1, 2), 2), None,
-                                 r.embed((1, 2), 2)])
+            return _chain_omega(N, caps, 2, [2, 1], [rinv, None, r])
 
         def new_words(term):
             words = list(term.words)

@@ -43,6 +43,17 @@ class TensorOp:
         return TensorOp(N, m, caps, {(i, i): one for i in map(tuple, idx)})
 
     @staticmethod
+    def chain(N, m, caps, factors) -> "TensorOp":
+        """The ordered product of ``(operator, slots)`` factors, each
+        embedded in m slots at its 1-based slots; the identity when there
+        are no factors."""
+        out = None
+        for op, slots in factors:
+            emb = op.embed(slots, m)
+            out = emb if out is None else out * emb
+        return TensorOp.identity(N, m, caps) if out is None else out
+
+    @staticmethod
     def zero(N, m, caps) -> "TensorOp":
         return TensorOp(N, m, caps, {})
 

@@ -20,9 +20,9 @@ from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.module_checks import module_check, weak_assoc_chain
 from rmx.ratfunc import RatFunc
-from rmx.rmatrix import Arg, rhat, solve_normalizer
+from rmx.rmatrix import Arg, m_diag, rhat, solve_normalizer
 from rmx.script import parse_script
-from rmx.states import FreeState, arg_diff, arg_h
+from rmx.states import FreeState, arg_diff, arg_h, arg_sum
 
 FAMILIES = [("B", 1), ("C", 1), ("D", 2)]
 
@@ -231,6 +231,52 @@ def test_criterion_11_perturbed_hexagon():
     lhs = three.merge_y(1, 2, z2).braiding_s(1, 2, z1)
     rhs = three.braiding_s(1, 3, z1).braiding_s(2, 3, z1).merge_y(1, 2, z2)
     _assert_state_fails(lhs.canonicalize(), rhs.canonicalize())
+
+
+# The s_ybe and weak_assoc_chain controls below also leave no residual at
+# L=2; their perturbations first show at h^2.
+
+def test_criterion_11_perturbed_s_ybe():
+    # the braiding's Yang-Baxter relation with the left side's S_13 at
+    # z1+z2+h instead of z1+z2
+    _, _, three = _c1_states(3, [["X"], ["Y"], ["Ww"]])
+    z1, z2 = _ring("Za"), _ring("Zb")
+    z12 = arg_sum(z1, z2)
+    lhs = three.braiding_s(2, 3, z2).braiding_s(1, 3, arg_h(z12, 1)) \
+               .braiding_s(1, 2, z1)
+    rhs = three.braiding_s(1, 2, z1).braiding_s(1, 3, z12) \
+               .braiding_s(2, 3, z2)
+    _assert_state_fails(lhs.canonicalize(), rhs.canonicalize())
+
+
+def test_criterion_11_perturbed_weak_assoc_reordered():
+    # the reordered side of the weak associativity chain with its
+    # transposed factor at -(c+kappa)h + h instead of -(c+kappa)h
+    ltd = lie_type_data("C", 1)
+    norm = solve_normalizer(ltd, L=3)
+    caps = {"h": 3, "u": 1, "v": 1}
+    c = Fraction(0)
+    uarg, varg = Arg.make(1, {"u": -1}), Arg.make(1, {"v": -1})
+    z1, z2 = _ring("Z1"), _ring("Z2")
+    three = FreeState.pure(ltd, norm, caps, c, [[uarg], [varg], []])
+    direct = three.merge_y(2, 3, z2).merge_y(1, 2, z1)
+    xu, yv = arg_sum(z1, uarg), arg_sum(z2, varg)
+    st = three.apply_tminus_inv(3, arg_h(xu, c / 2))
+    nu_u = st.open
+    st = st.apply_tminus_inv(3, arg_h(yv, c / 2))
+    nu_v = st.open
+    st = st.apply_tplus(3, yv, shared_slot=nu_v)
+    st = st.apply_tplus(3, xu, shared_slot=nu_u)
+    st = st.mul_open_right(rhat(ltd, norm, arg_diff(yv, xu), caps),
+                           (nu_v, nu_u))
+    amat = rhat(ltd, norm, arg_h(arg_diff(yv, xu), -(c + ltd.kappa) + 1),
+                caps).transpose_slot(1, ltd).conj_diag(m_diag(ltd, caps), 1,
+                                                       -1)
+    st = st.odot_open(amat, (nu_v, nu_u), (nu_v,))
+    reordered = st._contract_pairs(
+        [(nu_u, st._sym_slots(1)[0]), (nu_v, st._sym_slots(2)[0])],
+        drop_factors=(1, 2))
+    _assert_state_fails(reordered, direct)
 
 
 def _assert_fails_from_order_one(residual):

@@ -21,7 +21,7 @@ from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc, _registry, _ring_for
 from rmx.report import CheckReport
 from rmx.rmatrix import solve_normalizer
-from rmx.states import FreeState
+from rmx.states import FreeState, _chain_omega
 from rmx.tensorop import TensorOp
 
 def raises(fn):
@@ -45,6 +45,8 @@ print(raises(lambda: CheckReport("x", {}, "pass", 1, None, 0)),
       raises(lambda: TensorOp.identity(2, 1, caps)
              * TensorOp.identity(2, 2, caps)),
       raises(lambda: vac.residual(vac.with_identity_open())),
+      raises(lambda: _chain_omega(2, caps, 1, [],
+                                  [TensorOp.identity(2, 1, caps)] * 2)),
       raises(lambda: _registry(("Z",)).factorize(not_canonical)),
       raises(lambda: HSeries.one(caps) * HSeries.one({"h": 3}))
       and raises(lambda: TensorOp.identity(2, 1, caps)
@@ -82,4 +84,4 @@ def test_gates_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", GATES], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True"] * 9
+    assert out.stdout.split() == ["True"] * 10

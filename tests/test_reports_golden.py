@@ -3,20 +3,25 @@ YBE script, run through ``rmx suite --format json``.
 
 The expected reports, with ``elapsed_ms`` removed, are in
 ``reports_golden.json`` next to this file.  A refactor that changes a
-verdict, a residual count or a witness fails here.  To regenerate the data
-after a deliberate change of a report, run
+verdict, a residual count or a witness fails here.  The suite also runs in
+a ``python -O`` subprocess, which strips every ``assert``, and must give the
+same reports there.  To regenerate the data after a deliberate change of a
+report, run
 
     PYTHONPATH=src python tests/test_reports_golden.py --write
 """
 
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 from rmx.checks import CHECKS
 from rmx.cli import main
 
 DATA = pathlib.Path(__file__).with_name("reports_golden.json")
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 PERTURBED = """\
 type C 1
@@ -39,19 +44,39 @@ def run_suite(path):
     out = StringIO()
     with redirect_stdout(out):
         code = main(["suite", str(path), "--format", "json"])
-    reports = json.loads(out.getvalue())
+    return code, without_timings(out.getvalue())
+
+
+def without_timings(text):
+    reports = json.loads(text)
     for rep in reports:
         del rep["elapsed_ms"]
-    return code, reports
+    return reports
 
 
-def test_reports_match_golden(tmp_path):
-    code, reports = run_suite(tmp_path / "suite.json")
+def assert_golden(code, reports):
     expected = json.loads(DATA.read_text())
     assert code == 1        # the perturbed script fails
     assert [r["name"] for r in reports] == [r["name"] for r in expected]
     for got, want in zip(reports, expected):
         assert got == want, got["name"]
+
+
+def test_reports_match_golden(tmp_path):
+    assert_golden(*run_suite(tmp_path / "suite.json"))
+
+
+def test_reports_match_golden_under_python_O(tmp_path):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(SUITE))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-O", "-m", "rmx.cli", "suite",
+                          str(path), "--format", "json"], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert out.stdout, out.stderr
+    assert_golden(out.returncode, without_timings(out.stdout))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from rmx import states
+from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
 from rmx.rmatrix import Arg, solve_normalizer
@@ -37,6 +40,100 @@ def test_pure_state_layout():
     assert st.factors == 2
     assert st.word_length(1) == st.word_length(2) == 1
     assert len(st.terms) == 1
+
+
+def _cupcap(N, caps, total, pairs) -> TensorOp:
+    """Index-transfer tensor on ``total`` slots.
+
+    For each pair (i, j) the row indices at slots i and j agree, and the
+    column indices at slots i and j agree (independently of the rows); every
+    unpaired slot carries a plain Kronecker delta between its row and column.
+    """
+    one = HSeries.one(caps)
+    paired = {s for p in pairs for s in p}
+    unpaired = [s for s in range(1, total + 1) if s not in paired]
+    entries = {}
+    for rvals in itertools.product(range(N), repeat=len(pairs)):
+        for cvals in itertools.product(range(N), repeat=len(pairs)):
+            for uvals in itertools.product(range(N), repeat=len(unpaired)):
+                row = [0] * total
+                col = [0] * total
+                for (i, j), r, c in zip(pairs, rvals, cvals):
+                    row[i - 1] = row[j - 1] = r
+                    col[i - 1] = col[j - 1] = c
+                for s, u in zip(unpaired, uvals):
+                    row[s - 1] = col[s - 1] = u
+                entries[(tuple(row), tuple(col))] = one
+    return TensorOp(N, total, caps, entries)
+
+
+def _chain_omega_products(N, caps, wslots, sym_wordops, mats) -> TensorOp:
+    """Oracle for the sandwich walk: the slot product
+    X_0 * C_1 * X_1 * ... * C_n * X_n on wslots + n slots, with every X_i
+    embedded in all slots and C_j the cup-cap tensor that transfers the
+    j-th generator's indices from its operator slot to its sym slot."""
+    total = wslots + len(sym_wordops)
+
+    def emb(mat):
+        if mat is None:
+            return None
+        return mat.embed(tuple(range(1, wslots + 1)), total)
+
+    out = emb(mats[0])
+    for j, wop in enumerate(sym_wordops):
+        cup = _cupcap(N, caps, total, [(wop, wslots + 1 + j)])
+        out = cup if out is None else out * cup
+        nxt = emb(mats[j + 1])
+        if nxt is not None:
+            out = out * nxt
+    if out is None:
+        out = TensorOp.identity(N, total, caps)
+    return out
+
+
+@pytest.mark.parametrize("family,n", [("C", 1), ("B", 1)])
+@pytest.mark.parametrize("words", [[[]], [["X"]], [["X", "Y"]],
+                                   [["X"], ["Y"]]])
+def test_pure_coefficient_is_cupcap(family, n, words):
+    ltd = lie_type_data(family, n)
+    caps = {"h": 2}
+    st = FreeState.pure(ltd, solve_normalizer(ltd, L=2), caps, 1,
+                        [[ring(v) for v in w] for w in words])
+    total = sum(len(w) for w in words)
+    assert st.terms[0].coeff == _cupcap(
+        ltd.N, caps, 2 * total, [(j, total + j) for j in range(1, total + 1)])
+
+
+@pytest.mark.parametrize("family,n,L", [("C", 1, 3), ("B", 1, 2)])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_chain_omega_matches_cupcap_oracle(monkeypatch, family, n, L, k):
+    # every sandwich the operators build equals the cup-cap slot product
+    walk = states._chain_omega
+    wirings = set()
+
+    def checked(N, caps, wslots, sym_wordops, mats):
+        out = walk(N, caps, wslots, sym_wordops, mats)
+        assert out == _chain_omega_products(N, caps, wslots, sym_wordops,
+                                            mats)
+        wirings.add((wslots, tuple(sym_wordops)))
+        return out
+
+    monkeypatch.setattr(states, "_chain_omega", checked)
+    ltd = lie_type_data(family, n)
+    norm = solve_normalizer(ltd, L=L)
+    caps = {"h": L}
+    u = ring("U")
+    word = [ring(f"V{i}") for i in range(1, k + 1)]
+    vac = FreeState.vacuum(ltd, norm, caps, 1)
+    vac._tminus_omega(word, u)
+    vac._tminus_inv_omega(word, u)
+    FreeState.pure(ltd, norm, caps, 1, [word, [ring("Y")]]) \
+        .braiding_s(1, 2, ring("Zs"))
+    FreeState.pure(ltd, norm, caps, 1, [[ring("X"), ring("Y")]]) \
+        .rtt_swap(1, 1)
+    assert wirings == {(k + 1, tuple(range(1, k + 1))),      # lowering
+                       (k + 1, tuple(range(1, k + 2))),      # braiding
+                       (2, (2, 1))}                          # RTT swap
 
 
 def test_tminus_vacuum_normalization():
@@ -81,12 +178,15 @@ def test_tminus_inv_chain_matches_matrix_oracle(family, n, L, k):
         _invert_omega(st._tminus_omega(word, u), k)
 
 
+# The roundtrips run at L=3: a sign flip of the hc/2 shift in the inverse
+# first shows at h^2.
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("method", ["chain", "matrix"])
 def test_tminus_roundtrip(k, method):
     # "matrix" applies the oracle inverse, so the oracle is itself checked
     # to undo the lowering operator
-    ltd, norm, caps, c = make_ctx()
+    ltd, norm, caps, c = make_ctx(L=3)
     u = ring("U")
     w = FreeState.pure(ltd, norm, caps, c,
                        [[ring(f"V{i}") for i in range(1, k + 1)]])
@@ -103,7 +203,7 @@ def test_tminus_roundtrip(k, method):
 
 
 def test_tminus_roundtrip_reversed():
-    ltd, norm, caps, c = make_ctx()
+    ltd, norm, caps, c = make_ctx(L=3)
     u = ring("U")
     w = FreeState.pure(ltd, norm, caps, c, [[ring("V1")]])
     st = w.apply_tminus_inv(1, u)
