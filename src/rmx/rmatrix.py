@@ -10,6 +10,17 @@ capped formal variables (h included).  The normalizing series g1 solves
 
 order by order in h; each h-order is rational in z with denominator a power
 of (1 - z).
+
+The R-matrix is R(x) = e^{(1+2kappa)h/2} g1(x) R+(x), where
+
+    R+(x) = q^{-1}(x-1)(x-xi) Rconst - (q^{-2}-1)(x-xi) P + xi(q^{-2}-1)(x-1) Q
+
+combines three constant operators with three scalar series.  A template,
+cached per type and cap set, holds the prefactor, xi = e^{-kappa h}, q^{-1}
+and q^{-2}-1, and groups the entries of R+ by their exact coefficient
+triple in (Rconst, P, Q).  A build forms s = prefactor * g1(x), the three
+scalar series times s, and one combination per group, which every entry of
+the group shares; R+ itself is the same build with s = 1.
 """
 
 from __future__ import annotations
@@ -141,23 +152,62 @@ def diag_op(N: int, caps: dict, diag) -> TensorOp:
     return TensorOp(N, 1, caps, {((i,), (i,)): diag[i] for i in range(N)})
 
 
-def rplus(ltd: LieTypeData, x: HSeries, caps: dict) -> TensorOp:
-    """R+(x, q) = q^{-1}(x-1)(x-xi)R - (q^{-2}-1)(x-xi)P + xi(q^{-2}-1)(x-1)Q."""
-    ops = _constant_ops_cached(ltd, Caps.of(caps))
-    xi = HSeries.exp_shift({"h": -ltd.kappa}, caps)
-    qinv = _q(caps, -1)
-    qinv2m1 = _q(caps, -2) - 1
-    xm1 = x - 1
-    xmxi = x - xi
-    out = ops["Rconst"].scale(qinv * xm1 * xmxi)
-    out = out - ops["P"].scale(qinv2m1 * xmxi)
-    out = out + ops["Q"].scale(xi * qinv2m1 * xm1)
-    return out
+@dataclass(frozen=True)
+class _Template:
+    """What every R-matrix of one type and cap set shares.
+
+    ``groups`` pairs each distinct exact triple of coefficients of R+'s
+    constant operators (Rconst, P, Q), an absent one counted as zero, with
+    the keys that carry it.
+    """
+
+    N: int
+    prefactor: HSeries      # e^{(1+2kappa)h/2}
+    xi: HSeries             # e^{-kappa h}
+    qinv: HSeries
+    qinv2m1: HSeries        # q^{-2} - 1
+    xi_qinv2m1: HSeries     # xi (q^{-2} - 1)
+    groups: tuple           # (((rconst, p, q), keys), ...)
 
 
 @lru_cache(maxsize=None)
-def _constant_ops_cached(ltd: LieTypeData, caps: Caps) -> dict:
-    return build_constant_ops(ltd, caps)
+def _template(ltd: LieTypeData, caps: Caps) -> _Template:
+    ops = build_constant_ops(ltd, caps)
+    zero = HSeries.zero(caps)
+    groups = {}
+    for key in {**ops["Rconst"].entries, **ops["P"].entries,
+                **ops["Q"].entries}:
+        coeffs = tuple(ops[name].entries.get(key, zero)
+                       for name in ("Rconst", "P", "Q"))
+        exact = tuple(frozenset(c.terms.items()) for c in coeffs)
+        groups.setdefault(exact, (coeffs, []))[1].append(key)
+    xi = HSeries.exp_shift({"h": -ltd.kappa}, caps)
+    qinv2m1 = _q(caps, -2) - 1
+    return _Template(
+        ltd.N, HSeries.exp_shift({"h": Fraction(1, 2) + ltd.kappa}, caps),
+        xi, _q(caps, -1), qinv2m1, xi * qinv2m1,
+        tuple((coeffs, tuple(keys)) for coeffs, keys in groups.values()))
+
+
+def _scaled_rplus(t: _Template, x: HSeries, s: HSeries) -> TensorOp:
+    """s * R+(x): three scalar series, then one combination per group of
+    keys, shared by every key of the group."""
+    xm1 = x - 1
+    s_xmxi = s * (x - t.xi)
+    a = s_xmxi * xm1 * t.qinv
+    b = s_xmxi * t.qinv2m1
+    c = s * xm1 * t.xi_qinv2m1
+    entries = {}
+    for (rc, pc, qc), keys in t.groups:
+        val = rc * a - pc * b + qc * c
+        for key in keys:
+            entries[key] = val
+    return TensorOp(t.N, 2, s.caps, entries)
+
+
+def rplus(ltd: LieTypeData, x: HSeries, caps: dict) -> TensorOp:
+    """R+(x, q) = q^{-1}(x-1)(x-xi)R - (q^{-2}-1)(x-xi)P + xi(q^{-2}-1)(x-1)Q."""
+    return _scaled_rplus(_template(ltd, Caps.of(caps)), x, HSeries.one(caps))
 
 
 @dataclass(frozen=True)
@@ -250,14 +300,17 @@ def _solve_normalizer_cached(ltd, L, dz) -> Normalizer:
 
 
 def _zshift_capped(s: HSeries, kappa) -> HSeries:
-    """z -> z*e^{-kappa h} when z is a capped variable of s."""
+    """z -> z*e^{-kappa h} when z is a capped variable of s: the terms of
+    each z-power m, times e^{-kappa m h}."""
     caps = s.caps
     zi = caps.names.index("z")
-    out = HSeries.zero(caps)
+    by_power = {}
     for k, coeff in s.terms.items():
         mono = caps.monos[k]
-        m = mono[zi]
-        piece = HSeries(caps, {mono: coeff})
+        by_power.setdefault(mono[zi], {})[mono] = coeff
+    out = HSeries.zero(caps)
+    for m, terms in by_power.items():
+        piece = HSeries(caps, terms)
         if m:
             piece = piece * HSeries.exp_shift({"h": -kappa * m}, caps)
         out = out + piece
@@ -332,17 +385,11 @@ def _poly_to_capped(p: RatFunc, caps) -> HSeries:
     return out
 
 
-@lru_cache(maxsize=None)
-def _prefactor_cached(ltd: LieTypeData, caps: Caps) -> HSeries:
-    return HSeries.exp_shift({"h": Fraction(1, 2) + ltd.kappa}, caps)
-
-
 def rmatrix(ltd: LieTypeData, norm: Normalizer, arg: Arg, caps: dict) -> TensorOp:
     """e^{(1+2kappa)h/2} * g1(x) * R+(x, e^{h/2}) at x = the given argument."""
-    x = arg.to_hseries(caps)
-    g1x = norm.g1_at(arg, caps)
-    prefactor = _prefactor_cached(ltd, Caps.of(caps))
-    return rplus(ltd, x, caps).scale(prefactor * g1x)
+    t = _template(ltd, Caps.of(caps))
+    return _scaled_rplus(t, arg.to_hseries(caps),
+                         t.prefactor * norm.g1_at(arg, caps))
 
 
 # The same object serves both coordinate pictures: additive arguments are

@@ -14,13 +14,15 @@ from fractions import Fraction
 
 import pytest
 
-from rmx.checks import builtin_check, correspondence_check, evaluate
+from rmx.checks import (PolynomialityError, builtin_check,
+                        correspondence_check, evaluate, prefactor_substitute)
 from rmx.cli import main
 from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.module_checks import module_check, weak_assoc_chain
 from rmx.ratfunc import RatFunc
-from rmx.rmatrix import Arg, m_diag, rhat, solve_normalizer
+from rmx.rmatrix import (Arg, diag_op, m_diag, rhat, rhat_inv, rmatrix,
+                         solve_normalizer)
 from rmx.script import parse_script
 from rmx.states import FreeState, arg_diff, arg_h, arg_sum
 
@@ -277,6 +279,67 @@ def test_criterion_11_perturbed_weak_assoc_reordered():
         [(nu_u, st._sym_slots(1)[0]), (nu_v, st._sym_slots(2)[0])],
         drop_factors=(1, 2))
     _assert_state_fails(reordered, direct)
+
+
+# The csuni and correspondence controls below leave no residual at L=2
+# either: each is checked at order 2 as well as at the order where it fails.
+
+def _csuni_residual(L, delta):
+    # the inverse transposed chain identity at C1, k=1, c=1 with the
+    # transposed chain at -kappa + delta instead of -kappa
+    ltd = lie_type_data("C", 1)
+    norm = solve_normalizer(ltd, L=L)
+    caps = {"h": L}
+    arg = Arg.make(RatFunc.var("v1") / RatFunc.var("u"))
+
+    def chain(shift):
+        # the chain's one factor: the inverse R-matrix at slots (1, 2), at
+        # x = (v1/u) e^{-(1/2 + shift)h}
+        return rhat_inv(ltd, norm, arg.plus({"h": -Fraction(1, 2) - shift}),
+                        caps)
+
+    mop = diag_op(ltd.N, caps, m_diag(ltd, caps)).embed((2,), 2)
+    lhs = chain(0) * mop * chain(-ltd.kappa + delta).transpose_slot(2, ltd)
+    return lhs - mop
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_criterion_11_perturbed_csuni(delta):
+    assert _csuni_residual(3, 0).is_zero()
+    assert _csuni_residual(2, delta).is_zero()
+    residual = _csuni_residual(3, delta)
+    assert residual.nonzero_count() == 6
+    assert residual.witness() is not None
+
+
+def _correspondence_residual(l, offset):
+    # the correspondence at C1, alpha = 1/2, caps 2 with the additive side
+    # at alpha + offset; returns the prefactor exponent and the residual
+    ltd = lie_type_data("C", 1)
+    norm = solve_normalizer(ltd, L=l)
+    caps = {"h": l, "u": 2, "v": 2}
+    alpha = Fraction(1, 2)
+    x, y, z0 = RatFunc.var("x"), RatFunc.var("y"), RatFunc.var("Z0")
+    lhs_raw = rmatrix(ltd, norm, Arg.make(x / y, {"u": 1, "v": -1,
+                                                  "h": alpha}), caps)
+    for r in range(17):
+        try:
+            lhs = prefactor_substitute(lhs_raw, r, "x", "y", "Z0")
+        except PolynomialityError:
+            continue
+        break
+    rhs = rmatrix(ltd, norm, Arg.make(1 / z0, {"u": 1, "v": -1,
+                                               "h": alpha + offset}), caps)
+    return r, lhs - rhs.scale(x ** r * (1 - z0) ** r)
+
+
+def test_criterion_11_perturbed_correspondence():
+    assert _correspondence_residual(3, 0)[1].is_zero()
+    assert _correspondence_residual(2, 1)[1].is_zero()
+    r, residual = _correspondence_residual(3, 1)
+    assert r == 4
+    assert residual.nonzero_count() == 6
+    assert residual.witness() is not None
 
 
 def _assert_fails_from_order_one(residual):

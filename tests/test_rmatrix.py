@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from rmx.hseries import HSeries
@@ -140,3 +142,51 @@ def test_rhat_pole_at_coinciding_points():
     norm = solve_normalizer(ltd, L=3)
     with pytest.raises(ZeroDivisionError):
         rhat(ltd, norm, Arg.make(1), CAPS)
+
+
+# The per-entry construction, kept as the oracle of the template build:
+# each constant operator scaled by its scalar, then every entry scaled again
+# by e^{(1+2kappa)h/2} g1(x).
+
+def _per_entry_rplus(ltd, x, caps):
+    ops = build_constant_ops(ltd, caps)
+    xi = HSeries.exp_shift({"h": -ltd.kappa}, caps)
+    qinv = HSeries.exp_shift({"h": Fraction(-1, 2)}, caps)
+    qinv2m1 = HSeries.exp_shift({"h": -1}, caps) - 1
+    xm1, xmxi = x - 1, x - xi
+    return (ops["Rconst"].scale(qinv * xm1 * xmxi)
+            - ops["P"].scale(qinv2m1 * xmxi)
+            + ops["Q"].scale(xi * qinv2m1 * xm1))
+
+
+def _per_entry_rmatrix(ltd, norm, arg, caps):
+    prefactor = HSeries.exp_shift({"h": Fraction(1, 2) + ltd.kappa}, caps)
+    return _per_entry_rplus(ltd, arg.to_hseries(caps), caps).scale(
+        prefactor * norm.g1_at(arg, caps))
+
+
+XY = RatFunc.var("x") / RatFunc.var("y")
+DIFF_ARGS = [
+    pytest.param({}, Arg.make(Z), id="plain"),
+    pytest.param({}, Arg.make(Z, {"h": Fraction(3, 2)}), id="h-shifted"),
+    pytest.param({"u": 2, "v": 2},
+                 Arg.make(XY, {"u": 1, "v": -1, "h": Fraction(-1, 2)}),
+                 id="capped"),
+]
+
+
+@pytest.mark.parametrize("family,n,L", [("B", 1, 3), ("C", 1, 3),
+                                        ("D", 2, 3), ("C", 2, 2)])
+@pytest.mark.parametrize("extra,arg", DIFF_ARGS)
+def test_template_build_matches_per_entry_oracle(family, n, L, extra, arg):
+    ltd = lie_type_data(family, n)
+    norm = solve_normalizer(ltd, L=L)
+    caps = {"h": L, **extra}
+    x = arg.to_hseries(caps)
+    assert (rplus(ltd, x, caps).entries_data()
+            == _per_entry_rplus(ltd, x, caps).entries_data())
+    assert (rhat(ltd, norm, arg, caps).entries_data()
+            == _per_entry_rmatrix(ltd, norm, arg, caps).entries_data())
+    assert (rhat_inv(ltd, norm, arg, caps).entries_data()
+            == _per_entry_rmatrix(ltd, norm, arg.neg(), caps)
+            .swap_slots(1, 2).entries_data())
