@@ -160,6 +160,15 @@ def _check_s_unitarity(family, n, L, c=Fraction(1)):
 
 @register("s_ybe")
 def _check_s_ybe(family, n, L, c=Fraction(1)):
+    """S23(z2) S13(z1+z2) S12(z1) = S12(z1) S13(z1+z2) S23(z2) on three
+    one-word factors.
+
+    Known blind spot: an error in the middle braiding's argument that both
+    sides share goes unseen.  With S13 at z1+z2+h on both sides the residual
+    is 0 at C1, L=2 and L=3; shifting one side only leaves 144 residual
+    entries at L=3.  Why the relation holds for a shared shifted argument
+    is not established.
+    """
     ltd, norm, caps = _context(family, n, L)
     x, y, w = _ring_args("X", "Y", "Ww")
     z1, z2 = _ring_args("Za", "Zb")

@@ -7,11 +7,22 @@ variable by another rational function, and a deterministic serialization.
 Representation.  A value without variables is a ``fractions.Fraction``.  A
 value N/D over a sorted tuple of variables is held once, as
 
-* its numerator N, a polynomial with integer coefficients in the sympy
-  ``PolyRing`` over ZZ with graded-lex order for that tuple, and
+* its numerator N, a polynomial with integer coefficients: a plain ``dict``
+  from packed monomial to nonzero ``int`` coefficient (see below), and
 * its denominator's factorization, a pair ``(c, (e_0, e_1, ...))`` meaning
   D = c * p_0^e_0 * p_1^e_1 * ..., where c is a positive integer and p_i is
   the i-th factor in the registry of that tuple.
+
+Packed monomials (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  A monomial in n
+variables is one ``int`` whose 16-bit fields run [total degree | e_0 | e_1
+| ... | e_{n-1}] from the most significant down.  The product of two
+monomials is the sum of their ints, and graded-lex order (total degree
+first, then lexicographic with the first variable most significant) is the
+order of the ints.  The top bit of each field is a guard: a quotient m - l
+is a monomial exactly when no guard bit of the difference is set.  A
+product or power whose total degree would reach 2^15 raises ValueError
+instead of wrapping into the next field.
 
 Each tuple of variables keeps a registry of the irreducible denominator
 factors met over it: primitive integer polynomials with a positive
@@ -27,14 +38,12 @@ Canonical form.  Every value is kept with
   since c and every factor's leading coefficient are positive);
 
 zero is 0/1.  This pair is unique for each rational function, and so is
-its factorization over a registry, so equality is structural.  It is
-exactly the form sympy's ``cancel`` returns.  The expanded denominator is
-built only where it is needed: by ``denom_terms`` (and through it ``repr``,
-``to_data`` and failure witnesses), by ``hash`` and as the numerator of a
-reciprocal.  ``denom_is_monomial`` and ``remove_denominator_factor`` read
-the factorization.  Integers read out of the ring are converted with
-``int``: sympy's ZZ may use gmpy2's or flint's integer type, which would
-otherwise leak into ``Fraction``s and serialized data.
+its factorization over a registry, so equality and hashing are structural.
+It is exactly the form sympy's ``cancel`` returns.  The expanded
+denominator is built only where it is needed: by ``denom_terms`` (and
+through it ``repr``, ``to_data`` and failure witnesses) and as the
+numerator of a reciprocal.  ``denom_is_monomial`` and
+``remove_denominator_factor`` read the factorization.
 
 No operation reduces by a polynomial gcd.  Each cancels by exact trial
 division against the registry's factors only, then divides out the joint
@@ -52,8 +61,15 @@ integer content:
 * a / b is a times the reciprocal of b = N/D, which is D/N with the sign
   moved so that the new denominator's leading coefficient is positive.  N
   is split by trial division against the registry; what is left, if it is
-  not a constant, has a factor the registry does not hold, and only then is
-  it split by sympy's ``factor_list``, whose factors join the registry.
+  not a constant, has factors the registry does not hold.  Three exact
+  rules split it: a monomial splits into its variables; a polynomial in
+  one variable gives up its rational roots, and a leftover of degree 2 or
+  3 with no rational root is irreducible; a primitive polynomial of degree
+  1 in some variable whose coefficient of that variable's first or zeroth
+  power is an integer is irreducible.  Only what these rules cannot settle
+  is split by sympy's ``factor_list``, imported there and nowhere else, so
+  sympy is the fallback for factorization (and the oracle of the tests),
+  not a dependency of the arithmetic.  New factors join the registry.
   Negative powers, ``subs_var`` and ``from_data`` divide this way; nothing
   else factors.
 * An ``int`` or ``Fraction`` operand is not lifted to the variables.  A
@@ -70,37 +86,155 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-
-from sympy import ZZ
-from sympy.polys.orderings import grlex
-from sympy.polys.rings import ring as _mkring
+from math import gcd, isqrt
 
 __all__ = ["RatFunc"]
 
 
+# -- packed monomials ----------------------------------------------------
+
+FIELD_BITS = 16
+_FIELD = (1 << FIELD_BITS) - 1
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+
+
+class _Packing:
+    """Packed monomials in ``n`` variables: field shifts, the guard mask and
+    the generators (each with its total-degree bit)."""
+
+    __slots__ = ("shifts", "top", "limit", "guards", "gens")
+
+    def __init__(self, n):
+        self.top = n * FIELD_BITS
+        self.shifts = tuple((n - 1 - i) * FIELD_BITS for i in range(n))
+        # the smallest int whose total degree exceeds MAX_DEGREE
+        self.limit = (MAX_DEGREE + 1) << self.top
+        guard = 1 << (FIELD_BITS - 1)
+        self.guards = sum(guard << (k * FIELD_BITS) for k in range(n + 1))
+        self.gens = tuple((1 << self.top) | (1 << s) for s in self.shifts)
+
+    def pack(self, exps) -> int:
+        """The packed monomial of the exponent vector ``exps``."""
+        deg = sum(exps)
+        if min(exps, default=0) < 0 or deg > MAX_DEGREE:
+            raise ValueError(f"monomial exponents {tuple(exps)} do not fit "
+                             f"a packed field (total degree at most "
+                             f"{MAX_DEGREE})")
+        m = deg << self.top
+        for e, s in zip(exps, self.shifts):
+            m |= e << s
+        return m
+
+    def unpack(self, m) -> tuple:
+        return tuple((m >> s) & _FIELD for s in self.shifts)
+
+
 @lru_cache(maxsize=None)
-def _ring_for(names: tuple):
-    if not names:
-        raise ValueError("constants have no ring; they are Fractions")
-    return _mkring(",".join(names), ZZ, grlex)[0]
+def _packing(n: int) -> _Packing:
+    if not n:
+        raise ValueError("constants have no monomials; they are Fractions")
+    return _Packing(n)
 
 
-def _moved(poly, ring, pos):
-    """``poly`` in ``ring``, where its variable i is ``ring``'s variable
-    ``pos[i]``; a variable with no position must not occur in ``poly``."""
-    nvars = len(ring.gens)
-    data = {}
-    for monom, coeff in poly.items():
-        m2 = [0] * nvars
-        for i, e in enumerate(monom):
-            if e:
-                m2[pos[i]] = e
-        data[tuple(m2)] = coeff
-    return ring.dtype(data)
+def _overflow(m, pk):
+    return ValueError(f"exponent overflow: total degree {m >> pk.top} does "
+                      f"not fit a packed field (at most {MAX_DEGREE})")
 
 
-# -- integer polynomial helpers -----------------------------------------
+def _moved(poly, src, dst, pos):
+    """``poly`` over packing ``src`` moved to packing ``dst``, where its
+    variable i is ``dst``'s variable ``pos[i]``; a variable with no position
+    must not occur in ``poly``.  The total degree is kept."""
+    pairs = [(s, dst.shifts[p]) for s, p in zip(src.shifts, pos)
+             if p is not None]
+    out = {}
+    for m, c in poly.items():
+        m2 = (m >> src.top) << dst.top
+        for s, d in pairs:
+            m2 |= ((m >> s) & _FIELD) << d
+        out[m2] = c
+    return out
+
+
+# -- integer polynomials: dict packed monomial -> nonzero int ------------
+
+def _is_ground(f) -> bool:
+    return not f or (len(f) == 1 and 0 in f)
+
+
+def _lc(f) -> int:
+    """The graded-lex leading coefficient of a nonzero ``f``."""
+    return f[max(f)]
+
+
+def _neg(f):
+    return {m: -c for m, c in f.items()}
+
+
+def _add_polys(f, g, sign=1):
+    """``f + sign * g``."""
+    out = dict(f)
+    for m, c in g.items():
+        v = out.get(m, 0) + sign * c
+        if v:
+            out[m] = v
+        else:
+            del out[m]
+    return out
+
+
+def _mul_polys(f, g, pk):
+    """``f * g``; ValueError if the product's degree overflows a field."""
+    if not f or not g:
+        return {}
+    if max(f) + max(g) >= pk.limit:
+        raise _overflow(max(f) + max(g), pk)
+    if len(f) > len(g):
+        f, g = g, f
+    if len(f) == 1:
+        (m1, c1), = f.items()
+        return {m1 + m: c1 * c for m, c in g.items()}
+    out = {}
+    get = out.get
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _pow_poly(f, n, pk):
+    """``f ** n`` for ``n >= 1``."""
+    if max(f) * n >= pk.limit:
+        raise _overflow(max(f) * n, pk)
+    if len(f) == 1:
+        (m, c), = f.items()
+        return {m * n: c ** n}
+    out = None
+    while True:
+        if n & 1:
+            out = f if out is None else _mul_polys(out, f, pk)
+        n >>= 1
+        if not n:
+            return out
+        f = _mul_polys(f, f, pk)
+
+
+def _diff_poly(f, i, pk):
+    """The derivative of ``f`` by its ``i``-th variable."""
+    s, gen = pk.shifts[i], pk.gens[i]
+    out = {}
+    for m, c in f.items():
+        e = (m >> s) & _FIELD
+        if e:
+            out[m - gen] = c * e
+    return out
+
+
+def _degree(f, i, pk) -> int:
+    s = pk.shifts[i]
+    return max(((m >> s) & _FIELD for m in f), default=0)
+
 
 def _content(poly, g=0):
     """gcd of ``g`` and the coefficients of ``poly``; stops early at 1."""
@@ -116,67 +250,65 @@ def _scale(poly, mul, div=1):
     if mul == div:
         return poly
     if div == 1:
-        return poly.ring.dtype({m: c * mul for m, c in poly.items()})
-    return poly.ring.dtype({m: c * mul // div for m, c in poly.items()})
+        return {m: c * mul for m, c in poly.items()}
+    return {m: c * mul // div for m, c in poly.items()}
 
 
-def _quotient(f, p):
+def _quotient(f, p, pk):
     """``f / p`` if ``p`` divides ``f``, else None.
 
     ``p`` is primitive, so by Gauss's lemma an exact quotient has integer
     coefficients too; the division stops at the first leading term that
     ``p``'s does not divide over Z.
     """
-    ring = f.ring
-    lead, mdiv = ring.leading_expv, ring.monomial_div
+    guards = pk.guards
     if len(p) == 1:
         # an irreducible monomial is a variable: shift every exponent
-        (lm, _), = p.items()
+        lm, = p
         q = {}
         for m, c in f.items():
-            qm = mdiv(m, lm)
-            if qm is None:
+            qm = m - lm
+            if qm & guards:
                 return None
             q[qm] = c
-        return ring.dtype(q)
-    mmul = ring.monomial_mul
-    lm = lead(p)
+        return q
+    lm = max(p)
     lc = p[lm]
     tail = [(m, c) for m, c in p.items() if m != lm]
     rem = dict(f)
     q = {}
     while rem:
-        m = lead(rem)
-        qm = mdiv(m, lm)
-        if qm is None:
+        m = max(rem)
+        qm = m - lm
+        if qm & guards:
             return None
         c, r = divmod(rem.pop(m), lc)
         if r:
             return None
         q[qm] = c
         for pm, pc in tail:
-            km = mmul(pm, qm)
+            km = pm + qm
             v = rem.get(km, 0) - pc * c
             if v:
                 rem[km] = v
             else:
                 del rem[km]
-    return ring.dtype(q)
+    return q
 
 
-def _times(poly, factors, exps):
+def _times(poly, factors, exps, pk):
     """``poly * prod factors[i]**exps[i]``."""
     for p, e in zip(factors, exps):
         if e:
-            poly = poly * (p if e == 1 else p ** e)
+            poly = _mul_polys(poly, p if e == 1 else _pow_poly(p, e, pk), pk)
     return poly
 
 
-def _cancel(num, p, e):
+def _cancel(num, p, e, pk):
     """Divide ``num`` by ``p`` as often as ``p`` divides it, at most ``e``
     times.  Returns the new ``(num, e)``."""
     while e:
-        q = _quotient(num, p)
+        q = _quotient(num, p, pk)
         if q is None:
             break
         num, e = q, e - 1
@@ -187,14 +319,140 @@ def _padded(exps, n):
     return list(exps) + [0] * (n - len(exps))
 
 
+# -- splitting a new denominator into irreducible factors ---------------
+
+# Rational roots are searched only among the divisors of coefficients up to
+# this size; a larger one sends the polynomial to the fallback.
+_ROOT_SEARCH = 10 ** 8
+
+
+def _divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if not n % d]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _rational_roots(coeffs):
+    """The candidate roots p/q, as coprime pairs with q > 0, of the integer
+    polynomial sum coeffs[k] x^k (nonzero constant and leading terms), or
+    None if a coefficient is too large to search."""
+    a0, an = coeffs[0], coeffs[-1]
+    if abs(a0) > _ROOT_SEARCH or abs(an) > _ROOT_SEARCH:
+        return None
+    found = []
+    for q in _divisors(an):
+        for p in _divisors(a0):
+            if gcd(p, q) != 1:
+                continue
+            for sp in (p, -p):
+                # q^n f(sp/q) = sum a_k sp^k q^(n-k)
+                if not sum(a * sp ** k * q ** (len(coeffs) - 1 - k)
+                           for k, a in enumerate(coeffs)):
+                    found.append((sp, q))
+    return found
+
+
+def _split_univariate(f, i, pk):
+    """Irreducible factors of a primitive ``f`` in the ``i``-th variable
+    only, with positive leading coefficients, as a list of (factor, k), and
+    the part left for the fallback (or None)."""
+    s = pk.shifts[i]
+    deg = _degree(f, i, pk)
+    coeffs = [0] * (deg + 1)
+    for m, c in f.items():
+        coeffs[(m >> s) & _FIELD] = c
+    roots = _rational_roots(coeffs)
+    if roots is None:
+        return [], f
+    parts = []
+    for p, q in roots:
+        linear = {pk.gens[i]: q, 0: -p}
+        f, k = _cancel(f, linear, deg, pk)
+        parts.append((linear, deg - k))
+        deg = _degree(f, i, pk)
+    if deg == 0:
+        return parts, None
+    if deg <= 3:
+        # no rational root left, so no linear factor: irreducible
+        return parts + [(f, 1)], None
+    return parts, f
+
+
+def _linear_with_integer_coefficient(f, used, pk) -> bool:
+    """True iff ``f`` has degree 1 in some variable x and, writing f = a*x
+    + b, ``a`` is an integer or ``b`` is a nonzero integer."""
+    for i in used:
+        if _degree(f, i, pk) != 1:
+            continue
+        s, gen = pk.shifts[i], pk.gens[i]
+        first = [m for m in f if (m >> s) & _FIELD]
+        zeroth = [m for m in f if not (m >> s) & _FIELD]
+        if first == [gen] or zeroth == [0]:
+            return True
+    return False
+
+
+def _factor_by_sympy(f, names, pk):
+    """sympy's ``factor_list`` of ``f``: (content, [(factor, k)])."""
+    from sympy import ZZ
+    from sympy.polys.orderings import grlex
+    from sympy.polys.rings import ring
+
+    r = ring(",".join(names), ZZ, grlex)[0]
+    content, parts = r.from_dict({pk.unpack(m): c
+                                  for m, c in f.items()}).factor_list()
+    return int(content), [({pk.pack(e): int(c) for e, c in poly.items()}, k)
+                          for poly, k in parts]
+
+
+def _split(f, names, pk):
+    """(content, [(factor, k)]) with f = content * prod factor**k, each
+    factor primitive, irreducible and with a positive leading coefficient;
+    ``f`` is not a constant."""
+    parts = []
+    # a monomial factor splits into its variables
+    for i, s in enumerate(pk.shifts):
+        e = min((m >> s) & _FIELD for m in f)
+        if e:
+            shift = e * pk.gens[i]
+            f = {m - shift: c for m, c in f.items()}
+            parts.append(({pk.gens[i]: 1}, e))
+    content = _content(f)
+    if _lc(f) < 0:
+        content = -content
+    f = _scale(f, 1, content)
+    if _is_ground(f):
+        return content, parts
+    acc = 0
+    for m in f:
+        acc |= m
+    used = [i for i, s in enumerate(pk.shifts) if (acc >> s) & _FIELD]
+    rest = f
+    if len(used) == 1:
+        found, rest = _split_univariate(f, used[0], pk)
+        parts += found
+    elif _linear_with_integer_coefficient(f, used, pk):
+        parts.append((f, 1))
+        rest = None
+    if rest is not None:
+        unit, found = _factor_by_sympy(rest, names, pk)
+        for poly, k in found:
+            if _lc(poly) < 0:
+                poly, unit = _neg(poly), unit * (-1) ** k
+            parts.append((poly, k))
+        content *= unit
+    return content, parts
+
+
 class _Registry:
     """The irreducible denominator factors met over one variable tuple,
     append-only, and the interned factorization pairs that index into them."""
 
-    __slots__ = ("ring", "factors", "pairs", "moves")
+    __slots__ = ("names", "pk", "factors", "pairs", "moves")
 
     def __init__(self, names):
-        self.ring = _ring_for(names)
+        self.names = names
+        self.pk = _packing(len(names))
         self.factors = []   # primitive, irreducible, positive leading coeff
         self.pairs = {}     # (content, exponents) -> itself
         self.moves = {}     # source names -> {source index: our index}
@@ -218,7 +476,7 @@ class _Registry:
     def expand(self, pair):
         """The denominator that ``pair`` describes, multiplied out."""
         content, exps = pair
-        return _times(self.ring.ground_new(content), self.factors, exps)
+        return _times({0: content}, self.factors, exps, self.pk)
 
     def factorize(self, den):
         """The pair of ``den``, a nonzero polynomial with a positive leading
@@ -226,20 +484,18 @@ class _Registry:
         exps = []
         for p in self.factors:
             e = 0
-            while not den.is_ground:
-                q = _quotient(den, p)
+            while not _is_ground(den):
+                q = _quotient(den, p, self.pk)
                 if q is None:
                     break
                 den, e = q, e + 1
             exps.append(e)
-        content = int(den.LC)
-        if not den.is_ground:
-            # what is left has a factor the registry does not hold
-            content, parts = den.factor_list()
-            content = int(content)
+        if _is_ground(den):
+            content = den.get(0, 0)
+        else:
+            # what is left has factors the registry does not hold
+            content, parts = _split(den, self.names, self.pk)
             for poly, k in parts:
-                if poly.LC < 0:
-                    poly, content = -poly, content * (-1) ** k
                 i = self.index(poly)
                 exps += [0] * (i + 1 - len(exps))
                 exps[i] += k
@@ -254,14 +510,14 @@ class _Registry:
         ``pair`` uses contains only variables with a position."""
         content, exps = pair
         where = self.moves.setdefault(src, {})
-        factors = _registry(src).factors
+        source = _registry(src)
         out = []
         for i, e in enumerate(exps):
             if e:
                 j = where.get(i)
                 if j is None:
-                    j = where[i] = self.index(_moved(factors[i], self.ring,
-                                                     pos))
+                    j = where[i] = self.index(_moved(
+                        source.factors[i], source.pk, self.pk, pos))
                 out += [0] * (j + 1 - len(out))
                 out[j] = e
         return self.pair(content, out)
@@ -276,7 +532,7 @@ def _registry(names: tuple) -> _Registry:
 
 def _const_in(names, c: Fraction):
     """The constant ``c`` as a value over ``names``."""
-    return RatFunc(names, _ring_for(names).ground_new(c.numerator),
+    return RatFunc(names, {0: c.numerator} if c else {},
                    _registry(names).pair(c.denominator, ()))
 
 
@@ -308,16 +564,16 @@ def _mul_const(a, p: int, q: int):
 
 
 def _is_const(a) -> bool:
-    return a._num.is_ground and not a._fac[1]
+    return _is_ground(a._num) and not a._fac[1]
 
 
 def _mul(a, b):
     if not a._num or not b._num:
         return _zero(a.vars)
     if _is_const(b):
-        return _mul_const(a, int(b._num.LC), b._fac[0])
+        return _mul_const(a, b._num[0], b._fac[0])
     if _is_const(a):
-        return _mul_const(b, int(a._num.LC), a._fac[0])
+        return _mul_const(b, a._num[0], a._fac[0])
     return _mul_fractions(a, b)
 
 
@@ -329,13 +585,14 @@ def _mul_fractions(a, b):
     n = max(len(ea), len(eb))
     ea, eb = _padded(ea, n), _padded(eb, n)
     reg = _registry(a.vars)
+    pk = reg.pk
     num1, num2 = a._num, b._num
     for i, p in enumerate(reg.factors[:n]):
         if eb[i] and not ea[i]:
-            num1, eb[i] = _cancel(num1, p, eb[i])
+            num1, eb[i] = _cancel(num1, p, eb[i], pk)
         elif ea[i] and not eb[i]:
-            num2, ea[i] = _cancel(num2, p, ea[i])
-    return _finish(a.vars, reg, num1 * num2, c1 * c2,
+            num2, ea[i] = _cancel(num2, p, ea[i], pk)
+    return _finish(a.vars, reg, _mul_polys(num1, num2, pk), c1 * c2,
                    [x + y for x, y in zip(ea, eb)])
 
 
@@ -351,18 +608,18 @@ def _add(a, b):
     n = max(len(ea), len(eb))
     ea, eb = _padded(ea, n), _padded(eb, n)
     reg = _registry(a.vars)
-    factors = reg.factors
+    factors, pk = reg.factors, reg.pk
     content = c1 // gcd(c1, c2) * c2
     up_a = [max(y - x, 0) for x, y in zip(ea, eb)]
     up_b = [max(x - y, 0) for x, y in zip(ea, eb)]
-    num = _scale(_times(a._num, factors, up_a), content // c1) \
-        + _scale(_times(b._num, factors, up_b), content // c2)
+    num = _add_polys(_scale(_times(a._num, factors, up_a, pk), content // c1),
+                     _scale(_times(b._num, factors, up_b, pk), content // c2))
     if not num:
         return _zero(a.vars)
     exps = [max(x, y) for x, y in zip(ea, eb)]
     for i, p in enumerate(factors[:n]):
         if ea[i] and ea[i] == eb[i]:
-            num, exps[i] = _cancel(num, p, exps[i])
+            num, exps[i] = _cancel(num, p, exps[i], pk)
     return _finish(a.vars, reg, num, content, exps)
 
 
@@ -370,24 +627,25 @@ def _diff(a, i):
     """The derivative of a by its ``i``-th variable."""
     content, exps = a._fac
     reg = _registry(a.vars)
-    factors = reg.factors
+    factors, pk = reg.factors, reg.pk
     num = a._num
     # R is the product of the factors that contain the variable
-    in_r = [int(e > 0 and factors[k].degree(i) > 0)
+    in_r = [int(e > 0 and _degree(factors[k], i, pk) > 0)
             for k, e in enumerate(exps)]
     # (N' R - N sum e p' R/p) / (D R)
-    new = _times(num.diff(i), factors, in_r)
+    new = _times(_diff_poly(num, i, pk), factors, in_r, pk)
     for k, e in enumerate(exps):
         if in_r[k]:
             others = [int(j != k and r) for j, r in enumerate(in_r)]
-            new = new - _scale(_times(num * factors[k].diff(i), factors,
-                                      others), e)
+            new = _add_polys(new, _scale(_times(
+                _mul_polys(num, _diff_poly(factors[k], i, pk), pk), factors,
+                others, pk), e), -1)
     if not new:
         return _zero(a.vars)
     exps = [e + r for e, r in zip(exps, in_r)]
     for k, p in enumerate(factors[:len(exps)]):
         if exps[k] and not in_r[k]:
-            new, exps[k] = _cancel(new, p, exps[k])
+            new, exps[k] = _cancel(new, p, exps[k], pk)
     return _finish(a.vars, reg, new, content, exps)
 
 
@@ -420,7 +678,7 @@ class RatFunc:
     @staticmethod
     def var(name: str) -> "RatFunc":
         names = (name,)
-        return RatFunc(names, _ring_for(names).gens[0],
+        return RatFunc(names, {_packing(1).gens[0]: 1},
                        _registry(names).pair(1, ()))
 
     @staticmethod
@@ -445,8 +703,13 @@ class RatFunc:
         # ``names`` is sorted and contains self.vars, so the embedding keeps
         # the variable order and with it the graded-lex leading terms.
         pos = [names.index(v) for v in self.vars]
-        return RatFunc(names, _moved(self._num, _ring_for(names), pos),
-                       _registry(names).moved(self._fac, self.vars, pos))
+        return self._over(names, pos)
+
+    def _over(self, names, pos):
+        """Self over ``names``, where our variable i is its ``pos[i]``."""
+        src, dst = _registry(self.vars), _registry(names)
+        return RatFunc(names, _moved(self._num, src.pk, dst.pk, pos),
+                       dst.moved(self._fac, self.vars, pos))
 
     def _unify(self, other):
         if not isinstance(other, RatFunc):
@@ -460,20 +723,20 @@ class RatFunc:
         """Drop variables that no longer occur (after cancellation)."""
         if not self.vars:
             return self
-        factors = _registry(self.vars).factors
-        used = set()
-        for poly in [self._num] + [factors[i]
+        reg = _registry(self.vars)
+        acc = 0
+        for poly in [self._num] + [reg.factors[i]
                                    for i, e in enumerate(self._fac[1]) if e]:
-            for monom in poly:
-                used.update(i for i, e in enumerate(monom) if e)
+            for m in poly:
+                acc |= m
+        used = [i for i, s in enumerate(reg.pk.shifts) if (acc >> s) & _FIELD]
         if len(used) == len(self.vars):
             return self
         if not used:
             return RatFunc((), self.as_fraction())
-        names = tuple(v for i, v in enumerate(self.vars) if i in used)
+        names = tuple(self.vars[i] for i in used)
         pos = [names.index(v) if v in names else None for v in self.vars]
-        return RatFunc(names, _moved(self._num, _ring_for(names), pos),
-                       _registry(names).moved(self._fac, self.vars, pos))
+        return self._over(names, pos)
 
     # -- predicates ---------------------------------------------------
 
@@ -481,7 +744,9 @@ class RatFunc:
         return not self._num
 
     def is_one(self) -> bool:
-        return self._num == 1 and self._fac in (None, (1, ()))
+        if not self.vars:
+            return self._num == 1
+        return self._num == {0: 1} and self._fac == (1, ())
 
     def is_constant(self) -> bool:
         return not self.vars or _is_const(self)
@@ -491,7 +756,7 @@ class RatFunc:
             return self._num
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return Fraction(int(self._num.LC), self._fac[0])
+        return Fraction(self._num.get(0, 0), self._fac[0])
 
     # -- arithmetic ---------------------------------------------------
 
@@ -548,8 +813,8 @@ class RatFunc:
             return RatFunc((), 1 / self._num)
         reg = _registry(self.vars)
         num, den = self._num, reg.expand(self._fac)
-        if num.LC < 0:
-            num, den = -num, -den
+        if _lc(num) < 0:
+            num, den = _neg(num), _neg(den)
         return RatFunc(self.vars, den, reg.factorize(num))
 
     def __truediv__(self, other):
@@ -561,7 +826,9 @@ class RatFunc:
         return self._reciprocal() * other
 
     def __neg__(self):
-        return RatFunc(self.vars, -self._num, self._fac)
+        if not self.vars:
+            return RatFunc((), -self._num)
+        return RatFunc(self.vars, _neg(self._num), self._fac)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -574,8 +841,11 @@ class RatFunc:
             return RatFunc((), self._num ** n)
         if n == 0:
             return _const_in(self.vars, Fraction(1))
+        if not self._num:
+            return self
         content, exps = self._fac
-        return RatFunc(self.vars, self._num ** n, _registry(self.vars).pair(
+        reg = _registry(self.vars)
+        return RatFunc(self.vars, _pow_poly(self._num, n, reg.pk), reg.pair(
             content ** n, [e * n for e in exps]))
 
     def __eq__(self, other):
@@ -591,7 +861,7 @@ class RatFunc:
         t = self.trim()
         if not t.vars:
             return hash(t._num)
-        return hash((t.vars, tuple(t._num.terms()), tuple(t._den().terms())))
+        return hash((t.vars, frozenset(t._num.items()), t._fac))
 
     # -- calculus / substitution --------------------------------------
 
@@ -610,11 +880,13 @@ class RatFunc:
             return self
         idx = self.vars.index(name)
         powers = {0: RatFunc.one()}
+        unpack = _registry(self.vars).pk.unpack
 
         def eval_poly(poly):
             acc = RatFunc.zero()
-            for monom, coeff in poly.terms():
-                term = RatFunc.const(int(coeff))
+            for m, coeff in poly.items():
+                monom = unpack(m)
+                term = RatFunc.const(coeff)
                 for v, e in zip(self.vars, monom):
                     if v == name or e == 0:
                         continue
@@ -652,10 +924,11 @@ class RatFunc:
         return self._poly_terms(self._den())
 
     def _poly_terms(self, poly):
+        unpack = _registry(self.vars).pk.unpack
         out = []
-        for monom, coeff in sorted(poly.terms()):
+        for monom, coeff in sorted((unpack(m), c) for m, c in poly.items()):
             md = {v: e for v, e in zip(self.vars, monom) if e}
-            out.append((md, Fraction(int(coeff))))
+            out.append((md, Fraction(coeff)))
         return out
 
     def denom_is_monomial(self) -> bool:
@@ -679,13 +952,13 @@ class RatFunc:
         if not self.vars:
             return 0, self
         f = factor.lift(self.vars)
-        if f._fac != (1, ()) or f._num.is_ground:
+        if f._fac != (1, ()) or _is_ground(f._num):
             raise ValueError("factor must be a non-constant polynomial with "
                              f"integer coefficients: {factor}")
         fp = f._num
-        sign = -1 if fp.LC < 0 else 1
+        sign = -1 if _lc(fp) < 0 else 1
         reg = _registry(self.vars)
-        unit, mult = reg.factorize(fp * sign)
+        unit, mult = reg.factorize(_scale(fp, sign))
         content, exps = self._fac
         n = max(len(exps), len(mult))
         exps, mult = _padded(exps, n), _padded(mult, n)

@@ -235,8 +235,8 @@ def test_criterion_11_perturbed_hexagon():
     _assert_state_fails(lhs.canonicalize(), rhs.canonicalize())
 
 
-# The s_ybe and weak_assoc_chain controls below also leave no residual at
-# L=2; their perturbations first show at h^2.
+# The s_ybe, tminus_vacuum, s_shift and weak_assoc_chain controls below
+# also leave no residual at L=2; their perturbations first show at h^2.
 
 def test_criterion_11_perturbed_s_ybe():
     # the braiding's Yang-Baxter relation with the left side's S_13 at
@@ -249,6 +249,56 @@ def test_criterion_11_perturbed_s_ybe():
     rhs = three.braiding_s(1, 2, z1).braiding_s(1, 3, z12) \
                .braiding_s(2, 3, z2)
     _assert_state_fails(lhs.canonicalize(), rhs.canonicalize())
+
+
+def _tminus_vacuum_residual(L, perturbed):
+    # the lowering operator on the vacuum, scaled by 1 + h^2 if
+    # ``perturbed``, against the identity on the vacuum
+    ltd = lie_type_data("C", 1)
+    caps = {"h": L}
+    vac = FreeState.vacuum(ltd, solve_normalizer(ltd, L=L), caps,
+                           Fraction(1))
+    h = HSeries.capped_var("h", caps)
+    start = vac.map_entries(lambda s: s * (1 + h ** 2)) if perturbed \
+        else vac
+    return start.apply_tminus(1, _ring("U")).residual(
+        vac.with_identity_open())
+
+
+def test_criterion_11_perturbed_tminus_vacuum():
+    assert _tminus_vacuum_residual(3, False) == (0, None)
+    assert _tminus_vacuum_residual(2, True) == (0, None)
+    count, witness = _tminus_vacuum_residual(3, True)
+    assert count > 0 and witness is not None
+
+
+def _s_shift_residual(L, perturbed):
+    # the s_shift relation -X d/dX = -Zs d/dZs on the coefficients of
+    # S(Zs) T(X)|0> (x) T(Y)|0>, each entry times 1 + X h^2 if ``perturbed``
+    _, _, two = _c1_states(L, [["X"], ["Y"]])
+    s = two.braiding_s(1, 2, _ring("Zs"))
+    xv, zv = RatFunc.var("X"), RatFunc.var("Zs")
+    if perturbed:
+        h = HSeries.capped_var("h", two.caps)
+        s = s.map_entries(lambda e: e * (1 + HSeries.const(xv, two.caps)
+                                         * h ** 2))
+    count, witness = 0, None
+    for t in s.terms:
+        du = t.coeff.map_entries(
+            lambda hs: hs.diff_ring_var("X").map_coeffs(lambda q: -(q * xv)))
+        dz = t.coeff.map_entries(
+            lambda hs: hs.diff_ring_var("Zs").map_coeffs(lambda q: -(q * zv)))
+        diff = du - dz
+        count += diff.nonzero_count()
+        witness = witness or diff.witness()
+    return count, witness
+
+
+def test_criterion_11_perturbed_s_shift():
+    assert _s_shift_residual(3, False) == (0, None)
+    assert _s_shift_residual(2, True) == (0, None)
+    count, witness = _s_shift_residual(3, True)
+    assert count > 0 and witness is not None
 
 
 def test_criterion_11_perturbed_weak_assoc_reordered():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rmx.hseries import HSeries
-from rmx.ratfunc import RatFunc, _registry, _ring_for
+from rmx.ratfunc import RatFunc, _packing, _registry
 from rmx.report import CheckReport
 from rmx.tensorop import TensorOp
 
@@ -18,7 +18,7 @@ GATES = """
 from rmx.cli import main
 from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
-from rmx.ratfunc import RatFunc, _registry, _ring_for
+from rmx.ratfunc import RatFunc, _packing, _registry
 from rmx.report import CheckReport
 from rmx.rmatrix import solve_normalizer
 from rmx.states import FreeState, _chain_omega
@@ -33,7 +33,7 @@ def raises(fn):
 
 Z = RatFunc.var("Z")
 # -Z: a denominator with negative leading coefficient is not canonical
-not_canonical = -_ring_for(("Z",)).gens[0]
+not_canonical = {_packing(1).gens[0]: -1}
 caps = {"h": 2}
 ltd = lie_type_data("C", 1)
 vac = FreeState.vacuum(ltd, solve_normalizer(ltd, L=2), caps, 1)
@@ -48,6 +48,7 @@ print(raises(lambda: CheckReport("x", {}, "pass", 1, None, 0)),
       raises(lambda: _chain_omega(2, caps, 1, [],
                                   [TensorOp.identity(2, 1, caps)] * 2)),
       raises(lambda: _registry(("Z",)).factorize(not_canonical)),
+      raises(lambda: Z ** 20000 * Z ** 20000),
       raises(lambda: HSeries.one(caps) * HSeries.one({"h": 3}))
       and raises(lambda: TensorOp.identity(2, 1, caps)
                  + TensorOp.identity(2, 1, {"h": 3})),
@@ -66,10 +67,18 @@ def test_gates_raise():
         (1 / (1 - Z)).remove_denominator_factor(Z / 2)
     with pytest.raises(ValueError):
         (1 / (1 - Z)).remove_denominator_factor(RatFunc.const(3))
-    z = _ring_for(("Z",)).gens[0]
-    for den in (-z, 1 - z ** 2):
+    pack = _packing(1).pack
+    for den in ({pack((1,)): -1}, {pack((0,)): 1, pack((2,)): -1}):
         with pytest.raises(ValueError):
             _registry(("Z",)).factorize(den)
+    # a monomial exponent that would overflow its packed field raises
+    # instead of wrapping into the next field
+    with pytest.raises(ValueError):
+        Z ** 20000 * Z ** 20000
+    with pytest.raises(ValueError):
+        (1 + Z) ** 40000
+    with pytest.raises(ValueError):
+        _packing(2).pack((40000, 0))
     # a mismatch of caps raises; nothing merges them silently
     with pytest.raises(ValueError):
         HSeries.one({"h": 2}) * HSeries.one({"h": 3})
@@ -84,4 +93,4 @@ def test_gates_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", GATES], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True"] * 10
+    assert out.stdout.split() == ["True"] * 11

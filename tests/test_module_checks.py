@@ -10,17 +10,23 @@ from rmx.rmatrix import Arg, m_diag, solve_normalizer
 from rmx.states import FreeState, arg_h
 
 
+def _order(name):
+    # a wrong sign of the hc/2 shift in the inverse lowering operator first
+    # shows at h^2, so the round trip runs at L=3 to see it
+    return 3 if name == "roundtrip" else 2
+
+
 @pytest.mark.parametrize("name", ["tminus_vacuum", "roundtrip", "rtt_minus",
                                   "rel_minus", "mixed", "s_unitarity",
                                   "s_ybe", "s_shift", "hexagon"])
 def test_module_checks_pass(name):
-    rep = module_check(name, "C", 1, L=2, c=Fraction(1))
+    rep = module_check(name, "C", 1, L=_order(name), c=Fraction(1))
     assert rep.passed, rep.to_text()
 
 
 @pytest.mark.parametrize("name", ["roundtrip", "rtt_minus", "rel_minus"])
 def test_module_checks_two_word(name):
-    rep = module_check(name, "C", 1, L=2, k=2, c=Fraction(1))
+    rep = module_check(name, "C", 1, L=_order(name), k=2, c=Fraction(1))
     assert rep.passed, rep.to_text()
 
 

@@ -1,14 +1,23 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.fields import field
 from sympy.polys.orderings import grlex
+from sympy.polys.rings import ring
 
-from rmx.ratfunc import RatFunc, _registry, _ring_for
+import rmx.ratfunc
+from rmx.ratfunc import RatFunc, _packing, _Registry, _registry
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 Z = RatFunc.var("Z")
 W = RatFunc.var("W")
@@ -95,8 +104,9 @@ def test_serialization_roundtrip():
 
 
 def test_integers_leave_the_ring_as_int():
-    """Coefficients and contents read out of sympy's ZZ are plain ints, so
-    Fractions and serialized data hold no gmpy2 or flint integers."""
+    """Coefficients and contents are plain ints, so Fractions and serialized
+    data hold no gmpy2 or flint integers (which sympy's ZZ, the factoring
+    fallback's ring, may use)."""
     f = (2 * Z - 4 * W) / (6 * (1 - Z) ** 2 * (Z * W - 3))
     values = [f, f / (3 * Z ** 2 - 12), f ** -2, f.subs_var("W", Z / 2),
               f.remove_denominator_factor(1 - Z)[1], (f - f) + Fraction(7, 3),
@@ -173,9 +183,10 @@ def _field_for(names):
 
 
 def _integer_poly(names, poly):
+    """sympy's integer polynomial ``poly`` as a packed-monomial dict."""
     assert all(c.denominator == 1 for c in poly.values())
-    return _ring_for(names).dtype({m: int(c.numerator)
-                                   for m, c in poly.items()})
+    pack = _packing(len(names)).pack
+    return {pack(m): int(c.numerator) for m, c in poly.items()}
 
 
 def _from_sympy(names, f):
@@ -574,34 +585,108 @@ def test_remove_denominator_factor_matches_sympy(a, data):
     assert rest == a * _make(names, fp) ** k
 
 
-def test_fraction_ops_take_no_gcd(monkeypatch):
-    """No operation on multivariate fractions reaches sympy's polynomial gcd
-    or cancel, or its rational-function arithmetic."""
-    from sympy.polys.fields import FracElement
-    from sympy.polys.rings import PolyElement
+# -- splitting new denominators against sympy's factor_list ---------------
+#
+# A fresh registry knows no factor, so its split of a product of pool
+# polynomials runs the exact rules (variables, rational roots, degree 1
+# with an integer coefficient) and the fallback on what they leave.  Both
+# must give sympy's irreducible factors, made primitive with a positive
+# leading coefficient, with the same multiplicities and content.
+
+SPLIT_NAMES = ("u", "v", "x", "y", "z")
+_split_ring = ring(",".join(SPLIT_NAMES), ZZ, grlex)[0]
+_u, _v, _x, _y, _z = _split_ring.gens
+SPLIT_POOL = (_x ** 2 - _y ** 2, (_z - 1) ** 4, 2 * _x + 2, _x * _y - _x,
+              (_u * _v - 1) * (_u - _v), _z ** 2 + 1, _z ** 4 + 4)
+
+
+def _factor_multiset(pairs):
+    out = {}
+    for poly, k in pairs:
+        key = tuple(sorted(_integer_poly(SPLIT_NAMES, poly).items()))
+        out[key] = out.get(key, 0) + k
+    return out
+
+
+@given(st.lists(st.tuples(st.integers(0, len(SPLIT_POOL) - 1),
+                          st.integers(1, 2)), min_size=1, max_size=3),
+       st.sampled_from([1, 2, 3, 6]))
+def test_split_matches_factor_list(picks, unit):
+    f = _split_ring(unit)
+    for i, k in picks:
+        f *= SPLIT_POOL[i] ** k
+    reg = _Registry(SPLIT_NAMES)
+    content, exps = reg.factorize(_integer_poly(SPLIT_NAMES, f))
+    ours = {tuple(sorted(p.items())): e
+            for p, e in zip(reg.factors, exps) if e}
+    want, parts = f.factor_list()
+    normal = []
+    for poly, k in parts:
+        if poly.LC < 0:
+            poly, want = -poly, want * (-1) ** k
+        normal.append((poly, k))
+    assert content == int(want)
+    assert ours == _factor_multiset(normal)
+
+
+@pytest.mark.parametrize("index,fallback", [
+    (0, True), (1, False), (2, False), (3, False), (4, True), (5, False),
+    (6, True)])
+def test_split_rules_settle_what_they_can(monkeypatch, index, fallback):
+    # x^2 - y^2, (u*v - 1)(u - v) and z^4 + 4 (reducible, with no rational
+    # root) are beyond the rules; the others never reach sympy
+    calls = []
+    factor = rmx.ratfunc._factor_by_sympy
+
+    def spy(*args):
+        calls.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(rmx.ratfunc, "_factor_by_sympy", spy)
+    _Registry(SPLIT_NAMES).factorize(
+        _integer_poly(SPLIT_NAMES, SPLIT_POOL[index]))
+    assert bool(calls) == fallback
+
+
+NO_SYMPY_OPS = """
+import json, sys
+sys.modules["sympy"] = None     # from here on ``import sympy`` raises
+from rmx.ratfunc import RatFunc
+x, y = RatFunc.var("x"), RatFunc.var("y")
+# each denominator factor is inverted on its own: an expanded product of
+# them would go to the factoring fallback
+a = (x + 2 * y) * (x - y) ** -2 * (x * y - 1) ** -1
+b = (3 - x * y) * (x - y) ** -1 * (2 * x + 3 * y) ** -1
+c = (y / (x - y)).lift(("x", "y", "z"))
+data = (a * b).to_data()
+results = [a + b, a - b, a * b, b * a, (a + b) * c - a, c * b - c,
+           a.diff("x"), (a * b).diff("y"), c.diff("z"), c.diff("x"),
+           a / b, b / (x ** 3 + 5 * y), 1 / c, b ** -2,
+           a.subs_var("x", y / (1 - y)), c.subs_var("y", x * y),
+           (a + x - a).trim(), a.lift(("w", "x", "y", "z")),
+           RatFunc.from_data(data)]
+k, rest = a.remove_denominator_factor(y - x)
+print(json.dumps([[list(r.vars), r.to_data()] for r in results + [rest]]
+                 + [k]))
+"""
+
+
+def test_fraction_ops_take_no_gcd():
+    """Every operation on multivariate fractions runs in an interpreter
+    where ``import sympy`` raises: none reaches a sympy gcd, cancel,
+    factorization or rational-function arithmetic."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", NO_SYMPY_OPS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    *values, k = json.loads(out.stdout)
+    results = [RatFunc.from_data(data).lift(names) for names, data in values]
+    results[19] = (k, results[19])
     x, y = RatFunc.var("x"), RatFunc.var("y")
     a = (x + 2 * y) / ((x - y) ** 2 * (x * y - 1))
     b = (3 - x * y) / ((x - y) * (2 * x + 3 * y))
-    c = _make(("x", "y", "z"), *_pool(("x", "y", "z"))[1:3])   # y / (x - y)
-    data = (a * b).to_data()
-
-    def boom(*args, **kwargs):
-        raise AssertionError("sympy gcd or fraction arithmetic was called")
-
-    for name in ("gcd", "cancel", "cofactors"):
-        monkeypatch.setattr(PolyElement, name, boom)
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
-                 "__neg__", "diff"):
-        monkeypatch.setattr(FracElement, name, boom)
-    results = [a + b, a - b, a * b, b * a, (a + b) * c - a, c * b - c,
-               a.diff("x"), (a * b).diff("y"), c.diff("z"), c.diff("x"),
-               a / b, b / (x ** 3 + 5 * y), 1 / c, b ** -2,
-               a.subs_var("x", y / (1 - y)), c.subs_var("y", x * y),
-               (a + x - a).trim(), a.lift(("w", "x", "y", "z")),
-               RatFunc.from_data(data),
-               a.remove_denominator_factor(y - x)]
-    monkeypatch.undo()
     assert results[0] - b == a and results[2] / b == a
     assert results[10] * b == a and results[13] * b ** 2 == 1
     assert results[16] == x and results[16].vars == ("x",)
