@@ -332,7 +332,10 @@ class HSeries:
         if name in f0.trim().vars:
             raise ValueError(
                 f"substitution factor constant term depends on {name!r}")
-        t = (f * (RatFunc.one() / f0)) - 1     # nilpotent mod caps
+        # with f0 = 1 (every exp_shift) the step name -> name*f0 is the
+        # identity, so it is skipped
+        unit = f0.is_one()
+        t = (f if unit else f * (RatFunc.one() / f0)) - 1  # nilpotent
         zf0 = RatFunc.var(name) * f0
         out = HSeries.zero(caps)
         tpow = HSeries.one(caps)
@@ -345,8 +348,11 @@ class HSeries:
                     break
                 deriv = deriv.map_coeffs(lambda c: c.diff(name))
             scale = (zf0 ** k) * Fraction(1, factorial(k))
-            out = out + deriv.map_coeffs(
-                lambda d: d.subs_var(name, zf0) * scale) * tpow
+            if unit:
+                at = deriv * scale
+            else:
+                at = deriv.map_coeffs(lambda d: d.subs_var(name, zf0) * scale)
+            out = out + at * tpow
             k += 1
         return out
 

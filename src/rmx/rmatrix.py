@@ -11,6 +11,13 @@ capped formal variables (h included).  The normalizing series g1 solves
 order by order in h; each h-order is rational in z with denominator a power
 of (1 - z).
 
+The solution is checked against an independent series oracle: the same
+equation solved as a plain power series in z and h, in exact integers
+(each h-order l scaled by s^l * l!, so products are binomial-weighted
+convolutions).  Each h-order n/d of the rational solution must satisfy
+d * oracle = n up to the oracle's z-degree, read off the integer
+coefficients of n and d.
+
 The R-matrix is R(x) = e^{(1+2kappa)h/2} g1(x) R+(x), where
 
     R+(x) = q^{-1}(x-1)(x-xi) Rconst - (q^{-2}-1)(x-xi) P + xi(q^{-2}-1)(x-1) Q
@@ -20,7 +27,9 @@ cached per type and cap set, holds the prefactor, xi = e^{-kappa h}, q^{-1}
 and q^{-2}-1, and groups the entries of R+ by their exact coefficient
 triple in (Rconst, P, Q).  A build forms s = prefactor * g1(x), the three
 scalar series times s, and one combination per group, which every entry of
-the group shares; R+ itself is the same build with s = 1.
+the group shares; R+ itself is the same build with s = 1.  Builds are
+cached per (type, normaliser, argument, caps), so an R-matrix that a check
+uses twice, such as R_12(u) on both sides of Yang-Baxter, is built once.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 
 from .hseries import Caps, HSeries
 from .lietype import LieTypeData, lie_type_data
@@ -210,8 +220,11 @@ def rplus(ltd: LieTypeData, x: HSeries, caps: dict) -> TensorOp:
     return _scaled_rplus(_template(ltd, Caps.of(caps)), x, HSeries.one(caps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Normalizer:
+    """The solved g1; hashed by identity, as each is solved once per
+    (type, L, oracle z-degree)."""
+
     ltd: LieTypeData
     L: int
     g1: HSeries            # rational per h-order, ring variable "z"
@@ -291,103 +304,116 @@ def _solve_normalizer_cached(ltd, L, dz) -> Normalizer:
                 f"h^{l} coefficient is {at0} at z = 0, "
                 f"expected {1 if l == 0 else 0}")
 
-    series = _series_oracle(kappa, L, dz)
-    rational_expanded = _expand_in_z(g, L, dz)
-    if not (series - rational_expanded).is_zero():
-        raise NormalizerError(
-            "series oracle disagrees with the rational solution")
+    _check_against_oracle(g, kappa, L, dz)
     return Normalizer(ltd, L, g, tuple(parts), dz)
 
 
-def _zshift_capped(s: HSeries, kappa) -> HSeries:
-    """z -> z*e^{-kappa h} when z is a capped variable of s: the terms of
-    each z-power m, times e^{-kappa m h}."""
-    caps = s.caps
-    zi = caps.names.index("z")
-    by_power = {}
-    for k, coeff in s.terms.items():
-        mono = caps.monos[k]
-        by_power.setdefault(mono[zi], {})[mono] = coeff
-    out = HSeries.zero(caps)
-    for m, terms in by_power.items():
-        piece = HSeries(caps, terms)
-        if m:
-            piece = piece * HSeries.exp_shift({"h": -kappa * m}, caps)
-        out = out + piece
+def _zmul(a: list, b: list, dz: int) -> list:
+    """Product of two z-coefficient lists, truncated after z^dz."""
+    out = [0] * (dz + 1)
+    for i, x in enumerate(a[:dz + 1]):
+        if x:
+            for j, y in enumerate(b[:dz + 1 - i]):
+                out[i + j] += x * y
     return out
 
 
-def _series_oracle(kappa, L: int, dz: int) -> HSeries:
-    """Plain power-series solve in C[[z, h]], independent of RatFunc division."""
-    caps = {"h": L, "z": dz + 1}
-    zc = HSeries.capped_var("z", caps)
-    rhs = _rhs_product(kappa, caps, zc).inv()
-    # geometric start: 1/(1-z)^2 = sum (m+1) z^m
-    g = HSeries.zero(caps)
-    zp = HSeries.one(caps)
-    for m in range(dz + 1):
-        g = g + zp * (m + 1)
-        zp = zp * zc
-    hpow = HSeries.one(caps)
-    hvar = HSeries.capped_var("h", caps)
-    half_c0_inv = (1 - zc) ** 2 * Fraction(1, 2)    # 1/(2 g0)
-    hidx = zc.caps.names.index("h")
+def _eorder(A: list, B: list, l: int, dz: int) -> list:
+    """Order l of the product of two scaled (h, z) arrays: the
+    binomial-weighted convolution sum_j C(l, j) A[j] B[l-j]."""
+    out = [0] * (dz + 1)
+    for j in range(l + 1):
+        c = comb(l, j)
+        for m, x in enumerate(_zmul(A[j], B[l - j], dz)):
+            out[m] += c * x
+    return out
+
+
+def _integer_oracle(kappa, L: int, dz: int) -> tuple:
+    """g1 as a plain power series in z and h, solved in exact integers.
+
+    Returns (s, G) with G[l][m] = s^l * l! * [h^l z^m] g1 for l < L and
+    m <= dz.  In these coordinates a product is the binomial-weighted
+    convolution of ``_eorder`` (the exponential-generating-function form,
+    Knuth, TAOCP vol. 2, 4.7), e^{c m h} is the array (s c m)^l, and
+    z -> z e^{-kappa h} multiplies the z^m terms by e^{-kappa m h}.  s
+    starts at the denominator of kappa (1 or 2, as 2*kappa must be an
+    integer), the least that keeps these integral, and doubles whenever
+    the division by 2 of a solve step leaves a remainder: doubling s
+    multiplies every order l by 2^l, so the step is then exact.  No series
+    or rational-function arithmetic is involved.
+    """
+    kappa = Fraction(kappa)
+    if kappa.denominator > 2:
+        raise NormalizerError(f"2*kappa = {2 * kappa} is not an integer")
+    s = kappa.denominator
+    rhs = [[int(l == m == 0) for m in range(dz + 1)] for l in range(L)]
+    for b in (-1, 1, -kappa, kappa):
+        sb = int(s * b)
+        geometric = [[(sb * m) ** l for m in range(dz + 1)] for l in range(L)]
+        rhs = [_eorder(rhs, geometric, l, dz) for l in range(L)]
+    G = [[m + 1 for m in range(dz + 1)]] + [[0] * (dz + 1)
+                                            for _ in range(1, L)]
     for l in range(1, L):
-        hpow = hpow * hvar
-        res_l = rhs - g * _zshift_capped(g, kappa)
-        picked = HSeries.zero(caps)
-        for k, coeff in res_l.terms.items():
-            mono = zc.caps.monos[k]
-            if mono[hidx] == l:
-                m2 = mono[:hidx] + (0,) + mono[hidx + 1:]
-                picked = picked + HSeries(caps, {m2: coeff})
-        g = g + hpow * (picked * half_c0_inv)
-    return g
+        sk = int(-s * kappa)
+        # g(z e^{-kappa h}) from the orders below l (G[l] is still zero)
+        shifted = [[sum(comb(i, j) * G[j][m] * (sk * m) ** (i - j)
+                        for j in range(i + 1)) for m in range(dz + 1)]
+                   for i in range(l + 1)]
+        known = _eorder(G, shifted, l, dz)
+        # the h^l terms give 2 g0 g_l = rhs_l - known, and 1/g0 = (1 - z)^2
+        num = _zmul([1, -2, 1], [r - k for r, k in zip(rhs[l], known)], dz)
+        if any(x % 2 for x in num):
+            s *= 2
+            rhs = [[x << j for x in row] for j, row in enumerate(rhs)]
+            G = [[x << j for x in row] for j, row in enumerate(G)]
+            num = [x << l for x in num]
+        G[l] = [x // 2 for x in num]
+    return s, G
 
 
-def _expand_in_z(g: HSeries, L: int, dz: int) -> HSeries:
-    """Re-expand the rational solution as a capped z-series (oracle comparison)."""
-    caps = {"h": L, "z": dz + 1}
-    zc = HSeries.capped_var("z", caps)
-    geom = (1 - zc).inv()
-    out = HSeries.zero(caps)
-    hvar = HSeries.capped_var("h", caps)
+def _z_coeffs(terms, cl) -> list:
+    """Coefficients by z-degree of numer_terms/denom_terms of ``cl``."""
+    out = []
+    for md, coeff in terms:
+        if set(md) - {"z"}:
+            raise NormalizerError(f"unexpected variables in {cl}")
+        e = md.get("z", 0)
+        out += [0] * (e + 1 - len(out))
+        out[e] = coeff
+    return out
+
+
+def _check_against_oracle(g: HSeries, kappa, L: int, dz: int):
+    """Raise NormalizerError unless every h-order n/d of ``g``, expanded in
+    z up to z^dz, equals the integer oracle's: d * G[l] = s^l l! n there,
+    with d(0) != 0 so that the expansion exists."""
+    s, G = _integer_oracle(kappa, L, dz)
     for l in range(L):
         cl = g.coeff({"h": l})
-        if cl.is_zero():
-            continue
-        num = cl * (1 - RatFunc.var("z")) ** _den_power(cl)
-        expanded = _poly_to_capped(num, caps) * geom ** _den_power(cl)
-        out = out + hvar ** l * expanded
-    return out
-
-
-def _den_power(cl: RatFunc) -> int:
-    r, rest = cl.remove_denominator_factor(1 - RatFunc.var("z"))
-    return r
-
-
-def _poly_to_capped(p: RatFunc, caps) -> HSeries:
-    """A polynomial (or Laurent-free rational constant-denominator) in z,
-    re-read with z as a capped variable."""
-    zc = HSeries.capped_var("z", caps)
-    out = HSeries.zero(caps)
-    terms = p.numer_terms()
-    den = p.denom_terms()
-    if len(den) != 1 or den[0][0]:
-        raise NormalizerError(f"expected a polynomial in z, got {p}")
-    dc = den[0][1]
-    for md, coeff in terms:
-        extra = {k: v for k, v in md.items() if k != "z"}
-        if extra:
-            raise NormalizerError(f"unexpected variables {extra} in {p}")
-        out = out + zc ** md.get("z", 0) * (coeff / dc)
-    return out
+        num = _z_coeffs(cl.numer_terms(), cl)
+        den = _z_coeffs(cl.denom_terms(), cl)
+        if not den[0]:
+            raise NormalizerError(f"h^{l} coefficient has a pole at z = 0")
+        scale = s ** l * factorial(l)
+        num += [0] * (dz + 1 - len(num))
+        if _zmul(den, G[l], dz) != [scale * n for n in num[:dz + 1]]:
+            raise NormalizerError(
+                f"series oracle disagrees with the rational solution "
+                f"at h^{l}")
 
 
 def rmatrix(ltd: LieTypeData, norm: Normalizer, arg: Arg, caps: dict) -> TensorOp:
     """e^{(1+2kappa)h/2} * g1(x) * R+(x, e^{h/2}) at x = the given argument."""
-    t = _template(ltd, Caps.of(caps))
+    return _build(ltd, norm, arg, Caps.of(caps))
+
+
+@lru_cache(maxsize=None)
+def _build(ltd: LieTypeData, norm: Normalizer, arg: Arg,
+           caps: Caps) -> TensorOp:
+    # one build per (type, normaliser, argument, caps): operators are
+    # immutable, so every caller can share it
+    t = _template(ltd, caps)
     return _scaled_rplus(t, arg.to_hseries(caps),
                          t.prefactor * norm.g1_at(arg, caps))
 

@@ -20,14 +20,14 @@ from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc, _packing, _registry
 from rmx.report import CheckReport
-from rmx.rmatrix import solve_normalizer
+from rmx.rmatrix import NormalizerError, _check_against_oracle, solve_normalizer
 from rmx.states import FreeState, _chain_omega
 from rmx.tensorop import TensorOp
 
 def raises(fn):
     try:
         fn()
-    except ValueError:
+    except (ValueError, NormalizerError):
         return True
     return False
 
@@ -37,6 +37,9 @@ not_canonical = {_packing(1).gens[0]: -1}
 caps = {"h": 2}
 ltd = lie_type_data("C", 1)
 vac = FreeState.vacuum(ltd, solve_normalizer(ltd, L=2), caps, 1)
+# the normaliser perturbed at its top h-order
+bad_g1 = (solve_normalizer(ltd, L=3).g1
+          + HSeries.capped_var("h", {"h": 3}) ** 2 * (RatFunc.var("z") / 7))
 assert not __debug__
 print(raises(lambda: CheckReport("x", {}, "pass", 1, None, 0)),
       raises(lambda: CheckReport("x", {}, "fail", 0, None, 0)),
@@ -52,6 +55,7 @@ print(raises(lambda: CheckReport("x", {}, "pass", 1, None, 0)),
       raises(lambda: HSeries.one(caps) * HSeries.one({"h": 3}))
       and raises(lambda: TensorOp.identity(2, 1, caps)
                  + TensorOp.identity(2, 1, {"h": 3})),
+      raises(lambda: _check_against_oracle(bad_g1, ltd.kappa, 3, 10)),
       main(["check", "ybe_hat", "--order", "0"]) == 64)
 """
 
@@ -93,4 +97,4 @@ def test_gates_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", GATES], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True"] * 11
+    assert out.stdout.split() == ["True"] * 12

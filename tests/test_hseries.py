@@ -306,6 +306,19 @@ def test_subst_mult_matches_sympy_series(a, alpha):
     _assert_matches_series(a[0].subst_mult("z", factor), expr)
 
 
+@settings(max_examples=8)
+@given(z_series(), st.sampled_from([Fraction(-1), Fraction(1, 2)]),
+       st.sampled_from([Fraction(2), Fraction(-1, 3)]))
+def test_subst_mult_scaled_factor_matches_sympy_series(a, alpha, c):
+    # a factor c*e^{alpha h} with c != 1 takes the z -> c*z step that an
+    # exp_shift factor skips
+    factor = HSeries.exp_shift({"h": alpha}, {"h": L_SERIES}) * c
+    expr = a[1].subs(sz, sympy.Rational(c.numerator, c.denominator) * sz
+                     * sympy.exp(sympy.Rational(alpha.numerator,
+                                                alpha.denominator) * sh))
+    _assert_matches_series(a[0].subst_mult("z", factor), expr)
+
+
 # -- multivariate differential tests against sympy -------------------------
 #
 # Series in several capped variables with coefficients rational in z, as an

@@ -1,13 +1,16 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
-from rmx.rmatrix import Arg, solve_normalizer
+from rmx.rmatrix import (Arg, NormalizerError, _check_against_oracle,
+                         _integer_oracle, _rhs_product, solve_normalizer)
 
 z = RatFunc.var("z")
+TYPES = [("B", 1), ("C", 1), ("D", 2), ("C", 2), ("B", 2), ("D", 3)]
 
 
 def test_leading_coefficient():
@@ -57,16 +60,22 @@ def test_denominators_are_powers_of_one_minus_z(family, n):
 
 
 def test_evaluation_at_shifted_argument():
-    # g1(z*e^{-kappa h}) from g1_at matches direct subst_mult
-    ltd = lie_type_data("C", 1)
-    norm = solve_normalizer(ltd, L=3)
-    caps = {"h": 3}
-    arg = Arg.make(RatFunc.var("Z"), {"h": -ltd.kappa})
-    via_arg = norm.g1_at(arg, caps)
-    direct = norm.g1.subst_mult(
-        "z", HSeries.exp_shift({"h": -ltd.kappa}, caps)).subs_ring_var(
-        "z", RatFunc.var("Z"))
-    assert via_arg == direct
+    # g1_at equals subst_mult then subs_ring_var on g1, for monomials with
+    # negative and several exponents, shifts in h alone and in (h, u, v),
+    # and h capped below the solved order
+    U, V, Z = (RatFunc.var(v) for v in "UVZ")
+    hvu = {"h": Fraction(1, 2), "u": 1, "v": Fraction(-1, 2)}
+    for family, n in [("B", 1), ("C", 1), ("D", 2)]:
+        ltd = lie_type_data(family, n)
+        norm = solve_normalizer(ltd, L=4)
+        for shift, caps in [({"h": -ltd.kappa}, {"h": 3}),
+                            (hvu, {"h": 2, "u": 2, "v": 2})]:
+            factor = HSeries.exp_shift(shift, caps)
+            for mono in (Z, 1 / Z, U / V):
+                via_arg = norm.g1_at(Arg.make(mono, shift), caps)
+                direct = norm.g1.with_caps(caps).subst_mult(
+                    "z", factor).subs_ring_var("z", mono)
+                assert via_arg == direct, (family, shift, mono)
 
 
 def test_pole_detection():
@@ -80,3 +89,135 @@ def test_pole_detection():
 def test_vacuous_series_oracle_rejected(dz):
     with pytest.raises(ValueError):
         solve_normalizer(lie_type_data("C", 1), L=2, z_degree_oracle=dz)
+
+
+# -- the series oracle ------------------------------------------------------
+#
+# The solver checks g1 against an integer oracle.  The HSeries route below is
+# the oracle it replaced: a dense series solve in (z, h) over Q, and the
+# rational solution re-expanded as a capped z-series.
+
+
+def _zshift_capped(s: HSeries, kappa) -> HSeries:
+    """z -> z*e^{-kappa h} when z is a capped variable of s: the terms of
+    each z-power m, times e^{-kappa m h}."""
+    caps = s.caps
+    zi = caps.names.index("z")
+    by_power = {}
+    for k, coeff in s.terms.items():
+        mono = caps.monos[k]
+        by_power.setdefault(mono[zi], {})[mono] = coeff
+    out = HSeries.zero(caps)
+    for m, terms in by_power.items():
+        piece = HSeries(caps, terms)
+        if m:
+            piece = piece * HSeries.exp_shift({"h": -kappa * m}, caps)
+        out = out + piece
+    return out
+
+
+def _series_oracle(kappa, L: int, dz: int) -> HSeries:
+    """Plain power-series solve in C[[z, h]], independent of RatFunc division."""
+    caps = {"h": L, "z": dz + 1}
+    zc = HSeries.capped_var("z", caps)
+    rhs = _rhs_product(kappa, caps, zc).inv()
+    # geometric start: 1/(1-z)^2 = sum (m+1) z^m
+    g = HSeries.zero(caps)
+    zp = HSeries.one(caps)
+    for m in range(dz + 1):
+        g = g + zp * (m + 1)
+        zp = zp * zc
+    hpow = HSeries.one(caps)
+    hvar = HSeries.capped_var("h", caps)
+    half_c0_inv = (1 - zc) ** 2 * Fraction(1, 2)    # 1/(2 g0)
+    hidx = zc.caps.names.index("h")
+    for l in range(1, L):
+        hpow = hpow * hvar
+        res_l = rhs - g * _zshift_capped(g, kappa)
+        picked = HSeries.zero(caps)
+        for k, coeff in res_l.terms.items():
+            mono = zc.caps.monos[k]
+            if mono[hidx] == l:
+                m2 = mono[:hidx] + (0,) + mono[hidx + 1:]
+                picked = picked + HSeries(caps, {m2: coeff})
+        g = g + hpow * (picked * half_c0_inv)
+    return g
+
+
+def _den_power(cl: RatFunc) -> int:
+    r, rest = cl.remove_denominator_factor(1 - RatFunc.var("z"))
+    return r
+
+
+def _poly_to_capped(p: RatFunc, caps) -> HSeries:
+    """A polynomial in z over a constant denominator, re-read with z as a
+    capped variable."""
+    zc = HSeries.capped_var("z", caps)
+    out = HSeries.zero(caps)
+    den = p.denom_terms()
+    assert len(den) == 1 and not den[0][0], p
+    for md, coeff in p.numer_terms():
+        assert set(md) <= {"z"}, p
+        out = out + zc ** md.get("z", 0) * (coeff / den[0][1])
+    return out
+
+
+def _expand_in_z(g: HSeries, L: int, dz: int) -> HSeries:
+    """Re-expand the rational solution as a capped z-series."""
+    caps = {"h": L, "z": dz + 1}
+    zc = HSeries.capped_var("z", caps)
+    geom = (1 - zc).inv()
+    out = HSeries.zero(caps)
+    hvar = HSeries.capped_var("h", caps)
+    for l in range(L):
+        cl = g.coeff({"h": l})
+        if cl.is_zero():
+            continue
+        num = cl * (1 - RatFunc.var("z")) ** _den_power(cl)
+        expanded = _poly_to_capped(num, caps) * geom ** _den_power(cl)
+        out = out + hvar ** l * expanded
+    return out
+
+
+@pytest.mark.parametrize("family,n", TYPES)
+@pytest.mark.parametrize("dz", [3, 10])
+def test_integer_oracle_matches_series_oracle(family, n, dz):
+    kappa = lie_type_data(family, n).kappa
+    for L in range(2, 8):
+        s, G = _integer_oracle(kappa, L, dz)
+        ref = _series_oracle(kappa, L, dz)
+        for l in range(L):
+            for m in range(dz + 1):
+                assert (Fraction(G[l][m], s ** l * factorial(l))
+                        == ref.coeff({"h": l, "z": m})), (L, l, m)
+
+
+def test_integer_oracle_carries_odd_remainders():
+    # at kappa = 1 the scale starts at 1 and doubles at h^3, so the
+    # differential test above covers the carrying step
+    kappa = lie_type_data("D", 2).kappa
+    assert [_integer_oracle(kappa, L, 10)[0] for L in (3, 4)] == [1, 2]
+
+
+@pytest.mark.parametrize("family,n", [("B", 1), ("C", 1), ("D", 2)])
+def test_rational_solution_expands_to_series_oracle(family, n):
+    ltd = lie_type_data(family, n)
+    norm = solve_normalizer(ltd, L=5, z_degree_oracle=10)
+    assert _expand_in_z(norm.g1, 5, 10) == _series_oracle(ltd.kappa, 5, 10)
+
+
+@pytest.mark.parametrize("family,n", [("B", 1), ("C", 1), ("D", 2)])
+@pytest.mark.parametrize("L", [2, 4])
+def test_oracle_gate_rejects_perturbed_solution(family, n, L):
+    ltd = lie_type_data(family, n)
+    g = solve_normalizer(ltd, L=L).g1
+    _check_against_oracle(g, ltd.kappa, L, 10)
+    bad = g + HSeries.capped_var("h", {"h": L}) ** (L - 1) * (z / 7)
+    with pytest.raises(NormalizerError):
+        _check_against_oracle(bad, ltd.kappa, L, 10)
+
+
+@pytest.mark.parametrize("kappa", [Fraction(1, 3), Fraction(5, 4)])
+def test_integer_oracle_rejects_kappa_off_the_half_integers(kappa):
+    with pytest.raises(NormalizerError):
+        _integer_oracle(kappa, 3, 3)

@@ -6,7 +6,7 @@ from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
 from rmx.rmatrix import (Arg, build_constant_ops, m_diag, rhat, rhat_inv,
-                         rplus, solve_normalizer)
+                         rmatrix, rplus, solve_normalizer)
 from rmx.tensorop import TensorOp
 
 CAPS = {"h": 3}
@@ -190,3 +190,25 @@ def test_template_build_matches_per_entry_oracle(family, n, L, extra, arg):
     assert (rhat_inv(ltd, norm, arg, caps).entries_data()
             == _per_entry_rmatrix(ltd, norm, arg.neg(), caps)
             .swap_slots(1, 2).entries_data())
+
+
+def test_builds_are_cached_per_argument_and_caps():
+    ltd = lie_type_data("C", 1)
+    norm = solve_normalizer(ltd, L=3)
+    arg = Arg.make(Z, {"h": Fraction(1, 2)})
+    op = rmatrix(ltd, norm, arg, CAPS)
+    assert rmatrix(ltd, norm, Arg.make(Z, {"h": Fraction(1, 2)}),
+                   dict(CAPS)) is op
+    before = op.entries_data()
+    inv = rhat_inv(ltd, norm, arg.neg(), CAPS)
+    assert inv == op.swap_slots(1, 2)
+    assert op.scale(2) == op + op
+    assert rmatrix(ltd, norm, arg, CAPS) is op
+    assert op.entries_data() == before
+    # the same argument under other caps is another operator: op truncated
+    other = rmatrix(ltd, norm, arg, {"h": 2})
+    assert other is not op and other.caps == {"h": 2}
+    truncated = {key: val.with_caps({"h": 2})
+                 for key, val in op.entries.items()}
+    assert other.entries == {key: val for key, val in truncated.items()
+                             if not val.is_zero()}
