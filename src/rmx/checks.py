@@ -25,8 +25,8 @@ from .script import evaluate_sides, parse_script
 from .tensorop import TensorOp
 
 __all__ = ["CHECKS", "CHECK_NAMES", "builtin_check", "evaluate",
-           "correspondence_check", "prefactor_substitute",
-           "PolynomialityError"]
+           "correspondence_check", "prefactor_substitute", "clear_pole",
+           "pole_order", "PolynomialityError"]
 
 CHECKS = {}     # check name -> check function
 
@@ -199,6 +199,34 @@ def prefactor_substitute(op: TensorOp, r: int, xname: str, yname: str,
     return scaled.subs_ring_var(yname, x * RatFunc.var(zname))
 
 
+def pole_order(coeffs, factor: RatFunc) -> int:
+    """The largest multiplicity of the polynomial ``factor`` in the
+    denominator of any of ``coeffs``."""
+    return max((c.remove_denominator_factor(factor)[0] for c in coeffs),
+               default=0)
+
+
+def clear_pole(op: TensorOp, r_start: int, r_max: int, xname: str,
+               yname: str, zname: str):
+    """(r, prefactor_substitute(op, r, ...)) for the least admissible r in
+    r_start..r_max, or None if there is none.
+
+    Scaling by (x-y)^r clears x - y from a denominator exactly when r is at
+    least its multiplicity there, and it cannot remove any other factor, so
+    the least admissible r is r* = max(r_start, the largest multiplicity),
+    or there is none.
+    """
+    x, y = RatFunc.var(xname), RatFunc.var(yname)
+    r = max(r_start, pole_order(
+        (c for s in op.entries.values() for c in s.terms.values()), x - y))
+    if r > r_max:
+        return None
+    try:
+        return r, prefactor_substitute(op, r, xname, yname, zname)
+    except PolynomialityError:
+        return None
+
+
 def correspondence_check(family, n, alpha, a=2, b=2, l=3, r_start=0,
                          r_max=16) -> CheckReport:
     """Match the multiplicative R-matrix at x*e^{u-v+alpha*h}/y against the
@@ -218,16 +246,11 @@ def correspondence_check(family, n, alpha, a=2, b=2, l=3, r_start=0,
         y = RatFunc.var("y")
         lhs_raw = rmatrix(ltd, norm, Arg.make(
             x / y, {"u": 1, "v": -1, "h": alpha}), caps)
-        lhs = None
-        for r in range(r_start, r_max + 1):
-            try:
-                lhs = prefactor_substitute(lhs_raw, r, "x", "y", "Z0")
-            except PolynomialityError:
-                continue
-            break
-        else:
+        found = clear_pole(lhs_raw, r_start, r_max, "x", "y", "Z0")
+        if found is None:
             return ("inconclusive", 0,
                     f"no admissible prefactor exponent r <= {r_max}")
+        r, lhs = found
         z0 = RatFunc.var("Z0")
         rhs = rmatrix(ltd, norm, Arg.make(
             1 / z0, {"u": 1, "v": -1, "h": alpha}), caps)

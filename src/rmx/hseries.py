@@ -154,28 +154,24 @@ class HSeries:
         """exp(sum coeff*var) for a linear form in the capped variables.
 
         ``linear`` maps variable names (h included) to rational coefficients;
-        half-integer coefficients are exact.
+        half-integer coefficients are exact.  The coefficient of
+        prod x_n^e_n is prod c_n^e_n / e_n!, and the monomial's number is
+        the sum of e_n times the number of x_n.
         """
         caps = Caps.of(caps)
-        out = HSeries.one(caps)
+        terms = {0: Fraction(1)}
         for name, coeff in linear.items():
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             if name not in caps:
                 raise KeyError(f"no cap declared for formal variable {name!r}")
-            x = HSeries.capped_var(name, caps)
-            term = HSeries.one(caps)
-            acc = HSeries.one(caps)
-            k = 0
-            while True:
-                k += 1
-                term = term * x * (coeff / k)
-                if term.is_zero():
-                    break
-                acc = acc + term
-            out = out * acc
-        return out
+            step = caps.index[tuple(int(n == name) for n in caps.names)] \
+                if caps[name] > 1 else 0
+            powers = [coeff ** e / factorial(e) for e in range(caps[name])]
+            terms = {k + e * step: c * p for k, c in terms.items()
+                     for e, p in enumerate(powers)}
+        return _series(caps, {k: RatFunc.const(c) for k, c in terms.items()})
 
     # -- caps ---------------------------------------------------------
 
@@ -337,6 +333,7 @@ class HSeries:
         unit = f0.is_one()
         t = (f if unit else f * (RatFunc.one() / f0)) - 1  # nilpotent
         zf0 = RatFunc.var(name) * f0
+        within = caps.monos
         out = HSeries.zero(caps)
         tpow = HSeries.one(caps)
         deriv = self        # k-th derivative of self in ``name``
@@ -346,7 +343,13 @@ class HSeries:
                 tpow = tpow * t
                 if tpow.is_zero():
                     break
-                deriv = deriv.map_coeffs(lambda c: c.diff(name))
+                # only coefficients that some term of t^k keeps within the
+                # caps are differentiated; the terms of a later power of t
+                # are sums with terms of t^k, so it can use no others
+                deriv = _series(caps, {
+                    j: d for j, c in deriv.terms.items()
+                    if any(i + j in within for i in tpow.terms)
+                    and not (d := c.diff(name)).is_zero()})
             scale = (zf0 ** k) * Fraction(1, factorial(k))
             if unit:
                 at = deriv * scale
@@ -367,6 +370,16 @@ class HSeries:
                     f"monomial exponent {n}^{e} is at or beyond the cap {caps[n]}")
         k = caps.index[tuple(monomial.get(n, 0) for n in caps.names)]
         return self.terms.get(k, RatFunc.zero())
+
+    def by_degree(self) -> list:
+        """(d, part) pairs, by increasing d, of the nonzero parts of self
+        homogeneous of total degree d in the capped variables."""
+        monos = self.caps.monos
+        parts = {}
+        for k, coeff in self.terms.items():
+            parts.setdefault(sum(monos[k]), {})[k] = coeff
+        return [(d, _series(self.caps, terms))
+                for d, terms in sorted(parts.items())]
 
     def classical_part(self) -> RatFunc:
         """Coefficient of h^0 restricted to the zero monomial in all capped vars."""

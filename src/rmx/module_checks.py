@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .checks import CHECKS, builtin_check, register
+from .checks import CHECKS, builtin_check, pole_order, register
 from .lietype import lie_type_data
 from .ratfunc import RatFunc
 from .report import CheckReport, timed_report
@@ -221,6 +221,21 @@ def _check_hexagon(family, n, L, c=Fraction(1)):
 
 # ------------------------------------------------- weak associativity
 
+def _clearing_exponent(coeffs: list, factor: RatFunc, r_max: int):
+    """The least r <= r_max such that every coefficient times factor^(2r)
+    has a monomial denominator, or None.
+
+    factor^(2r) clears a pole of order k exactly when 2r >= k, and it
+    removes no other factor, so r* = ceil(k/2) for the largest order k is
+    admissible or none is.
+    """
+    r = -(-pole_order(coeffs, factor) // 2)
+    if r > r_max:
+        return None
+    f = factor ** (2 * r)
+    return r if all((c * f).denom_is_monomial() for c in coeffs) else None
+
+
 def _weak_assoc_run(family, n, L, c, cap_uv, r_max):
     ltd, norm, caps = _context(family, n, L, {"u": cap_uv, "v": cap_uv})
     c = Fraction(c)
@@ -264,19 +279,10 @@ def _weak_assoc_run(family, n, L, c, cap_uv, r_max):
 
     z1v, z2v, z0v = (RatFunc.var(nn) for nn in ("Z1", "Z2", "Z0"))
 
-    def shape_ok(st, r):
-        f = (z1v - z2v) ** (2 * r)
-        for t in st.terms:
-            for key in sorted(t.coeff.entries):
-                for _, coeff in (t.coeff.entries[key] * f).terms.items():
-                    if not coeff.denom_is_monomial():
-                        return False
-        return True
-
-    for r in range(r_max + 1):
-        if shape_ok(direct, r):
-            break
-    else:
+    r = _clearing_exponent([c for t in direct.terms
+                            for s in t.coeff.entries.values()
+                            for c in s.terms.values()], z1v - z2v, r_max)
+    if r is None:
         return ("inconclusive", 0,
                 f"no admissible prefactor exponent r <= {r_max}")
 

@@ -70,8 +70,12 @@ integer content:
   is split by sympy's ``factor_list``, imported there and nowhere else, so
   sympy is the fallback for factorization (and the oracle of the tests),
   not a dependency of the arithmetic.  New factors join the registry.
-  Negative powers, ``subs_var`` and ``from_data`` divide this way; nothing
-  else factors.
+  Negative powers, ``subs_var`` and ``from_data`` divide this way, and
+  ``substitution`` factors A - B; nothing else factors.
+* ``substitution`` of X by a Laurent monomial A/B with coefficient 1 in
+  p(X)/(c (X-1)^r) writes the numerator down from packed exponents and
+  the denominator from the factorization of A - B, with no trial
+  division (``_LaurentImage`` says why the result is canonical).
 * An ``int`` or ``Fraction`` operand is not lifted to the variables.  A
   product with it rescales the numerator and the content; a sum adds it as
   the value p/q over the same variables, which has no factors, so only the
@@ -649,6 +653,87 @@ def _diff(a, i):
     return _finish(a.vars, reg, new, content, exps)
 
 
+class _LaurentImage:
+    """Substitution of X by a Laurent monomial A/B with coefficient 1.
+
+    A and B are coprime monomials, not both 1.  A value p(X)/(c (X-1)^r)
+    with p of degree d maps to
+
+        s^r N B^(r-d) / (c u^r prod q^(k r)),   N = sum_i p_i A^i B^(d-i),
+
+    where s (A - B) = u prod q^k is the registry's factorization with the
+    sign s that makes its leading coefficient positive, and B^(r-d) goes
+    to the denominator when r < d.  This is canonical without trial
+    division: N is not divisible by any q, since N = B^d p(1) != 0 where
+    A = B and p(1) != 0 when r > 0, nor by any variable of B, since
+    N = p_d A^d != 0 where that variable vanishes; the joint integer
+    content is gcd(content of p, c), which is 1.
+    """
+
+    __slots__ = ("name", "value", "reg", "a", "b", "sign", "unit", "pole",
+                 "b_factors", "at")
+
+    @staticmethod
+    def of(name, value) -> "_LaurentImage | None":
+        """The image for X = ``name`` -> ``value``, or None unless ``value``
+        (trimmed) is a Laurent monomial with coefficient 1 other than 1."""
+        if not value.vars or value._fac[0] != 1 or len(value._num) != 1:
+            return None
+        (a, coeff), = value._num.items()
+        reg = _registry(value.vars)
+        if coeff != 1 or not all(len(reg.factors[i]) == 1
+                                 for i, e in enumerate(value._fac[1]) if e):
+            return None
+        b = sum(e * next(iter(reg.factors[i]))
+                for i, e in enumerate(value._fac[1]) if e)
+        return _LaurentImage(name, value, reg, a, b)
+
+    def __init__(self, name, value, reg, a, b):
+        self.name, self.value, self.reg, self.a, self.b = \
+            name, value, reg, a, b
+        diff = {a: 1, b: -1}
+        self.sign = 1 if _lc(diff) > 0 else -1
+        self.unit, self.pole = reg.factorize(_scale(diff, self.sign))
+        pk = reg.pk
+        self.b_factors = [(reg.index({pk.gens[i]: 1}), e)
+                          for i, e in enumerate(pk.unpack(b)) if e]
+        # the index of X - 1 among the factors over X alone
+        self.at = _registry((name,)).index(_X_MINUS_ONE)
+
+    def __call__(self, c: "RatFunc") -> "RatFunc":
+        if not c.vars:
+            return c
+        content, exps = c._fac
+        at = self.at
+        if (c.vars != (self.name,) or not c._num
+                or any(e for i, e in enumerate(exps) if i != at)):
+            return c.subs_var(self.name, self.value)
+        r = exps[at] if at < len(exps) else 0
+        d = max(c._num) & _FIELD
+        if not r and not d:
+            return c.trim()     # a constant kept over X
+        reg, a, b = self.reg, self.a, self.b
+        lift = max(r - d, 0) * b
+        sign = self.sign ** r
+        num = {}
+        for m, coeff in c._num.items():
+            i = m & _FIELD
+            num[i * a + (d - i) * b + lift] = sign * coeff
+        top = max(num)
+        if top >= reg.pk.limit:
+            raise _overflow(top, reg.pk)
+        den = [e * r for e in self.pole]
+        for i, e in self.b_factors:
+            den += [0] * (i + 1 - len(den))
+            den[i] += e * max(d - r, 0)
+        return _finish(self.value.vars, reg, num, content * self.unit ** r,
+                       den)
+
+
+# X - 1 over the one variable X, packed
+_X_MINUS_ONE = {_packing(1).gens[0]: 1, 0: -1}
+
+
 class RatFunc:
     """A reduced fraction of multivariate polynomials over Q.
 
@@ -910,6 +995,21 @@ class RatFunc:
                 out = out * d ** -e
         return out.trim()
 
+    @staticmethod
+    def substitution(name: str, value: "RatFunc"):
+        """The map c -> c.subs_var(name, value), set up once for many c.
+
+        When ``value`` is a Laurent monomial A/B with coefficient 1 other
+        than 1, a c in ``name`` alone whose denominator is a power of
+        name - 1 maps without arithmetic on rational functions (see
+        ``_LaurentImage``); every other c goes through ``subs_var``.
+        """
+        value = value.trim()
+        image = _LaurentImage.of(name, value)
+        if image is None:
+            return lambda c: c.subs_var(name, value)
+        return image
+
     # -- structure inspection -----------------------------------------
 
     def numer_terms(self):
@@ -951,11 +1051,14 @@ class RatFunc:
         rest's denominator."""
         if not self.vars:
             return 0, self
-        f = factor.lift(self.vars)
-        if f._fac != (1, ()) or _is_ground(f._num):
+        f = factor.trim()
+        if not f.vars or f._fac != (1, ()):
             raise ValueError("factor must be a non-constant polynomial with "
                              f"integer coefficients: {factor}")
-        fp = f._num
+        if not set(f.vars) <= set(self.vars):
+            # it has a variable that self's denominator lacks
+            return 0, self
+        fp = f.lift(self.vars)._num
         sign = -1 if _lc(fp) < 0 else 1
         reg = _registry(self.vars)
         unit, mult = reg.factorize(_scale(fp, sign))

@@ -25,18 +25,36 @@ The R-matrix is R(x) = e^{(1+2kappa)h/2} g1(x) R+(x), where
 combines three constant operators with three scalar series.  A template,
 cached per type and cap set, holds the prefactor, xi = e^{-kappa h}, q^{-1}
 and q^{-2}-1, and groups the entries of R+ by their exact coefficient
-triple in (Rconst, P, Q).  A build forms s = prefactor * g1(x), the three
-scalar series times s, and one combination per group, which every entry of
-the group shares; R+ itself is the same build with s = 1.  Builds are
-cached per (type, normaliser, argument, caps), so an R-matrix that a check
-uses twice, such as R_12(u) on both sides of Yang-Baxter, is built once.
+triple in (Rconst, P, Q).  R+ at a series x is the three scalar series and
+one combination per group, which every entry of the group shares.
+
+R depends on its argument only through the one variable x.  So once per
+(type, normaliser), the value of each group of R at x = z is formed under
+caps h^L, as s = prefactor * g1(z) times the group's combination of R+(z);
+each of its h-orders is rational in z with a power of z - 1 as its
+denominator.  A build at x = mono * e^E, E a linear form in the capped
+variables, instantiates these values in two exact steps, and ``g1_at``
+evaluates g1 by the same two steps:
+
+1. the dilation expansion F(z e^E) = sum_m (E^m / m!) theta^m F(z) with
+   theta = z d/dz, where theta^m F is cached with F and E^m / m! is the
+   part of e^E of total degree m; each output coefficient is combined in
+   the field of z alone;
+2. z -> mono, once per output coefficient.  For a Laurent monomial with
+   coefficient 1, which every argument the checks build is, the canonical
+   form is written down from packed exponents (``RatFunc.substitution``);
+   any other mono goes through ``RatFunc.subs_var``.
+
+Builds are cached per (type, normaliser, argument, caps), so an R-matrix
+that a check uses twice, such as R_12(u) on both sides of Yang-Baxter, is
+built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 
 from .hseries import Caps, HSeries
@@ -88,12 +106,6 @@ class Arg:
         for n, c in extra.items():
             d[n] = d.get(n, Fraction(0)) + Fraction(c)
         return Arg.make(self.mono, d)
-
-    def exp_factor(self, caps: dict) -> HSeries:
-        return HSeries.exp_shift(self.shift_dict(), caps)
-
-    def to_hseries(self, caps: dict) -> HSeries:
-        return HSeries.const(self.mono, caps) * self.exp_factor(caps)
 
 
 def _q(caps, power=Fraction(1)):
@@ -199,25 +211,75 @@ def _template(ltd: LieTypeData, caps: Caps) -> _Template:
         tuple((coeffs, tuple(keys)) for coeffs, keys in groups.values()))
 
 
-def _scaled_rplus(t: _Template, x: HSeries, s: HSeries) -> TensorOp:
-    """s * R+(x): three scalar series, then one combination per group of
-    keys, shared by every key of the group."""
+def _scaled_rplus(t: _Template, x: HSeries, s: HSeries) -> list:
+    """s * R+(x) as (value, keys) pairs: three scalar series, then one
+    combination per group of keys, shared by every key of the group."""
     xm1 = x - 1
     s_xmxi = s * (x - t.xi)
     a = s_xmxi * xm1 * t.qinv
     b = s_xmxi * t.qinv2m1
     c = s * xm1 * t.xi_qinv2m1
-    entries = {}
-    for (rc, pc, qc), keys in t.groups:
-        val = rc * a - pc * b + qc * c
-        for key in keys:
-            entries[key] = val
-    return TensorOp(t.N, 2, s.caps, entries)
+    return [(rc * a - pc * b + qc * c, keys)
+            for (rc, pc, qc), keys in t.groups]
+
+
+def _operator(N: int, caps: Caps, values) -> TensorOp:
+    """The two-slot operator with the given (value, keys) pairs."""
+    return TensorOp(N, 2, caps, {key: val for val, keys in values
+                                 for key in keys})
 
 
 def rplus(ltd: LieTypeData, x: HSeries, caps: dict) -> TensorOp:
     """R+(x, q) = q^{-1}(x-1)(x-xi)R - (q^{-2}-1)(x-xi)P + xi(q^{-2}-1)(x-1)Q."""
-    return _scaled_rplus(_template(ltd, Caps.of(caps)), x, HSeries.one(caps))
+    caps = Caps.of(caps)
+    return _operator(ltd.N, caps, _scaled_rplus(_template(ltd, caps), x,
+                                                HSeries.one(caps)))
+
+
+class _Dilations:
+    """A series F in the ring variable z and its images theta^m F under
+    theta = z d/dz, each computed on first use.  F at x = mono * e^E is
+
+        F(z e^E) = sum_m (E^m / m!) theta^m F(z),  then z -> mono,
+
+    the Taylor series of F(z e^t) in t; the sum is finite because E, a
+    linear form in the capped variables, is nilpotent."""
+
+    def __init__(self, series: HSeries):
+        self._thetas = {0: series}
+
+    def theta(self, m: int) -> HSeries:
+        found = self._thetas.get(m)
+        if found is None:
+            z = RatFunc.var("z")
+            # setdefault: threads that race here agree on one value
+            found = self._thetas.setdefault(m, self.theta(m - 1).map_coeffs(
+                lambda c: z * c.diff("z")))
+        return found
+
+
+def _point(arg: Arg, caps: Caps, L: int) -> tuple:
+    """What evaluation at x = ``arg`` under ``caps`` needs: the weights
+    (m, E^m / m!), read off e^E by total degree, and the map z -> mono
+    of the coefficients."""
+    if caps.get("h", 0) > L:
+        raise ValueError(f"normalizer solved to order {L} only")
+    if (1 - arg.mono).is_zero():
+        raise ZeroDivisionError(
+            "R-matrix pole: argument equals 1 at order zero")
+    weights = HSeries.exp_shift(arg.shift_dict(), caps).by_degree()
+    return weights, RatFunc.substitution("z", arg.mono)
+
+
+def _evaluate(dil: _Dilations, point: tuple, caps: Caps) -> HSeries:
+    """F(x) for the F of ``dil``: the dilation expansion, combined in the
+    field of z, then one substitution per coefficient."""
+    weights, sub = point
+    out = None
+    for m, weight in weights:
+        term = weight * dil.theta(m)._remap(caps)
+        out = term if out is None else out + term
+    return out.map_coeffs(sub)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,19 +293,15 @@ class Normalizer:
     parts: tuple           # ((l, p_l: RatFunc, r_l: int), ...)
     oracle_degree: int
 
+    @cached_property
+    def _dilations(self) -> _Dilations:
+        return _Dilations(self.g1)
+
     def g1_at(self, arg: Arg, caps: dict) -> HSeries:
-        """Evaluate g1 at a multiplicative argument, exactly."""
-        if caps.get("h", 0) > self.L:
-            raise ValueError(f"normalizer solved to order {self.L} only")
-        mono = arg.mono
-        if (1 - mono).is_zero():
-            raise ZeroDivisionError(
-                "R-matrix pole: argument equals 1 at order zero")
-        g = self.g1._remap(caps)
-        f = arg.exp_factor(caps)
-        if not f.is_one():
-            g = g.subst_mult("z", f)
-        return g.subs_ring_var("z", mono)
+        """Evaluate g1 at a multiplicative argument, exactly, by the route
+        of every R-matrix build."""
+        caps = Caps.of(caps)
+        return _evaluate(self._dilations, _point(arg, caps, self.L), caps)
 
 
 def _rhs_product(kappa, caps, zval):
@@ -273,14 +331,15 @@ def _solve_normalizer_cached(ltd, L, dz) -> Normalizer:
     rhs = _rhs_product(kappa, caps, zs).inv()
     c0 = 1 / ((1 - z) ** 2)
     g = HSeries.const(c0, caps)
-    shift = HSeries.exp_shift({"h": -kappa}, caps)
-    hpow = HSeries.one(caps)
-    hvar = HSeries.capped_var("h", caps)
     for l in range(1, L):
-        hpow = hpow * hvar
-        res = (rhs - g * g.subst_mult("z", shift)).coeff({"h": l})
-        cl = res / (2 * c0)
-        g = g + hpow * cl
+        # order l is solved from the orders below it, under caps h^(l+1)
+        lcaps = {"h": l + 1}
+        gl = g.with_caps(lcaps)
+        shift = HSeries.exp_shift({"h": -kappa}, lcaps)
+        res = (rhs.with_caps(lcaps)
+               - gl * gl.subst_mult("z", shift)).coeff({"h": l})
+        g = g + HSeries(caps, {(l,): res / (2 * c0)})
+    shift = HSeries.exp_shift({"h": -kappa}, caps)
     residual = rhs - g * g.subst_mult("z", shift)
     if not residual.is_zero():
         raise NormalizerError(
@@ -409,13 +468,26 @@ def rmatrix(ltd: LieTypeData, norm: Normalizer, arg: Arg, caps: dict) -> TensorO
 
 
 @lru_cache(maxsize=None)
+def _r_template(ltd: LieTypeData, norm: Normalizer) -> tuple:
+    """Per group of R's entries, the dilations of its value at x = z under
+    caps h^L, e^{(1+2kappa)h/2} g1(z) times the group's combination of
+    R+(z), with the group's keys.  Each coefficient is rational in z with
+    a power of z - 1 as its denominator."""
+    caps = Caps.of({"h": norm.L})
+    t = _template(ltd, caps)
+    s = t.prefactor * norm.g1_at(Arg.make("z"), caps)
+    return tuple((_Dilations(val), keys) for val, keys in _scaled_rplus(
+        t, HSeries.const(RatFunc.var("z"), caps), s) if not val.is_zero())
+
+
+@lru_cache(maxsize=None)
 def _build(ltd: LieTypeData, norm: Normalizer, arg: Arg,
            caps: Caps) -> TensorOp:
     # one build per (type, normaliser, argument, caps): operators are
     # immutable, so every caller can share it
-    t = _template(ltd, caps)
-    return _scaled_rplus(t, arg.to_hseries(caps),
-                         t.prefactor * norm.g1_at(arg, caps))
+    point = _point(arg, caps, norm.L)
+    return _operator(ltd.N, caps, [(_evaluate(dil, point, caps), keys)
+                                   for dil, keys in _r_template(ltd, norm)])
 
 
 # The same object serves both coordinate pictures: additive arguments are

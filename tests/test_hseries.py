@@ -71,6 +71,42 @@ def test_exp_shift_inverse_pair():
     assert (HSeries.exp_shift(f, caps) * HSeries.exp_shift(g, caps)).is_one()
 
 
+def _exp_by_products(linear, caps):
+    # the product form exp_shift replaced: a truncated Taylor series per
+    # variable, multiplied together
+    out = HSeries.one(caps)
+    for name, coeff in linear.items():
+        x = HSeries.capped_var(name, caps)
+        term = acc = HSeries.one(caps)
+        k = 0
+        while True:
+            k += 1
+            term = term * x * (Fraction(coeff) / k)
+            if term.is_zero():
+                break
+            acc = acc + term
+        out = out * acc
+    return out
+
+
+@pytest.mark.parametrize("caps,linear", [
+    ({"h": 1}, {"h": 3}),
+    ({"h": 5}, {"h": Fraction(-3, 2)}),
+    ({"h": 3, "u": 2, "v": 2}, {"u": 1, "v": -1, "h": Fraction(1, 2)}),
+    ({"a": 3, "h": 4, "u": 1}, {"a": Fraction(2, 3), "h": -2, "u": 5}),
+    ({"h": 3, "u": 3}, {"u": Fraction(-1, 3)}),
+])
+def test_exp_shift_matches_product_form(caps, linear):
+    got = HSeries.exp_shift(linear, caps)
+    assert got.terms == _exp_by_products(linear, caps).terms
+
+
+def test_exp_shift_unknown_name():
+    assert HSeries.exp_shift({"u": 0}, H3).is_one()
+    with pytest.raises(KeyError):
+        HSeries.exp_shift({"u": 1}, H3)
+
+
 def test_subst_mult_identity():
     a = HSeries.const(1 / (1 - Z), H2)
     assert a.subst_mult("Z", HSeries.one(H2)) == a
@@ -100,6 +136,29 @@ def test_subst_mult_differentiates_once_per_order(monkeypatch):
     HSeries.const(1 / (1 - Z), caps).subst_mult(
         "Z", HSeries.exp_shift({"h": 1}, caps))
     assert calls == ["Z"] * 3
+
+
+def test_subst_mult_differentiates_only_what_the_caps_keep(monkeypatch):
+    # with caps h^3, t = e^h - 1 starts at h, so the first derivative is
+    # needed at h^0 and h^1 and the second at h^0 only: 3 of 6
+    calls = []
+    diff = RatFunc.diff
+    monkeypatch.setattr(RatFunc, "diff",
+                        lambda self, name: calls.append(name) or diff(self, name))
+    caps = {"h": 3}
+    a = HSeries(caps, {(0,): 1 / (1 - Z), (1,): Z / (1 - Z) ** 2,
+                       (2,): Z ** 3})
+    got = a.subst_mult("Z", HSeries.exp_shift({"h": 1}, caps))
+    assert len(calls) == 3
+    monkeypatch.setattr(RatFunc, "diff", diff)
+    # order by order: a(Z e^h) = sum_k (Z^k/k!) a^(k)(Z) (e^h - 1)^k
+    want = a
+    t = HSeries.exp_shift({"h": 1}, caps) - 1
+    deriv, tpow = a, HSeries.one(caps)
+    for k in (1, 2):
+        deriv, tpow = deriv.diff_ring_var("Z"), tpow * t
+        want = want + deriv * (Z ** k * Fraction(1, 2 if k == 2 else 1)) * tpow
+    assert got == want
 
 
 def test_coeff_cap_errors():

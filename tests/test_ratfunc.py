@@ -83,6 +83,77 @@ def test_subs_var():
         f.subs_var("Z", RatFunc.one())
 
 
+# RatFunc.substitution maps c -> c.subs_var(name, value); for a Laurent
+# monomial value with coefficient 1 and c = p(X)/(k (X-1)^r) it builds the
+# canonical form directly, which must be the structure subs_var reaches.
+
+X = RatFunc.var("X")
+LAURENT_VARS = ("X", "u", "v", "w")
+
+
+@st.composite
+def one_minus_x_fractions(draw):
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+    p = sum((c * X ** i for i, c in enumerate(coeffs)), RatFunc.zero())
+    r = draw(st.integers(0, 5))
+    k = draw(st.integers(1, 6))
+    return p / (k * (X - 1) ** r)
+
+
+@st.composite
+def laurent_monomials(draw):
+    exps = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    mono = RatFunc.one()
+    for name, e in zip(LAURENT_VARS, exps):
+        mono = mono * RatFunc.var(name) ** e
+    return mono
+
+
+def _assert_same_structure(got, want):
+    assert got == want
+    assert got.vars == want.vars
+    assert got.to_data() == want.to_data()
+    if want.vars:
+        assert (got._num, got._fac) == (want._num, want._fac)
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_minus_x_fractions(), laurent_monomials())
+def test_laurent_substitution_matches_subs_var(c, value):
+    if value.is_constant():
+        return
+    sub = RatFunc.substitution("X", value)
+    assert isinstance(sub, rmx.ratfunc._LaurentImage)
+    _assert_same_structure(sub(c), c.subs_var("X", value))
+
+
+def test_laurent_substitution_edges():
+    u, v, w = (RatFunc.var(n) for n in "uvw")
+    c = (3 * X ** 4 - X + 2) / (5 * (X - 1) ** 2)
+    cases = [
+        u / (v ** 3 * w ** 2),     # deg B > deg A, r < d: B below the line
+        1 / (u ** 2 * v),          # A = 1
+        u ** 2,                    # B = 1, A - 1 splits as (u - 1)(u + 1)
+        u ** 3 / v ** 3,           # A - B has a quadratic factor
+    ]
+    for value in cases:
+        for coeff in (c, c * (X - 1) ** -4, X ** 5 / (X - 1),
+                      RatFunc.const(Fraction(2, 3)), RatFunc.zero()):
+            _assert_same_structure(
+                RatFunc.substitution("X", value)(coeff),
+                coeff.subs_var("X", value))
+    # other values, and coefficients of another shape, go through subs_var
+    for value in (2 * u, 1 + u, -u):
+        sub = RatFunc.substitution("X", value)
+        assert not isinstance(sub, rmx.ratfunc._LaurentImage)
+        _assert_same_structure(sub(c), c.subs_var("X", value))
+    sub = RatFunc.substitution("X", u / v)
+    for coeff in (1 / (X + 1), X * u / (X - 1)):
+        _assert_same_structure(sub(coeff), coeff.subs_var("X", u / v))
+    with pytest.raises(ValueError):
+        RatFunc.substitution("X", u ** 20000 / v)(X ** 2 / (X - 1))
+
+
 def test_denominator_shape():
     f = (1 + Z) / (Z ** 3)
     assert f.denom_is_monomial()

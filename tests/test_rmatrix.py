@@ -5,8 +5,10 @@ import pytest
 from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
-from rmx.rmatrix import (Arg, build_constant_ops, m_diag, rhat, rhat_inv,
-                         rmatrix, rplus, solve_normalizer)
+from rmx.hseries import Caps
+from rmx.rmatrix import (Arg, _operator, _scaled_rplus, _template,
+                         build_constant_ops, m_diag, rhat, rhat_inv, rmatrix,
+                         rplus, solve_normalizer)
 from rmx.tensorop import TensorOp
 
 CAPS = {"h": 3}
@@ -144,9 +146,36 @@ def test_rhat_pole_at_coinciding_points():
         rhat(ltd, norm, Arg.make(1), CAPS)
 
 
-# The per-entry construction, kept as the oracle of the template build:
-# each constant operator scaled by its scalar, then every entry scaled again
-# by e^{(1+2kappa)h/2} g1(x).
+# Two oracles of the template build.  The per-argument route is how builds
+# were made before templates: g1 re-expanded at z*e^E by Taylor's formula
+# in z (``subst_mult``), then z -> mono, and R+ formed from the series
+# x = mono*e^E.  The per-entry construction scales each constant operator
+# by its scalar, then every entry again by e^{(1+2kappa)h/2} g1(x).
+
+def _x_series(arg, caps):
+    return HSeries.const(arg.mono, caps) * HSeries.exp_shift(
+        arg.shift_dict(), caps)
+
+
+def _per_argument_g1(norm, arg, caps):
+    if caps.get("h", 0) > norm.L:
+        raise ValueError(f"normalizer solved to order {norm.L} only")
+    if (1 - arg.mono).is_zero():
+        raise ZeroDivisionError("R-matrix pole")
+    g = norm.g1.with_caps(caps)
+    f = HSeries.exp_shift(arg.shift_dict(), caps)
+    if not f.is_one():
+        g = g.subst_mult("z", f)
+    return g.subs_ring_var("z", arg.mono)
+
+
+def _per_argument_rmatrix(ltd, norm, arg, caps):
+    caps = Caps.of(caps)
+    t = _template(ltd, caps)
+    return _operator(ltd.N, caps, _scaled_rplus(
+        t, _x_series(arg, caps), t.prefactor * _per_argument_g1(norm, arg,
+                                                                caps)))
+
 
 def _per_entry_rplus(ltd, x, caps):
     ops = build_constant_ops(ltd, caps)
@@ -161,8 +190,8 @@ def _per_entry_rplus(ltd, x, caps):
 
 def _per_entry_rmatrix(ltd, norm, arg, caps):
     prefactor = HSeries.exp_shift({"h": Fraction(1, 2) + ltd.kappa}, caps)
-    return _per_entry_rplus(ltd, arg.to_hseries(caps), caps).scale(
-        prefactor * norm.g1_at(arg, caps))
+    return _per_entry_rplus(ltd, _x_series(arg, caps), caps).scale(
+        prefactor * _per_argument_g1(norm, arg, caps))
 
 
 XY = RatFunc.var("x") / RatFunc.var("y")
@@ -182,7 +211,7 @@ def test_template_build_matches_per_entry_oracle(family, n, L, extra, arg):
     ltd = lie_type_data(family, n)
     norm = solve_normalizer(ltd, L=L)
     caps = {"h": L, **extra}
-    x = arg.to_hseries(caps)
+    x = _x_series(arg, caps)
     assert (rplus(ltd, x, caps).entries_data()
             == _per_entry_rplus(ltd, x, caps).entries_data())
     assert (rhat(ltd, norm, arg, caps).entries_data()
@@ -190,6 +219,86 @@ def test_template_build_matches_per_entry_oracle(family, n, L, extra, arg):
     assert (rhat_inv(ltd, norm, arg, caps).entries_data()
             == _per_entry_rmatrix(ltd, norm, arg.neg(), caps)
             .swap_slots(1, 2).entries_data())
+
+
+U, V, W = (RatFunc.var(name) for name in "uvw")
+GRID_MONOS = [U, 1 / U, U / V, U * V, U * V ** 2 / W]
+GRID_SHIFTS = [({}, {}), ({"h": Fraction(1, 2)}, {}), ({"h": -2}, {}),
+               ({"h": Fraction(1, 2), "a": 1, "b": -1}, {"a": 2, "b": 2})]
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("family,n", [("B", 1), ("C", 1), ("D", 2), ("C", 2),
+                                      ("B", 2)])
+def test_template_build_matches_per_argument_route(family, n, L):
+    # 5 monomials x 4 shifts per type and order: 300 builds in all
+    ltd = lie_type_data(family, n)
+    norm = solve_normalizer(ltd, L=L)
+    for mono in GRID_MONOS:
+        for shift, extra in GRID_SHIFTS:
+            caps = {"h": L, **extra}
+            arg = Arg.make(mono, shift)
+            assert (rmatrix(ltd, norm, arg, caps).entries_data()
+                    == _per_argument_rmatrix(ltd, norm, arg, caps)
+                    .entries_data()), (mono, shift)
+
+
+def test_correspondence_builds_match_per_argument_route():
+    # C1 under caps h3,u2,v2 at the two arguments correspondence_check uses
+    ltd = lie_type_data("C", 1)
+    norm = solve_normalizer(ltd, L=3)
+    caps = {"h": 3, "u": 2, "v": 2}
+    for alpha in (Fraction(1, 2), Fraction(-1, 2), 1, -1):
+        shift = {"u": 1, "v": -1, "h": alpha}
+        for mono in (XY, 1 / RatFunc.var("Z0")):
+            arg = Arg.make(mono, shift)
+            assert (rmatrix(ltd, norm, arg, caps).entries_data()
+                    == _per_argument_rmatrix(ltd, norm, arg, caps)
+                    .entries_data()), (alpha, mono)
+
+
+@pytest.mark.parametrize("mono", [2 * U, 1 + U, U / (V ** 3 * W ** 2),
+                                  1 / (U ** 2 * V), -U],
+                         ids=["2u", "1+u", "u/v3w2", "1/u2v", "-u"])
+def test_template_build_off_the_monomial_fast_path(mono):
+    # coefficients other than 1 go through subs_var; a denominator of
+    # higher degree than the numerator moves B's powers below the line
+    ltd = lie_type_data("C", 1)
+    norm = solve_normalizer(ltd, L=3)
+    for shift in ({}, {"h": Fraction(-1, 2)}):
+        arg = Arg.make(mono, shift)
+        assert (rmatrix(ltd, norm, arg, CAPS).entries_data()
+                == _per_argument_rmatrix(ltd, norm, arg, CAPS)
+                .entries_data()), shift
+        assert norm.g1_at(arg, CAPS) == _per_argument_g1(norm, arg, CAPS)
+
+
+def test_g1_at_matches_per_argument_route():
+    ltd = lie_type_data("D", 2)
+    norm = solve_normalizer(ltd, L=4)
+    for arg in (Arg.make(Z), Arg.make(1 / Z),
+                Arg.make(Z, {"h": Fraction(-3, 2)})):
+        for caps in ({"h": 4}, {"h": 2}):
+            assert norm.g1_at(arg, caps) == _per_argument_g1(norm, arg, caps)
+
+
+def test_build_at_one_is_a_pole():
+    ltd = lie_type_data("B", 1)
+    norm = solve_normalizer(ltd, L=3)
+    for arg in (Arg.make(1), Arg.make(U / U, {"h": 1})):
+        with pytest.raises(ZeroDivisionError, match="R-matrix pole"):
+            rmatrix(ltd, norm, arg, CAPS)
+        with pytest.raises(ZeroDivisionError, match="R-matrix pole"):
+            norm.g1_at(arg, CAPS)
+
+
+def test_build_beyond_the_solved_order_raises():
+    ltd = lie_type_data("C", 1)
+    norm = solve_normalizer(ltd, L=2)
+    with pytest.raises(ValueError, match="solved to order 2"):
+        rmatrix(ltd, norm, Arg.make(Z), {"h": 3})
+    with pytest.raises(ValueError, match="solved to order 2"):
+        norm.g1_at(Arg.make(Z), {"h": 3})
 
 
 def test_builds_are_cached_per_argument_and_caps():
