@@ -6,7 +6,7 @@ from .checks import (CHECK_NAMES, builtin_check, correspondence_check,
 from .lietype import lie_type_data
 from .module_checks import MODULE_CHECK_NAMES, module_check, weak_assoc_chain
 from .report import CheckReport
-from .rmatrix import (Arg, Normalizer, m_diag, rhat, rhat_inv, rmatrix,
+from .rmatrix import (Arg, Normalizer, m_diag, rhat_inv, rmatrix,
                       solve_normalizer)
 from .states import FreeState
 from .tensorop import TensorOp
@@ -14,8 +14,8 @@ from .tensorop import TensorOp
 __all__ = [
     "Arg", "CheckReport", "CHECK_NAMES", "FreeState", "MODULE_CHECK_NAMES",
     "Normalizer", "TensorOp", "builtin_check", "correspondence_check",
-    "evaluate", "lie_type_data", "m_diag", "module_check", "rhat",
-    "rhat_inv", "rmatrix", "solve_normalizer", "weak_assoc_chain",
+    "evaluate", "lie_type_data", "m_diag", "module_check", "rhat_inv",
+    "rmatrix", "solve_normalizer", "weak_assoc_chain",
 ]
 
 __version__ = "0.1.0"

@@ -82,16 +82,15 @@ def evaluate(script, name="script") -> CheckReport:
 
 # ---------------------------------------------------------- script checks
 
-# names -> (slots, spectral variables, identity); {kappa} is the type's
-# crossing shift, which is positive.  Rtilde is Rhat, so each _tilde name is
-# an alias that keeps its own report name.
+# name -> (slots, spectral variables, identity); {kappa} is the type's
+# crossing shift, which is positive.
 _SCRIPT_CHECKS = {
-    ("ybe_hat", "ybe_tilde"): (
+    "ybe_hat": (
         3, "u v", "Rhat[1,2](u) * Rhat[1,3](u+v) * Rhat[2,3](v) == "
                   "Rhat[2,3](v) * Rhat[1,3](u+v) * Rhat[1,2](u)"),
-    ("crossing_hat", "crossing_tilde"): (
+    "crossing_hat": (
         2, "u", "Rhat[1,2](u) * conjM[1](Rhat[1,2](u+{kappa}h)^t[1]) == 1"),
-    ("unitarity_hat",): (2, "u", "Rhat[1,2](u) * Rhat[2,1](-u) == 1"),
+    "unitarity_hat": (2, "u", "Rhat[1,2](u) * Rhat[2,1](-u) == 1"),
 }
 
 
@@ -105,9 +104,8 @@ def _script_body(slots, spectral, identity):
     return run
 
 
-for _names, _row in _SCRIPT_CHECKS.items():
-    for _name in _names:
-        register(_name)(_script_body(*_row))
+for _name, _row in _SCRIPT_CHECKS.items():
+    register(_name)(_script_body(*_row))
 
 
 @register("gfunc")

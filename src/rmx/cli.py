@@ -171,7 +171,7 @@ def cli():
 @click.option("--k", type=int, default=None, help="Word length.")
 @click.option("--alpha", default=None, help="Shift parameter (rational).")
 @click.option("--r-max", "r_max", type=int, default=None,
-              help="Bound for prefactor-exponent searches.")
+              help="Largest prefactor exponent that may clear a pole.")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="text")
 def check_cmd(name, family, n, order, caps, level, k, alpha, r_max, fmt):

@@ -314,25 +314,19 @@ class HSeries:
     def subst_mult(self, name: str, factor: "HSeries") -> "HSeries":
         """Replace the ring variable ``name`` by name*factor, re-expanded.
 
-        ``factor`` must be a unit whose constant coefficient is itself free of
-        ``name``; typical use is Z -> Z*exp(a*h).
+        ``factor`` must have constant term 1, as every ``exp_shift`` has;
+        typical use is Z -> Z*exp(a*h).  By Taylor's formula the result is
+        sum_k (name^k / k!) d^k/d(name)^k self * (factor - 1)^k.
         """
         f = self._operand(factor)
         if f is NotImplemented:
             raise TypeError(f"cannot substitute by a {type(factor).__name__}")
-        caps = self.caps
         f0 = f.terms.get(0)
-        if f0 is None:
-            raise ZeroDivisionError(
-                "substitution factor is not a unit (zero constant coefficient)")
-        if name in f0.trim().vars:
-            raise ValueError(
-                f"substitution factor constant term depends on {name!r}")
-        # with f0 = 1 (every exp_shift) the step name -> name*f0 is the
-        # identity, so it is skipped
-        unit = f0.is_one()
-        t = (f if unit else f * (RatFunc.one() / f0)) - 1  # nilpotent
-        zf0 = RatFunc.var(name) * f0
+        if f0 is None or not f0.is_one():
+            raise ValueError("substitution factor must have constant term 1")
+        caps = self.caps
+        t = f - 1               # nilpotent
+        z = RatFunc.var(name)
         within = caps.monos
         out = HSeries.zero(caps)
         tpow = HSeries.one(caps)
@@ -350,12 +344,7 @@ class HSeries:
                     j: d for j, c in deriv.terms.items()
                     if any(i + j in within for i in tpow.terms)
                     and not (d := c.diff(name)).is_zero()})
-            scale = (zf0 ** k) * Fraction(1, factorial(k))
-            if unit:
-                at = deriv * scale
-            else:
-                at = deriv.map_coeffs(lambda d: d.subs_var(name, zf0) * scale)
-            out = out + at * tpow
+            out = out + deriv * (z ** k * Fraction(1, factorial(k))) * tpow
             k += 1
         return out
 
@@ -380,10 +369,6 @@ class HSeries:
             parts.setdefault(sum(monos[k]), {})[k] = coeff
         return [(d, _series(self.caps, terms))
                 for d, terms in sorted(parts.items())]
-
-    def classical_part(self) -> RatFunc:
-        """Coefficient of h^0 restricted to the zero monomial in all capped vars."""
-        return self.coeff({})
 
     def diff_capped(self, name: str) -> "HSeries":
         """d/d(name) for a capped variable; the cap of ``name`` drops by one.
@@ -438,9 +423,3 @@ class HSeries:
         caps = [[n, self.caps[n]] for n in self.caps.names]
         terms = [[list(m), c.to_data()] for m, c in self._sorted_terms()]
         return [caps, terms]
-
-    @staticmethod
-    def from_data(data) -> "HSeries":
-        caps_list, terms = data
-        caps = {n: c for n, c in caps_list}
-        return HSeries(caps, {tuple(m): RatFunc.from_data(c) for m, c in terms})

@@ -18,7 +18,7 @@ from .checks import CHECKS, builtin_check, pole_order, register
 from .lietype import lie_type_data
 from .ratfunc import RatFunc
 from .report import CheckReport, timed_report
-from .rmatrix import Arg, m_diag, rhat, solve_normalizer
+from .rmatrix import Arg, m_diag, rmatrix, solve_normalizer
 from .states import FreeState, Term, arg_diff, arg_h, arg_sum
 
 __all__ = ["module_check", "MODULE_CHECK_NAMES", "weak_assoc_chain"]
@@ -80,7 +80,7 @@ def _check_rtt_minus(family, n, L, k=1, c=Fraction(1)):
     ltd, norm, caps = _context(family, n, L)
     u1, u2 = _ring_args("U1", "U2")
     w = _word_state(ltd, norm, caps, c, k)
-    r = rhat(ltd, norm, arg_diff(u1, u2), caps)
+    r = rmatrix(ltd, norm, arg_diff(u1, u2), caps)
     lhs = w.apply_tminus(1, u2)
     a = lhs.open
     lhs = lhs.apply_tminus(1, u1)
@@ -120,14 +120,14 @@ def _check_mixed(family, n, L, k=1, c=Fraction(1)):
     lhs = lhs.apply_tplus(1, u)
     b = lhs.open
     lhs = lhs.mul_open(
-        rhat(ltd, norm, arg_h(arg_diff(u, v), -Fraction(c) / 2), caps),
+        rmatrix(ltd, norm, arg_h(arg_diff(u, v), -Fraction(c) / 2), caps),
         (b, a)).swap_open(a, b)
     rhs = w.apply_tplus(1, u)
     a2 = rhs.open
     rhs = rhs.apply_tminus(1, v)
     b2 = rhs.open
     rhs = rhs.mul_open_right(
-        rhat(ltd, norm, arg_h(arg_diff(u, v), Fraction(c) / 2), caps),
+        rmatrix(ltd, norm, arg_h(arg_diff(u, v), Fraction(c) / 2), caps),
         (a2, b2))
     return _state_residual(lhs, rhs)
 
@@ -259,12 +259,13 @@ def _weak_assoc_run(family, n, L, c, cap_uv, r_max):
     nu_v = st.open
     st = st.apply_tplus(3, yv, shared_slot=nu_v)
     st = st.apply_tplus(3, xu, shared_slot=nu_u)
-    st = st.mul_open_right(rhat(ltd, norm, arg_diff(yv, xu), caps),
+    st = st.mul_open_right(rmatrix(ltd, norm, arg_diff(yv, xu), caps),
                            (nu_v, nu_u))
     # M^{-1} before the transposed factor and M after it, the crossing
     # convention of the states module
-    amat = rhat(ltd, norm, arg_h(arg_diff(yv, xu), -(c + ltd.kappa)), caps) \
-        .transpose_slot(1, ltd).conj_diag(m_diag(ltd, caps), 1, -1)
+    amat = rmatrix(ltd, norm, arg_h(arg_diff(yv, xu), -(c + ltd.kappa)),
+                   caps).transpose_slot(1, ltd) \
+        .conj_diag(m_diag(ltd, caps), 1, -1)
     st = st.odot_open(amat, (nu_v, nu_u), (nu_v,))
     reordered = st._contract_pairs(
         [(nu_u, st._sym_slots(1)[0]), (nu_v, st._sym_slots(2)[0])],

@@ -70,8 +70,8 @@ integer content:
   is split by sympy's ``factor_list``, imported there and nowhere else, so
   sympy is the fallback for factorization (and the oracle of the tests),
   not a dependency of the arithmetic.  New factors join the registry.
-  Negative powers, ``subs_var`` and ``from_data`` divide this way, and
-  ``substitution`` factors A - B; nothing else factors.
+  Negative powers and ``subs_var`` divide this way, and ``substitution``
+  factors A - B; nothing else factors.
 * ``substitution`` of X by a Laurent monomial A/B with coefficient 1 in
   p(X)/(c (X-1)^r) writes the numerator down from packed exponents and
   the denominator from the factorization of A - B, with no trial
@@ -1114,22 +1114,3 @@ class RatFunc:
                     for md, v in terms]
 
         return [list(t.vars), enc(t.numer_terms()), enc(t.denom_terms())]
-
-    @staticmethod
-    def from_data(data) -> "RatFunc":
-        names, num, den = data
-        names = tuple(names)
-
-        def dec(terms):
-            acc = RatFunc.zero()
-            for md, (p, q) in terms:
-                term = RatFunc.const(Fraction(p, q))
-                for v, e in md:
-                    term = term * RatFunc.var(v) ** e
-                acc = acc + term
-            return acc
-
-        numer = dec(num)
-        if not den or den == [[[], [1, 1]]]:
-            return numer
-        return numer / dec(den)

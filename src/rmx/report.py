@@ -1,7 +1,8 @@
 """Check reports with exact residuals.
 
 A report's verdict is "pass" iff the residual count is zero; "inconclusive"
-is reserved for bounded searches that hit their bound, and "error" for a
+is reserved for a check whose least pole-clearing exponent is above its
+``r_max``, or where a pole remains that no power clears, and "error" for a
 check that raised an exception (its witness names it).  Residuals are entry
 counts plus one witness entry, never norms: the arithmetic is exact, so any
 nonzero residual is meaningful.

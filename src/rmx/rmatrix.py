@@ -22,11 +22,9 @@ The R-matrix is R(x) = e^{(1+2kappa)h/2} g1(x) R+(x), where
 
     R+(x) = q^{-1}(x-1)(x-xi) Rconst - (q^{-2}-1)(x-xi) P + xi(q^{-2}-1)(x-1) Q
 
-combines three constant operators with three scalar series.  A template,
-cached per type and cap set, holds the prefactor, xi = e^{-kappa h}, q^{-1}
-and q^{-2}-1, and groups the entries of R+ by their exact coefficient
-triple in (Rconst, P, Q).  R+ at a series x is the three scalar series and
-one combination per group, which every entry of the group shares.
+combines three constant operators with three scalar series.  Its entries
+fall into groups by their exact coefficient triple in (Rconst, P, Q), and
+every entry of a group shares one combination of the three series.
 
 R depends on its argument only through the one variable x.  So once per
 (type, normaliser), the value of each group of R at x = z is formed under
@@ -58,13 +56,12 @@ from functools import cached_property, lru_cache
 from math import comb, factorial
 
 from .hseries import Caps, HSeries
-from .lietype import LieTypeData, lie_type_data
+from .lietype import LieTypeData
 from .ratfunc import RatFunc
 from .tensorop import TensorOp
 
-__all__ = ["Arg", "build_constant_ops", "rplus", "solve_normalizer",
-           "Normalizer", "rmatrix", "rhat", "rhat_inv", "m_diag",
-           "diag_op", "NormalizerError"]
+__all__ = ["Arg", "build_constant_ops", "solve_normalizer", "Normalizer",
+           "rmatrix", "rhat_inv", "m_diag", "diag_op", "NormalizerError"]
 
 
 class NormalizerError(RuntimeError):
@@ -174,68 +171,6 @@ def diag_op(N: int, caps: dict, diag) -> TensorOp:
     return TensorOp(N, 1, caps, {((i,), (i,)): diag[i] for i in range(N)})
 
 
-@dataclass(frozen=True)
-class _Template:
-    """What every R-matrix of one type and cap set shares.
-
-    ``groups`` pairs each distinct exact triple of coefficients of R+'s
-    constant operators (Rconst, P, Q), an absent one counted as zero, with
-    the keys that carry it.
-    """
-
-    N: int
-    prefactor: HSeries      # e^{(1+2kappa)h/2}
-    xi: HSeries             # e^{-kappa h}
-    qinv: HSeries
-    qinv2m1: HSeries        # q^{-2} - 1
-    xi_qinv2m1: HSeries     # xi (q^{-2} - 1)
-    groups: tuple           # (((rconst, p, q), keys), ...)
-
-
-@lru_cache(maxsize=None)
-def _template(ltd: LieTypeData, caps: Caps) -> _Template:
-    ops = build_constant_ops(ltd, caps)
-    zero = HSeries.zero(caps)
-    groups = {}
-    for key in {**ops["Rconst"].entries, **ops["P"].entries,
-                **ops["Q"].entries}:
-        coeffs = tuple(ops[name].entries.get(key, zero)
-                       for name in ("Rconst", "P", "Q"))
-        exact = tuple(frozenset(c.terms.items()) for c in coeffs)
-        groups.setdefault(exact, (coeffs, []))[1].append(key)
-    xi = HSeries.exp_shift({"h": -ltd.kappa}, caps)
-    qinv2m1 = _q(caps, -2) - 1
-    return _Template(
-        ltd.N, HSeries.exp_shift({"h": Fraction(1, 2) + ltd.kappa}, caps),
-        xi, _q(caps, -1), qinv2m1, xi * qinv2m1,
-        tuple((coeffs, tuple(keys)) for coeffs, keys in groups.values()))
-
-
-def _scaled_rplus(t: _Template, x: HSeries, s: HSeries) -> list:
-    """s * R+(x) as (value, keys) pairs: three scalar series, then one
-    combination per group of keys, shared by every key of the group."""
-    xm1 = x - 1
-    s_xmxi = s * (x - t.xi)
-    a = s_xmxi * xm1 * t.qinv
-    b = s_xmxi * t.qinv2m1
-    c = s * xm1 * t.xi_qinv2m1
-    return [(rc * a - pc * b + qc * c, keys)
-            for (rc, pc, qc), keys in t.groups]
-
-
-def _operator(N: int, caps: Caps, values) -> TensorOp:
-    """The two-slot operator with the given (value, keys) pairs."""
-    return TensorOp(N, 2, caps, {key: val for val, keys in values
-                                 for key in keys})
-
-
-def rplus(ltd: LieTypeData, x: HSeries, caps: dict) -> TensorOp:
-    """R+(x, q) = q^{-1}(x-1)(x-xi)R - (q^{-2}-1)(x-xi)P + xi(q^{-2}-1)(x-1)Q."""
-    caps = Caps.of(caps)
-    return _operator(ltd.N, caps, _scaled_rplus(_template(ltd, caps), x,
-                                                HSeries.one(caps)))
-
-
 class _Dilations:
     """A series F in the ring variable z and its images theta^m F under
     theta = z d/dz, each computed on first use.  F at x = mono * e^E is
@@ -252,9 +187,8 @@ class _Dilations:
         found = self._thetas.get(m)
         if found is None:
             z = RatFunc.var("z")
-            # setdefault: threads that race here agree on one value
-            found = self._thetas.setdefault(m, self.theta(m - 1).map_coeffs(
-                lambda c: z * c.diff("z")))
+            found = self._thetas[m] = self.theta(m - 1).map_coeffs(
+                lambda c: z * c.diff("z"))
         return found
 
 
@@ -474,10 +408,30 @@ def _r_template(ltd: LieTypeData, norm: Normalizer) -> tuple:
     R+(z), with the group's keys.  Each coefficient is rational in z with
     a power of z - 1 as its denominator."""
     caps = Caps.of({"h": norm.L})
-    t = _template(ltd, caps)
-    s = t.prefactor * norm.g1_at(Arg.make("z"), caps)
-    return tuple((_Dilations(val), keys) for val, keys in _scaled_rplus(
-        t, HSeries.const(RatFunc.var("z"), caps), s) if not val.is_zero())
+    ops = build_constant_ops(ltd, caps)
+    zero = HSeries.zero(caps)
+    groups = {}
+    for key in {**ops["Rconst"].entries, **ops["P"].entries,
+                **ops["Q"].entries}:
+        coeffs = tuple(ops[name].entries.get(key, zero)
+                       for name in ("Rconst", "P", "Q"))
+        exact = tuple(frozenset(c.terms.items()) for c in coeffs)
+        groups.setdefault(exact, (coeffs, []))[1].append(key)
+    xi = HSeries.exp_shift({"h": -ltd.kappa}, caps)
+    qinv2m1 = _q(caps, -2) - 1
+    s = HSeries.exp_shift({"h": Fraction(1, 2) + ltd.kappa}, caps) \
+        * norm.g1_at(Arg.make("z"), caps)
+    # s * R+(z): three scalar series, then one combination per group
+    x = HSeries.const(RatFunc.var("z"), caps)
+    xm1 = x - 1
+    s_xmxi = s * (x - xi)
+    a = s_xmxi * xm1 * _q(caps, -1)
+    b = s_xmxi * qinv2m1
+    c = s * xm1 * (xi * qinv2m1)
+    values = ((rc * a - pc * b + qc * c, tuple(keys))
+              for (rc, pc, qc), keys in groups.values())
+    return tuple((_Dilations(val), keys) for val, keys in values
+                 if not val.is_zero())
 
 
 @lru_cache(maxsize=None)
@@ -486,13 +440,10 @@ def _build(ltd: LieTypeData, norm: Normalizer, arg: Arg,
     # one build per (type, normaliser, argument, caps): operators are
     # immutable, so every caller can share it
     point = _point(arg, caps, norm.L)
-    return _operator(ltd.N, caps, [(_evaluate(dil, point, caps), keys)
-                                   for dil, keys in _r_template(ltd, norm)])
-
-
-# The same object serves both coordinate pictures: additive arguments are
-# passed through their exponential image, multiplicative ones directly.
-rhat = rmatrix
+    entries = {}
+    for dil, keys in _r_template(ltd, norm):
+        entries.update(dict.fromkeys(keys, _evaluate(dil, point, caps)))
+    return TensorOp(ltd.N, 2, caps, entries)
 
 
 def rhat_inv(ltd: LieTypeData, norm: Normalizer, arg: Arg, caps: dict) -> TensorOp:

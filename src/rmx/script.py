@@ -12,10 +12,12 @@ A script consists of declaration lines followed by a single check line:
 
 Declarations:
     type FAMILY RANK      classical type (B, C or D) and rank
-    order L               h-adic order cap (keeps h^0 .. h^{L-1})
+    order L               h-adic order cap (keeps h^0 .. h^{L-1}), L >= 1
     slots m               total tensor slot count
     spectral NAME...      spectral variables, multiplicative ring coordinates
-    formal NAME : CAP     truncation-capped formal variable
+    formal NAME : CAP     truncation-capped formal variable, CAP >= 1
+
+Each name is declared at most once; h is predeclared and cannot be declared.
 
 Expression grammar (products bind left; no user bindings, no control flow):
     expr     := term ('*' term)*
@@ -24,7 +26,6 @@ Expression grammar (products bind left; no user bindings, no control flow):
               | '^' '-1'              inverse (h-adic Neumann)
     factor   := '1' | RATIONAL | '(' expr ')' | atom
     atom     := 'Rhat' '[' INT ',' INT ']' '(' linform ')'
-              | 'Rtilde' '[' INT ',' INT ']' '(' linform ')'
               | 'M' '[' INT ']' | 'P' '[' INT ',' INT ']'
               | 'conjM' '[' INT ']' '(' expr ')'
               | 'odotLR' '[' INT (',' INT)* ']' '(' expr ';' expr ')'
@@ -40,7 +41,7 @@ coordinate map.  Spectral coefficients must be integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .hseries import HSeries
@@ -73,7 +74,6 @@ class LinForm:
 
 @dataclass(frozen=True)
 class RAtom:
-    tilde: bool
     slots: tuple
     arg: LinForm
 
@@ -342,7 +342,7 @@ class _Parser:
             return Scalar(value)
         if kind != "name":
             self.error("expected an operator atom")
-        if val in ("Rhat", "Rtilde"):
+        if val == "Rhat":
             self.next()
             self.expect_sym("[")
             i = self.expect_int()
@@ -352,7 +352,7 @@ class _Parser:
             self.expect_sym("(")
             arg = self.parse_linform()
             self.expect_sym(")")
-            return RAtom(val == "Rtilde", (i, j), arg)
+            return RAtom((i, j), arg)
         if val == "M":
             self.next()
             self.expect_sym("[")
@@ -431,9 +431,20 @@ def parse_script(text: str) -> IdentityScript:
 
 
 def _validate(script: IdentityScript):
-    if script.family not in ("B", "C", "D"):
-        raise ScriptError(f"unknown family {script.family!r}", 1, 1)
-    declared = set(script.spectral) | {n for n, _ in script.formal} | {"h"}
+    try:
+        lie_type_data(script.family, script.n)
+    except ValueError as exc:
+        raise ScriptError(str(exc), 1, 1) from None
+    if script.order < 1:
+        raise ScriptError("order must be at least 1", 1, 1)
+    for name, cap in script.formal:
+        if cap < 1:
+            raise ScriptError(f"cap of {name!r} must be at least 1", 1, 1)
+    declared = {"h"}        # the deformation parameter is always declared
+    for name in script.spectral + tuple(n for n, _ in script.formal):
+        if name in declared:
+            raise ScriptError(f"variable {name!r} is already declared", 1, 1)
+        declared.add(name)
     m = script.slots
 
     def check_expr(node):
@@ -499,8 +510,7 @@ def _print_expr(node, top=False) -> str:
         v = node.value
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(node, RAtom):
-        name = "Rtilde" if node.tilde else "Rhat"
-        return f"{name}[{node.slots[0]},{node.slots[1]}]({_print_linform(node.arg)})"
+        return f"Rhat[{node.slots[0]},{node.slots[1]}]({_print_linform(node.arg)})"
     if isinstance(node, MAtom):
         return f"M[{node.slot}]"
     if isinstance(node, PAtom):
@@ -565,9 +575,8 @@ class _Context:
             try:
                 r = rmatrix(ltd, self.norm, self.arg_of(node.arg), caps)
             except ZeroDivisionError as exc:
-                name = "Rtilde" if node.tilde else "Rhat"
                 raise EvalError(
-                    f"{name}[{node.slots[0]},{node.slots[1]}]"
+                    f"Rhat[{node.slots[0]},{node.slots[1]}]"
                     f"({_print_linform(node.arg)}): {exc}") from exc
             return r.embed(node.slots, m)
         if isinstance(node, MAtom):

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .hseries import Caps, HSeries
 from .ratfunc import RatFunc
-from .rmatrix import Arg, diag_op, m_diag, rhat, rhat_inv
+from .rmatrix import Arg, diag_op, m_diag, rhat_inv, rmatrix
 from .tensorop import TensorOp
 
 __all__ = ["FreeState", "Term", "arg_sum", "arg_diff", "arg_h"]
@@ -327,7 +327,8 @@ class FreeState:
         N, caps, ltd = self.ltd.N, self.caps, self.ltd
         hc2 = self.c / 2
         left = TensorOp.chain(N, wslots, caps, [
-            (rhat(ltd, self.norm, arg_h(arg_diff(a, u), -hc2), caps), (i, nu))
+            (rmatrix(ltd, self.norm, arg_h(arg_diff(a, u), -hc2), caps),
+             (i, nu))
             for i, a in enumerate(word_args, start=1)])
         right = TensorOp.chain(N, wslots, caps, [
             (rhat_inv(ltd, self.norm,
@@ -376,16 +377,17 @@ class FreeState:
         # after M^{-1} on the word slots
         afull = TensorOp.chain(N, wslots, caps, [
             *((diag_inv, (i,)) for i in range(1, k + 1)),
-            *((rhat(ltd, self.norm,
-                    arg_h(arg_diff(word_args[i - 1], u), -hc2 - ltd.kappa),
-                    caps).transpose_slot(1, ltd), (i, nu))
+            *((rmatrix(ltd, self.norm,
+                       arg_h(arg_diff(word_args[i - 1], u), -hc2 - ltd.kappa),
+                       caps).transpose_slot(1, ltd), (i, nu))
               for i in range(k, 0, -1))])
         # plain side: M on the word slots, then the word with the
         # plus-shifted chain to its right
         mword = TensorOp.chain(N, wslots, caps,
                                [(diag, (i,)) for i in range(1, k + 1)])
         plus = TensorOp.chain(N, wslots, caps, [
-            (rhat(ltd, self.norm, arg_h(arg_diff(a, u), hc2), caps), (i, nu))
+            (rmatrix(ltd, self.norm, arg_h(arg_diff(a, u), hc2), caps),
+             (i, nu))
             for i, a in enumerate(word_args, start=1)])
         bomega = _chain_omega(N, caps, wslots, list(range(1, k + 1)),
                               _placed(k, [(0, mword), (k, plus)]))
@@ -470,7 +472,7 @@ class FreeState:
                          for j in range(wslots, m, -1)]
                 if inverse:
                     order.reverse()
-                build = rhat_inv if inverse else rhat
+                build = rhat_inv if inverse else rmatrix
                 return TensorOp.chain(N, wslots, caps, [
                     (build(ltd, self.norm, arg(i, j, hshift), caps), (i, j))
                     for i, j in order])
@@ -482,8 +484,8 @@ class FreeState:
                                  (wslots, outer)]))
             afull = TensorOp.chain(N, wslots, caps, [
                 *((diag_inv, (i,)) for i in range(1, m + 1)),
-                *((rhat(ltd, self.norm, arg(i, j, -(self.c + ltd.kappa)),
-                        caps).transpose_slot(1, ltd), (i, j))
+                *((rmatrix(ltd, self.norm, arg(i, j, -(self.c + ltd.kappa)),
+                           caps).transpose_slot(1, ltd), (i, j))
                   for i in range(m, 0, -1) for j in range(m + 1, wslots + 1)),
                 *((diag, (i,)) for i in range(1, m + 1))])
             aemb = afull.embed(tuple(range(1, wslots + 1)), wslots + wslots)
@@ -596,7 +598,7 @@ class FreeState:
             if a[1] or b[1]:
                 raise ValueError("swap on a derivative-marked word")
             d = arg_diff(a[0], b[0])
-            r = rhat(self.ltd, self.norm, d, caps)
+            r = rmatrix(self.ltd, self.norm, d, caps)
             rinv = rhat_inv(self.ltd, self.norm, d, caps)
             return _chain_omega(N, caps, 2, [2, 1], [rinv, None, r])
 

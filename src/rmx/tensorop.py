@@ -294,11 +294,3 @@ class TensorOp:
         entries = [[list(r), list(c), self.entries[(r, c)].to_data()]
                    for r, c in sorted(self.entries)]
         return [self.N, self.m, caps, entries]
-
-    @staticmethod
-    def from_entries_data(data) -> "TensorOp":
-        N, m, caps_list, entries = data
-        caps = {n: c for n, c in caps_list}
-        return TensorOp(N, m, caps,
-                        {(tuple(r), tuple(c)): HSeries.from_data(v)
-                         for r, c, v in entries})

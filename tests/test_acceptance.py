@@ -3,7 +3,7 @@
 Every check here demands an exactly zero residual at the stated truncation
 order; nothing is compared approximately.  The criteria cover the
 normalizing series and its oracle, the classical limits, the R-matrix
-identity suites in both coordinate pictures, the additive/multiplicative
+identity suite, the additive/multiplicative
 correspondence, the inverse transposed chain identity, the module-layer
 operator calculus, the braiding identities, the weak associativity chain,
 and the negative controls with the CLI exit-code contract.
@@ -21,7 +21,7 @@ from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.module_checks import module_check, weak_assoc_chain
 from rmx.ratfunc import RatFunc
-from rmx.rmatrix import (Arg, diag_op, m_diag, rhat, rhat_inv, rmatrix,
+from rmx.rmatrix import (Arg, diag_op, m_diag, rhat_inv, rmatrix,
                          solve_normalizer)
 from rmx.script import parse_script
 from rmx.states import FreeState, arg_diff, arg_h, arg_sum
@@ -39,17 +39,16 @@ def test_criterion_1_normalizer(family, n):
     assert rep.passed, rep.to_text()
 
 
-# 2. classical limit: the R-matrix is the identity at order zero; one
-# object serves the additive and the multiplicative picture
+# 2. classical limit: the R-matrix is the identity at order zero
 @pytest.mark.parametrize("family,n", FAMILIES)
 def test_criterion_2_classical_limit(family, n):
     ltd = lie_type_data(family, n)
     norm = solve_normalizer(ltd, L=1)
     caps = {"h": 1}
-    op = rhat(ltd, norm, Arg.make(RatFunc.var("Z")), caps)
+    op = rmatrix(ltd, norm, Arg.make(RatFunc.var("Z")), caps)
     for (row, col), series in sorted(op.entries.items()):
         expected = 1 if row == col else 0
-        assert (series.classical_part() - RatFunc.const(expected)).is_zero(), \
+        assert (series.coeff({}) - RatFunc.const(expected)).is_zero(), \
             (row, col, repr(series))
 
 
@@ -65,14 +64,6 @@ def test_criterion_3_rhat_suite(family, n, name):
 @pytest.mark.parametrize("family,n", FAMILIES)
 def test_criterion_4_g_chain(family, n):
     rep = builtin_check("g_one", family, n, L=4)
-    assert rep.passed, rep.to_text()
-
-
-# 5. R-tilde identities at L=3 for N = 2, 3
-@pytest.mark.parametrize("family,n", [("C", 1), ("B", 1)])
-@pytest.mark.parametrize("name", ["ybe_tilde", "crossing_tilde"])
-def test_criterion_5_rtilde(family, n, name):
-    rep = builtin_check(name, family, n, L=3)
     assert rep.passed, rep.to_text()
 
 
@@ -197,8 +188,8 @@ def test_criterion_11_perturbed_rtt_minus():
     # R(u1-u2+h) T1(u1) T2(u2) against T2(u2) T1(u1) R(u1-u2)
     ltd, norm, w = _c1_states(3, [["V1"]])
     u1, u2 = _ring("U1"), _ring("U2")
-    r = rhat(ltd, norm, arg_diff(u1, u2), w.caps)
-    r_off = rhat(ltd, norm, arg_h(arg_diff(u1, u2), 1), w.caps)
+    r = rmatrix(ltd, norm, arg_diff(u1, u2), w.caps)
+    r_off = rmatrix(ltd, norm, arg_h(arg_diff(u1, u2), 1), w.caps)
     lhs = w.apply_tminus(1, u2)
     a = lhs.open
     lhs = lhs.apply_tminus(1, u1)
@@ -214,7 +205,7 @@ def test_criterion_11_perturbed_mixed():
     # the exchange of T+(u) and T-(v) with R(-v+u+hc/2) on both sides
     ltd, norm, w = _c1_states(3, [["V1"]])
     u, v = _ring("U"), _ring("Vm")
-    r = rhat(ltd, norm, arg_h(arg_diff(u, v), w.c / 2), w.caps)
+    r = rmatrix(ltd, norm, arg_h(arg_diff(u, v), w.c / 2), w.caps)
     lhs = w.apply_tminus(1, v)
     a = lhs.open
     lhs = lhs.apply_tplus(1, u)
@@ -319,9 +310,9 @@ def test_criterion_11_perturbed_weak_assoc_reordered():
     nu_v = st.open
     st = st.apply_tplus(3, yv, shared_slot=nu_v)
     st = st.apply_tplus(3, xu, shared_slot=nu_u)
-    st = st.mul_open_right(rhat(ltd, norm, arg_diff(yv, xu), caps),
+    st = st.mul_open_right(rmatrix(ltd, norm, arg_diff(yv, xu), caps),
                            (nu_v, nu_u))
-    amat = rhat(ltd, norm, arg_h(arg_diff(yv, xu), -(c + ltd.kappa) + 1),
+    amat = rmatrix(ltd, norm, arg_h(arg_diff(yv, xu), -(c + ltd.kappa) + 1),
                 caps).transpose_slot(1, ltd).conj_diag(m_diag(ltd, caps), 1,
                                                        -1)
     st = st.odot_open(amat, (nu_v, nu_u), (nu_v,))

@@ -14,8 +14,7 @@ from rmx.script import parse_script
 from rmx.tensorop import TensorOp
 
 
-@pytest.mark.parametrize("name", ["ybe_hat", "crossing_hat", "unitarity_hat",
-                                  "ybe_tilde", "crossing_tilde"])
+@pytest.mark.parametrize("name", ["ybe_hat", "crossing_hat", "unitarity_hat"])
 @pytest.mark.parametrize("family,n", [("C", 1), ("B", 1)])
 def test_matrix_identities(name, family, n):
     rep = builtin_check(name, family, n, L=3)

@@ -144,12 +144,25 @@ def test_usage_error_without_subcommand():
 
 
 VALID = {"name": "unitarity_hat", "order": 2}
+SCRIPT = "type C 1\norder 2\nslots 2\nspectral u\ncheck Rhat[1,2](u) == 1\n"
+
+
+def _bad_script(old, new):
+    return {"name": "bad", "script": SCRIPT.replace(old, new)}
+
+
 BAD_SUITES = {
     "misspelled key": {"name": "gfunc", "order": 2, "levle": 1},
     "unused key": {"name": "gfunc", "order": 2, "k": 2},
     "missing name": {"family": "C", "order": 2},
     "non-object entry": "gfunc",
     "unparsable script": {"name": "bad", "script": "type C 1\norder 2\n"},
+    "script of rank 0": _bad_script("type C 1", "type C 0"),
+    "script of type D1": _bad_script("type C 1", "type D 1"),
+    "script of order 0": _bad_script("order 2", "order 0"),
+    "script with cap 0": _bad_script("spectral u", "spectral u\nformal w : 0"),
+    "script declaring u twice": _bad_script("spectral u", "spectral u u"),
+    "script declaring h": _bad_script("spectral u", "spectral u h"),
 }
 
 
@@ -189,7 +202,7 @@ def _api_report(entry):
 
 def test_every_registered_check_runs_in_a_suite(tmp_path, capsys):
     assert sorted(CHECK_NAMES + MODULE_CHECK_NAMES) == sorted(CHECKS)
-    assert len(CHECKS) == 19
+    assert len(CHECKS) == 17
     suite = []
     for name in sorted(CHECKS):
         entry = {"name": name, "family": "C", "n": 1, "order": 2}

@@ -1,4 +1,5 @@
 import itertools
+import json
 import operator
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from rmx.hseries import Caps, HSeries
 from rmx.ratfunc import RatFunc
+from test_ratfunc import _from_data
 
 Z = RatFunc.var("Z")
 H2 = {"h": 2}
@@ -126,6 +128,13 @@ def test_subst_mult_plain_var():
     assert out == HSeries.const(Z, H2) - HSeries.const(Z, H2) * h(H2) * Fraction(1, 2)
 
 
+def test_subst_mult_takes_only_a_factor_with_constant_term_1():
+    a = HSeries.const(1 / (1 - Z), H2)
+    for bad in (HSeries.zero(H2), h(H2), 2 + h(H2), HSeries.const(Z, H2)):
+        with pytest.raises(ValueError, match="constant term 1"):
+            a.subst_mult("Z", bad)
+
+
 def test_subst_mult_differentiates_once_per_order(monkeypatch):
     # orders 0..3 of a one-coefficient series need derivatives 1..3 only
     calls = []
@@ -189,9 +198,15 @@ def test_subs_ring_var():
     assert out.coeff({"h": 1}) == Z / (Z - 1)
 
 
+def _series_from_data(data):
+    """The series that ``HSeries.to_data`` encodes."""
+    caps, terms = data
+    return HSeries(dict(caps), {tuple(m): _from_data(c) for m, c in terms})
+
+
 def test_serialization_roundtrip():
     a = HSeries.const(1 / (1 - Z), H3) + h(H3) * (Z / (1 + Z))
-    assert HSeries.from_data(a.to_data()) == a
+    assert _series_from_data(json.loads(json.dumps(a.to_data()))) == a
 
 
 def small_series(caps):
@@ -369,13 +384,16 @@ def test_subst_mult_matches_sympy_series(a, alpha):
 @given(z_series(), st.sampled_from([Fraction(-1), Fraction(1, 2)]),
        st.sampled_from([Fraction(2), Fraction(-1, 3)]))
 def test_subst_mult_scaled_factor_matches_sympy_series(a, alpha, c):
-    # a factor c*e^{alpha h} with c != 1 takes the z -> c*z step that an
-    # exp_shift factor skips
-    factor = HSeries.exp_shift({"h": alpha}, {"h": L_SERIES}) * c
+    # a factor c*e^{alpha h} with c != 1 is refused; z -> c*z by
+    # subs_ring_var, then the exp_shift, gives the same substitution
+    factor = HSeries.exp_shift({"h": alpha}, {"h": L_SERIES})
+    with pytest.raises(ValueError, match="constant term 1"):
+        a[0].subst_mult("z", factor * c)
     expr = a[1].subs(sz, sympy.Rational(c.numerator, c.denominator) * sz
                      * sympy.exp(sympy.Rational(alpha.numerator,
                                                 alpha.denominator) * sh))
-    _assert_matches_series(a[0].subst_mult("z", factor), expr)
+    _assert_matches_series(a[0].subs_ring_var("z", c * RatFunc.var("z"))
+                           .subst_mult("z", factor), expr)
 
 
 # -- multivariate differential tests against sympy -------------------------

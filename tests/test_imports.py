@@ -3,13 +3,20 @@ gives the golden reports in an interpreter where ``import sympy`` raises.
 
 sympy is only the fallback of the denominator factorization for what its
 exact splitting rules cannot settle, and the oracle of the tests.
+
+Every name a module exports in ``__all__`` exists, so a deletion cannot
+leave a stale export behind.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import rmx
 
 from test_reports_golden import SUITE, assert_golden, without_timings
 
@@ -42,3 +49,12 @@ def test_golden_suite_without_sympy(tmp_path):
                str(path))
     assert out.stdout, out.stderr
     assert_golden(out.returncode, without_timings(out.stdout))
+
+
+def test_every_exported_name_resolves():
+    modules = [rmx] + [importlib.import_module(f"rmx.{info.name}")
+                       for info in pkgutil.iter_modules(rmx.__path__)]
+    missing = [(module.__name__, name) for module in modules
+               for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert missing == []

@@ -23,6 +23,22 @@ Z = RatFunc.var("Z")
 W = RatFunc.var("W")
 
 
+def _from_data(data):
+    """The value that ``RatFunc.to_data`` encodes, rebuilt by arithmetic."""
+    _, num, den = data
+
+    def dec(terms):
+        acc = RatFunc.zero()
+        for md, (p, q) in terms:
+            term = RatFunc.const(Fraction(p, q))
+            for v, e in md:
+                term = term * RatFunc.var(v) ** e
+            acc = acc + term
+        return acc
+
+    return dec(num) / dec(den)
+
+
 def test_add_reduces():
     a = RatFunc.one() / (1 - Z)
     assert a + a == RatFunc.const(2) / (1 - Z)
@@ -171,7 +187,7 @@ def test_remove_denominator_factor():
 
 def test_serialization_roundtrip():
     for f in [Z / (1 - W), RatFunc.const(Fraction(-7, 3)), (1 + Z + W) ** 2 / (Z * W)]:
-        assert RatFunc.from_data(f.to_data()) == f
+        assert _from_data(f.to_data()) == f
 
 
 def test_integers_leave_the_ring_as_int():
@@ -181,7 +197,7 @@ def test_integers_leave_the_ring_as_int():
     f = (2 * Z - 4 * W) / (6 * (1 - Z) ** 2 * (Z * W - 3))
     values = [f, f / (3 * Z ** 2 - 12), f ** -2, f.subs_var("W", Z / 2),
               f.remove_denominator_factor(1 - Z)[1], (f - f) + Fraction(7, 3),
-              RatFunc.from_data(f.to_data())]
+              _from_data(f.to_data())]
     for v in values:
         names, num, den = v.to_data()
         for _, pair in num + den:
@@ -229,7 +245,7 @@ def test_field_axioms(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(ratfuncs())
 def test_canonical_equality_hash(a):
-    b = RatFunc.from_data(a.to_data())
+    b = _from_data(a.to_data())
     assert a == b
     assert hash(a) == hash(b)
 
@@ -729,13 +745,11 @@ x, y = RatFunc.var("x"), RatFunc.var("y")
 a = (x + 2 * y) * (x - y) ** -2 * (x * y - 1) ** -1
 b = (3 - x * y) * (x - y) ** -1 * (2 * x + 3 * y) ** -1
 c = (y / (x - y)).lift(("x", "y", "z"))
-data = (a * b).to_data()
 results = [a + b, a - b, a * b, b * a, (a + b) * c - a, c * b - c,
            a.diff("x"), (a * b).diff("y"), c.diff("z"), c.diff("x"),
            a / b, b / (x ** 3 + 5 * y), 1 / c, b ** -2,
            a.subs_var("x", y / (1 - y)), c.subs_var("y", x * y),
-           (a + x - a).trim(), a.lift(("w", "x", "y", "z")),
-           RatFunc.from_data(data)]
+           (a + x - a).trim(), a.lift(("w", "x", "y", "z"))]
 k, rest = a.remove_denominator_factor(y - x)
 print(json.dumps([[list(r.vars), r.to_data()] for r in results + [rest]]
                  + [k]))
@@ -753,13 +767,12 @@ def test_fraction_ops_take_no_gcd():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     *values, k = json.loads(out.stdout)
-    results = [RatFunc.from_data(data).lift(names) for names, data in values]
-    results[19] = (k, results[19])
+    results = [_from_data(data).lift(names) for names, data in values]
+    results[18] = (k, results[18])
     x, y = RatFunc.var("x"), RatFunc.var("y")
     a = (x + 2 * y) / ((x - y) ** 2 * (x * y - 1))
     b = (3 - x * y) / ((x - y) * (2 * x + 3 * y))
     assert results[0] - b == a and results[2] / b == a
     assert results[10] * b == a and results[13] * b ** 2 == 1
     assert results[16] == x and results[16].vars == ("x",)
-    assert results[18] == a * b
-    assert results[19] == (2, a * (y - x) ** 2)
+    assert results[18] == (2, a * (y - x) ** 2)

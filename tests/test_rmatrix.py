@@ -5,10 +5,8 @@ import pytest
 from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
-from rmx.hseries import Caps
-from rmx.rmatrix import (Arg, _operator, _scaled_rplus, _template,
-                         build_constant_ops, m_diag, rhat, rhat_inv, rmatrix,
-                         rplus, solve_normalizer)
+from rmx.rmatrix import (Arg, build_constant_ops, m_diag, rhat_inv, rmatrix,
+                         solve_normalizer)
 from rmx.tensorop import TensorOp
 
 CAPS = {"h": 3}
@@ -63,94 +61,11 @@ def test_rconst_classical_limit():
     assert classical.is_identity()
 
 
-def test_rplus_classical_limit():
-    ltd = lie_type_data("C", 1)
-    x = HSeries.const(Z, CAPS)
-    rp = rplus(ltd, x, CAPS)
-    ident = TensorOp.identity(ltd.N, 2, CAPS)
-    expect = ident.scale(HSeries.const((Z - 1) ** 2, CAPS))
-    classical = rp.map_entries(lambda s: HSeries.const(s.coeff({}), CAPS))
-    assert classical == expect
-
-
-def test_rplus_entries_quadratic_in_x():
-    ltd = lie_type_data("B", 1)
-    rp = rplus(ltd, HSeries.const(Z, CAPS), CAPS)
-    for val in rp.entries.values():
-        for coeff in val.terms.values():
-            assert coeff.denom_is_monomial()
-            assert coeff.denom_monomial_exponent("Z") == 0
-            for md, _ in coeff.numer_terms():
-                assert md.get("Z", 0) <= 2
-
-
-def test_rplus_h1_entry_hand_expansion():
-    # C1 entry e12(x)e21 of R+(Z): q^{-1}(Z-1)(Z-xi)(q-q^{-1})(1+q^{-2})
-    #   - (q^{-2}-1)(Z-xi) - xi(q^{-2}-1)(Z-1)q^{-2}, whose h^1 part is
-    # 2(Z-1)^2 + 2(Z-1) = 2Z(Z-1)
-    ltd = lie_type_data("C", 1)
-    rp = rplus(ltd, HSeries.const(Z, CAPS), CAPS)
-    entry = rp.entries[((0, 1), (1, 0))]
-    assert entry.coeff({"h": 1}) == 2 * Z * (Z - 1)
-
-
-@pytest.mark.parametrize("family,n", [("B", 1), ("C", 1), ("D", 2)])
-def test_rhat_classical_limit(family, n):
-    ltd = lie_type_data(family, n)
-    norm = solve_normalizer(ltd, L=3)
-    r = rhat(ltd, norm, Arg.make(Z), CAPS)
-    classical = r.map_entries(lambda s: HSeries.const(s.coeff({}), CAPS))
-    assert classical.is_identity()
-
-
-def test_rhat_unitarity_c1():
-    ltd = lie_type_data("C", 1)
-    norm = solve_normalizer(ltd, L=3)
-    arg = Arg.make(Z)
-    r12 = rhat(ltd, norm, arg, CAPS)
-    p = build_constant_ops(ltd, CAPS)["P"]
-    r21_neg = p * rhat(ltd, norm, arg.neg(), CAPS) * p
-    assert (r12 * r21_neg).is_identity()
-
-
-def test_rhat_inv_is_inverse():
-    ltd = lie_type_data("C", 1)
-    norm = solve_normalizer(ltd, L=3)
-    arg = Arg.make(Z)
-    assert (rhat(ltd, norm, arg, CAPS)
-            * rhat_inv(ltd, norm, arg, CAPS)).is_identity()
-
-
-def test_rhat_crossing_c1():
-    ltd = lie_type_data("C", 1)
-    norm = solve_normalizer(ltd, L=3)
-    r_u = rhat(ltd, norm, Arg.make(Z), CAPS)
-    r_shift = rhat(ltd, norm, Arg.make(Z, {"h": -ltd.kappa}), CAPS)
-    m = m_diag(ltd, CAPS)
-    lhs = r_u * r_shift.transpose_slot(1, ltd).conj_diag(m, 1, 1)
-    assert lhs.is_identity()
-
-
-def test_rtilde_neumann_inverse_agrees_with_unitarity_route():
-    ltd = lie_type_data("C", 1)
-    norm = solve_normalizer(ltd, L=3)
-    arg = Arg.make(Z)
-    r = rhat(ltd, norm, arg, CAPS)
-    assert r.inv() == rhat_inv(ltd, norm, arg, CAPS)
-
-
-def test_rhat_pole_at_coinciding_points():
-    ltd = lie_type_data("C", 1)
-    norm = solve_normalizer(ltd, L=3)
-    with pytest.raises(ZeroDivisionError):
-        rhat(ltd, norm, Arg.make(1), CAPS)
-
-
-# Two oracles of the template build.  The per-argument route is how builds
+# The oracle of the template build is the per-argument route, how builds
 # were made before templates: g1 re-expanded at z*e^E by Taylor's formula
-# in z (``subst_mult``), then z -> mono, and R+ formed from the series
-# x = mono*e^E.  The per-entry construction scales each constant operator
-# by its scalar, then every entry again by e^{(1+2kappa)h/2} g1(x).
+# in z (``subst_mult``), then z -> mono, and R+ formed entry by entry from
+# the series x = mono*e^E: each constant operator scaled by its scalar,
+# then every entry again by e^{(1+2kappa)h/2} g1(x).
 
 def _x_series(arg, caps):
     return HSeries.const(arg.mono, caps) * HSeries.exp_shift(
@@ -169,15 +84,9 @@ def _per_argument_g1(norm, arg, caps):
     return g.subs_ring_var("z", arg.mono)
 
 
-def _per_argument_rmatrix(ltd, norm, arg, caps):
-    caps = Caps.of(caps)
-    t = _template(ltd, caps)
-    return _operator(ltd.N, caps, _scaled_rplus(
-        t, _x_series(arg, caps), t.prefactor * _per_argument_g1(norm, arg,
-                                                                caps)))
-
-
 def _per_entry_rplus(ltd, x, caps):
+    """R+(x) = q^{-1}(x-1)(x-xi)Rconst - (q^{-2}-1)(x-xi)P
+    + xi(q^{-2}-1)(x-1)Q."""
     ops = build_constant_ops(ltd, caps)
     xi = HSeries.exp_shift({"h": -ltd.kappa}, caps)
     qinv = HSeries.exp_shift({"h": Fraction(-1, 2)}, caps)
@@ -188,10 +97,93 @@ def _per_entry_rplus(ltd, x, caps):
             + ops["Q"].scale(xi * qinv2m1 * xm1))
 
 
-def _per_entry_rmatrix(ltd, norm, arg, caps):
+def _per_argument_rmatrix(ltd, norm, arg, caps):
     prefactor = HSeries.exp_shift({"h": Fraction(1, 2) + ltd.kappa}, caps)
     return _per_entry_rplus(ltd, _x_series(arg, caps), caps).scale(
         prefactor * _per_argument_g1(norm, arg, caps))
+
+
+def test_rplus_classical_limit():
+    ltd = lie_type_data("C", 1)
+    x = HSeries.const(Z, CAPS)
+    rp = _per_entry_rplus(ltd, x, CAPS)
+    ident = TensorOp.identity(ltd.N, 2, CAPS)
+    expect = ident.scale(HSeries.const((Z - 1) ** 2, CAPS))
+    classical = rp.map_entries(lambda s: HSeries.const(s.coeff({}), CAPS))
+    assert classical == expect
+
+
+def test_rplus_entries_quadratic_in_x():
+    ltd = lie_type_data("B", 1)
+    rp = _per_entry_rplus(ltd, HSeries.const(Z, CAPS), CAPS)
+    for val in rp.entries.values():
+        for coeff in val.terms.values():
+            assert coeff.denom_is_monomial()
+            assert coeff.denom_monomial_exponent("Z") == 0
+            for md, _ in coeff.numer_terms():
+                assert md.get("Z", 0) <= 2
+
+
+def test_rplus_h1_entry_hand_expansion():
+    # C1 entry e12(x)e21 of R+(Z): q^{-1}(Z-1)(Z-xi)(q-q^{-1})(1+q^{-2})
+    #   - (q^{-2}-1)(Z-xi) - xi(q^{-2}-1)(Z-1)q^{-2}, whose h^1 part is
+    # 2(Z-1)^2 + 2(Z-1) = 2Z(Z-1)
+    ltd = lie_type_data("C", 1)
+    rp = _per_entry_rplus(ltd, HSeries.const(Z, CAPS), CAPS)
+    entry = rp.entries[((0, 1), (1, 0))]
+    assert entry.coeff({"h": 1}) == 2 * Z * (Z - 1)
+
+
+@pytest.mark.parametrize("family,n", [("B", 1), ("C", 1), ("D", 2)])
+def test_rhat_classical_limit(family, n):
+    ltd = lie_type_data(family, n)
+    norm = solve_normalizer(ltd, L=3)
+    r = rmatrix(ltd, norm, Arg.make(Z), CAPS)
+    classical = r.map_entries(lambda s: HSeries.const(s.coeff({}), CAPS))
+    assert classical.is_identity()
+
+
+def test_rhat_unitarity_c1():
+    ltd = lie_type_data("C", 1)
+    norm = solve_normalizer(ltd, L=3)
+    arg = Arg.make(Z)
+    r12 = rmatrix(ltd, norm, arg, CAPS)
+    p = build_constant_ops(ltd, CAPS)["P"]
+    r21_neg = p * rmatrix(ltd, norm, arg.neg(), CAPS) * p
+    assert (r12 * r21_neg).is_identity()
+
+
+def test_rhat_inv_is_inverse():
+    ltd = lie_type_data("C", 1)
+    norm = solve_normalizer(ltd, L=3)
+    arg = Arg.make(Z)
+    assert (rmatrix(ltd, norm, arg, CAPS)
+            * rhat_inv(ltd, norm, arg, CAPS)).is_identity()
+
+
+def test_rhat_crossing_c1():
+    ltd = lie_type_data("C", 1)
+    norm = solve_normalizer(ltd, L=3)
+    r_u = rmatrix(ltd, norm, Arg.make(Z), CAPS)
+    r_shift = rmatrix(ltd, norm, Arg.make(Z, {"h": -ltd.kappa}), CAPS)
+    m = m_diag(ltd, CAPS)
+    lhs = r_u * r_shift.transpose_slot(1, ltd).conj_diag(m, 1, 1)
+    assert lhs.is_identity()
+
+
+def test_rtilde_neumann_inverse_agrees_with_unitarity_route():
+    ltd = lie_type_data("C", 1)
+    norm = solve_normalizer(ltd, L=3)
+    arg = Arg.make(Z)
+    r = rmatrix(ltd, norm, arg, CAPS)
+    assert r.inv() == rhat_inv(ltd, norm, arg, CAPS)
+
+
+def test_rhat_pole_at_coinciding_points():
+    ltd = lie_type_data("C", 1)
+    norm = solve_normalizer(ltd, L=3)
+    with pytest.raises(ZeroDivisionError):
+        rmatrix(ltd, norm, Arg.make(1), CAPS)
 
 
 XY = RatFunc.var("x") / RatFunc.var("y")
@@ -211,13 +203,10 @@ def test_template_build_matches_per_entry_oracle(family, n, L, extra, arg):
     ltd = lie_type_data(family, n)
     norm = solve_normalizer(ltd, L=L)
     caps = {"h": L, **extra}
-    x = _x_series(arg, caps)
-    assert (rplus(ltd, x, caps).entries_data()
-            == _per_entry_rplus(ltd, x, caps).entries_data())
-    assert (rhat(ltd, norm, arg, caps).entries_data()
-            == _per_entry_rmatrix(ltd, norm, arg, caps).entries_data())
+    assert (rmatrix(ltd, norm, arg, caps).entries_data()
+            == _per_argument_rmatrix(ltd, norm, arg, caps).entries_data())
     assert (rhat_inv(ltd, norm, arg, caps).entries_data()
-            == _per_entry_rmatrix(ltd, norm, arg.neg(), caps)
+            == _per_argument_rmatrix(ltd, norm, arg.neg(), caps)
             .swap_slots(1, 2).entries_data())
 
 

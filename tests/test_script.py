@@ -78,6 +78,19 @@ def test_missing_declarations():
         parse_script("order 2\nslots 2\ncheck 1 == 1\n")
 
 
+@pytest.mark.parametrize("old,new,match", [
+    ("type C 1", "type C 0", "rank must be at least 1"),
+    ("type C 1", "type D 1", "type D requires rank at least 2"),
+    ("order 3", "order 0", "order must be at least 1"),
+    ("spectral u v", "spectral u v\nformal w : 0", "cap of 'w'"),
+    ("spectral u v", "spectral u v\nformal u : 2", "'u' is already declared"),
+    ("spectral u v", "spectral u v\nformal h : 5", "'h' is already declared"),
+], ids=["rank", "type", "order", "cap", "twice", "h"])
+def test_bad_declaration_is_a_script_error(old, new, match):
+    with pytest.raises(ScriptError, match=match):
+        parse_script(YBE.replace(old, new))
+
+
 def test_fractional_spectral_coefficient_rejected():
     bad = YBE.replace("Rhat[1,3](u+v) * Rhat[2,3](v) ==",
                       "Rhat[1,3](1/2u+v) * Rhat[2,3](v) ==")

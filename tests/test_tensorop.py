@@ -9,6 +9,7 @@ from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
 from rmx.tensorop import TensorOp
+from test_hseries import _series_from_data
 
 CAPS = {"h": 3}
 N = 2
@@ -173,7 +174,10 @@ def test_serialization_roundtrip():
     rng = random.Random(10)
     a = rand_op(rng, N, 2)
     text = json.dumps(a.entries_data())
-    back = TensorOp.from_entries_data(json.loads(text))
+    size, m, caps, entries = json.loads(text)
+    back = TensorOp(size, m, dict(caps),
+                    {(tuple(r), tuple(c)): _series_from_data(v)
+                     for r, c, v in entries})
     assert back == a
     assert json.dumps(back.entries_data()) == text
 

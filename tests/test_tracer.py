@@ -2,7 +2,9 @@
 
 ``perfbench/tracer.py`` replaces methods and functions of rmx by name, so a
 renamed or deleted one breaks the benchmark.  This installs the tracer in a
-fresh interpreter and runs one small check through it.
+fresh interpreter and runs two small checks through it: an R-matrix
+identity, then a module-layer check, whose state operations the tracer
+reads through ``FreeState.terms``.
 """
 
 import json
@@ -21,6 +23,8 @@ tracer.install()
 import rmx
 rep = rmx.builtin_check("unitarity_hat", "C", 1, L=2)
 print(json.dumps([rep.verdict, tracer.counts()]))
+rep = rmx.module_check("tminus_vacuum", "C", 1, L=2)
+print(json.dumps([rep.verdict, tracer.counts()]))
 """
 
 
@@ -32,10 +36,16 @@ def test_tracer_installs_and_counts():
     out = subprocess.run([sys.executable, "-c", TRACED], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    verdict, counts = json.loads(out.stdout.splitlines()[-1])
+    first, second = out.stdout.splitlines()[-2:]
+    verdict, counts = json.loads(first)
     assert verdict == "pass"
     for boundary in ("ratfunc.ops", "hseries.mul", "hseries.inv",
                      "hseries.subst_mult", "hseries._remap", "tensorop.mul",
                      "tensorop.embed", "rmatrix.build", "rmatrix.g1_at",
                      "rmatrix.solve", "script.parse", "script.eval"):
+        assert counts.get(boundary, 0) > 0, boundary
+    verdict, counts = json.loads(second)
+    assert verdict == "pass"
+    for boundary in ("states.apply_tminus", "states.residual",
+                     "states.peak_terms"):
         assert counts.get(boundary, 0) > 0, boundary
