@@ -18,25 +18,39 @@ Declarations:
     formal NAME : CAP     truncation-capped formal variable, CAP >= 1
 
 Each name is declared at most once; h is predeclared and cannot be declared.
+The check line comes last, after ``type``, ``order`` and ``slots``.
 
 Expression grammar (products bind left; no user bindings, no control flow):
     expr     := term ('*' term)*
     term     := factor postfix*
     postfix  := '^' 't' '[' INT ']'   twisted partial transpose in a slot
               | '^' '-1'              inverse (h-adic Neumann)
-    factor   := '1' | RATIONAL | '(' expr ')' | atom
-    atom     := 'Rhat' '[' INT ',' INT ']' '(' linform ')'
-              | 'M' '[' INT ']' | 'P' '[' INT ',' INT ']'
-              | 'conjM' '[' INT ']' '(' expr ')'
-              | 'odotLR' '[' INT (',' INT)* ']' '(' expr ';' expr ')'
-              | 'odotRL' '[' INT (',' INT)* ']' '(' expr ';' expr ')'
+    factor   := RATIONAL | '(' expr ')' | atom
+    atom     := NAME '[' INT (',' INT)* ']' ['(' arg (';' arg)* ')']
+    arg      := linform | expr, as the atom's entry of _ATOMS says
     linform  := ['-'] sterm (('+'|'-') sterm)*
     sterm    := [RATIONAL] NAME | RATIONAL
     RATIONAL := INT | INT '/' INT
 
+Every atom is one entry of ``_ATOMS``: its name, its number of slot indices
+(two distinct slots, one slot, or one or more) and the kinds of its
+arguments:
+
+    Rhat[i,j](linform)          R-matrix in slots i, j
+    M[i]                        diagonal matrix M in slot i
+    P[i,j]                      flip of slots i, j
+    conjM[i](expr)              M-conjugation of expr in slot i
+    odotLR[i,...](expr; expr)   ordered slot product, first block i, ...
+    odotRL[i,...](expr; expr)   the same in the opposite order
+
 R-matrix arguments are additive linear forms in the spectral variables, h
 and the formal variables; the evaluator passes them through the exponential
 coordinate map.  Spectral coefficients must be integers.
+
+Each rule is enforced where its token is parsed, so a ``ScriptError``
+names the line and column of the offending token: a declaration's value, a
+slot index (or the ``[`` of a slot pair), a name in a linear form, or the
+``check`` token or end of input for a missing declaration.
 """
 
 from __future__ import annotations
@@ -73,24 +87,10 @@ class LinForm:
 
 
 @dataclass(frozen=True)
-class RAtom:
+class Atom:
+    name: str
     slots: tuple
-    arg: LinForm
-
-
-@dataclass(frozen=True)
-class MAtom:
-    slot: int
-
-
-@dataclass(frozen=True)
-class PAtom:
-    slots: tuple
-
-
-@dataclass(frozen=True)
-class One:
-    pass
+    args: tuple              # LinForm or expression nodes, as _ATOMS says
 
 
 @dataclass(frozen=True)
@@ -115,20 +115,6 @@ class Transpose:
 
 
 @dataclass(frozen=True)
-class ConjM:
-    slot: int
-    expr: object
-
-
-@dataclass(frozen=True)
-class Odot:
-    mode: str                # "LR" or "RL"
-    first_slots: tuple
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
 class IdentityScript:
     family: str
     n: int
@@ -138,6 +124,18 @@ class IdentityScript:
     formal: tuple            # ((name, cap), ...)
     lhs: object
     rhs: object
+
+
+# atom name -> (slot indices: 2 distinct, 1, or None for one or more,
+#               argument kinds, each parsed by the _Parser method parse_KIND)
+_ATOMS = {
+    "Rhat": (2, ("linform",)),
+    "M": (1, ()),
+    "P": (2, ()),
+    "conjM": (1, ("expr",)),
+    "odotLR": (None, ("expr", "expr")),
+    "odotRL": (None, ("expr", "expr")),
+}
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -185,6 +183,10 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.family = self.n = self.order = self.m = None
+        self.spectral = []
+        self.formal = []
+        self.declared = {"h"}   # the deformation parameter is always declared
 
     def peek(self):
         return self.tokens[self.pos]
@@ -194,9 +196,9 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def error(self, message):
-        kind, val, line, col = self.peek()
-        raise ScriptError(message, line, col)
+    def error(self, message, tok=None):
+        kind, val, line, col = tok or self.peek()
+        raise ScriptError(message, line, col) from None
 
     def expect_sym(self, sym):
         kind, val, line, col = self.peek()
@@ -211,12 +213,34 @@ class _Parser:
         self.next()
         return int(val)
 
+    def expect_positive(self, message):
+        tok = self.peek()
+        value = self.expect_int()
+        if value < 1:
+            self.error(message, tok)
+        return value
+
     def expect_name(self):
         kind, val, line, col = self.peek()
         if kind != "name":
             self.error("expected a name")
         self.next()
         return val
+
+    def declare(self):
+        tok = self.peek()
+        name = self.expect_name()
+        if name in self.declared:
+            self.error(f"variable {name!r} is already declared", tok)
+        self.declared.add(name)
+        return name
+
+    def expect_slot(self):
+        tok = self.peek()
+        slot = self.expect_int()
+        if not 1 <= slot <= self.m:
+            self.error(f"slot {slot} out of range for m={self.m}", tok)
+        return slot
 
     def skip_newlines(self):
         while self.peek()[0] == "newline":
@@ -233,44 +257,41 @@ class _Parser:
     # -- declarations -------------------------------------------------
 
     def parse(self) -> IdentityScript:
-        family = n = order = slots = None
-        spectral = []
-        formal = []
-        lhs = rhs = None
         while True:
             self.skip_newlines()
-            kind, val, line, col = self.peek()
+            tok = kind, val, line, col = self.peek()
+            if kind == "eof" or (kind, val) == ("name", "check"):
+                for value, what in ((self.family, "type"),
+                                    (self.order, "order"), (self.m, "slots")):
+                    if value is None:
+                        self.error(f"missing {what} declaration")
             if kind == "eof":
-                break
+                self.error("missing check line")
             if kind != "name":
                 self.error("expected a declaration or check line")
+            self.next()
             if val == "type":
-                self.next()
+                at = self.peek()
                 family = self.expect_name()
                 n = self.expect_int()
-                self.end_line()
+                try:
+                    lie_type_data(family, n)
+                except ValueError as exc:
+                    self.error(str(exc), at)
+                self.family, self.n = family, n
             elif val == "order":
-                self.next()
-                order = self.expect_int()
-                self.end_line()
+                self.order = self.expect_positive("order must be at least 1")
             elif val == "slots":
-                self.next()
-                slots = self.expect_int()
-                self.end_line()
+                self.m = self.expect_int()
             elif val == "spectral":
-                self.next()
                 while self.peek()[0] == "name":
-                    spectral.append(self.expect_name())
-                self.end_line()
+                    self.spectral.append(self.declare())
             elif val == "formal":
-                self.next()
-                name = self.expect_name()
+                name = self.declare()
                 self.expect_sym(":")
-                cap = self.expect_int()
-                formal.append((name, cap))
-                self.end_line()
+                self.formal.append(
+                    (name, self.expect_positive(f"cap of {name!r} must be at least 1")))
             elif val == "check":
-                self.next()
                 lhs = self.parse_expr()
                 self.expect_sym("==")
                 rhs = self.parse_expr()
@@ -278,21 +299,12 @@ class _Parser:
                 self.skip_newlines()
                 if self.peek()[0] != "eof":
                     self.error("only one check line is allowed")
-                break
+                return IdentityScript(self.family, self.n, self.order, self.m,
+                                      tuple(self.spectral), tuple(self.formal),
+                                      lhs, rhs)
             else:
-                self.error(f"unknown declaration {val!r}")
-        if family is None or n is None:
-            raise ScriptError("missing type declaration", 1, 1)
-        if order is None:
-            raise ScriptError("missing order declaration", 1, 1)
-        if slots is None:
-            raise ScriptError("missing slots declaration", 1, 1)
-        if lhs is None:
-            raise ScriptError("missing check line", 1, 1)
-        script = IdentityScript(family, n, order, slots, tuple(spectral),
-                                tuple(formal), lhs, rhs)
-        _validate(script)
-        return script
+                self.error(f"unknown declaration {val!r}", tok)
+            self.end_line()
 
     # -- expressions --------------------------------------------------
 
@@ -311,7 +323,7 @@ class _Parser:
             if kind == "name" and val == "t":
                 self.next()
                 self.expect_sym("[")
-                slot = self.expect_int()
+                slot = self.expect_slot()
                 self.expect_sym("]")
                 node = Transpose(node, slot)
             elif kind == "sym" and val == "-":
@@ -337,63 +349,39 @@ class _Parser:
             if self.peek()[:2] == ("sym", "/"):
                 self.next()
                 value /= self.expect_int()
-            if value == 1:
-                return One()
             return Scalar(value)
         if kind != "name":
             self.error("expected an operator atom")
-        if val == "Rhat":
-            self.next()
-            self.expect_sym("[")
+        if val not in _ATOMS:
+            self.error(f"unknown atom {val!r}")
+        self.next()
+        count, kinds = _ATOMS[val]
+        bracket = self.expect_sym("[")
+        if count == 2:
             i = self.expect_int()
             self.expect_sym(",")
             j = self.expect_int()
-            self.expect_sym("]")
-            self.expect_sym("(")
-            arg = self.parse_linform()
-            self.expect_sym(")")
-            return RAtom((i, j), arg)
-        if val == "M":
-            self.next()
-            self.expect_sym("[")
-            slot = self.expect_int()
-            self.expect_sym("]")
-            return MAtom(slot)
-        if val == "P":
-            self.next()
-            self.expect_sym("[")
-            i = self.expect_int()
-            self.expect_sym(",")
-            j = self.expect_int()
-            self.expect_sym("]")
-            return PAtom((i, j))
-        if val == "conjM":
-            self.next()
-            self.expect_sym("[")
-            slot = self.expect_int()
-            self.expect_sym("]")
-            self.expect_sym("(")
-            inner = self.parse_expr()
-            self.expect_sym(")")
-            return ConjM(slot, inner)
-        if val in ("odotLR", "odotRL"):
-            self.next()
-            self.expect_sym("[")
-            first = [self.expect_int()]
-            while self.peek()[:2] == ("sym", ","):
+            if not (1 <= i <= self.m and 1 <= j <= self.m) or i == j:
+                self.error(f"slot pair ({i},{j}) out of range for m={self.m}",
+                           bracket)
+            slots = [i, j]
+        else:
+            slots = [self.expect_slot()]
+            while count is None and self.peek()[:2] == ("sym", ","):
                 self.next()
-                first.append(self.expect_int())
-            self.expect_sym("]")
-            self.expect_sym("(")
-            left = self.parse_expr()
-            self.expect_sym(";")
-            right = self.parse_expr()
+                slots.append(self.expect_slot())
+        self.expect_sym("]")
+        args = []
+        for k, arg_kind in enumerate(kinds):
+            self.expect_sym(";" if k else "(")
+            args.append(getattr(self, "parse_" + arg_kind)())
+        if kinds:
             self.expect_sym(")")
-            return Odot(val[-2:], tuple(first), left, right)
-        self.error(f"unknown atom {val!r}")
+        return Atom(val, tuple(slots), tuple(args))
 
     def parse_linform(self):
         coeffs = {}
+        first = {}               # name -> its first token, for errors
         sign = 1
         if self.peek()[:2] == ("sym", "-"):
             self.next()
@@ -411,6 +399,7 @@ class _Parser:
                     coeff *= num
                 kind, val, line, col = self.peek()
             if kind == "name":
+                first.setdefault(val, self.peek())
                 name = self.expect_name()
                 coeffs[name] = coeffs.get(name, Fraction(0)) + coeff
             else:
@@ -423,64 +412,17 @@ class _Parser:
                 continue
             break
         items = tuple(sorted((k, v) for k, v in coeffs.items() if v != 0))
+        for name, coeff in items:
+            if name not in self.declared:
+                self.error(f"undeclared variable {name!r}", first[name])
+            if name in self.spectral and coeff.denominator != 1:
+                self.error(f"spectral coefficient for {name!r} must be an integer",
+                           first[name])
         return LinForm(items)
 
 
 def parse_script(text: str) -> IdentityScript:
     return _Parser(text).parse()
-
-
-def _validate(script: IdentityScript):
-    try:
-        lie_type_data(script.family, script.n)
-    except ValueError as exc:
-        raise ScriptError(str(exc), 1, 1) from None
-    if script.order < 1:
-        raise ScriptError("order must be at least 1", 1, 1)
-    for name, cap in script.formal:
-        if cap < 1:
-            raise ScriptError(f"cap of {name!r} must be at least 1", 1, 1)
-    declared = {"h"}        # the deformation parameter is always declared
-    for name in script.spectral + tuple(n for n, _ in script.formal):
-        if name in declared:
-            raise ScriptError(f"variable {name!r} is already declared", 1, 1)
-        declared.add(name)
-    m = script.slots
-
-    def check_expr(node):
-        if isinstance(node, RAtom):
-            i, j = node.slots
-            if not (1 <= i <= m and 1 <= j <= m) or i == j:
-                raise ScriptError(f"slot pair ({i},{j}) out of range for m={m}", 1, 1)
-            for name, coeff in node.arg.coeffs:
-                if name not in declared:
-                    raise ScriptError(f"undeclared variable {name!r}", 1, 1)
-                if name in script.spectral and coeff.denominator != 1:
-                    raise ScriptError(
-                        f"spectral coefficient for {name!r} must be an integer", 1, 1)
-        elif isinstance(node, (MAtom, ConjM)):
-            if not 1 <= node.slot <= m:
-                raise ScriptError(f"slot {node.slot} out of range for m={m}", 1, 1)
-        elif isinstance(node, PAtom):
-            i, j = node.slots
-            if not (1 <= i <= m and 1 <= j <= m) or i == j:
-                raise ScriptError(f"slot pair ({i},{j}) out of range for m={m}", 1, 1)
-        elif isinstance(node, Transpose):
-            if not 1 <= node.slot <= m:
-                raise ScriptError(f"slot {node.slot} out of range for m={m}", 1, 1)
-        elif isinstance(node, Odot):
-            for s in node.first_slots:
-                if not 1 <= s <= m:
-                    raise ScriptError(f"slot {s} out of range for m={m}", 1, 1)
-        for child in ("expr", "left", "right"):
-            if hasattr(node, child):
-                check_expr(getattr(node, child))
-        if isinstance(node, Prod):
-            for f in node.factors:
-                check_expr(f)
-
-    check_expr(script.lhs)
-    check_expr(script.rhs)
 
 
 # ---------------------------------------------------------------- printer
@@ -504,23 +446,15 @@ def _print_linform(lf: LinForm) -> str:
 
 
 def _print_expr(node, top=False) -> str:
-    if isinstance(node, One):
-        return "1"
+    if isinstance(node, LinForm):
+        return _print_linform(node)
     if isinstance(node, Scalar):
         v = node.value
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(node, RAtom):
-        return f"Rhat[{node.slots[0]},{node.slots[1]}]({_print_linform(node.arg)})"
-    if isinstance(node, MAtom):
-        return f"M[{node.slot}]"
-    if isinstance(node, PAtom):
-        return f"P[{node.slots[0]},{node.slots[1]}]"
-    if isinstance(node, ConjM):
-        return f"conjM[{node.slot}]({_print_expr(node.expr, top=True)})"
-    if isinstance(node, Odot):
-        slots = ",".join(str(s) for s in node.first_slots)
-        return (f"odot{node.mode}[{slots}]({_print_expr(node.left, top=True)}; "
-                f"{_print_expr(node.right, top=True)})")
+    if isinstance(node, Atom):
+        slots = ",".join(str(s) for s in node.slots)
+        args = "; ".join(_print_expr(a, top=True) for a in node.args)
+        return f"{node.name}[{slots}]" + (f"({args})" if node.args else "")
     if isinstance(node, Inv):
         return f"{_print_expr(node.expr)}^-1"
     if isinstance(node, Transpose):
@@ -567,25 +501,9 @@ class _Context:
 
     def eval(self, node) -> TensorOp:
         ltd, caps, m = self.ltd, self.caps, self.m
-        if isinstance(node, One):
-            return TensorOp.identity(ltd.N, m, caps)
         if isinstance(node, Scalar):
-            return TensorOp.identity(ltd.N, m, caps).scale(node.value)
-        if isinstance(node, RAtom):
-            try:
-                r = rmatrix(ltd, self.norm, self.arg_of(node.arg), caps)
-            except ZeroDivisionError as exc:
-                raise EvalError(
-                    f"Rhat[{node.slots[0]},{node.slots[1]}]"
-                    f"({_print_linform(node.arg)}): {exc}") from exc
-            return r.embed(node.slots, m)
-        if isinstance(node, MAtom):
-            return diag_op(ltd.N, caps, self.mdiag).embed((node.slot,), m)
-        if isinstance(node, PAtom):
-            p = TensorOp(ltd.N, 2, caps,
-                         {((i, j), (j, i)): HSeries.one(caps)
-                          for i in range(ltd.N) for j in range(ltd.N)})
-            return p.embed(node.slots, m)
+            one = TensorOp.identity(ltd.N, m, caps)
+            return one if node.value == 1 else one.scale(node.value)
         if isinstance(node, Prod):
             out = self.eval(node.factors[0])
             for f in node.factors[1:]:
@@ -595,12 +513,25 @@ class _Context:
             return self.eval(node.expr).inv()
         if isinstance(node, Transpose):
             return self.eval(node.expr).transpose_slot(node.slot, ltd)
-        if isinstance(node, ConjM):
-            return self.eval(node.expr).conj_diag(self.mdiag, node.slot, 1)
-        if isinstance(node, Odot):
-            return self.eval(node.left).odot(self.eval(node.right),
-                                             node.first_slots, node.mode)
-        raise TypeError(f"cannot evaluate {node!r}")
+        if not isinstance(node, Atom):
+            raise TypeError(f"cannot evaluate {node!r}")
+        name, slots, args = node.name, node.slots, node.args
+        if name == "Rhat":
+            try:
+                r = rmatrix(ltd, self.norm, self.arg_of(args[0]), caps)
+            except ZeroDivisionError as exc:
+                raise EvalError(f"{_print_expr(node)}: {exc}") from exc
+            return r.embed(slots, m)
+        if name == "M":
+            return diag_op(ltd.N, caps, self.mdiag).embed(slots, m)
+        if name == "P":
+            p = TensorOp(ltd.N, 2, caps,
+                         {((i, j), (j, i)): HSeries.one(caps)
+                          for i in range(ltd.N) for j in range(ltd.N)})
+            return p.embed(slots, m)
+        if name == "conjM":
+            return self.eval(args[0]).conj_diag(self.mdiag, slots[0], 1)
+        return self.eval(args[0]).odot(self.eval(args[1]), slots, name[-2:])
 
 
 def evaluate_sides(script: IdentityScript):

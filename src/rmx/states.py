@@ -312,6 +312,34 @@ class FreeState:
                                   tuple(words)))
         return st._replace(out_terms)
 
+    # -- sandwich builders ----------------------------------------------
+
+    def _r_chain(self, wslots, factors, inverse=False):
+        """The ordered product on ``wslots`` operator slots of one R-matrix
+        (inverse R-matrix for ``inverse``) per ``(arg, slots)`` factor."""
+        build = rhat_inv if inverse else rmatrix
+        return TensorOp.chain(self.ltd.N, wslots, self.caps, [
+            (build(self.ltd, self.norm, a, self.caps), slots)
+            for a, slots in factors])
+
+    def _crossing(self, first, factors, wslots, bomega):
+        """The crossing half of the inverse lowering operator and of the
+        braiding: M^{-1} on the ``first`` operator slots, the R-matrices
+        transposed in their first slot at the ``(arg, slots)`` factors, then
+        M on ``first``, combined "LR" with the walk ``bomega`` split at
+        ``first``."""
+        N, caps, ltd = self.ltd.N, self.caps, self.ltd
+        md = m_diag(ltd, caps)
+        diag = diag_op(N, caps, md)
+        diag_inv = diag_op(N, caps, [d.inv() for d in md])
+        afull = TensorOp.chain(N, wslots, caps, [
+            *((diag_inv, (i,)) for i in first),
+            *((rmatrix(ltd, self.norm, a, caps).transpose_slot(1, ltd), slots)
+              for a, slots in factors),
+            *((diag, (i,)) for i in first)])
+        aemb = afull.embed(tuple(range(1, wslots + 1)), bomega.m)
+        return aemb.odot(bomega, tuple(first), "LR")
+
     # -- lowering operator ---------------------------------------------
 
     def _tminus_omega(self, word_args, u: Arg):
@@ -322,21 +350,41 @@ class FreeState:
         chain of inverses at -u + a_i + hc/2, both linking word slot i to
         the operator's own matrix slot."""
         k = len(word_args)
-        wslots = k + 1
         nu = k + 1
-        N, caps, ltd = self.ltd.N, self.caps, self.ltd
         hc2 = self.c / 2
-        left = TensorOp.chain(N, wslots, caps, [
-            (rmatrix(ltd, self.norm, arg_h(arg_diff(a, u), -hc2), caps),
-             (i, nu))
-            for i, a in enumerate(word_args, start=1)])
-        right = TensorOp.chain(N, wslots, caps, [
-            (rhat_inv(ltd, self.norm,
-                      arg_h(arg_diff(word_args[i - 1], u), hc2), caps),
-             (i, nu))
-            for i in range(k, 0, -1)])
-        return _chain_omega(N, caps, wslots, list(range(1, k + 1)),
+        left = self._r_chain(nu, [(arg_h(arg_diff(a, u), -hc2), (i, nu))
+                                  for i, a in enumerate(word_args, start=1)])
+        right = self._r_chain(nu, [
+            (arg_h(arg_diff(word_args[i - 1], u), hc2), (i, nu))
+            for i in range(k, 0, -1)], inverse=True)
+        return _chain_omega(self.ltd.N, self.caps, nu, list(range(1, k + 1)),
                             _placed(k, [(0, left), (k, right)]))
+
+    def _tminus_inv_omega(self, word_args, u: Arg):
+        """Sandwich tensor of the inverse lowering operator, the displayed
+        split formula: the crossing half with the transposed chain at
+        -u + a_i - hc/2 - kappa*h, slots i descending, against the word
+        with the plain chain at -u + a_i + hc/2 to its right."""
+        k = len(word_args)
+        nu = k + 1
+        N, caps = self.ltd.N, self.caps
+        plus = self._r_chain(nu, [(arg_h(arg_diff(a, u), self.c / 2), (i, nu))
+                                  for i, a in enumerate(word_args, start=1)])
+        bomega = _chain_omega(N, caps, nu, list(range(1, k + 1)), _placed(
+            k, [(0, TensorOp.identity(N, nu, caps)), (k, plus)]))
+        shift = -self.c / 2 - self.ltd.kappa
+        return self._crossing(
+            range(1, k + 1),
+            [(arg_h(arg_diff(word_args[i - 1], u), shift), (i, nu))
+             for i in range(k, 0, -1)], nu, bomega)
+
+    def _lower(self, omega, factor: int, u: Arg, shared_slot) -> "FreeState":
+        """Contract the sandwich ``omega(state, word, u)`` into one factor,
+        on an open slot as ``_open_slot`` gives it."""
+        st, nu = self._open_slot(shared_slot)
+        return st._compose(st._sym_slots(factor),
+                           lambda t: omega(st, st._plain_word(t, factor), u),
+                           lambda t: t.words, nu)
 
     def apply_tminus(self, factor: int, u: Arg, shared_slot=None) -> "FreeState":
         """Apply the lowering operator at argument u to one factor.
@@ -344,55 +392,12 @@ class FreeState:
         With ``shared_slot=None`` a fresh open matrix slot is appended;
         otherwise the operator's matrix factor is multiplied from the left
         onto the existing open slot."""
-        st, nu = self._open_slot(shared_slot)
-        return st._compose(
-            st._sym_slots(factor),
-            lambda t: st._tminus_omega(st._plain_word(t, factor), u),
-            lambda t: t.words, nu)
+        return self._lower(FreeState._tminus_omega, factor, u, shared_slot)
 
     def apply_tminus_inv(self, factor: int, u: Arg, shared_slot=None) -> "FreeState":
         """Apply the inverse of the lowering operator at argument u, with
-        open slots as in ``apply_tminus``.
-
-        It uses the displayed split formula: the diagonal and
-        transposed-chain part acts on the word-slot group from both sides of
-        the plain-chain part, realized with the ordered slot product over
-        the word-slot group."""
-        st, nu = self._open_slot(shared_slot)
-        return st._compose(
-            st._sym_slots(factor),
-            lambda t: st._tminus_inv_omega(st._plain_word(t, factor), u),
-            lambda t: t.words, nu)
-
-    def _tminus_inv_omega(self, word_args, u: Arg):
-        k = len(word_args)
-        wslots = k + 1
-        nu = k + 1
-        N, caps, ltd = self.ltd.N, self.caps, self.ltd
-        hc2 = self.c / 2
-        md = m_diag(ltd, caps)
-        diag = diag_op(N, caps, md)
-        diag_inv = diag_op(N, caps, [d.inv() for d in md])
-        # transposed chain at -u + a_i - hc/2 - kappa*h, slots i descending,
-        # after M^{-1} on the word slots
-        afull = TensorOp.chain(N, wslots, caps, [
-            *((diag_inv, (i,)) for i in range(1, k + 1)),
-            *((rmatrix(ltd, self.norm,
-                       arg_h(arg_diff(word_args[i - 1], u), -hc2 - ltd.kappa),
-                       caps).transpose_slot(1, ltd), (i, nu))
-              for i in range(k, 0, -1))])
-        # plain side: M on the word slots, then the word with the
-        # plus-shifted chain to its right
-        mword = TensorOp.chain(N, wslots, caps,
-                               [(diag, (i,)) for i in range(1, k + 1)])
-        plus = TensorOp.chain(N, wslots, caps, [
-            (rmatrix(ltd, self.norm, arg_h(arg_diff(a, u), hc2), caps),
-             (i, nu))
-            for i, a in enumerate(word_args, start=1)])
-        bomega = _chain_omega(N, caps, wslots, list(range(1, k + 1)),
-                              _placed(k, [(0, mword), (k, plus)]))
-        aemb = afull.embed(tuple(range(1, wslots + 1)), wslots + k)
-        return aemb.odot(bomega, tuple(range(1, k + 1)), "LR")
+        open slots as in ``apply_tminus``."""
+        return self._lower(FreeState._tminus_inv_omega, factor, u, shared_slot)
 
     # -- open-slot algebra ---------------------------------------------
 
@@ -446,19 +451,12 @@ class FreeState:
         against the sandwich of plain chains at z + u_i - v_j (outer) and the
         inverse chain at z + u_i - v_j + hc (between the two words)."""
         m = self.word_length(f1)
-        k = self.word_length(f2)
         targets = self._sym_slots(f1) + self._sym_slots(f2)
-        wslots = m + k
-        N, caps, ltd = self.ltd.N, self.caps, self.ltd
-        md = m_diag(ltd, caps)
-        diag = diag_op(N, caps, md)
-        diag_inv = diag_op(N, caps, [d.inv() for d in md])
+        wslots = m + self.word_length(f2)
 
         def omega_of(term):
-            us = [a for a, _ in term.words[f1 - 1]]
-            vs = [a for a, _ in term.words[f2 - 1]]
-            if any(d for _, d in term.words[f1 - 1] + term.words[f2 - 1]):
-                raise ValueError("braiding on a derivative-marked word")
+            us = self._plain_word(term, f1)
+            vs = self._plain_word(term, f2)
 
             def arg(i, j, hshift):
                 return arg_h(arg_sum(z, arg_diff(us[i - 1], vs[j - m - 1])),
@@ -472,24 +470,19 @@ class FreeState:
                          for j in range(wslots, m, -1)]
                 if inverse:
                     order.reverse()
-                build = rhat_inv if inverse else rmatrix
-                return TensorOp.chain(N, wslots, caps, [
-                    (build(ltd, self.norm, arg(i, j, hshift), caps), (i, j))
-                    for i, j in order])
+                return self._r_chain(wslots, [(arg(i, j, hshift), (i, j))
+                                              for i, j in order], inverse)
 
             outer = chain(0)
             bomega = _chain_omega(
-                N, caps, wslots, list(range(1, wslots + 1)),
+                self.ltd.N, self.caps, wslots, list(range(1, wslots + 1)),
                 _placed(wslots, [(0, outer), (m, chain(self.c, inverse=True)),
                                  (wslots, outer)]))
-            afull = TensorOp.chain(N, wslots, caps, [
-                *((diag_inv, (i,)) for i in range(1, m + 1)),
-                *((rmatrix(ltd, self.norm, arg(i, j, -(self.c + ltd.kappa)),
-                           caps).transpose_slot(1, ltd), (i, j))
-                  for i in range(m, 0, -1) for j in range(m + 1, wslots + 1)),
-                *((diag, (i,)) for i in range(1, m + 1))])
-            aemb = afull.embed(tuple(range(1, wslots + 1)), wslots + wslots)
-            return aemb.odot(bomega, tuple(range(1, m + 1)), "LR")
+            shift = -(self.c + self.ltd.kappa)
+            return self._crossing(
+                range(1, m + 1),
+                [(arg(i, j, shift), (i, j)) for i in range(m, 0, -1)
+                 for j in range(m + 1, wslots + 1)], wslots, bomega)
 
         return self._compose(targets, omega_of, lambda t: t.words)
 
@@ -512,9 +505,7 @@ class FreeState:
         keys = {t.key()[from_factor - 1] for t in self.terms}
         if len(keys) > 1:
             raise ValueError("merge requires a uniform word on the consumed factor")
-        word = [a for a, d in self.terms[0].words[from_factor - 1]]
-        if any(d for _, d in self.terms[0].words[from_factor - 1]):
-            raise ValueError("merge on a derivative-marked word")
+        word = self._plain_word(self.terms[0], from_factor)
         m = len(word)
         st = self
         nus = []

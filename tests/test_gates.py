@@ -21,13 +21,14 @@ from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc, _packing, _registry
 from rmx.report import CheckReport
 from rmx.rmatrix import NormalizerError, _check_against_oracle, solve_normalizer
+from rmx.script import ScriptError, parse_script
 from rmx.states import FreeState, _chain_omega
 from rmx.tensorop import TensorOp
 
-def raises(fn):
+def raises(fn, kind=(ValueError, NormalizerError)):
     try:
         fn()
-    except (ValueError, NormalizerError):
+    except kind:
         return True
     return False
 
@@ -56,7 +57,9 @@ print(raises(lambda: CheckReport("x", {}, "pass", 1, None, 0)),
       and raises(lambda: TensorOp.identity(2, 1, caps)
                  + TensorOp.identity(2, 1, {"h": 3})),
       raises(lambda: _check_against_oracle(bad_g1, ltd.kappa, 3, 10)),
-      main(["check", "ybe_hat", "--order", "0"]) == 64)
+      main(["check", "ybe_hat", "--order", "0"]) == 64,
+      raises(lambda: parse_script("type C 1\\norder 2\\nslots 2\\n"
+                                  "check M[3] == 1\\n"), ScriptError))
 """
 
 
@@ -97,4 +100,4 @@ def test_gates_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", GATES], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True"] * 12
+    assert out.stdout.split() == ["True"] * 13

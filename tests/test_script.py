@@ -132,3 +132,26 @@ check (Rhat[1,2](u) * M[1]) * M[2] == Rhat[1,2](u) * (M[1] * M[2])
 """
     lhs, rhs = evaluate_sides(parse_script(text1))
     assert lhs == rhs
+
+
+SMALL = """\
+type C 1
+order 2
+slots 2
+spectral u
+check Rhat[1,2](u) == Rhat[1,2](u)
+"""
+
+
+@pytest.mark.parametrize("old,new,line,col", [
+    ("order 2", "order 0", 2, 7),
+    ("== Rhat[1,2](u)", "== Rhat[1,3](u)", 5, 27),
+    ("Rhat[1,2](u) ==", "Rhat[1,2](w) ==", 5, 17),
+    ("spectral u\n", "spectral u\nformal u : 2\n", 5, 8),
+    ("Rhat[1,2](u) ==", "Rhat[1,2](u)^t[3] ==", 5, 22),
+    ("slots 2\nspectral u\n", "", 3, 1),
+], ids=["order", "slot-pair", "undeclared", "twice", "transpose", "missing"])
+def test_script_error_names_the_offending_token(old, new, line, col):
+    with pytest.raises(ScriptError) as err:
+        parse_script(SMALL.replace(old, new))
+    assert (err.value.line, err.value.col) == (line, col)

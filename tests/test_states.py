@@ -167,7 +167,8 @@ def _invert_omega(omega: TensorOp, k: int) -> TensorOp:
     return TensorOp(omega.N, m, omega.caps, out)
 
 
-@pytest.mark.parametrize("family,n,L", [("C", 1, 3), ("B", 1, 2)])
+@pytest.mark.parametrize("family,n,L", [("C", 1, 3), ("B", 1, 2),
+                                      ("D", 2, 2)])
 @pytest.mark.parametrize("k", [1, 2])
 def test_tminus_inv_chain_matches_matrix_oracle(family, n, L, k):
     ltd = lie_type_data(family, n)
@@ -281,10 +282,16 @@ def test_marked_words_refuse_operators():
     d = FreeState.pure(ltd, norm, caps, c, [[ring("X")]]).translate_d()
     with pytest.raises(ValueError):
         d.apply_tminus(1, ring("U"))
+    with pytest.raises(ValueError):
+        d.apply_tminus_inv(1, ring("U"))
     d2 = FreeState.pure(ltd, norm, caps, c,
                         [[ring("X"), ring("Y")]]).translate_d()
     with pytest.raises(ValueError):
         d2.rtt_swap(1, 1)
+    d3 = FreeState.pure(ltd, norm, caps, c,
+                        [[ring("X")], [ring("Y")]]).translate_d()
+    with pytest.raises(ValueError):
+        d3.braiding_s(1, 2, ring("Z"))
 
 
 def test_merge_vacuum_factor_is_identity():
