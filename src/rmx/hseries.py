@@ -229,22 +229,27 @@ class HSeries:
         return other if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
-            return self.map_coeffs(lambda c: c * other)
-        b = self._operand(other)
-        if b is NotImplemented:
-            return b
-        if self.is_one():
-            return b
-        if b.is_one():
+        if type(other) is not HSeries:
+            if isinstance(other, (int, Fraction, RatFunc)):
+                return self.map_coeffs(lambda c: c * other)
+            other = self._operand(other)
+            if other is NotImplemented:
+                return other
+        caps = self.caps
+        if other.caps is not caps:
+            caps.match(other.caps)
+        a, b = self.terms, other.terms
+        if len(a) == 1 and 0 in a and a[0].is_one():
+            return other
+        if len(b) == 1 and 0 in b and b[0].is_one():
             return self
-        within = self.caps.monos
+        within = caps.monos
         terms = {}
-        for i, c1 in self.terms.items():
-            for j, c2 in b.terms.items():
+        for i, c1 in a.items():
+            for j, c2 in b.items():
                 if i + j in within:
                     _add_into(terms, i + j, c1 * c2)
-        return _series(self.caps, terms)
+        return _series(caps, terms)
 
     __rmul__ = __mul__
 

@@ -269,6 +269,9 @@ class _Parser:
                 self.error("missing check line")
             if kind != "name":
                 self.error("expected a declaration or check line")
+            if {"type": self.family, "order": self.order,
+                    "slots": self.m}.get(val) is not None:
+                self.error(f"{val!r} is already declared", tok)
             self.next()
             if val == "type":
                 at = self.peek()

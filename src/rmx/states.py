@@ -35,7 +35,7 @@ from fractions import Fraction
 from .hseries import Caps, HSeries
 from .ratfunc import RatFunc
 from .rmatrix import Arg, diag_op, m_diag, rhat_inv, rmatrix
-from .tensorop import TensorOp
+from .tensorop import TensorOp, _operator
 
 __all__ = ["FreeState", "Term", "arg_sum", "arg_diff", "arg_h"]
 
@@ -105,6 +105,12 @@ def _chain_omega(N, caps, wslots, sym_wordops, mats) -> TensorOp:
     if len(mats) != len(sym_wordops) + 1:
         raise ValueError(f"{len(mats)} matrices for "
                          f"{len(sym_wordops)} generators")
+    caps = Caps.of(caps)
+    for mat in mats:
+        if mat is not None:
+            if mat.m != wslots:
+                raise ValueError(f"a matrix on {mat.m} slots, not {wslots}")
+            caps.match(mat.caps)
     frontier = {(row, col, (), ()): val
                 for (row, col), val in mats[0].entries.items()}
     for wop, mat in zip(sym_wordops, mats[1:]):
@@ -125,9 +131,9 @@ def _chain_omega(N, caps, wslots, sym_wordops, mats) -> TensorOp:
                 prod = val * mval
                 joined[key] = joined[key] + prod if key in joined else prod
         frontier = joined
-    return TensorOp(N, wslots + len(sym_wordops), caps,
-                    {(row + grow, col + gcol): val
-                     for (row, col, grow, gcol), val in frontier.items()})
+    return _operator(N, wslots + len(sym_wordops), caps,
+                     {(row + grow, col + gcol): val
+                      for (row, col, grow, gcol), val in frontier.items()})
 
 
 def _placed(n, placed):
@@ -278,7 +284,7 @@ class FreeState:
                     val = kval * oval
                     key = (tuple(row), tuple(col))
                     entries[key] = entries[key] + val if key in entries else val
-            out_terms.append(Term(TensorOp(K.N, K.m, caps, entries),
+            out_terms.append(Term(_operator(K.N, K.m, caps, entries),
                                   new_words_of_term(term)))
         return self._replace(out_terms)
 
@@ -308,7 +314,7 @@ class FreeState:
                     entries[(nrow, kcol[:pos] + (mm,) + kcol[pos:])] = val
             words = list(term.words)
             words[factor - 1] = ((arg, 0),) + words[factor - 1]
-            out_terms.append(Term(TensorOp(N, K.m + 1, K.caps, entries),
+            out_terms.append(Term(_operator(N, K.m + 1, K.caps, entries),
                                   tuple(words)))
         return st._replace(out_terms)
 
@@ -543,7 +549,7 @@ class FreeState:
             for df in sorted(drop_factors, reverse=True):
                 words = words[:df - 1] + words[df:]
             out_terms.append(Term(
-                TensorOp(K.N, K.m - len(drop), K.caps, entries), words))
+                _operator(K.N, K.m - len(drop), K.caps, entries), words))
         return self._replace(out_terms, self.open - open_drop)
 
     # -- translation ----------------------------------------------------

@@ -5,6 +5,17 @@ slots maps index tuples of length m to index tuples of length m.  Entries are
 HSeries over the operator's caps; absent entries are zero.  Slot arguments in
 the public API are 1-based, matching the usual subscript notation A_{rs} for
 embeddings.
+
+Two constructors build an operator.  ``TensorOp(N, m, caps, entries)``
+validates: every entry must be an HSeries over the given caps, keyed by
+row and column tuples of m slots.  ``_operator`` trusts its caller and only
+drops zero entries.  It is for code that builds entries from operands whose
+shape and caps are already checked: the builders of this class (``identity``,
+``+``, ``-``, ``scale``, ``*``, ``embed``, ``swap_slots``,
+``transpose_slot``, ``conj_diag``, ``odot``) and the sandwich contractions
+of ``states``.  Everything else, ``map_entries`` included, goes through the
+validating constructor, and every binary operation checks the shapes and
+caps of its operands.
 """
 
 from __future__ import annotations
@@ -18,6 +29,17 @@ from .ratfunc import RatFunc
 __all__ = ["TensorOp"]
 
 
+def _operator(N: int, m: int, caps: Caps, entries: dict) -> "TensorOp":
+    """An operator from entries built over ``caps`` on m slots, as they are
+    except that zero entries are dropped."""
+    out = object.__new__(TensorOp)
+    out.N = N
+    out.m = m
+    out.caps = caps
+    out.entries = {k: v for k, v in entries.items() if v.terms}
+    return out
+
+
 class TensorOp:
 
     __slots__ = ("N", "m", "caps", "entries")
@@ -28,6 +50,9 @@ class TensorOp:
         self.caps = caps = Caps.of(caps)
         self.entries = {}
         for key, val in entries.items():
+            if not isinstance(val, HSeries):
+                raise TypeError(f"entry {key} is a {type(val).__name__}, "
+                                "not an HSeries")
             if len(key[0]) != m or len(key[1]) != m:
                 raise ValueError(f"entry {key} does not have {m} slots")
             caps.match(val.caps)
@@ -38,9 +63,10 @@ class TensorOp:
 
     @staticmethod
     def identity(N, m, caps) -> "TensorOp":
+        caps = Caps.of(caps)
         one = HSeries.one(caps)
         idx = itertools.product(range(N), repeat=m)
-        return TensorOp(N, m, caps, {(i, i): one for i in map(tuple, idx)})
+        return _operator(N, m, caps, {(i, i): one for i in map(tuple, idx)})
 
     @staticmethod
     def chain(N, m, caps, factors) -> "TensorOp":
@@ -66,33 +92,41 @@ class TensorOp:
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other):
+    def _match(self, other) -> Caps:
+        """The caps shared with ``other``; other shapes or caps raise."""
         if (self.N, self.m) != (other.N, other.m):
             raise ValueError("operator shapes differ")
-        caps = self.caps.match(other.caps)
+        return self.caps.match(other.caps)
+
+    def __add__(self, other):
+        if not isinstance(other, TensorOp):
+            return NotImplemented
+        caps = self._match(other)
         entries = dict(self.entries)
         for key, val in other.entries.items():
             entries[key] = entries[key] + val if key in entries else val
-        return TensorOp(self.N, self.m, caps, entries)
+        return _operator(self.N, self.m, caps, entries)
 
     def __sub__(self, other):
+        if not isinstance(other, TensorOp):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return TensorOp(self.N, self.m, self.caps,
-                        {k: -v for k, v in self.entries.items()})
+        return _operator(self.N, self.m, self.caps,
+                         {k: -v for k, v in self.entries.items()})
 
     def scale(self, scalar) -> "TensorOp":
         """Multiply every entry by a scalar (HSeries, RatFunc or rational)."""
-        return TensorOp(self.N, self.m, self.caps,
-                        {k: v * scalar for k, v in self.entries.items()})
+        return _operator(self.N, self.m, self.caps,
+                         {k: v * scalar for k, v in self.entries.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc, HSeries)):
             return self.scale(other)
-        if (self.N, self.m) != (other.N, other.m):
-            raise ValueError("operator shapes differ")
-        caps = self.caps.match(other.caps)
+        if not isinstance(other, TensorOp):
+            return NotImplemented
+        caps = self._match(other)
         by_row = {}
         for (row, col), val in other.entries.items():
             by_row.setdefault(row, []).append((col, val))
@@ -102,7 +136,7 @@ class TensorOp:
                 key = (row, col)
                 prod = a * b
                 entries[key] = entries[key] + prod if key in entries else prod
-        return TensorOp(self.N, self.m, caps, entries)
+        return _operator(self.N, self.m, caps, entries)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc, HSeries)):
@@ -175,7 +209,7 @@ class TensorOp:
                 for p, x in zip(free, rest):
                     r[p] = c[p] = x
                 entries[(tuple(r), tuple(c))] = val
-        return TensorOp(self.N, m, self.caps, entries)
+        return _operator(self.N, m, self.caps, entries)
 
     def swap_slots(self, s1: int, s2: int) -> "TensorOp":
         """Conjugate by the flip of two slots (1-based)."""
@@ -186,8 +220,9 @@ class TensorOp:
             t[a], t[b] = t[b], t[a]
             return tuple(t)
 
-        return TensorOp(self.N, self.m, self.caps,
-                        {(fl(r), fl(c)): v for (r, c), v in self.entries.items()})
+        return _operator(self.N, self.m, self.caps,
+                         {(fl(r), fl(c)): v
+                          for (r, c), v in self.entries.items()})
 
     def transpose_slot(self, slot: int, ltd) -> "TensorOp":
         """Twisted transposition e_ij -> eps_i eps_j e_{j'i'} in one slot."""
@@ -200,7 +235,7 @@ class TensorOp:
             sign = ltd.eps[i] * ltd.eps[j]
             entries[(r, c)] = entries[(r, c)] + val * sign if (r, c) in entries \
                 else val * sign
-        return TensorOp(self.N, self.m, self.caps, entries)
+        return _operator(self.N, self.m, self.caps, entries)
 
     def conj_diag(self, diag, slot: int, sign: int = 1) -> "TensorOp":
         """Conjugate by a diagonal single-slot operator: D_s T D_s^{-1}
@@ -208,9 +243,9 @@ class TensorOp:
         s = slot - 1
         inv = [d.inv() for d in diag]
         left, right = (diag, inv) if sign == 1 else (inv, diag)
-        return TensorOp(self.N, self.m, self.caps,
-                        {(r, c): left[r[s]] * v * right[c[s]]
-                         for (r, c), v in self.entries.items()})
+        return _operator(self.N, self.m, self.caps,
+                         {(r, c): left[r[s]] * v * right[c[s]]
+                          for (r, c), v in self.entries.items()})
 
     def odot(self, other: "TensorOp", first_slots, mode: str) -> "TensorOp":
         """Ordered product of split operators sharing the full slot space.
@@ -221,9 +256,10 @@ class TensorOp:
             mode "LR": sum_a x_a * other * y_a
             mode "RL": sum_a y_a * other * x_a
         """
-        if (self.N, self.m) != (other.N, other.m):
-            raise ValueError("operator shapes differ")
-        caps = self.caps.match(other.caps)
+        if not isinstance(other, TensorOp):
+            raise TypeError(f"odot needs a TensorOp, not a "
+                            f"{type(other).__name__}")
+        caps = self._match(other)
         if mode not in ("LR", "RL"):
             raise ValueError(f"unknown odot mode {mode!r}")
         F = sorted(s - 1 for s in first_slots)
@@ -257,7 +293,7 @@ class TensorOp:
                 key = (join(rf, rg), join(cf, cg))
                 prod = av * bv
                 entries[key] = entries[key] + prod if key in entries else prod
-        return TensorOp(self.N, self.m, caps, entries)
+        return _operator(self.N, self.m, caps, entries)
 
     # -- entrywise maps ------------------------------------------------
 

@@ -163,6 +163,7 @@ BAD_SUITES = {
     "script with cap 0": _bad_script("spectral u", "spectral u\nformal w : 0"),
     "script declaring u twice": _bad_script("spectral u", "spectral u u"),
     "script declaring h": _bad_script("spectral u", "spectral u h"),
+    "script repeating order": _bad_script("order 2", "order 2\norder 3"),
 }
 
 

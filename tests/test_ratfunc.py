@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from pathlib import Path
 from operator import add, mul, sub, truediv
 
@@ -776,3 +778,104 @@ def test_fraction_ops_take_no_gcd():
     assert results[10] * b == a and results[13] * b ** 2 == 1
     assert results[16] == x and results[16].vars == ("x",)
     assert results[18] == (2, a * (y - x) ** 2)
+
+
+# -- the memo of sums and products ------------------------------------------
+#
+# ``+`` and ``*`` of values with variables go through a process-wide memo;
+# the bare kernels ``_add`` and ``_mul`` do not.  Each memoised result must
+# be structurally the kernel's result on fresh, uninterned copies of the
+# operands, and sympy's canonical form.
+
+R = rmx.ratfunc
+KERNELS = ((add, R._add), (mul, R._mul))
+
+
+def _fresh(a, names):
+    """A copy of ``a`` over ``names`` that was never interned."""
+    a = a.lift(names)
+    return RatFunc(a.vars, dict(a._num), a._fac)
+
+
+def _assert_kernel(op, kernel, a, b):
+    names = tuple(sorted(set(a.vars) | set(b.vars)))
+    ref = kernel(_fresh(a, names), _fresh(b, names))
+    got = op(a, b)
+    assert got.vars == ref.vars == names
+    assert got._num == ref._num and got._fac == ref._fac
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_ratfuncs(), field_ratfuncs())
+def test_memoised_sums_and_products_match_kernels_and_sympy(a, b):
+    for op, kernel in KERNELS:
+        names, ref = _sympy_op(op, a, b)
+        # the first call may compute; the second, and one on equal copies
+        # that were never interned, must find it
+        for x, y in ((a, b), (a, b), (_fresh(a, a.vars), _fresh(b, b.vars))):
+            _assert_canonical(_assert_kernel(op, kernel, x, y), names, ref)
+
+
+def _products(shift):
+    x, y, z = (RatFunc.var(v) for v in "xyz")
+    return [(x + i) / (y - shift) for i in range(12)] + [z * j for j in (2, 3)]
+
+
+def _check_all_pairs(values):
+    for a in values:
+        for b in values:
+            for op, kernel in KERNELS:
+                _assert_kernel(op, kernel, a, b)
+
+
+def test_memo_entries_survive_the_death_of_their_callers_values():
+    # entries pin their operands, so no id in a key is reused while the
+    # entry lives, even once every other reference is gone
+    _check_all_pairs(_products(1))
+    gc.collect()
+    _check_all_pairs(_products(2))
+    # emptied, every old value is freed and its id may be reused
+    R._forget()
+    assert not R._INTERNED and not R._SUMS and not R._PRODUCTS
+    gc.collect()
+    _check_all_pairs(_products(3))
+    _check_all_pairs(_products(1))
+
+
+def _fill(pairs, ops):
+    """Run ``ops`` on every pair, checking every 97th result against its
+    kernel and every table's size against the bound after each pair; True
+    iff some table was emptied on the way."""
+    sizes, emptied = [0, 0, 0], False
+    for k, (a, b) in enumerate(pairs):
+        for op, kernel in ops:
+            if k % 97:
+                op(a, b)
+            else:
+                _assert_kernel(op, kernel, a, b)
+        now = [len(t) for t in (R._INTERNED, R._SUMS, R._PRODUCTS)]
+        assert max(now) <= R._MEMO_BOUND, now
+        emptied = emptied or any(x < y for x, y in zip(now, sizes))
+        sizes = now
+    return emptied
+
+
+def test_memo_tables_stay_within_their_bound():
+    bound = R._MEMO_BOUND
+    z, w = RatFunc.var("Z"), RatFunc.var("W")
+    R._forget()
+    # more distinct values than the bound: the interned table fills first
+    # (``z + i`` adds a constant, which is not memoised)
+    assert _fill(((z + i, w) for i in range(bound + 100)), KERNELS)
+    # fewer values, but more pairs than the bound: a memo table fills first
+    R._forget()
+    values = [z + i for i in range(isqrt(bound) + 2)]
+    assert _fill(((a, b) for a in values for b in values), KERNELS[1:])
+    _check_all_pairs(_products(4))
+
+
+def test_overflow_gate_raises_every_time():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            Z ** 20000 * Z ** 20000

@@ -155,3 +155,16 @@ def test_script_error_names_the_offending_token(old, new, line, col):
     with pytest.raises(ScriptError) as err:
         parse_script(SMALL.replace(old, new))
     assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("old,new,line,col", [
+    ("type C 1\n", "type C 1\ntype B 1\n", 2, 1),
+    ("order 2\n", "order 2\norder 3\n", 3, 1),
+    ("slots 2\n", "slots 2\nslots 3\n", 4, 1),
+], ids=["type", "order", "slots"])
+def test_repeated_declaration_is_a_script_error(old, new, line, col):
+    keyword = old.split()[0]
+    with pytest.raises(ScriptError, match=f"'{keyword}' is already declared"
+                       ) as err:
+        parse_script(SMALL.replace(old, new))
+    assert (err.value.line, err.value.col) == (line, col)

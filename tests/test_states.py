@@ -332,3 +332,25 @@ def test_states_unhashable():
     st = FreeState.vacuum(ltd, norm, caps, c)
     with pytest.raises(TypeError):
         hash(st)
+
+
+def test_compose_drops_cancelled_entries():
+    # K on an open slot and one sym slot; two omega entries land on the
+    # same result entry with opposite signs, a third does not cancel
+    ltd, norm, caps, c = make_ctx()
+    one = HSeries.one(caps)
+    K = TensorOp(ltd.N, 2, caps, {((0, 0), (0, 0)): one,
+                                  ((0, 1), (0, 1)): one})
+    st = FreeState(ltd, norm, caps, c, 1,
+                   [states.Term(K, (((ring("X"), 0),),))])
+    omega = TensorOp(ltd.N, 2, caps, {((0, 0), (0, 0)): one,
+                                      ((1, 0), (1, 0)): -one,
+                                      ((0, 1), (0, 1)): one})
+    out = st._compose([2], lambda t: omega, lambda t: t.words)
+    coeff, = (t.coeff for t in out.terms)
+    assert coeff.nonzero_count() == 1
+    assert list(coeff.entries) == [((0, 1), (0, 1))]
+    # without the third entry everything cancels, and the term goes
+    omega = TensorOp(ltd.N, 2, caps, {((0, 0), (0, 0)): one,
+                                      ((1, 0), (1, 0)): -one})
+    assert st._compose([2], lambda t: omega, lambda t: t.words).terms == ()

@@ -195,3 +195,38 @@ def test_binary_ops_reject_other_caps():
                 op(b, a)
     with pytest.raises(ValueError):
         TensorOp(N, 1, CAPS, {((0,), (0,)): HSeries.one({"h": 2})})
+
+
+def test_public_gates_raise_type_errors():
+    ident = TensorOp.identity(N, 1, CAPS)
+    with pytest.raises(TypeError, match=r"entry \(\(0,\), \(0,\)\) is a int"):
+        TensorOp(N, 1, CAPS, {((0,), (0,)): 1})
+    for op in (lambda: ident + 1, lambda: 1 + ident, lambda: ident - 1,
+               lambda: 1 - ident, lambda: ident * "x", lambda: "x" * ident,
+               lambda: ident.odot(1, (1,), "LR")):
+        with pytest.raises(TypeError):
+            op()
+
+
+def _matrix(rows):
+    """A one-slot operator from a square list of integer rows."""
+    return TensorOp(len(rows), 1, CAPS, {
+        ((i,), (j,)): HSeries.const(x, CAPS)
+        for i, row in enumerate(rows) for j, x in enumerate(row) if x})
+
+
+def test_cancelling_results_store_no_zero_entries():
+    # residual counts are len(entries): a stored zero would read as a failure
+    rng = random.Random(12)
+    a = rand_op(rng, N, 2)
+    assert (a - a).nonzero_count() == 0
+    assert (a + (-a)).entries == {}
+    # (0,0) of the product is 1*1 + 1*(-1); (1,0) is 2*1 + 0 and stays
+    prod = _matrix([[1, 1], [2, 0]]) * _matrix([[1, 0], [-1, 0]])
+    assert prod.nonzero_count() == 1 and ((1,), (0,)) in prod.entries
+    assert (_matrix([[1, 1], [0, 0]]) * _matrix([[1, 0], [-1, 0]])
+            ).nonzero_count() == 0
+    assert _matrix([[1, 1], [2, 0]]).scale(0).nonzero_count() == 0
+    # h times h^2 is h^3, beyond the cap
+    hh = TensorOp.identity(N, 1, CAPS).scale(h())
+    assert (hh * hh.scale(h())).nonzero_count() == 0
