@@ -583,12 +583,15 @@ def _finish(names, reg, num, content, exps):
 
 
 def _mul_const(a, p: int, q: int):
-    """a * p/q with gcd(p, q) = 1, q > 0 and a, p nonzero.
+    """a * p/q with gcd(p, q) = 1, q > 0 and a, p nonzero; a itself for
+    p/q = 1, so that the product is not rebuilt and re-interned.
 
     With a = N/(c * prod), the product p*N / (q*c * prod) is reduced over
     Q[x]; since gcd(p, q) = 1 and gcd(cont N, c) = 1, its joint integer
     content is gcd(p, c) * gcd(q, cont N).
     """
+    if p == q == 1:
+        return a
     content, exps = a._fac
     g_p = gcd(p, content)
     g_q = _content(a._num, q) if q != 1 else 1

@@ -285,7 +285,7 @@ class _Parser:
             elif val == "order":
                 self.order = self.expect_positive("order must be at least 1")
             elif val == "slots":
-                self.m = self.expect_int()
+                self.m = self.expect_positive("slots must be at least 1")
             elif val == "spectral":
                 while self.peek()[0] == "name":
                     self.spectral.append(self.declare())

@@ -21,7 +21,10 @@ row index from the current column at s and writes each column index back
 into s, recording both on its sym slot; a matrix factor is joined on its
 rows.  Composing a sandwich into a state contracts its wordop block with
 the state's sym block and rewrites the word; an operator that opens a new
-matrix slot first appends an identity open slot and then acts on it.
+matrix slot first appends an identity open slot and then acts on it.  The
+vertex map is the exception: its slots are contracted away at the end, so
+each is appended pinned to the one index pair the contraction keeps (see
+``merge_y``).
 
 All operations return new states; nothing is mutated.
 """
@@ -298,25 +301,30 @@ class FreeState:
         otherwise the generator's matrix factor is multiplied from the left
         onto the existing open slot."""
         st, nu = self._open_slot(shared_slot)
-        N = st.ltd.N
-        pos = st._sym_base(factor)          # insert sym slot after this index
-        s = nu - 1
+        rows = range(st.ltd.N)
+        return st._raise(factor, arg, nu, lambda krow: rows)
+
+    def _raise(self, factor: int, arg: Arg, nu: int, rows_of) -> "FreeState":
+        """The raising generator on open slot ``nu``, restricted to the new
+        rows ``rows_of(krow)`` of each entry: the generator's row p goes to
+        both ``nu`` and the new word slot, whose column is the old row of
+        ``nu``."""
+        pos = self._sym_base(factor)        # insert sym slot after this index
+        s = nu - 1                          # open, so s < pos
         out_terms = []
-        for term in st.terms:
+        for term in self.terms:
             K = term.coeff
             entries = {}
             for (krow, kcol), val in K.entries.items():
-                mm = krow[s]
-                for p in range(N):
-                    row = list(krow)
-                    row[s] = p
-                    nrow = tuple(row[:pos]) + (p,) + tuple(row[pos:])
-                    entries[(nrow, kcol[:pos] + (mm,) + kcol[pos:])] = val
+                col = kcol[:pos] + (krow[s],) + kcol[pos:]
+                head, mid, tail = krow[:s], krow[s + 1:pos], krow[pos:]
+                for p in rows_of(krow):
+                    entries[(head + (p,) + mid + (p,) + tail, col)] = val
             words = list(term.words)
             words[factor - 1] = ((arg, 0),) + words[factor - 1]
-            out_terms.append(Term(_operator(N, K.m + 1, K.caps, entries),
+            out_terms.append(Term(_operator(K.N, K.m + 1, K.caps, entries),
                                   tuple(words)))
-        return st._replace(out_terms)
+        return self._replace(out_terms)
 
     # -- sandwich builders ----------------------------------------------
 
@@ -500,30 +508,55 @@ class FreeState:
 
         Realizes the composite raising-times-inverse-lowering action: for a
         word (a_1, ..., a_m), inverse lowering operators at z + a_j + hc/2
-        are applied right to left (each opening a matrix slot), then raising
-        operators at z + a_j share those slots; finally each new slot is
-        contracted with the corresponding word slot of the consumed factor.
-        The additive and multiplicative coordinate pictures coincide at the
-        level of argument images, so the same routine serves the vacuum
-        module map with a ring-variable z."""
+        are applied right to left (each on its own new matrix slot), then
+        raising operators at z + a_j share those slots; finally each new
+        slot is contracted with the corresponding word slot of the consumed
+        factor, row with row and column with column.  The additive and
+        multiplicative coordinate pictures coincide at the level of
+        argument images, so the same routine serves the vacuum module map
+        with a ring-variable z.
+
+        Only the entries that the contraction keeps are built.  Neither
+        operator changes the column of its open slot, and the slot starts
+        as the identity, so of its N starting indices only the consumed
+        slot's column survives: the slot is opened pinned there.  The
+        raising step's new row lands on the open slot's row, so it must
+        equal the consumed slot's row, and only that row is written."""
         if from_factor == into_factor:
             raise ValueError("cannot merge a factor into itself")
         keys = {t.key()[from_factor - 1] for t in self.terms}
         if len(keys) > 1:
             raise ValueError("merge requires a uniform word on the consumed factor")
         word = self._plain_word(self.terms[0], from_factor)
-        m = len(word)
         st = self
         nus = []
-        for a in word:                     # rightmost operator first
+        for j, a in enumerate(word):       # rightmost operator first
+            st = st._with_pinned_open(st._sym_slots(from_factor)[j])
             st = st.apply_tminus_inv(into_factor,
-                                     arg_h(arg_sum(z, a), st.c / 2))
+                                     arg_h(arg_sum(z, a), st.c / 2),
+                                     shared_slot=st.open)
             nus.append(st.open)
-        for a, nu in zip(reversed(word), reversed(nus)):
-            st = st.apply_tplus(into_factor, arg_sum(z, a), shared_slot=nu)
+        for j in reversed(range(len(word))):
+            pin = st._sym_slots(from_factor)[j] - 1
+            st = st._raise(into_factor, arg_sum(z, word[j]), nus[j],
+                           lambda krow: (krow[pin],))
         pairs = [(nu, st._sym_slots(from_factor)[j])
                  for j, nu in enumerate(nus)]
         return st._contract_pairs(pairs, drop_factors=(from_factor,))
+
+    def _with_pinned_open(self, slot: int) -> "FreeState":
+        """Append one open matrix slot whose row and column both equal the
+        column index at ``slot``: the entries of ``with_identity_open``
+        that a contraction of the new slot against ``slot`` can keep."""
+        o, s = self.open, slot - 1
+
+        def act(K):
+            return _operator(K.N, K.m + 1, K.caps, {
+                (krow[:o] + (kcol[s],) + krow[o:],
+                 kcol[:o] + (kcol[s],) + kcol[o:]): val
+                for (krow, kcol), val in K.entries.items()})
+        return self._replace([Term(act(t.coeff), t.words)
+                              for t in self.terms], o + 1)
 
     def _contract_pairs(self, pairs, drop_factors=()) -> "FreeState":
         """Contract open slots against sym slots (row with row, column with

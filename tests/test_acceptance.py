@@ -112,6 +112,15 @@ def test_criterion_9_braiding(name, c):
     assert rep.witness.startswith("raw=")
 
 
+# the hexagon at B1 (N=3), L=2, where each vertex map contracts 2,025-entry
+# coefficients
+@pytest.mark.parametrize("c", [0, 1])
+def test_criterion_9_hexagon_b1(c):
+    rep = module_check("hexagon", "B", 1, L=2, c=Fraction(c))
+    assert rep.passed, rep.to_text()
+    assert rep.witness.startswith("raw=")
+
+
 # 10. weak associativity chain at k = m = 1, c = 0, caps 2, L=2
 def test_criterion_10_weak_assoc_chain():
     rep = weak_assoc_chain("C", 1, L=2, c=Fraction(0), cap_uv=2, r_max=16)
@@ -217,13 +226,24 @@ def test_criterion_11_perturbed_mixed():
     _assert_state_fails(lhs, rhs)
 
 
-def test_criterion_11_perturbed_hexagon():
+def _assert_perturbed_hexagon_fails(three):
     # the hexagon with S_13 at z1 instead of z1+z2
-    _, _, three = _c1_states(3, [["X"], ["Y"], ["Ww"]])
     z1, z2 = _ring("Za"), _ring("Zb")
     lhs = three.merge_y(1, 2, z2).braiding_s(1, 2, z1)
     rhs = three.braiding_s(1, 3, z1).braiding_s(2, 3, z1).merge_y(1, 2, z2)
     _assert_state_fails(lhs.canonicalize(), rhs.canonicalize())
+
+
+def test_criterion_11_perturbed_hexagon():
+    _, _, three = _c1_states(3, [["X"], ["Y"], ["Ww"]])
+    _assert_perturbed_hexagon_fails(three)
+
+
+def test_criterion_11_perturbed_hexagon_b1():
+    ltd = lie_type_data("B", 1)
+    _assert_perturbed_hexagon_fails(FreeState.pure(
+        ltd, solve_normalizer(ltd, L=2), {"h": 2}, Fraction(1),
+        [[_ring("X")], [_ring("Y")], [_ring("Ww")]]))
 
 
 # The s_ybe, tminus_vacuum, s_shift and weak_assoc_chain controls below

@@ -164,6 +164,8 @@ BAD_SUITES = {
     "script declaring u twice": _bad_script("spectral u", "spectral u u"),
     "script declaring h": _bad_script("spectral u", "spectral u h"),
     "script repeating order": _bad_script("order 2", "order 2\norder 3"),
+    "script declaring slots 0": {"name": "bad", "script":
+                                 "type C 1\norder 2\nslots 0\ncheck 1 == 1\n"},
 }
 
 

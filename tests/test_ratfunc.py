@@ -5,7 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 from operator import add, mul, sub, truediv
 
@@ -369,6 +369,32 @@ def test_scalar_mul_matches_sympy(a, c):
     _check(mul, k, a)
     _assert_canonical(a * c, a.vars, _sympy_op(mul, a, k)[1])
     _assert_canonical(c * a, a.vars, _sympy_op(mul, k, a)[1])
+
+
+def _mul_const_rebuilt(a, p, q):
+    """a * p/q built as ``_mul_const`` builds every other scaling: content
+    gcds, a scaled numerator and a registry pair, also for p/q = 1."""
+    content, exps = a._fac
+    g_p = gcd(p, content)
+    g_q = rmx.ratfunc._content(a._num, q) if q != 1 else 1
+    return RatFunc(a.vars, rmx.ratfunc._scale(a._num, p // g_p, g_q),
+                   _registry(a.vars).pair(content // g_p * (q // g_q), exps))
+
+
+@given(field_ratfuncs(), scalars | small)
+def test_exact_one_scaling_returns_the_operand(a, c):
+    if a.is_zero():
+        return
+    c = Fraction(c)
+    kernel = rmx.ratfunc._mul_const
+    assert kernel(a, 1, 1) is a
+    assert a._scaled(Fraction(1)) is a and a * 1 is a and 1 * a is a
+    if c:
+        got = kernel(a, c.numerator, c.denominator)
+        want = _mul_const_rebuilt(a, c.numerator, c.denominator)
+        assert (got.vars, got._num, got._fac) == \
+            (want.vars, want._num, want._fac)
+        assert got == want and a._scaled(c) == want
 
 
 @given(field_ratfuncs(), st.sampled_from(NAMES), scalars | small)

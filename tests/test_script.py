@@ -82,10 +82,11 @@ def test_missing_declarations():
     ("type C 1", "type C 0", "rank must be at least 1"),
     ("type C 1", "type D 1", "type D requires rank at least 2"),
     ("order 3", "order 0", "order must be at least 1"),
+    ("slots 3", "slots 0", "slots must be at least 1"),
     ("spectral u v", "spectral u v\nformal w : 0", "cap of 'w'"),
     ("spectral u v", "spectral u v\nformal u : 2", "'u' is already declared"),
     ("spectral u v", "spectral u v\nformal h : 5", "'h' is already declared"),
-], ids=["rank", "type", "order", "cap", "twice", "h"])
+], ids=["rank", "type", "order", "slots", "cap", "twice", "h"])
 def test_bad_declaration_is_a_script_error(old, new, match):
     with pytest.raises(ScriptError, match=match):
         parse_script(YBE.replace(old, new))
@@ -145,12 +146,14 @@ check Rhat[1,2](u) == Rhat[1,2](u)
 
 @pytest.mark.parametrize("old,new,line,col", [
     ("order 2", "order 0", 2, 7),
+    ("slots 2", "slots 0", 3, 7),
     ("== Rhat[1,2](u)", "== Rhat[1,3](u)", 5, 27),
     ("Rhat[1,2](u) ==", "Rhat[1,2](w) ==", 5, 17),
     ("spectral u\n", "spectral u\nformal u : 2\n", 5, 8),
     ("Rhat[1,2](u) ==", "Rhat[1,2](u)^t[3] ==", 5, 22),
     ("slots 2\nspectral u\n", "", 3, 1),
-], ids=["order", "slot-pair", "undeclared", "twice", "transpose", "missing"])
+], ids=["order", "slots", "slot-pair", "undeclared", "twice", "transpose",
+        "missing"])
 def test_script_error_names_the_offending_token(old, new, line, col):
     with pytest.raises(ScriptError) as err:
         parse_script(SMALL.replace(old, new))

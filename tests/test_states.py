@@ -1,7 +1,9 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from rmx import states
 from rmx.hseries import HSeries
@@ -308,6 +310,94 @@ def test_merge_into_vacuum_shifts_word():
     assert out.factors == 1 and out.open == 1
     arg = out.terms[0].words[0][0][0]
     assert repr(arg.mono) == "X*Zz"
+
+
+def _merge_y_unfused(st, from_factor, into_factor, z):
+    """The vertex map built in full, the oracle for ``merge_y``: an identity
+    open slot under each inverse lowering operator, raising operators that
+    write every row into it, and only then the contraction against the
+    consumed word slots."""
+    word = st._plain_word(st.terms[0], from_factor)
+    nus = []
+    for a in word:
+        st = st.apply_tminus_inv(into_factor, arg_h(arg_sum(z, a), st.c / 2))
+        nus.append(st.open)
+    for a, nu in zip(reversed(word), reversed(nus)):
+        st = st.apply_tplus(into_factor, arg_sum(z, a), shared_slot=nu)
+    return st._contract_pairs(
+        [(nu, st._sym_slots(from_factor)[j]) for j, nu in enumerate(nus)],
+        drop_factors=(from_factor,))
+
+
+def _assert_same_state(got, want):
+    assert got.open == want.open
+    assert [t.key() for t in got.terms] == [t.key() for t in want.terms]
+    assert [t.coeff.entries for t in got.terms] == \
+        [t.coeff.entries for t in want.terms]
+
+
+def _reweighted(st, rng):
+    """The state with every coefficient entry times a random nonzero
+    integer, so that no symmetry of a pure coefficient (a slot's row equal
+    to its open twin's) can hide a slot or index mix-up."""
+    return st._replace([states.Term(
+        TensorOp(t.coeff.N, t.coeff.m, t.coeff.caps,
+                 {key: val * rng.choice((-3, -2, -1, 2, 3))
+                  for key, val in t.coeff.entries.items()}), t.words)
+        for t in st.terms])
+
+
+@settings(max_examples=16, deadline=None)
+@given(case=hst.sampled_from([("C", 1, 3), ("B", 1, 2)]),
+       m=hst.integers(0, 2), k=hst.integers(0, 1), b=hst.integers(0, 1),
+       into_first=hst.booleans(), c=hst.sampled_from([0, 1]),
+       names=hst.permutations(["X", "Y", "V", "W", "U"]),
+       seed=hst.integers(0, 2 ** 16))
+def test_merge_y_matches_unfused_route(case, m, k, b, into_first, c, names,
+                                       seed):
+    # consumed words of length m <= 2 into a word of length k, with a
+    # bystander factor of length b in front; two terms when k = 1
+    family, n, L = case
+    if family == "B" and m + k + b > 2:
+        b = 0                               # keeps the oracle under 2 s
+    ltd = lie_type_data(family, n)
+    norm = solve_normalizer(ltd, L=L)
+    rng = random.Random(seed)
+    consumed = [ring(v) for v in names[:m]]
+    into = [ring(v) for v in names[m:m + k]]
+    bystander = [ring(v) for v in names[4:4 + b]]
+    layout = [bystander, into, consumed] if into_first \
+        else [bystander, consumed, into]
+    into_factor, from_factor = (2, 3) if into_first else (3, 2)
+    st = _reweighted(FreeState.pure(ltd, norm, {"h": L}, c, layout), rng)
+    if k:
+        layout[into_factor - 1] = [ring("Q")]
+        other = _reweighted(FreeState.pure(ltd, norm, {"h": L}, c, layout),
+                            rng)
+        st = st._replace(st.terms + other.terms)
+    z = ring("Zz")
+    _assert_same_state(st.merge_y(from_factor, into_factor, z),
+                       _merge_y_unfused(st, from_factor, into_factor, z))
+
+
+def test_merge_y_builds_only_the_kept_entries(monkeypatch):
+    # B1 L=2: no state coefficient this merge builds has more than the
+    # 2,025 entries the contraction keeps; an identity open slot (N
+    # starting indices) under a raise that writes all N rows builds
+    # N^2 = 9 times as many (18,225)
+    ltd = lie_type_data("B", 1)
+    three = FreeState.pure(ltd, solve_normalizer(ltd, L=2), {"h": 2}, 1,
+                           [[ring("X")], [ring("Y")], [ring("Ww")]])
+    built = states._operator
+    sizes = []
+
+    def recorded(N, m, caps, entries):
+        sizes.append(len(entries))
+        return built(N, m, caps, entries)
+
+    monkeypatch.setattr(states, "_operator", recorded)
+    three.merge_y(1, 2, ring("Zb"))
+    assert max(sizes) == 2025
 
 
 def test_merge_requires_uniform_word():
