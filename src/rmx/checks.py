@@ -186,8 +186,7 @@ def prefactor_substitute(op: TensorOp, r: int, xname: str, yname: str,
     x = RatFunc.var(xname)
     y = RatFunc.var(yname)
     scaled = op.scale((x - y) ** r)
-    for key in sorted(scaled.entries):
-        series = scaled.entries[key]
+    for key, series in scaled.items():
         for k, coeff in series.terms.items():
             if not _coeff_is_poly_x_laurent_y(coeff, xname, yname):
                 raise PolynomialityError(

@@ -58,7 +58,7 @@ from math import comb, factorial
 from .hseries import Caps, HSeries
 from .lietype import LieTypeData
 from .ratfunc import RatFunc
-from .tensorop import TensorOp
+from .tensorop import TensorOp, _operator
 
 __all__ = ["Arg", "build_constant_ops", "solve_normalizer", "Normalizer",
            "rmatrix", "rhat_inv", "m_diag", "diag_op", "NormalizerError"]
@@ -405,8 +405,8 @@ def rmatrix(ltd: LieTypeData, norm: Normalizer, arg: Arg, caps: dict) -> TensorO
 def _r_template(ltd: LieTypeData, norm: Normalizer) -> tuple:
     """Per group of R's entries, the dilations of its value at x = z under
     caps h^L, e^{(1+2kappa)h/2} g1(z) times the group's combination of
-    R+(z), with the group's keys.  Each coefficient is rational in z with
-    a power of z - 1 as its denominator."""
+    R+(z), with the group's packed keys.  Each coefficient is rational in
+    z with a power of z - 1 as its denominator."""
     caps = Caps.of({"h": norm.L})
     ops = build_constant_ops(ltd, caps)
     zero = HSeries.zero(caps)
@@ -443,7 +443,7 @@ def _build(ltd: LieTypeData, norm: Normalizer, arg: Arg,
     entries = {}
     for dil, keys in _r_template(ltd, norm):
         entries.update(dict.fromkeys(keys, _evaluate(dil, point, caps)))
-    return TensorOp(ltd.N, 2, caps, entries)
+    return _operator(ltd.N, 2, caps, entries)
 
 
 def rhat_inv(ltd: LieTypeData, norm: Normalizer, arg: Arg, caps: dict) -> TensorOp:

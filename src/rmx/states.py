@@ -26,6 +26,12 @@ vertex map is the exception: its slots are contracted away at the end, so
 each is appended pinned to the one index pair the contraction keeps (see
 ``merge_y``).
 
+Coefficient entries are keyed by the packed ints of ``tensorop``: one
+b-bit field per row and per column index, rows of slots 1..m then columns,
+slot 1 most significant, so int order is (row, col) tuple order and
+residual witnesses keep it.  The contractions here read and write slots
+through ``_layout`` masks and relabel them with ``_mover``.
+
 All operations return new states; nothing is mutated.
 """
 
@@ -38,7 +44,7 @@ from fractions import Fraction
 from .hseries import Caps, HSeries
 from .ratfunc import RatFunc
 from .rmatrix import Arg, diag_op, m_diag, rhat_inv, rmatrix
-from .tensorop import TensorOp, _operator
+from .tensorop import TensorOp, _layout, _mover, _operator
 
 __all__ = ["FreeState", "Term", "arg_sum", "arg_diff", "arg_h"]
 
@@ -103,8 +109,8 @@ def _chain_omega(N, caps, wslots, sym_wordops, mats) -> TensorOp:
     result lives on wslots + len(sym_wordops) slots, sym slots appended in
     generator order.
 
-    The walk keeps a frontier (row, current column, generator rows so far,
-    generator columns so far) -> series over the product read so far."""
+    The walk keeps a frontier of keys in the result's layout (the sym slots
+    of generators not yet read at 0) -> series over the product so far."""
     if len(mats) != len(sym_wordops) + 1:
         raise ValueError(f"{len(mats)} matrices for "
                          f"{len(sym_wordops)} generators")
@@ -114,29 +120,36 @@ def _chain_omega(N, caps, wslots, sym_wordops, mats) -> TensorOp:
             if mat.m != wslots:
                 raise ValueError(f"a matrix on {mat.m} slots, not {wslots}")
             caps.match(mat.caps)
-    frontier = {(row, col, (), ()): val
-                for (row, col), val in mats[0].entries.items()}
-    for wop, mat in zip(sym_wordops, mats[1:]):
-        s = wop - 1
-        frontier = {(row, col[:s] + (x,) + col[s + 1:], grow + (col[s],),
-                     gcol + (x,)): val
-                    for (row, col, grow, gcol), val in frontier.items()
-                    for x in range(N)}
+    n = len(sym_wordops)
+    layout, mlayout = _layout(N, wslots + n), _layout(N, wslots)
+    f, tail = layout.field, n * layout.b        # tail: the sym columns' width
+    ops = layout.mask((), range(1, wslots + 1))  # the current columns
+    keep = layout.full ^ ops
+    start = _mover(mlayout, layout,
+                   tuple((s, s) for s in range(1, wslots + 1)))
+    frontier = {start(key): val for key, val in mats[0].entries.items()}
+    for j, (wop, mat) in enumerate(zip(sym_wordops, mats[1:])):
+        c = layout.col(wop)
+        clear = layout.full ^ f << c
+        grow, puts = layout.row(wslots + j + 1), [
+            x << c | x << layout.col(wslots + j + 1) for x in range(N)]
+        frontier = {key & clear | (key >> c & f) << grow | put: val
+                    for key, val in frontier.items() for put in puts}
         if mat is None:
             continue
         by_row = {}
-        for (row, col), val in mat.entries.items():
-            by_row.setdefault(row, []).append((col, val))
+        for key, val in mat.entries.items():
+            by_row.setdefault(key >> mlayout.half, []).append(
+                ((key & (1 << mlayout.half) - 1) << tail, val))
         joined = {}
-        for (row, mid, grow, gcol), val in frontier.items():
-            for col, mval in by_row.get(mid, ()):
-                key = (row, col, grow, gcol)
+        for key, val in frontier.items():
+            row = key & keep
+            for col, mval in by_row.get((key & ops) >> tail, ()):
+                out = row | col
                 prod = val * mval
-                joined[key] = joined[key] + prod if key in joined else prod
+                joined[out] = joined[out] + prod if out in joined else prod
         frontier = joined
-    return _operator(N, wslots + len(sym_wordops), caps,
-                     {(row + grow, col + gcol): val
-                      for (row, col, grow, gcol), val in frontier.items()})
+    return _operator(N, wslots + n, caps, frontier)
 
 
 def _placed(n, placed):
@@ -255,9 +268,6 @@ class FreeState:
         """
         w = len(targets)
         e = 0 if shared is None else 1
-        tpos = [t - 1 for t in targets]
-        if shared is not None:
-            shared -= 1
         out_terms = []
         for term in self.terms:
             K = term.coeff
@@ -265,28 +275,31 @@ class FreeState:
             if omega.m != 2 * w + e:
                 raise ValueError(f"omega has {omega.m} slots, not {2 * w + e}")
             caps = K.caps.match(omega.caps)
+            layout, olayout = _layout(K.N, K.m), _layout(K.N, omega.m)
+            # omega's P, Q and J meet K's target rows and columns and the
+            # shared row; its P', Q' and I replace them
+            sh = layout.row(shared) if e else None
+            match = _mover(olayout, layout,
+                           tuple(zip(range(1, w + 1), targets)),
+                           ((olayout.col(w + 1), sh),) if e else ())
+            put = _mover(olayout, layout,
+                         tuple(zip(range(w + e + 1, 2 * w + e + 1), targets)),
+                         ((olayout.row(w + 1), sh),) if e else ())
+            written = layout.mask((*targets, *(shared,) * e), targets)
+            kept = layout.full ^ written
             kmap = {}
-            for (krow, kcol), kval in K.entries.items():
-                mkey = (tuple(krow[p] for p in tpos),
-                        tuple(kcol[p] for p in tpos),
-                        None if shared is None else krow[shared])
-                kmap.setdefault(mkey, []).append((krow, kcol, kval))
+            for key, kval in K.entries.items():
+                kmap.setdefault(key & written, []).append((key & kept, kval))
             entries = {}
-            for (orow, ocol), oval in omega.entries.items():
-                P, I, Pp = orow[:w], orow[w:w + e], orow[w + e:]
-                Q, J, Qp = ocol[:w], ocol[w:w + e], ocol[w + e:]
-                mkey = (P, Q, None if shared is None else J[0])
-                for krow, kcol, kval in kmap.get(mkey, ()):
-                    row = list(krow)
-                    col = list(kcol)
-                    if shared is not None:
-                        row[shared] = I[0]
-                    for p, rp, cp in zip(tpos, Pp, Qp):
-                        row[p] = rp
-                        col[p] = cp
-                    val = kval * oval
-                    key = (tuple(row), tuple(col))
-                    entries[key] = entries[key] + val if key in entries else val
+            for okey, oval in omega.entries.items():
+                hits = kmap.get(match(okey))
+                if hits:
+                    new = put(okey)
+                    for cleared, kval in hits:
+                        key = cleared | new
+                        val = kval * oval
+                        entries[key] = entries[key] + val if key in entries \
+                            else val
             out_terms.append(Term(_operator(K.N, K.m, caps, entries),
                                   new_words_of_term(term)))
         return self._replace(out_terms)
@@ -301,25 +314,31 @@ class FreeState:
         otherwise the generator's matrix factor is multiplied from the left
         onto the existing open slot."""
         st, nu = self._open_slot(shared_slot)
-        rows = range(st.ltd.N)
-        return st._raise(factor, arg, nu, lambda krow: rows)
+        return st._raise(factor, arg, nu)
 
-    def _raise(self, factor: int, arg: Arg, nu: int, rows_of) -> "FreeState":
-        """The raising generator on open slot ``nu``, restricted to the new
-        rows ``rows_of(krow)`` of each entry: the generator's row p goes to
-        both ``nu`` and the new word slot, whose column is the old row of
-        ``nu``."""
-        pos = self._sym_base(factor)        # insert sym slot after this index
-        s = nu - 1                          # open, so s < pos
+    def _raise(self, factor: int, arg: Arg, nu: int, pin=None) -> "FreeState":
+        """The raising generator on open slot ``nu``: the generator's row p
+        goes to both ``nu`` and the new word slot, whose column is the old
+        row of ``nu``.  Every p is written, or with ``pin`` only the row at
+        slot ``pin``."""
+        pos = self._sym_base(factor)        # the new sym slot is pos + 1
         out_terms = []
         for term in self.terms:
             K = term.coeff
-            entries = {}
-            for (krow, kcol), val in K.entries.items():
-                col = kcol[:pos] + (krow[s],) + kcol[pos:]
-                head, mid, tail = krow[:s], krow[s + 1:pos], krow[pos:]
-                for p in rows_of(krow):
-                    entries[(head + (p,) + mid + (p,) + tail, col)] = val
+            old, new = _layout(K.N, K.m), _layout(K.N, K.m + 1)
+            # nu's old row becomes the new slot's column
+            move = _mover(old, new, tuple(
+                (s, s + (s > pos)) for s in range(1, K.m + 1) if s != nu),
+                ((old.col(nu), new.col(nu)), (old.row(nu), new.col(pos + 1))))
+            puts = [p << new.row(nu) | p << new.row(pos + 1)
+                    for p in range(K.N)]
+            if pin is None:
+                entries = {move(key) | put: val
+                           for key, val in K.entries.items() for put in puts}
+            else:
+                s, f = old.row(pin), old.field
+                entries = {move(key) | puts[key >> s & f]: val
+                           for key, val in K.entries.items()}
             words = list(term.words)
             words[factor - 1] = ((arg, 0),) + words[factor - 1]
             out_terms.append(Term(_operator(K.N, K.m + 1, K.caps, entries),
@@ -432,7 +451,7 @@ class FreeState:
         return self._map_coeff(act)
 
     def swap_open(self, s1: int, s2: int) -> "FreeState":
-        if s1 > self.open or s2 > self.open:
+        if not (1 <= s1 <= self.open and 1 <= s2 <= self.open):
             raise ValueError(f"slots {s1}, {s2} are not both open")
         return self._map_coeff(lambda K: K.swap_slots(s1, s2))
 
@@ -537,24 +556,28 @@ class FreeState:
                                      shared_slot=st.open)
             nus.append(st.open)
         for j in reversed(range(len(word))):
-            pin = st._sym_slots(from_factor)[j] - 1
             st = st._raise(into_factor, arg_sum(z, word[j]), nus[j],
-                           lambda krow: (krow[pin],))
+                           pin=st._sym_slots(from_factor)[j])
         pairs = [(nu, st._sym_slots(from_factor)[j])
                  for j, nu in enumerate(nus)]
-        return st._contract_pairs(pairs, drop_factors=(from_factor,))
+        return st._drop_pairs(pairs, drop_factors=(from_factor,))
 
     def _with_pinned_open(self, slot: int) -> "FreeState":
         """Append one open matrix slot whose row and column both equal the
         column index at ``slot``: the entries of ``with_identity_open``
         that a contraction of the new slot against ``slot`` can keep."""
-        o, s = self.open, slot - 1
+        o = self.open
 
         def act(K):
+            old, new = _layout(K.N, K.m), _layout(K.N, K.m + 1)
+            move = _mover(old, new, tuple((s, s + (s > o))
+                                          for s in range(1, K.m + 1)))
+            puts = [c << new.row(o + 1) | c << new.col(o + 1)
+                    for c in range(K.N)]
+            s, f = old.col(slot), old.field
             return _operator(K.N, K.m + 1, K.caps, {
-                (krow[:o] + (kcol[s],) + krow[o:],
-                 kcol[:o] + (kcol[s],) + kcol[o:]): val
-                for (krow, kcol), val in K.entries.items()})
+                move(key) | puts[key >> s & f]: val
+                for key, val in K.entries.items()})
         return self._replace([Term(act(t.coeff), t.words)
                               for t in self.terms], o + 1)
 
@@ -562,27 +585,38 @@ class FreeState:
         """Contract open slots against sym slots (row with row, column with
         column, summed) and delete both; optionally drop the factors whose
         word slots were consumed."""
-        drop = sorted({s for p in pairs for s in p})
+        def agreeing(K):
+            layout = _layout(K.N, K.m)
+            firsts = [a for a, _ in pairs]
+            onto = _mover(layout, layout, tuple((b, a) for a, b in pairs))
+            mask = layout.mask(firsts, firsts)
+            return _operator(K.N, K.m, K.caps, {
+                key: val for key, val in K.entries.items()
+                if key & mask == onto(key)})
+        return self._map_coeff(agreeing)._drop_pairs(pairs, drop_factors)
+
+    def _drop_pairs(self, pairs, drop_factors=()) -> "FreeState":
+        """Delete the slots of ``pairs``, summing the entries that then share
+        a key: the contraction of pairs whose rows and columns agree in every
+        entry, as ``merge_y`` builds them; optionally drop the factors whose
+        word slots were consumed."""
+        drop = {s for p in pairs for s in p}
         open_drop = sum(1 for s in drop if s <= self.open)
         out_terms = []
         for term in self.terms:
             K = term.coeff
+            kept = [s for s in range(1, K.m + 1) if s not in drop]
+            old, new = _layout(K.N, K.m), _layout(K.N, len(kept))
+            move = _mover(old, new, tuple(zip(kept, range(1, len(kept) + 1))))
             entries = {}
-            for (krow, kcol), val in K.entries.items():
-                if any(krow[a - 1] != krow[b - 1] or kcol[a - 1] != kcol[b - 1]
-                       for a, b in pairs):
-                    continue
-                nrow = tuple(x for i, x in enumerate(krow, start=1)
-                             if i not in drop)
-                ncol = tuple(x for i, x in enumerate(kcol, start=1)
-                             if i not in drop)
-                key = (nrow, ncol)
+            for key, val in K.entries.items():
+                key = move(key)
                 entries[key] = entries[key] + val if key in entries else val
             words = term.words
             for df in sorted(drop_factors, reverse=True):
                 words = words[:df - 1] + words[df:]
             out_terms.append(Term(
-                _operator(K.N, K.m - len(drop), K.caps, entries), words))
+                _operator(K.N, len(kept), K.caps, entries), words))
         return self._replace(out_terms, self.open - open_drop)
 
     # -- translation ----------------------------------------------------

@@ -1,18 +1,28 @@
 """Sparse operators on tensor powers of C^N with truncated-series entries.
 
-Rows and columns are tuples of 0-based per-slot indices, so an operator on m
-slots maps index tuples of length m to index tuples of length m.  Entries are
-HSeries over the operator's caps; absent entries are zero.  Slot arguments in
-the public API are 1-based, matching the usual subscript notation A_{rs} for
-embeddings.
+An operator on m slots maps index tuples of length m (0-based per-slot
+indices) to index tuples of length m.  Entries are HSeries over the
+operator's caps; absent entries are zero.  Slot arguments in the public API
+are 1-based, matching the usual subscript notation A_{rs} for embeddings.
+
+``entries`` is keyed by packed ints (``_Layout``): 2m fields of
+b = max(1, (N-1).bit_length()) bits, the rows of slots 1..m and then their
+columns, slot 1 most significant.  Every field is below 2^b, so keys
+compare as their fields do from the most significant one down, which is
+the order of (row, col) tuple pairs; sorted keys unpack to sorted tuples,
+and witnesses and serialised entries keep tuple order.  Structural
+operations relabel keys by masks and shifts (``_mover``).  The validating
+constructor packs tuple keys, and ``items``, ``witness`` and
+``entries_data`` unpack them.
 
 Two constructors build an operator.  ``TensorOp(N, m, caps, entries)``
 validates: every entry must be an HSeries over the given caps, keyed by
-row and column tuples of m slots.  ``_operator`` trusts its caller and only
-drops zero entries.  It is for code that builds entries from operands whose
-shape and caps are already checked: the builders of this class (``identity``,
-``+``, ``-``, ``scale``, ``*``, ``embed``, ``swap_slots``,
-``transpose_slot``, ``conj_diag``, ``odot``) and the sandwich contractions
+(row, col) index tuples of m slots or by a packed key, every index in
+0..N-1.  ``_operator`` trusts its caller and only drops zero entries.  It
+is for code that builds packed entries from operands whose shape and caps
+are already checked: the builders of this class (``identity``, ``+``,
+``-``, ``scale``, ``*``, ``embed``, ``swap_slots``, ``transpose_slot``,
+``conj_diag``, ``odot``), the R-matrix builds and the sandwich contractions
 of ``states``.  Everything else, ``map_entries`` included, goes through the
 validating constructor, and every binary operation checks the shapes and
 caps of its operands.
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from .hseries import Caps, HSeries
 from .ratfunc import RatFunc
@@ -29,9 +40,92 @@ from .ratfunc import RatFunc
 __all__ = ["TensorOp"]
 
 
+class _Layout:
+    """Packed keys on m slots of C^N: ``row(s)`` and ``col(s)`` are the
+    shifts of slot s's fields (1-based), ``half`` the columns' width."""
+
+    __slots__ = ("N", "m", "b", "field", "half", "full")
+
+    def __init__(self, N, m):
+        self.N, self.m, self.b = N, m, max(1, (N - 1).bit_length())
+        self.field, self.half = (1 << self.b) - 1, m * self.b
+        self.full = (1 << 2 * self.half) - 1
+
+    def row(self, s) -> int:
+        return (2 * self.m - s) * self.b
+
+    def col(self, s) -> int:
+        return (self.m - s) * self.b
+
+    def mask(self, rows=(), cols=()) -> int:
+        return sum(self.field << self.row(s) for s in set(rows)) \
+            | sum(self.field << self.col(s) for s in set(cols))
+
+    def pack(self, idx) -> int:
+        """The key of the indices of the rows, then the columns."""
+        key = 0
+        for i in idx:
+            key = key << self.b | i
+        return key
+
+    def unpack(self, key) -> tuple:
+        idx = tuple(key >> s & self.field
+                    for s in range((2 * self.m - 1) * self.b, -1, -self.b))
+        return idx[:self.m], idx[self.m:]
+
+    def diagonal(self, slots) -> list:
+        """The keys with each of ``slots`` at one index in its row and its
+        column and 0 elsewhere, in the tuple order of those indices."""
+        return [sum(x << self.row(s) | x << self.col(s)
+                    for s, x in zip(slots, idx))
+                for idx in itertools.product(range(self.N), repeat=len(slots))]
+
+    def key(self, key) -> int:
+        """A packed key, or (row, col) index tuples packed; other shapes and
+        indices outside 0..N-1 raise ValueError."""
+        row, col = self.unpack(key) if isinstance(key, int) else key
+        idx = (*row, *col)
+        if len(row) != self.m or len(idx) != 2 * self.m or not all(
+                isinstance(i, int) and 0 <= i < self.N for i in idx) or (
+                isinstance(key, int) and self.pack(idx) != key):
+            raise ValueError(f"entry {key} is not {self.m} slots of indices "
+                             f"in 0..{self.N - 1}")
+        return self.pack(idx)
+
+
+_layout = lru_cache(maxsize=None)(_Layout)
+
+
+@lru_cache(maxsize=None)
+def _mover(src: _Layout, dst: _Layout, slots=(), fields=()):
+    """The map of keys of ``src`` to keys of ``dst`` that moves the row and
+    column of slot s to those of slot t for each (s, t) pair of ``slots``,
+    and the field at each source shift of ``fields`` to its target shift;
+    other fields of the result are 0.  Fields moved by one distance share
+    a mask, so the map costs one mask and shift per distance."""
+    masks = {}
+    for a, b in fields + tuple(f for s, t in slots for f in (
+            (src.row(s), dst.row(t)), (src.col(s), dst.col(t)))):
+        masks[b - a] = masks.get(b - a, 0) | src.field << a
+    moves = tuple((mask, max(d, 0), max(-d, 0)) for d, mask in masks.items())
+
+    def move(k):
+        out = 0
+        for mask, left, right in moves:
+            out |= (k & mask) << left >> right
+        return out
+    return move
+
+
+def _check_slots(m: int, *slots):
+    for s in slots:
+        if not (isinstance(s, int) and 1 <= s <= m):
+            raise ValueError(f"slot {s} out of range 1..{m}")
+
+
 def _operator(N: int, m: int, caps: Caps, entries: dict) -> "TensorOp":
-    """An operator from entries built over ``caps`` on m slots, as they are
-    except that zero entries are dropped."""
+    """An operator from packed entries built over ``caps`` on m slots, as
+    they are except that zero entries are dropped."""
     out = object.__new__(TensorOp)
     out.N = N
     out.m = m
@@ -49,12 +143,12 @@ class TensorOp:
         self.m = m
         self.caps = caps = Caps.of(caps)
         self.entries = {}
+        layout = _layout(N, m)
         for key, val in entries.items():
             if not isinstance(val, HSeries):
                 raise TypeError(f"entry {key} is a {type(val).__name__}, "
                                 "not an HSeries")
-            if len(key[0]) != m or len(key[1]) != m:
-                raise ValueError(f"entry {key} does not have {m} slots")
+            key = layout.key(key)
             caps.match(val.caps)
             if not val.is_zero():
                 self.entries[key] = val
@@ -65,8 +159,8 @@ class TensorOp:
     def identity(N, m, caps) -> "TensorOp":
         caps = Caps.of(caps)
         one = HSeries.one(caps)
-        idx = itertools.product(range(N), repeat=m)
-        return _operator(N, m, caps, {(i, i): one for i in map(tuple, idx)})
+        return _operator(N, m, caps, dict.fromkeys(
+            _layout(N, m).diagonal(range(1, m + 1)), one))
 
     @staticmethod
     def chain(N, m, caps, factors) -> "TensorOp":
@@ -127,15 +221,18 @@ class TensorOp:
         if not isinstance(other, TensorOp):
             return NotImplemented
         caps = self._match(other)
+        half = _layout(self.N, self.m).half
+        cols = (1 << half) - 1
         by_row = {}
-        for (row, col), val in other.entries.items():
-            by_row.setdefault(row, []).append((col, val))
+        for key, val in other.entries.items():
+            by_row.setdefault(key >> half, []).append((key & cols, val))
         entries = {}
-        for (row, mid), a in self.entries.items():
-            for col, b in by_row.get(mid, ()):
-                key = (row, col)
+        for key, a in self.entries.items():
+            row = key ^ key & cols
+            for col, b in by_row.get(key & cols, ()):
+                out = row | col
                 prod = a * b
-                entries[key] = entries[key] + prod if key in entries else prod
+                entries[out] = entries[out] + prod if out in entries else prod
         return _operator(self.N, self.m, caps, entries)
 
     def __rmul__(self, other):
@@ -164,9 +261,10 @@ class TensorOp:
         ident = TensorOp.identity(self.N, self.m, self.caps)
         # split T = c*(1 - X) with X nilpotent mod caps
         diag0 = None
-        for (row, col), val in self.entries.items():
+        half = _layout(self.N, self.m).half
+        for key, val in self.entries.items():
             c0 = val.coeff({})
-            if row == col:
+            if key >> half == key & (1 << half) - 1:
                 if diag0 is None:
                     diag0 = c0
                 elif not (c0 - diag0).is_zero():
@@ -196,56 +294,51 @@ class TensorOp:
             raise ValueError(f"embed needs {self.m} distinct slots: {slots}")
         if not all(1 <= s <= m for s in slots):
             raise ValueError(f"slots {slots} out of range 1..{m}")
-        pos = [s - 1 for s in slots]
-        free = [i for i in range(m) if i + 1 not in slots]
-        entries = {}
-        one_entries = list(self.entries.items())
-        for rest in itertools.product(range(self.N), repeat=len(free)):
-            for (row, col), val in one_entries:
-                r = [0] * m
-                c = [0] * m
-                for p, (ri, ci) in zip(pos, zip(row, col)):
-                    r[p], c[p] = ri, ci
-                for p, x in zip(free, rest):
-                    r[p] = c[p] = x
-                entries[(tuple(r), tuple(c))] = val
-        return _operator(self.N, m, self.caps, entries)
+        dst = _layout(self.N, m)
+        move = _mover(_layout(self.N, self.m), dst, tuple(enumerate(slots, 1)))
+        moved = [(move(key), val) for key, val in self.entries.items()]
+        return _operator(self.N, m, self.caps, {
+            key | f: val for f in dst.diagonal([s for s in range(1, m + 1)
+                                                if s not in slots])
+            for key, val in moved})
 
     def swap_slots(self, s1: int, s2: int) -> "TensorOp":
         """Conjugate by the flip of two slots (1-based)."""
-        a, b = s1 - 1, s2 - 1
-
-        def fl(t):
-            t = list(t)
-            t[a], t[b] = t[b], t[a]
-            return tuple(t)
-
+        _check_slots(self.m, s1, s2)
+        layout, flip = _layout(self.N, self.m), {s1: s2, s2: s1}
+        move = _mover(layout, layout, tuple(
+            (s, flip.get(s, s)) for s in range(1, self.m + 1)))
         return _operator(self.N, self.m, self.caps,
-                         {(fl(r), fl(c)): v
-                          for (r, c), v in self.entries.items()})
+                         {move(k): v for k, v in self.entries.items()})
 
     def transpose_slot(self, slot: int, ltd) -> "TensorOp":
         """Twisted transposition e_ij -> eps_i eps_j e_{j'i'} in one slot."""
-        s = slot - 1
+        _check_slots(self.m, slot)
+        layout = _layout(self.N, self.m)
+        r, c, f = layout.row(slot), layout.col(slot), layout.field
+        keep = layout.full ^ layout.mask((slot,), (slot,))
+        to = [[(ltd.iprime(j) << r | ltd.iprime(i) << c,
+                ltd.eps[i] * ltd.eps[j]) for j in range(self.N)]
+              for i in range(self.N)]
         entries = {}
-        for (row, col), val in self.entries.items():
-            i, j = row[s], col[s]
-            r = row[:s] + (ltd.iprime(j),) + row[s + 1:]
-            c = col[:s] + (ltd.iprime(i),) + col[s + 1:]
-            sign = ltd.eps[i] * ltd.eps[j]
-            entries[(r, c)] = entries[(r, c)] + val * sign if (r, c) in entries \
+        for key, val in self.entries.items():
+            put, sign = to[key >> r & f][key >> c & f]
+            key = key & keep | put
+            entries[key] = entries[key] + val * sign if key in entries \
                 else val * sign
         return _operator(self.N, self.m, self.caps, entries)
 
     def conj_diag(self, diag, slot: int, sign: int = 1) -> "TensorOp":
         """Conjugate by a diagonal single-slot operator: D_s T D_s^{-1}
         (sign=-1 gives D^{-1} T D).  ``diag`` is a list of unit HSeries."""
-        s = slot - 1
+        _check_slots(self.m, slot)
+        layout = _layout(self.N, self.m)
+        r, c, f = layout.row(slot), layout.col(slot), layout.field
         inv = [d.inv() for d in diag]
         left, right = (diag, inv) if sign == 1 else (inv, diag)
         return _operator(self.N, self.m, self.caps,
-                         {(r, c): left[r[s]] * v * right[c[s]]
-                          for (r, c), v in self.entries.items()})
+                         {k: left[k >> r & f] * v * right[k >> c & f]
+                          for k, v in self.entries.items()})
 
     def odot(self, other: "TensorOp", first_slots, mode: str) -> "TensorOp":
         """Ordered product of split operators sharing the full slot space.
@@ -262,35 +355,29 @@ class TensorOp:
         caps = self._match(other)
         if mode not in ("LR", "RL"):
             raise ValueError(f"unknown odot mode {mode!r}")
-        F = sorted(s - 1 for s in first_slots)
-        G = [i for i in range(self.m) if i not in F]
+        _check_slots(self.m, *first_slots)
+        layout = _layout(self.N, self.m)
+        F = set(first_slots)
+        G = set(range(1, self.m + 1)) - F
         if mode == "RL":
             # y_a * other * x_a is the LR product with the halves swapped
             F, G = G, F
-
-        def split(t):
-            return tuple(t[i] for i in F), tuple(t[i] for i in G)
-
-        def join(f, g):
-            out = [0] * self.m
-            for i, x in zip(F, f):
-                out[i] = x
-            for i, x in zip(G, g):
-                out[i] = x
-            return tuple(out)
-
+        rf, cf, rg, cg = (layout.mask(F), layout.mask((), F), layout.mask(G),
+                          layout.mask((), G))
+        half = layout.half
         # (A odot B)[R,C] = sum A[(R_F,K'_G),(K_F,C_G)] B[(K_F,R_G),(C_F,K'_G)]
+        # B's F rows and G columns, moved to the F columns and G rows, meet
+        # A's there; the result takes A's F rows and G columns and B's G
+        # rows and F columns
         bmap = {}
-        for (br, bc), bv in other.entries.items():
-            kf, rg = split(br)
-            cf, kg = split(bc)
-            bmap.setdefault((kf, kg), []).append((rg, cf, bv))
+        for bk, bv in other.entries.items():
+            bmap.setdefault((bk & rf) >> half | (bk & cg) << half, []).append(
+                (bk & (rg | cf), bv))
         entries = {}
-        for (ar, ac), av in self.entries.items():
-            rf, kg = split(ar)
-            kf, cg = split(ac)
-            for rg, cf, bv in bmap.get((kf, kg), ()):
-                key = (join(rf, rg), join(cf, cg))
+        for ak, av in self.entries.items():
+            own = ak & (rf | cg)
+            for part, bv in bmap.get(ak & (cf | rg), ()):
+                key = own | part
                 prod = av * bv
                 entries[key] = entries[key] + prod if key in entries else prod
         return _operator(self.N, self.m, caps, entries)
@@ -312,12 +399,20 @@ class TensorOp:
     def nonzero_count(self) -> int:
         return len(self.entries)
 
+    def items(self) -> list:
+        """The ((row, col), series) pairs of the nonzero entries, index
+        tuples unpacked, in key order (which is tuple order)."""
+        layout = _layout(self.N, self.m)
+        return [(layout.unpack(k), self.entries[k])
+                for k in sorted(self.entries)]
+
     def witness(self):
         """A deterministic sample nonzero entry: (row, col, repr) or None."""
         if not self.entries:
             return None
-        row, col = min(self.entries)
-        return (list(row), list(col), repr(self.entries[(row, col)]))
+        key = min(self.entries)
+        row, col = _layout(self.N, self.m).unpack(key)
+        return (list(row), list(col), repr(self.entries[key]))
 
     def __repr__(self):
         return (f"TensorOp(N={self.N}, m={self.m}, "
@@ -327,6 +422,6 @@ class TensorOp:
 
     def entries_data(self):
         caps = [[n, self.caps[n]] for n in sorted(self.caps)]
-        entries = [[list(r), list(c), self.entries[(r, c)].to_data()]
-                   for r, c in sorted(self.entries)]
+        entries = [[list(r), list(c), v.to_data()]
+                   for (r, c), v in self.items()]
         return [self.N, self.m, caps, entries]

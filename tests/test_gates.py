@@ -20,7 +20,8 @@ from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc, _packing, _registry
 from rmx.report import CheckReport
-from rmx.rmatrix import NormalizerError, _check_against_oracle, solve_normalizer
+from rmx.rmatrix import (Arg, NormalizerError, _check_against_oracle,
+                         solve_normalizer)
 from rmx.script import ScriptError, parse_script
 from rmx.states import FreeState, _chain_omega
 from rmx.tensorop import TensorOp
@@ -41,6 +42,9 @@ vac = FreeState.vacuum(ltd, solve_normalizer(ltd, L=2), caps, 1)
 # the normaliser perturbed at its top h-order
 bad_g1 = (solve_normalizer(ltd, L=3).g1
           + HSeries.capped_var("h", {"h": 3}) ** 2 * (RatFunc.var("z") / 7))
+two = TensorOp.identity(2, 2, caps)
+pure = FreeState.pure(ltd, solve_normalizer(ltd, L=2), caps, 1,
+                      [[Arg.make(Z)], [Arg.make(RatFunc.var("Y"))]])
 assert not __debug__
 print(raises(lambda: CheckReport("x", {}, "pass", 1, None, 0)),
       raises(lambda: CheckReport("x", {}, "fail", 0, None, 0)),
@@ -59,7 +63,13 @@ print(raises(lambda: CheckReport("x", {}, "pass", 1, None, 0)),
       raises(lambda: _check_against_oracle(bad_g1, ltd.kappa, 3, 10)),
       main(["check", "ybe_hat", "--order", "0"]) == 64,
       raises(lambda: parse_script("type C 1\\norder 2\\nslots 2\\n"
-                                  "check M[3] == 1\\n"), ScriptError))
+                                  "check M[3] == 1\\n"), ScriptError),
+      raises(lambda: TensorOp(2, 1, caps,
+                              {((5,), (-1,)): HSeries.one(caps)})),
+      raises(lambda: two.swap_slots(0, 1)),
+      raises(lambda: two.transpose_slot(0, ltd)),
+      raises(lambda: two.conj_diag([HSeries.one(caps)] * 2, 3)),
+      raises(lambda: pure.swap_open(0, 1)))
 """
 
 
@@ -100,4 +110,4 @@ def test_gates_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", GATES], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True"] * 13
+    assert out.stdout.split() == ["True"] * 18

@@ -130,7 +130,7 @@ def test_rplus_h1_entry_hand_expansion():
     # 2(Z-1)^2 + 2(Z-1) = 2Z(Z-1)
     ltd = lie_type_data("C", 1)
     rp = _per_entry_rplus(ltd, HSeries.const(Z, CAPS), CAPS)
-    entry = rp.entries[((0, 1), (1, 0))]
+    entry = dict(rp.items())[((0, 1), (1, 0))]
     assert entry.coeff({"h": 1}) == 2 * Z * (Z - 1)
 
 

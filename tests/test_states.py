@@ -156,13 +156,13 @@ def _invert_omega(omega: TensorOp, k: int) -> TensorOp:
     m = 2 * k + 1
     assert omega.m == m
     flat = {}
-    for (row, col), val in omega.entries.items():
+    for (row, col), val in omega.items():
         P, i, Pp = row[:k], row[k], row[k + 1:]
         Q, j, Qp = col[:k], col[k], col[k + 1:]
         flat[((i,) + Pp + Qp, (j,) + P + Q)] = val
     inv = TensorOp(omega.N, m, omega.caps, flat).inv()
     out = {}
-    for (row, col), val in inv.entries.items():
+    for (row, col), val in inv.items():
         i, Pp, Qp = row[0], row[1:k + 1], row[k + 1:]
         j, P, Q = col[0], col[1:k + 1], col[k + 1:]
         out[(P + (i,) + Pp, Q + (j,) + Qp)] = val
@@ -408,6 +408,15 @@ def test_merge_requires_uniform_word():
         d.merge_y(1, 2, ring("Zz"))
 
 
+def test_swap_open_rejects_slots_outside_the_open_block():
+    ltd, norm, caps, c = make_ctx()
+    st = FreeState.pure(ltd, norm, caps, c, [[ring("X")], [ring("Y")]])
+    assert st.swap_open(1, 2).swap_open(2, 1) == st
+    for s1, s2 in ((0, 1), (1, 0), (-1, 2), (1, 3)):
+        with pytest.raises(ValueError, match="not both open"):
+            st.swap_open(s1, s2)
+
+
 def test_residual_reports_witness():
     ltd, norm, caps, c = make_ctx()
     a = FreeState.pure(ltd, norm, caps, c, [[ring("X")]])
@@ -439,7 +448,7 @@ def test_compose_drops_cancelled_entries():
     out = st._compose([2], lambda t: omega, lambda t: t.words)
     coeff, = (t.coeff for t in out.terms)
     assert coeff.nonzero_count() == 1
-    assert list(coeff.entries) == [((0, 1), (0, 1))]
+    assert [key for key, _ in coeff.items()] == [((0, 1), (0, 1))]
     # without the third entry everything cancels, and the term goes
     omega = TensorOp(ltd.N, 2, caps, {((0, 0), (0, 0)): one,
                                       ((1, 0), (1, 0)): -one})

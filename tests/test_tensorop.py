@@ -85,7 +85,7 @@ def dense_transpose(a, slot, ltd):
     """Brute-force oracle: expand A over embedded matrix units and replace
     the unit e_ij at ``slot`` by eps_i eps_j e_{j'i'}."""
     total = TensorOp.zero(a.N, a.m, a.caps)
-    for (row, col), val in a.entries.items():
+    for (row, col), val in a.items():
         term = TensorOp.identity(a.N, a.m, a.caps)
         for s in range(a.m):
             i, j = row[s], col[s]
@@ -134,7 +134,7 @@ def dense_odot(a, b, first_slots, mode):
     F = sorted(s - 1 for s in first_slots)
     G = [i for i in range(a.m) if i not in F]
     total = TensorOp.zero(a.N, a.m, a.caps)
-    for (row, col), val in a.entries.items():
+    for (row, col), val in a.items():
         xf = None
         for i in F:
             u = TensorOp.unit(a.N, row[i], col[i], a.caps).embed((i + 1,), a.m)
@@ -223,10 +223,31 @@ def test_cancelling_results_store_no_zero_entries():
     assert (a + (-a)).entries == {}
     # (0,0) of the product is 1*1 + 1*(-1); (1,0) is 2*1 + 0 and stays
     prod = _matrix([[1, 1], [2, 0]]) * _matrix([[1, 0], [-1, 0]])
-    assert prod.nonzero_count() == 1 and ((1,), (0,)) in prod.entries
+    assert prod.nonzero_count() == 1 and ((1,), (0,)) in dict(prod.items())
     assert (_matrix([[1, 1], [0, 0]]) * _matrix([[1, 0], [-1, 0]])
             ).nonzero_count() == 0
     assert _matrix([[1, 1], [2, 0]]).scale(0).nonzero_count() == 0
     # h times h^2 is h^3, beyond the cap
     hh = TensorOp.identity(N, 1, CAPS).scale(h())
     assert (hh * hh.scale(h())).nonzero_count() == 0
+
+
+def test_keys_and_slots_out_of_range_raise():
+    # a packed key has no room for an index outside 0..N-1, and a slot
+    # outside 1..m would name a field of another slot or none
+    one = HSeries.one(CAPS)
+    for key in (((5,), (-1,)), ((2,), (0,)), ((0,), (0, 0)), 1 << 2):
+        with pytest.raises(ValueError, match="entry"):
+            TensorOp(N, 1, CAPS, {key: one})
+    with pytest.raises(ValueError, match=r"entry 3 "):
+        TensorOp(3, 1, CAPS, {3: one})        # row index 3 in a 2-bit field
+    ltd = lie_type_data("C", 1)
+    a = rand_op(random.Random(13), N, 2)
+    diag = [HSeries.one(CAPS)] * N
+    for slot in (0, 3, -1):
+        for op in (lambda: a.swap_slots(slot, 1), lambda: a.swap_slots(1, slot),
+                   lambda: a.transpose_slot(slot, ltd),
+                   lambda: a.conj_diag(diag, slot),
+                   lambda: a.odot(a, (slot,), "LR")):
+            with pytest.raises(ValueError, match=f"slot {slot} "):
+                op()
