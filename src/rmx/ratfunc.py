@@ -1024,6 +1024,10 @@ class RatFunc:
                 other = RatFunc.const(other)
             else:
                 return NotImplemented
+        if self.vars != other.vars and not (self.vars and other.vars):
+            # a constant against a value with variables compares unlifted
+            a, c = (self, other._num) if self.vars else (other, self._num)
+            return _is_const(a) and a.as_fraction() == c
         a, b = self._unify(other)
         return a._num == b._num and a._fac == b._fac
 

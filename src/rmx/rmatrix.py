@@ -8,15 +8,20 @@ capped formal variables (h included).  The normalizing series g1 solves
     g1(z, h) * g1(z*e^{-kappa*h}, h)
         = 1 / ((1 - z*e^{-h})(1 - z*e^{h})(1 - z*e^{-kappa*h})(1 - z*e^{kappa*h}))
 
-order by order in h; each h-order is rational in z with denominator a power
-of (1 - z).
+one h-order at a time; each h-order is rational in z with denominator a
+power of (1 - z).  With g1 = sum g_l h^l and theta = z d/dz, the h^j
+coefficient of g1(z e^{-kappa h}) is S_j = sum_m ((-kappa)^m / m!)
+theta^m g_{j-m}, and order l reads 2 g_0 g_l = rhs_l - g_0 (S_l - g_l) -
+sum_{0<i<l} g_i S_{l-i}, whose right side holds only lower orders; each
+theta^m g_i is computed once.  A gate checks rhs_l = sum_{i<=l} g_i S_{l-i}
+at every order by exact equality.
 
 The solution is checked against an independent series oracle: the same
 equation solved as a plain power series in z and h, in exact integers
 (each h-order l scaled by s^l * l!, so products are binomial-weighted
-convolutions).  Each h-order n/d of the rational solution must satisfy
-d * oracle = n up to the oracle's z-degree, read off the integer
-coefficients of n and d.
+convolutions).  Each h-order n/d of the rational solution must have
+integer coefficients and satisfy d * oracle = n up to the oracle's
+z-degree.
 
 The R-matrix is R(x) = e^{(1+2kappa)h/2} g1(x) R+(x), where
 
@@ -256,32 +261,43 @@ def solve_normalizer(ltd: LieTypeData, L: int = 4, z_degree_oracle: int = 10) ->
     return _solve_normalizer_cached(ltd, L, z_degree_oracle)
 
 
+def _shift_tail(g: list, thetas: dict, kappa, j: int) -> RatFunc:
+    """S_j - g_j, the terms m >= 1 of the h^j coefficient
+    S_j = sum_m ((-kappa)^m / m!) theta^m g_{j-m} of g1(z e^{-kappa h}).
+    ``thetas`` caches theta^m g_i under (i, m), computed from
+    theta^{m-1} g_i."""
+    out = RatFunc.zero()
+    for m in range(1, j + 1):
+        found = thetas.get((j - m, m))
+        if found is None:
+            found = thetas[j - m, m] = RatFunc.var("z") * thetas.get(
+                (j - m, m - 1), g[j - m]).diff("z")
+        out = out + found * (Fraction(-kappa) ** m / factorial(m))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _solve_normalizer_cached(ltd, L, dz) -> Normalizer:
     kappa = ltd.kappa
     caps = {"h": L}
     z = RatFunc.var("z")
-    zs = HSeries.const(z, caps)
-    rhs = _rhs_product(kappa, caps, zs).inv()
-    c0 = 1 / ((1 - z) ** 2)
-    g = HSeries.const(c0, caps)
+    rhs_series = _rhs_product(kappa, caps, HSeries.const(z, caps)).inv()
+    rhs = [rhs_series.coeff({"h": l}) for l in range(L)]
+    g0 = 1 / ((1 - z) ** 2)
+    half_inv_g0 = (1 - z) ** 2 * Fraction(1, 2)
+    g, shifted, thetas = [g0], [g0], {}
     for l in range(1, L):
-        # order l is solved from the orders below it, under caps h^(l+1)
-        lcaps = {"h": l + 1}
-        gl = g.with_caps(lcaps)
-        shift = HSeries.exp_shift({"h": -kappa}, lcaps)
-        res = (rhs.with_caps(lcaps)
-               - gl * gl.subst_mult("z", shift)).coeff({"h": l})
-        g = g + HSeries(caps, {(l,): res / (2 * c0)})
-    shift = HSeries.exp_shift({"h": -kappa}, caps)
-    residual = rhs - g * g.subst_mult("z", shift)
-    if not residual.is_zero():
-        raise NormalizerError(
-            f"functional equation residual does not vanish: {residual}")
+        # order l: 2 g0 g_l = rhs_l - g0 (S_l - g_l) - sum_{0<i<l} g_i S_{l-i}
+        tail = _shift_tail(g, thetas, kappa, l)
+        known = g0 * tail
+        for i in range(1, l):
+            known = known + g[i] * shifted[l - i]
+        g.append((rhs[l] - known) * half_inv_g0)
+        shifted.append(tail + g[l])
+    _check_functional_equation(g, shifted, rhs)
 
     parts = []
-    for l in range(L):
-        cl = g.coeff({"h": l})
+    for l, cl in enumerate(g):
         if cl.is_zero():
             parts.append((l, RatFunc.zero(), 0))
             continue
@@ -297,8 +313,22 @@ def _solve_normalizer_cached(ltd, L, dz) -> Normalizer:
                 f"h^{l} coefficient is {at0} at z = 0, "
                 f"expected {1 if l == 0 else 0}")
 
+    g = HSeries(caps, {(l,): cl for l, cl in enumerate(g)})
     _check_against_oracle(g, kappa, L, dz)
     return Normalizer(ltd, L, g, tuple(parts), dz)
+
+
+def _check_functional_equation(g: list, shifted: list, rhs: list):
+    """Raise NormalizerError at the first h-order l where rhs_l differs
+    from sum_{i<=l} g_i S_{l-i}, the h^l coefficient of
+    g1(z) g1(z e^{-kappa h}); lists are indexed by h-order and compared
+    by exact equality."""
+    for l, want in enumerate(rhs):
+        got = g[0] * shifted[l]
+        for i in range(1, l + 1):
+            got = got + g[i] * shifted[l - i]
+        if got != want:
+            raise NormalizerError(f"functional equation fails at h^{l}")
 
 
 def _zmul(a: list, b: list, dz: int) -> list:
@@ -366,14 +396,18 @@ def _integer_oracle(kappa, L: int, dz: int) -> tuple:
 
 
 def _z_coeffs(terms, cl) -> list:
-    """Coefficients by z-degree of numer_terms/denom_terms of ``cl``."""
+    """Integer coefficients by z-degree of numer_terms/denom_terms of
+    ``cl``; a coefficient that is not an integer raises."""
     out = []
     for md, coeff in terms:
         if set(md) - {"z"}:
             raise NormalizerError(f"unexpected variables in {cl}")
+        if coeff.denominator != 1:
+            raise NormalizerError(
+                f"coefficient {coeff} of {cl} is not an integer")
         e = md.get("z", 0)
         out += [0] * (e + 1 - len(out))
-        out[e] = coeff
+        out[e] = coeff.numerator
     return out
 
 

@@ -704,23 +704,27 @@ class FreeState:
     # -- comparison -----------------------------------------------------
 
     def residual(self, other: "FreeState"):
-        """Exact difference: (number of nonzero residual entries, witness)."""
+        """Exact difference: (number of nonzero residual entries, witness),
+        compared word key by word key with ``TensorOp.residual``."""
         if self.open != other.open:
             raise ValueError("open-slot layouts differ")
-        buckets = {}
-        for sign, state in ((1, self), (-1, other)):
-            for term in state.terms:
-                key = term.key()
-                k = term.coeff if sign == 1 else -term.coeff
-                buckets[key] = buckets[key] + k if key in buckets else k
-        count = 0
-        witness = None
-        for key in sorted(buckets):
-            diff = buckets[key]
-            n = diff.nonzero_count()
+        mine, theirs = {}, {}
+        for term in self.terms:
+            key, k = term.key(), term.coeff
+            mine[key] = mine[key] + k if key in mine else k
+        for term in other.terms:
+            theirs.setdefault(term.key(), []).append(term.coeff)
+        count, witness = 0, None
+        for key in sorted(mine.keys() | theirs.keys()):
+            ops = theirs.get(key, [])
+            shape = ops[0] if ops else mine[key]
+            zero = _operator(shape.N, shape.m, self.caps, {})
+            diff = mine.get(key, zero)
+            for op in ops[:-1]:     # terms of ``other`` sharing the key, in
+                diff = diff - op    # the order the subtraction route adds them
+            n, wit = diff.residual(ops[-1] if ops else zero)
             count += n
-            if n and witness is None:
-                witness = diff.witness()
+            witness = witness or wit
         return count, witness
 
     def __eq__(self, other):

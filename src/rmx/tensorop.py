@@ -243,7 +243,24 @@ class TensorOp:
     def __eq__(self, other):
         if not isinstance(other, TensorOp):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.residual(other)[0] == 0
+
+    def residual(self, other: "TensorOp") -> tuple:
+        """(number of nonzero entries of self - other, witness), found by
+        comparing: an entry counts when its series differ or it is on one
+        side only.  The witness is ``(self - other).witness()``, and only
+        its entry is subtracted."""
+        self._match(other)
+        a, b = self.entries, other.entries
+        keys = [k for k, v in a.items() if k not in b or b[k].terms != v.terms]
+        keys += [k for k in b if k not in a]
+        if not keys:
+            return 0, None
+        key = min(keys)
+        zero = HSeries.zero(self.caps)
+        row, col = _layout(self.N, self.m).unpack(key)
+        return len(keys), (list(row), list(col),
+                           repr(a.get(key, zero) - b.get(key, zero)))
 
     def __hash__(self):
         raise TypeError("TensorOp is unhashable")

@@ -15,13 +15,15 @@ from rmx.tensorop import TensorOp
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 GATES = """
+from fractions import Fraction
 from rmx.cli import main
 from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc, _packing, _registry
 from rmx.report import CheckReport
 from rmx.rmatrix import (Arg, NormalizerError, _check_against_oracle,
-                         solve_normalizer)
+                         _check_functional_equation, _rhs_product,
+                         _shift_tail, solve_normalizer)
 from rmx.script import ScriptError, parse_script
 from rmx.states import FreeState, _chain_omega
 from rmx.tensorop import TensorOp
@@ -42,6 +44,13 @@ vac = FreeState.vacuum(ltd, solve_normalizer(ltd, L=2), caps, 1)
 # the normaliser perturbed at its top h-order
 bad_g1 = (solve_normalizer(ltd, L=3).g1
           + HSeries.capped_var("h", {"h": 3}) ** 2 * (RatFunc.var("z") / 7))
+# the same, as h-order lists for the functional-equation gate
+bad = [bad_g1.coeff({"h": l}) for l in range(3)]
+rhs = _rhs_product(ltd.kappa, {"h": 3},
+                   HSeries.const(RatFunc.var("z"), {"h": 3})).inv()
+shifted = [c + _shift_tail(bad, {}, ltd.kappa, j) for j, c in enumerate(bad)]
+# a plain non-integer constant as the normaliser's h^0 coefficient
+half = HSeries.const(Fraction(1, 2), {"h": 1})
 two = TensorOp.identity(2, 2, caps)
 pure = FreeState.pure(ltd, solve_normalizer(ltd, L=2), caps, 1,
                       [[Arg.make(Z)], [Arg.make(RatFunc.var("Y"))]])
@@ -61,6 +70,9 @@ print(raises(lambda: CheckReport("x", {}, "pass", 1, None, 0)),
       and raises(lambda: TensorOp.identity(2, 1, caps)
                  + TensorOp.identity(2, 1, {"h": 3})),
       raises(lambda: _check_against_oracle(bad_g1, ltd.kappa, 3, 10)),
+      raises(lambda: _check_functional_equation(
+          bad, shifted, [rhs.coeff({"h": l}) for l in range(3)])),
+      raises(lambda: _check_against_oracle(half, ltd.kappa, 1, 10)),
       main(["check", "ybe_hat", "--order", "0"]) == 64,
       raises(lambda: parse_script("type C 1\\norder 2\\nslots 2\\n"
                                   "check M[3] == 1\\n"), ScriptError),
@@ -110,4 +122,4 @@ def test_gates_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", GATES], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True"] * 18
+    assert out.stdout.split() == ["True"] * 20

@@ -7,7 +7,9 @@ from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
 from rmx.rmatrix import (Arg, NormalizerError, _check_against_oracle,
-                         _integer_oracle, _rhs_product, solve_normalizer)
+                         _check_functional_equation, _integer_oracle,
+                         _rhs_product, _shift_tail, _solve_normalizer_cached,
+                         solve_normalizer)
 
 z = RatFunc.var("z")
 TYPES = [("B", 1), ("C", 1), ("D", 2), ("C", 2), ("B", 2), ("D", 3)]
@@ -221,3 +223,79 @@ def test_oracle_gate_rejects_perturbed_solution(family, n, L):
 def test_integer_oracle_rejects_kappa_off_the_half_integers(kappa):
     with pytest.raises(NormalizerError):
         _integer_oracle(kappa, 3, 3)
+
+
+# -- the dilation solve -----------------------------------------------------
+#
+# The solver finds g1 one h-order at a time from cached theta-dilations of
+# the lower orders.  The per-order loop below is the solve it replaced: at
+# each order it re-expands g1(z e^{-kappa h}) by ``subst_mult`` and keeps
+# only the h^l coefficient of the residual.
+
+
+def _reference_g1(ltd, L: int) -> HSeries:
+    kappa = ltd.kappa
+    caps = {"h": L}
+    rhs = _rhs_product(kappa, caps, HSeries.const(z, caps)).inv()
+    c0 = 1 / ((1 - z) ** 2)
+    g = HSeries.const(c0, caps)
+    for l in range(1, L):
+        lcaps = {"h": l + 1}
+        gl = g.with_caps(lcaps)
+        shift = HSeries.exp_shift({"h": -kappa}, lcaps)
+        res = (rhs.with_caps(lcaps)
+               - gl * gl.subst_mult("z", shift)).coeff({"h": l})
+        g = g + HSeries(caps, {(l,): res / (2 * c0)})
+    return g
+
+
+@pytest.mark.parametrize("family,n", TYPES)
+def test_dilation_solve_matches_reference_loop(family, n):
+    ltd = lie_type_data(family, n)
+    for L in range(1, 7):
+        assert solve_normalizer(ltd, L=L).g1 == _reference_g1(ltd, L), L
+
+
+def test_solve_differentiates_once_per_dilation(monkeypatch):
+    # theta^m g_i for m >= 1 and m + i <= L - 1: L(L-1)/2 derivatives
+    calls = []
+    diff = RatFunc.diff
+    monkeypatch.setattr(RatFunc, "diff",
+                        lambda self, name: calls.append(name) or diff(self, name))
+    _solve_normalizer_cached.cache_clear()
+    solve_normalizer(lie_type_data("C", 1), L=6)
+    assert calls == ["z"] * 15
+
+
+def _gate_inputs(ltd, L: int, perturb_at=None) -> tuple:
+    """(g, shifted, rhs) by h-order for the functional-equation gate, with
+    g_l raised by z/7 at ``perturb_at``."""
+    g = [solve_normalizer(ltd, L=L).g1.coeff({"h": l}) for l in range(L)]
+    if perturb_at is not None:
+        g[perturb_at] = g[perturb_at] + z / 7
+    thetas = {}
+    shifted = [c + _shift_tail(g, thetas, ltd.kappa, j)
+               for j, c in enumerate(g)]
+    caps = {"h": L}
+    rhs = _rhs_product(ltd.kappa, caps, HSeries.const(z, caps)).inv()
+    return g, shifted, [rhs.coeff({"h": l}) for l in range(L)]
+
+
+@pytest.mark.parametrize("family,n", [("B", 1), ("C", 1), ("D", 2)])
+def test_functional_equation_gate_names_the_perturbed_order(family, n):
+    ltd = lie_type_data(family, n)
+    _check_functional_equation(*_gate_inputs(ltd, 5))
+    for l in range(5):
+        with pytest.raises(NormalizerError, match=rf"at h\^{l}$"):
+            _check_functional_equation(*_gate_inputs(ltd, 5, perturb_at=l))
+
+
+def test_oracle_gate_rejects_a_non_integer_coefficient():
+    # an h-order with variables has integer coefficients over its
+    # denominator's content; only a plain rational constant can have others
+    ltd = lie_type_data("C", 1)
+    g = solve_normalizer(ltd, L=3).g1
+    bad = HSeries({"h": 3}, {(0,): g.coeff({}), (1,): g.coeff({"h": 1}),
+                             (2,): Fraction(1, 2)})
+    with pytest.raises(NormalizerError, match="not an integer"):
+        _check_against_oracle(bad, ltd.kappa, 3, 10)

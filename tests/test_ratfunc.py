@@ -446,6 +446,28 @@ def test_constant_add_sub_do_not_lift(monkeypatch):
     assert f - results[2] == Fraction(1, 2)
 
 
+def test_constant_equality_does_not_lift(monkeypatch):
+    """A constant compares with a value with variables without a lift, and
+    equals it exactly when that value is the same constant."""
+    half = RatFunc.const(Fraction(1, 2))
+    values = [half.lift(("W", "Z")), RatFunc.zero().lift(("Z",)),
+              Z / (2 * Z), Z, 1 / (1 - Z)]
+    lifted = [v.lift(("W", "Z")) for v in values]
+    calls = []
+    lift = RatFunc.lift
+    monkeypatch.setattr(RatFunc, "lift",
+                        lambda self, names: calls.append(names)
+                        or lift(self, names))
+    got = [(c == v, v == c) for v in values
+           for c in (half, RatFunc.zero(), RatFunc.one())]
+    monkeypatch.undo()
+    assert calls == []
+    want = [(c.lift(("W", "Z")) == v,) * 2 for v in lifted
+            for c in (half, RatFunc.zero(), RatFunc.one())]
+    assert got == want
+    assert sum(g for g, _ in got) == 3
+
+
 @given(field_ratfuncs(), field_ratfuncs())
 def test_fraction_ops_match_sympy(a, b):
     for op in (add, sub, mul):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
 from rmx import states
 from rmx.hseries import HSeries
@@ -453,3 +453,71 @@ def test_compose_drops_cancelled_entries():
     omega = TensorOp(ltd.N, 2, caps, {((0, 0), (0, 0)): one,
                                       ((1, 0), (1, 0)): -one})
     assert st._compose([2], lambda t: omega, lambda t: t.words).terms == ()
+
+
+# -- residuals by comparison ------------------------------------------------
+#
+# ``FreeState.residual`` and ``TensorOp.residual`` compare instead of
+# subtracting.  The subtraction route below is the residual they replaced:
+# negate every coefficient of the other side, add, and count what is left.
+
+
+def _residual_by_subtraction(a: FreeState, b: FreeState):
+    buckets = {}
+    for sign, state in ((1, a), (-1, b)):
+        for term in state.terms:
+            key = term.key()
+            k = term.coeff if sign == 1 else -term.coeff
+            buckets[key] = buckets[key] + k if key in buckets else k
+    count = 0
+    witness = None
+    for key in sorted(buckets):
+        diff = buckets[key]
+        n = diff.nonzero_count()
+        count += n
+        if n and witness is None:
+            witness = diff.witness()
+    return count, witness
+
+
+_RCAPS = {"h": 2}
+_X = RatFunc.var("X")
+# equal values over different variable tuples: () and ("X",)
+_RCOEFFS = [RatFunc.const(2), RatFunc.const(2).lift(("X",)),
+            RatFunc.const(Fraction(1, 2)),
+            RatFunc.const(Fraction(1, 2)).lift(("X",)),
+            _X, -_X, 1 / (1 - _X)]
+_rseries = hst.dictionaries(hst.sampled_from([(0,), (1,)]),
+                            hst.sampled_from(_RCOEFFS), max_size=2).map(
+    lambda terms: HSeries(_RCAPS, terms))
+_rops = hst.dictionaries(
+    hst.sampled_from([((i,), (j,)) for i in range(2) for j in range(2)]),
+    _rseries, max_size=4).map(lambda e: TensorOp(2, 1, _RCAPS, e))
+# one-letter words over two arguments, so terms often share a word key
+_rterms = hst.lists(hst.tuples(hst.sampled_from("XY"), _rops), max_size=3)
+
+
+def _rstate(terms) -> FreeState:
+    return FreeState(lie_type_data("C", 1), None, _RCAPS, 1, 0, [
+        states.Term(op, (((ring(v), 0),),)) for v, op in terms])
+
+
+def _rop(coeff) -> TensorOp:
+    return TensorOp(2, 1, _RCAPS, {((0,), (0,)): HSeries(_RCAPS, {(0,): coeff})})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rterms, _rterms)
+# X - X cancels before 1/2 is subtracted, so the witness prints the constant
+# over no variables, -1/2, where X - (X + 1/2) would print (-1)/(2)
+@example([("X", _rop(_X))],
+         [("X", _rop(_X)), ("X", _rop(RatFunc.const(Fraction(1, 2))))])
+def test_residual_matches_subtraction_route(left, right):
+    a, b = _rstate(left), _rstate(right)
+    want = _residual_by_subtraction(a, b)
+    assert a.residual(b) == want
+    assert (a == b) == (want[0] == 0)
+    for (_, x), (_, y) in itertools.product(left, right):
+        diff = x - y
+        assert x.residual(y) == (diff.nonzero_count(), diff.witness())
+        assert (x == y) == diff.is_zero()

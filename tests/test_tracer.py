@@ -2,9 +2,10 @@
 
 ``perfbench/tracer.py`` replaces methods and functions of rmx by name, so a
 renamed or deleted one breaks the benchmark.  This installs the tracer in a
-fresh interpreter and runs two small checks through it: an R-matrix
-identity, then a module-layer check, whose state operations the tracer
-reads through ``FreeState.terms``.
+fresh interpreter and runs small checks through it: an R-matrix identity
+and the normaliser's functional equation (the one check that re-expands a
+series by ``subst_mult``), then a module-layer check, whose state
+operations the tracer reads through ``FreeState.terms``.
 """
 
 import json
@@ -22,7 +23,8 @@ tracer = Tracer()
 tracer.install()
 import rmx
 rep = rmx.builtin_check("unitarity_hat", "C", 1, L=2)
-print(json.dumps([rep.verdict, tracer.counts()]))
+gfunc = rmx.builtin_check("gfunc", "C", 1, L=2)
+print(json.dumps([[rep.verdict, gfunc.verdict], tracer.counts()]))
 rep = rmx.module_check("tminus_vacuum", "C", 1, L=2)
 print(json.dumps([rep.verdict, tracer.counts()]))
 """
@@ -37,8 +39,8 @@ def test_tracer_installs_and_counts():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     first, second = out.stdout.splitlines()[-2:]
-    verdict, counts = json.loads(first)
-    assert verdict == "pass"
+    verdicts, counts = json.loads(first)
+    assert verdicts == ["pass", "pass"]
     for boundary in ("ratfunc.ops", "hseries.mul", "hseries.inv",
                      "hseries.subst_mult", "hseries._remap", "tensorop.mul",
                      "tensorop.embed", "rmatrix.build", "rmatrix.g1_at",
