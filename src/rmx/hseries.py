@@ -106,6 +106,26 @@ def _add_into(terms: dict, k: int, coeff: RatFunc):
     terms[k] = coeff
 
 
+def _addmul(acc: dict, a: "HSeries", b: "HSeries"):
+    """acc += a * b, the one product loop: ``acc`` maps monomial numbers of
+    the caps of a and b (matched by the caller) to nonzero coefficients.
+    Exact-one coefficients, so exact-one series, are not multiplied."""
+    within = a.caps.monos
+    for i, c1 in a.terms.items():
+        one = None              # c1.is_one(), asked when a term fits
+        for j, c2 in b.terms.items():
+            if i + j in within:
+                if one is None:
+                    one = c1.is_one()
+                _add_into(acc, i + j,
+                          c2 if one else c1 if c2.is_one() else c1 * c2)
+
+
+def _flush(caps: Caps, acc: dict) -> dict:
+    """Key -> term dict as key -> series over ``caps``, empty ones dropped."""
+    return {key: _series(caps, terms) for key, terms in acc.items() if terms}
+
+
 class HSeries:
     """Truncated series: monomial number of its caps -> nonzero RatFunc."""
 
@@ -235,20 +255,8 @@ class HSeries:
             other = self._operand(other)
             if other is NotImplemented:
                 return other
-        caps = self.caps
-        if other.caps is not caps:
-            caps.match(other.caps)
-        a, b = self.terms, other.terms
-        if len(a) == 1 and 0 in a and a[0].is_one():
-            return other
-        if len(b) == 1 and 0 in b and b[0].is_one():
-            return self
-        within = caps.monos
-        terms = {}
-        for i, c1 in a.items():
-            for j, c2 in b.items():
-                if i + j in within:
-                    _add_into(terms, i + j, c1 * c2)
+        caps, terms = self.caps.match(other.caps), {}
+        _addmul(terms, self, other)
         return _series(caps, terms)
 
     __rmul__ = __mul__
@@ -273,16 +281,13 @@ class HSeries:
                 "series is not invertible: constant coefficient is 0")
         c0inv = RatFunc.one() / c0
         rest = _series(self.caps, {k: c for k, c in self.terms.items() if k})
-        t = rest * c0inv          # nilpotent part of self/c0
-        acc = HSeries.one(self.caps)
-        power = HSeries.one(self.caps)
-        sign = -1
+        t = rest * -c0inv         # minus the nilpotent part of self/c0
+        acc = power = HSeries.one(self.caps)
         while True:
             power = power * t
             if power.is_zero():
                 break
-            acc = acc + power * sign
-            sign = -sign
+            acc = acc + power
         return acc * c0inv
 
     def __truediv__(self, other):

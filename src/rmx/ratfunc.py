@@ -1188,6 +1188,8 @@ class RatFunc:
         return s
 
     def __repr__(self):
+        if self.is_constant():      # held over variables or not, alike
+            return str(self.as_fraction())
         num = self._poly_str(self.numer_terms())
         den_terms = self.denom_terms()
         if len(den_terms) == 1 and den_terms[0] == ({}, Fraction(1)):

@@ -476,7 +476,9 @@ def _build(ltd: LieTypeData, norm: Normalizer, arg: Arg,
     point = _point(arg, caps, norm.L)
     entries = {}
     for dil, keys in _r_template(ltd, norm):
-        entries.update(dict.fromkeys(keys, _evaluate(dil, point, caps)))
+        val = _evaluate(dil, point, caps)
+        if val.terms:       # a group's value can vanish at the point
+            entries.update(dict.fromkeys(keys, val))
     return _operator(ltd.N, 2, caps, entries)
 
 

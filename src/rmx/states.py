@@ -30,7 +30,9 @@ Coefficient entries are keyed by the packed ints of ``tensorop``: one
 b-bit field per row and per column index, rows of slots 1..m then columns,
 slot 1 most significant, so int order is (row, col) tuple order and
 residual witnesses keep it.  The contractions here read and write slots
-through ``_layout`` masks and relabel them with ``_mover``.
+through ``_layout`` masks and relabel them with ``_mover``, and add into
+per-key term dicts with the kernel ``hseries._addmul``; ``_raise``,
+``_with_pinned_open`` and ``_contract_pairs`` pass entries on unfiltered.
 
 All operations return new states; nothing is mutated.
 """
@@ -41,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hseries import Caps, HSeries
+from .hseries import Caps, HSeries, _addmul, _flush
 from .ratfunc import RatFunc
 from .rmatrix import Arg, diag_op, m_diag, rhat_inv, rmatrix
 from .tensorop import TensorOp, _layout, _mover, _operator
@@ -141,14 +143,12 @@ def _chain_omega(N, caps, wslots, sym_wordops, mats) -> TensorOp:
         for key, val in mat.entries.items():
             by_row.setdefault(key >> mlayout.half, []).append(
                 ((key & (1 << mlayout.half) - 1) << tail, val))
-        joined = {}
+        acc = {}
         for key, val in frontier.items():
             row = key & keep
             for col, mval in by_row.get((key & ops) >> tail, ()):
-                out = row | col
-                prod = val * mval
-                joined[out] = joined[out] + prod if out in joined else prod
-        frontier = joined
+                _addmul(acc.setdefault(row | col, {}), val, mval)
+        frontier = _flush(caps, acc)
     return _operator(N, wslots + n, caps, frontier)
 
 
@@ -290,17 +290,14 @@ class FreeState:
             kmap = {}
             for key, kval in K.entries.items():
                 kmap.setdefault(key & written, []).append((key & kept, kval))
-            entries = {}
+            acc = {}
             for okey, oval in omega.entries.items():
                 hits = kmap.get(match(okey))
                 if hits:
                     new = put(okey)
                     for cleared, kval in hits:
-                        key = cleared | new
-                        val = kval * oval
-                        entries[key] = entries[key] + val if key in entries \
-                            else val
-            out_terms.append(Term(_operator(K.N, K.m, caps, entries),
+                        _addmul(acc.setdefault(cleared | new, {}), kval, oval)
+            out_terms.append(Term(_operator(K.N, K.m, caps, _flush(caps, acc)),
                                   new_words_of_term(term)))
         return self._replace(out_terms)
 
@@ -602,21 +599,21 @@ class FreeState:
         word slots were consumed."""
         drop = {s for p in pairs for s in p}
         open_drop = sum(1 for s in drop if s <= self.open)
+        one = HSeries.one(self.caps)
         out_terms = []
         for term in self.terms:
             K = term.coeff
             kept = [s for s in range(1, K.m + 1) if s not in drop]
             old, new = _layout(K.N, K.m), _layout(K.N, len(kept))
             move = _mover(old, new, tuple(zip(kept, range(1, len(kept) + 1))))
-            entries = {}
+            acc = {}
             for key, val in K.entries.items():
-                key = move(key)
-                entries[key] = entries[key] + val if key in entries else val
+                _addmul(acc.setdefault(move(key), {}), val, one)
             words = term.words
             for df in sorted(drop_factors, reverse=True):
                 words = words[:df - 1] + words[df:]
             out_terms.append(Term(
-                _operator(K.N, len(kept), K.caps, entries), words))
+                _operator(K.N, len(kept), K.caps, _flush(K.caps, acc)), words))
         return self._replace(out_terms, self.open - open_drop)
 
     # -- translation ----------------------------------------------------
@@ -709,20 +706,15 @@ class FreeState:
         if self.open != other.open:
             raise ValueError("open-slot layouts differ")
         mine, theirs = {}, {}
-        for term in self.terms:
-            key, k = term.key(), term.coeff
-            mine[key] = mine[key] + k if key in mine else k
-        for term in other.terms:
-            theirs.setdefault(term.key(), []).append(term.coeff)
+        for sums, state in ((mine, self), (theirs, other)):
+            for term in state.terms:
+                key, k = term.key(), term.coeff
+                sums[key] = sums[key] + k if key in sums else k
         count, witness = 0, None
         for key in sorted(mine.keys() | theirs.keys()):
-            ops = theirs.get(key, [])
-            shape = ops[0] if ops else mine[key]
+            shape = mine.get(key) or theirs[key]
             zero = _operator(shape.N, shape.m, self.caps, {})
-            diff = mine.get(key, zero)
-            for op in ops[:-1]:     # terms of ``other`` sharing the key, in
-                diff = diff - op    # the order the subtraction route adds them
-            n, wit = diff.residual(ops[-1] if ops else zero)
+            n, wit = mine.get(key, zero).residual(theirs.get(key, zero))
             count += n
             witness = witness or wit
         return count, witness

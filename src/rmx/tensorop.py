@@ -18,14 +18,15 @@ constructor packs tuple keys, and ``items``, ``witness`` and
 Two constructors build an operator.  ``TensorOp(N, m, caps, entries)``
 validates: every entry must be an HSeries over the given caps, keyed by
 (row, col) index tuples of m slots or by a packed key, every index in
-0..N-1.  ``_operator`` trusts its caller and only drops zero entries.  It
-is for code that builds packed entries from operands whose shape and caps
-are already checked: the builders of this class (``identity``, ``+``,
-``-``, ``scale``, ``*``, ``embed``, ``swap_slots``, ``transpose_slot``,
-``conj_diag``, ``odot``), the R-matrix builds and the sandwich contractions
-of ``states``.  Everything else, ``map_entries`` included, goes through the
-validating constructor, and every binary operation checks the shapes and
-caps of its operands.
+0..N-1.  ``_operator`` trusts its caller, and that no entry is zero, in
+code whose operands' shapes and caps are already checked.  ``*``, ``+``,
+``odot`` and the contractions of ``states`` add into term dicts with the
+kernel ``hseries._addmul``, whose ``_flush`` drops what cancelled; only
+``scale`` and the R-matrix build filter; ``identity``, ``-``, ``embed``,
+``swap_slots``, ``transpose_slot`` and ``conj_diag`` (unit factors) map
+nonzero entries to nonzero ones.  Everything else, ``map_entries``
+included, goes through the validating constructor, and every binary
+operation checks the shapes and caps of its operands.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .hseries import Caps, HSeries
+from .hseries import Caps, HSeries, _addmul, _flush
 from .ratfunc import RatFunc
 
 __all__ = ["TensorOp"]
@@ -124,13 +125,13 @@ def _check_slots(m: int, *slots):
 
 
 def _operator(N: int, m: int, caps: Caps, entries: dict) -> "TensorOp":
-    """An operator from packed entries built over ``caps`` on m slots, as
-    they are except that zero entries are dropped."""
+    """An operator from packed nonzero entries built over ``caps`` on m
+    slots, as they are."""
     out = object.__new__(TensorOp)
     out.N = N
     out.m = m
     out.caps = caps
-    out.entries = {k: v for k, v in entries.items() if v.terms}
+    out.entries = entries
     return out
 
 
@@ -196,10 +197,11 @@ class TensorOp:
         if not isinstance(other, TensorOp):
             return NotImplemented
         caps = self._match(other)
-        entries = dict(self.entries)
-        for key, val in other.entries.items():
-            entries[key] = entries[key] + val if key in entries else val
-        return _operator(self.N, self.m, caps, entries)
+        one, acc = HSeries.one(caps), {}
+        for entries in (self.entries, other.entries):
+            for key, val in entries.items():
+                _addmul(acc.setdefault(key, {}), val, one)
+        return _operator(self.N, self.m, caps, _flush(caps, acc))
 
     def __sub__(self, other):
         if not isinstance(other, TensorOp):
@@ -212,8 +214,8 @@ class TensorOp:
 
     def scale(self, scalar) -> "TensorOp":
         """Multiply every entry by a scalar (HSeries, RatFunc or rational)."""
-        return _operator(self.N, self.m, self.caps,
-                         {k: v * scalar for k, v in self.entries.items()})
+        return _operator(self.N, self.m, self.caps, {
+            k: p for k, v in self.entries.items() if (p := v * scalar).terms})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc, HSeries)):
@@ -226,14 +228,12 @@ class TensorOp:
         by_row = {}
         for key, val in other.entries.items():
             by_row.setdefault(key >> half, []).append((key & cols, val))
-        entries = {}
+        acc = {}
         for key, a in self.entries.items():
             row = key ^ key & cols
             for col, b in by_row.get(key & cols, ()):
-                out = row | col
-                prod = a * b
-                entries[out] = entries[out] + prod if out in entries else prod
-        return _operator(self.N, self.m, caps, entries)
+                _addmul(acc.setdefault(row | col, {}), a, b)
+        return _operator(self.N, self.m, caps, _flush(caps, acc))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc, HSeries)):
@@ -337,12 +337,11 @@ class TensorOp:
         to = [[(ltd.iprime(j) << r | ltd.iprime(i) << c,
                 ltd.eps[i] * ltd.eps[j]) for j in range(self.N)]
               for i in range(self.N)]
+        # (i, j) -> (j', i') is a bijection, so no two entries meet
         entries = {}
         for key, val in self.entries.items():
             put, sign = to[key >> r & f][key >> c & f]
-            key = key & keep | put
-            entries[key] = entries[key] + val * sign if key in entries \
-                else val * sign
+            entries[key & keep | put] = val if sign > 0 else -val
         return _operator(self.N, self.m, self.caps, entries)
 
     def conj_diag(self, diag, slot: int, sign: int = 1) -> "TensorOp":
@@ -390,14 +389,12 @@ class TensorOp:
         for bk, bv in other.entries.items():
             bmap.setdefault((bk & rf) >> half | (bk & cg) << half, []).append(
                 (bk & (rg | cf), bv))
-        entries = {}
+        acc = {}
         for ak, av in self.entries.items():
             own = ak & (rf | cg)
             for part, bv in bmap.get(ak & (cf | rg), ()):
-                key = own | part
-                prod = av * bv
-                entries[key] = entries[key] + prod if key in entries else prod
-        return _operator(self.N, self.m, caps, entries)
+                _addmul(acc.setdefault(own | part, {}), av, bv)
+        return _operator(self.N, self.m, caps, _flush(caps, acc))
 
     # -- entrywise maps ------------------------------------------------
 

@@ -468,6 +468,25 @@ def test_constant_equality_does_not_lift(monkeypatch):
     assert sum(g for g, _ in got) == 3
 
 
+def test_constant_prints_alike_over_any_variables():
+    """A constant prints alike whether it is held over variables or not, so
+    a witness does not depend on the order in which an equal sum was
+    formed: in a series, X - X - 1/2 cancels X first and holds -1/2 over no
+    variables, and X - (X + 1/2) holds it over ("X",)."""
+    from rmx.hseries import HSeries
+    X, half = RatFunc.var("X"), Fraction(1, 2)
+    over_none, over_x = RatFunc.const(-half), X - (X + half)
+    assert (over_none.vars, over_x.vars) == ((), ("X",))
+    assert repr(over_none) == repr(over_x) == "-1/2"
+    caps = {"h": 2}
+    x, h = HSeries.const(X, caps), HSeries.capped_var("h", caps)
+    first, second = x - x - half * (1 + h), x - (x + half * (1 + h))
+    assert first.terms[0].vars == () and second.terms[0].vars == ("X",)
+    assert repr(first) == repr(second) == "(-1/2) + (-1/2)*h"
+    for c in (RatFunc.zero(), RatFunc.const(3), RatFunc.const(-2)):
+        assert repr(c.lift(("W", "Z"))) == repr(c)
+
+
 @given(field_ratfuncs(), field_ratfuncs())
 def test_fraction_ops_match_sympy(a, b):
     for op in (add, sub, mul):

@@ -508,8 +508,8 @@ def _rop(coeff) -> TensorOp:
 
 @settings(max_examples=200, deadline=None)
 @given(_rterms, _rterms)
-# X - X cancels before 1/2 is subtracted, so the witness prints the constant
-# over no variables, -1/2, where X - (X + 1/2) would print (-1)/(2)
+# X - X cancels before 1/2 is subtracted, so the witness holds the constant
+# over no variables, and X - (X + 1/2) over ("X",): both print -1/2
 @example([("X", _rop(_X))],
          [("X", _rop(_X)), ("X", _rop(RatFunc.const(Fraction(1, 2))))])
 def test_residual_matches_subtraction_route(left, right):
