@@ -97,7 +97,8 @@ def _series(caps: Caps, terms: dict) -> "HSeries":
 
 
 def _add_into(terms: dict, k: int, coeff: RatFunc):
-    """terms[k] += coeff, keeping only nonzero coefficients."""
+    """terms[k] += coeff, keeping only nonzero values (coefficients, or
+    the series of an operator's entries)."""
     if k in terms:
         coeff = terms[k] + coeff
         if coeff.is_zero():

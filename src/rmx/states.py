@@ -43,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hseries import Caps, HSeries, _addmul, _flush
+from .hseries import Caps, HSeries, _add_into, _addmul, _flush
 from .ratfunc import RatFunc
 from .rmatrix import Arg, diag_op, m_diag, rhat_inv, rmatrix
 from .tensorop import TensorOp, _layout, _mover, _operator
@@ -599,21 +599,20 @@ class FreeState:
         word slots were consumed."""
         drop = {s for p in pairs for s in p}
         open_drop = sum(1 for s in drop if s <= self.open)
-        one = HSeries.one(self.caps)
         out_terms = []
         for term in self.terms:
             K = term.coeff
             kept = [s for s in range(1, K.m + 1) if s not in drop]
             old, new = _layout(K.N, K.m), _layout(K.N, len(kept))
             move = _mover(old, new, tuple(zip(kept, range(1, len(kept) + 1))))
-            acc = {}
+            entries = {}
             for key, val in K.entries.items():
-                _addmul(acc.setdefault(move(key), {}), val, one)
+                _add_into(entries, move(key), val)
             words = term.words
             for df in sorted(drop_factors, reverse=True):
                 words = words[:df - 1] + words[df:]
             out_terms.append(Term(
-                _operator(K.N, len(kept), K.caps, _flush(K.caps, acc)), words))
+                _operator(K.N, len(kept), K.caps, entries), words))
         return self._replace(out_terms, self.open - open_drop)
 
     # -- translation ----------------------------------------------------

@@ -19,14 +19,16 @@ Two constructors build an operator.  ``TensorOp(N, m, caps, entries)``
 validates: every entry must be an HSeries over the given caps, keyed by
 (row, col) index tuples of m slots or by a packed key, every index in
 0..N-1.  ``_operator`` trusts its caller, and that no entry is zero, in
-code whose operands' shapes and caps are already checked.  ``*``, ``+``,
-``odot`` and the contractions of ``states`` add into term dicts with the
-kernel ``hseries._addmul``, whose ``_flush`` drops what cancelled; only
-``scale`` and the R-matrix build filter; ``identity``, ``-``, ``embed``,
-``swap_slots``, ``transpose_slot`` and ``conj_diag`` (unit factors) map
-nonzero entries to nonzero ones.  Everything else, ``map_entries``
-included, goes through the validating constructor, and every binary
-operation checks the shapes and caps of its operands.
+code whose operands' shapes and caps are already checked.  ``*``, ``odot``
+and the contractions of ``states`` add into term dicts with the kernel
+``hseries._addmul``, whose ``_flush`` drops what cancelled; ``+`` and
+``states._drop_pairs`` add series with ``hseries._add_into``, which drops
+a sum that cancels; only ``scale`` and the R-matrix build filter products;
+``identity``, ``-``, ``embed``, ``swap_slots``, ``transpose_slot`` and
+``conj_diag`` (unit factors) map nonzero entries to nonzero ones.
+Everything else, ``map_entries`` included, goes through the validating
+constructor, and every binary operation checks the shapes and caps of its
+operands.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .hseries import Caps, HSeries, _addmul, _flush
+from .hseries import Caps, HSeries, _add_into, _addmul, _flush
 from .ratfunc import RatFunc
 
 __all__ = ["TensorOp"]
@@ -197,11 +199,10 @@ class TensorOp:
         if not isinstance(other, TensorOp):
             return NotImplemented
         caps = self._match(other)
-        one, acc = HSeries.one(caps), {}
-        for entries in (self.entries, other.entries):
-            for key, val in entries.items():
-                _addmul(acc.setdefault(key, {}), val, one)
-        return _operator(self.N, self.m, caps, _flush(caps, acc))
+        entries = dict(self.entries)
+        for key, val in other.entries.items():
+            _add_into(entries, key, val)
+        return _operator(self.N, self.m, caps, entries)
 
     def __sub__(self, other):
         if not isinstance(other, TensorOp):

@@ -8,7 +8,9 @@ summed pairwise, ``entries[k] = entries[k] + a * b if k in entries else
 a * b``.  Its products and sums are computed below over exponent tuples,
 through the validating ``HSeries`` constructor (which drops monomials beyond
 the caps and zero coefficients), so the oracle shares no arithmetic loop
-with the kernel.
+with the kernel.  The operator products ``*`` and ``odot`` are checked
+against the tuple-keyed references of ``tests/test_packed.py``, which sum
+with that idiom.
 """
 
 import importlib
@@ -66,58 +68,12 @@ def ref_sum(a: HSeries, b: HSeries) -> HSeries:
     return HSeries(a.caps, terms)
 
 
-def ref_accumulate(entries: dict, key, a: HSeries, b: HSeries):
-    prod = ref_product(a, b)
-    entries[key] = ref_sum(entries[key], prod) if key in entries else prod
-
-
 def unfused_addmul(acc: dict, a: HSeries, b: HSeries):
     """The kernel's contract by the unfused route: the product built, then
     added to the series that ``acc`` holds."""
     total = ref_sum(_series(a.caps, dict(acc)), ref_product(a, b))
     acc.clear()
     acc.update(total.terms)
-
-
-def ref_mul(a: dict, b: dict) -> dict:
-    """The tuple-keyed operator product."""
-    entries = {}
-    for (row, mid), x in a.items():
-        for (brow, col), y in b.items():
-            if brow == mid:
-                ref_accumulate(entries, (row, col), x, y)
-    return entries
-
-
-def ref_odot(m, a: dict, b: dict, first_slots, mode) -> dict:
-    """The tuple-keyed ordered product of ``TensorOp.odot``."""
-    F = [s - 1 for s in sorted(first_slots)]
-    G = [i for i in range(m) if i not in F]
-    if mode == "RL":
-        F, G = G, F
-
-    def part(t, slots):
-        return tuple(t[i] for i in slots)
-
-    def join(f, g):
-        out = [0] * m
-        for i, x in itertools.chain(zip(F, f), zip(G, g)):
-            out[i] = x
-        return tuple(out)
-
-    entries = {}
-    for (ar, ac), av in a.items():
-        for (br, bc), bv in b.items():
-            # A[(R_F, K'_G), (K_F, C_G)] B[(K_F, R_G), (C_F, K'_G)]
-            if part(ac, F) == part(br, F) and part(ar, G) == part(bc, G):
-                ref_accumulate(entries, (join(part(ar, F), part(br, G)),
-                                         join(part(bc, F), part(ac, G))),
-                               av, bv)
-    return entries
-
-
-def nonzero(entries: dict) -> dict:
-    return {k: v for k, v in entries.items() if not v.is_zero()}
 
 
 # -- drawing operands ------------------------------------------------------
@@ -189,26 +145,6 @@ def test_addmul_truncates_cancels_and_skips_ones(monkeypatch):
     # a sum that cancels to an empty term dict is dropped by the flush
     out = _flush(caps, {1: dict(acc), 2: {}})
     assert list(out) == [1] and out[1] == x + 2 * h + x * u
-
-
-# -- operator products -----------------------------------------------------
-
-@settings(max_examples=60)
-@given(case=hst.sampled_from(TYPES), caps=hst.sampled_from(CAPS),
-       m=hst.integers(1, 2), seed=hst.integers(0, 2 ** 32))
-def test_products_match_the_unfused_route(case, caps, m, seed):
-    N = lie_type_data(*case).N
-    rng = random.Random(seed)
-    count = 2 * N ** m
-    a, b = rand_op(rng, N, m, caps, count), rand_op(rng, N, m, caps, count)
-    ea, eb = dict(a.items()), dict(b.items())
-    assert dict((a * b).items()) == nonzero(ref_mul(ea, eb))
-    # a * b and a * (-b) cancel in every entry
-    assert (a * b + a * b.scale(-1)).entries == {}
-    first = tuple(sorted(rng.sample(range(1, m + 1), rng.randint(0, m))))
-    for mode in ("LR", "RL"):
-        assert dict(a.odot(b, first, mode).items()) == \
-            nonzero(ref_odot(m, ea, eb, first, mode))
 
 
 # -- the state layer -------------------------------------------------------

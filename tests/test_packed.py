@@ -17,9 +17,14 @@ from hypothesis import given, settings, strategies as hst
 from rmx import states
 from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
+from rmx.ratfunc import RatFunc
 from rmx.tensorop import TensorOp, _layout
 
 CAPS = {"h": 2}
+# one capped variable and two: products truncate in each
+CAP_SETS = [CAPS, {"h": 2, "u": 2}]
+# exact ones held over no variables and over ("X",)
+ONES = [RatFunc.one(), RatFunc.one().lift(("X",))]
 # C1 (N=2), B1 (N=3: fields of 2 bits that do not fill them) and D2 (N=4)
 TYPES = [("C", 1), ("B", 1), ("D", 2)]
 
@@ -137,14 +142,21 @@ def ref_compose(K, omega, targets, shared):
 
 # -- drawing operands ----------------------------------------------------
 
-def rand_entries(rng, N, m, count):
-    """Up to ``count`` random entries on m slots, small rational series."""
-    h = HSeries.capped_var("h", CAPS)
+def rand_entries(rng, N, m, count, caps=CAPS):
+    """Up to ``count`` random entries on m slots: small rational series in
+    the capped variables, their constant terms exact ones one time in
+    four, and one entry in five an exact-one series."""
+    gens = [HSeries.capped_var(v, caps) for v in caps]
     entries = {}
     for _ in range(count):
         key = tuple(tuple(rng.randrange(N) for _ in range(m)) for _ in "rc")
-        entries[key] = HSeries.const(Fraction(rng.randint(-3, 3)), CAPS) \
-            + h * rng.randint(-2, 2)
+        if rng.random() < 0.2:
+            entries[key] = HSeries.const(rng.choice(ONES), caps)
+            continue
+        c = rng.choice(ONES) if rng.random() < 0.25 else \
+            Fraction(rng.randint(-3, 3))
+        entries[key] = sum((g * rng.randint(-2, 2) for g in gens),
+                           HSeries.const(c, caps))
     return entries
 
 
@@ -159,16 +171,19 @@ CASES = hst.tuples(hst.sampled_from(TYPES), hst.integers(1, 3),
 
 
 @settings(max_examples=100)
-@given(case=CASES)
-def test_products_and_slot_maps_match_the_tuple_reference(case):
+@given(case=CASES, caps=hst.sampled_from(CAP_SETS))
+def test_products_and_slot_maps_match_the_tuple_reference(case, caps):
     (family, n), m, seed = case
     ltd = lie_type_data(family, n)
     N, rng = ltd.N, random.Random(seed)
     count = 4 * N ** m
-    ea, eb = rand_entries(rng, N, m, count), rand_entries(rng, N, m, count)
-    a, b = TensorOp(N, m, CAPS, ea), TensorOp(N, m, CAPS, eb)
+    ea = rand_entries(rng, N, m, count, caps)
+    eb = rand_entries(rng, N, m, count, caps)
+    a, b = TensorOp(N, m, caps, ea), TensorOp(N, m, caps, eb)
     ea, eb = dict(a.items()), dict(b.items())
     assert_same(a * b, ref_mul(N, m, ea, eb))
+    # a * b and a * (-b) cancel in every entry
+    assert (a * b + a * b.scale(-1)).entries == {}
     s1, s2 = rng.randint(1, m), rng.randint(1, m)
     assert_same(a.swap_slots(s1, s2), ref_swap_slots(ea, s1, s2))
     slot = rng.randint(1, m)

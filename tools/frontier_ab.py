@@ -1,16 +1,17 @@
 """A/B timing of named frontier checks in two checkouts.
 
-    python3 tools/frontier_ab.py BASE CHANGE --runs 3 \
+    python3 tools/frontier_ab.py BASE CHANGE \
         "hexagon --family B --n 1 --order 3" \
         "s_ybe --family C --n 2 --order 2"
 
 Each quoted argument is the argument list of one ``rmx check`` run.  For
-each check the two checkouts run alternately, BASE first, each run a fresh
-interpreter with the checkout's ``src`` on ``PYTHONPATH``.  The script
-prints the raw median, low and high of the reports' ``elapsed_ms`` per
-checkout, in seconds, and the change of the median.  Raw means that no
-calibration rescales the times: compare the two columns of one invocation
-only, since the machine's speed drifts between invocations.
+each check the two checkouts run alternately, BASE first, ``RUNS`` times
+each, every run a fresh interpreter with the checkout's ``src`` on
+``PYTHONPATH``.  The script prints the raw median, low and high of the
+reports' ``elapsed_ms`` per checkout, in seconds, and the change of the
+median.  Raw means that no calibration rescales the times: compare the
+two columns of one invocation only, since the machine's speed drifts
+between invocations.
 
 Exit status: 0 when every report of a check, its ``elapsed_ms`` aside,
 equals every other report of that check in both checkouts; 1 when one
@@ -29,6 +30,7 @@ import sys
 from pathlib import Path
 
 USAGE_EXIT = 64
+RUNS = 3
 RUN = "import sys; from rmx.cli import main; sys.exit(main())"
 
 
@@ -60,26 +62,21 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout timed second")
     parser.add_argument("checks", nargs="+",
                         help='one quoted "rmx check" argument list each')
-    parser.add_argument("--runs", type=int, default=3,
-                        help="runs per checkout and check (at least 3)")
     try:
         opts = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code else 0
-    if opts.runs < 3:
-        print("--runs must be at least 3", file=sys.stderr)
-        return USAGE_EXIT
     roots = (opts.base, opts.change)
     for root in roots:
         if not (root / "src" / "rmx").is_dir():
             print(f"{root} has no src/rmx", file=sys.stderr)
             return USAGE_EXIT
     differ = False
-    print(f"raw seconds, median [low, high] of {opts.runs} alternating runs")
+    print(f"raw seconds, median [low, high] of {RUNS} alternating runs")
     for check in opts.checks:
         args = shlex.split(check)
         reports, times = {}, ([], [])
-        for _ in range(opts.runs):
+        for _ in range(RUNS):
             for side, root in enumerate(roots):
                 report, seconds = run_check(root, args)
                 reports.setdefault(report, set()).add(side)
