@@ -50,8 +50,9 @@ class PolynomialityError(RuntimeError):
     """Prefactor too small: a coefficient is not polynomial/Laurent as required."""
 
 
-def _residual_of(lhs: TensorOp, rhs: TensorOp):
-    count, witness = lhs.residual(rhs)
+def _verdict(count: int, witness):
+    """(verdict, count, witness) of a residual of ``count`` nonzero
+    entries: "pass" iff there are none."""
     return ("pass" if count == 0 else "fail"), count, witness
 
 
@@ -73,7 +74,7 @@ def evaluate(script, name="script") -> CheckReport:
 
     def run():
         lhs, rhs = evaluate_sides(script)
-        return _residual_of(lhs, rhs)
+        return _verdict(*lhs.residual(rhs))
 
     return timed_report(name, params, run)
 
@@ -98,7 +99,8 @@ def _script_body(slots, spectral, identity):
         script = parse_script(
             f"type {family} {n}\norder {L}\nslots {slots}\n"
             f"spectral {spectral}\ncheck {identity.format(kappa=kappa)}\n")
-        return _residual_of(*evaluate_sides(script))
+        lhs, rhs = evaluate_sides(script)
+        return _verdict(*lhs.residual(rhs))
     return run
 
 
@@ -161,7 +163,7 @@ def _check_csuni(family, n, L, k=1, c=Fraction(1)):
     mop = diag_op(ltd.N, caps, m_diag(ltd, caps)).embed((mslot,), m)
     lhs = chain(Fraction(0)) * mop \
         * chain(-ltd.kappa).transpose_slot(mslot, ltd)
-    return _residual_of(lhs, mop)
+    return _verdict(*lhs.residual(mop))
 
 
 # ------------------------------------------------- prefactor calculus
@@ -251,7 +253,7 @@ def correspondence_check(family, n, alpha, a=2, b=2, l=3, r_start=0,
         rhs = rmatrix(ltd, norm, Arg.make(
             1 / z0, {"u": 1, "v": -1, "h": alpha}), caps)
         rhs = rhs.scale(x ** r * (1 - z0) ** r)
-        verdict, count, witness = _residual_of(lhs, rhs)
+        verdict, count, witness = _verdict(*lhs.residual(rhs))
         if verdict == "pass":
             witness = f"r={r}"
             return "pass", 0, witness

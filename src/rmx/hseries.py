@@ -108,9 +108,10 @@ def _add_into(terms: dict, k: int, coeff: RatFunc):
 
 
 def _addmul(acc: dict, a: "HSeries", b: "HSeries"):
-    """acc += a * b, the one product loop: ``acc`` maps monomial numbers of
-    the caps of a and b (matched by the caller) to nonzero coefficients.
-    Exact-one coefficients, so exact-one series, are not multiplied."""
+    """acc += a * b, the one product loop of ``HSeries.__mul__`` and
+    ``_join``: ``acc`` maps monomial numbers of the caps of a and b
+    (matched by the caller) to nonzero coefficients.  Exact-one
+    coefficients, so exact-one series, are not multiplied."""
     within = a.caps.monos
     for i, c1 in a.terms.items():
         one = None              # c1.is_one(), asked when a term fits
@@ -125,6 +126,22 @@ def _addmul(acc: dict, a: "HSeries", b: "HSeries"):
 def _flush(caps: Caps, acc: dict) -> dict:
     """Key -> term dict as key -> series over ``caps``, empty ones dropped."""
     return {key: _series(caps, terms) for key, terms in acc.items() if terms}
+
+
+def _join(caps: Caps, left, right) -> dict:
+    """The one contraction of the package: ``left`` and ``right`` are
+    streams of (match, kept, series) triples, and every pair with equal
+    ``match`` adds a * b (a from ``left``) at the key ``kept_left |
+    kept_right``.  The right stream is indexed by ``match``.  Returns key ->
+    series over ``caps``, keys whose products cancelled dropped."""
+    index = {}
+    for match, kept, b in right:
+        index.setdefault(match, []).append((kept, b))
+    acc = {}
+    for match, kept, a in left:
+        for other, b in index.get(match, ()):
+            _addmul(acc.setdefault(kept | other, {}), a, b)
+    return _flush(caps, acc)
 
 
 class HSeries:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .checks import CHECKS, builtin_check, pole_order, register
+from .checks import CHECKS, _verdict, builtin_check, pole_order, register
 from .lietype import lie_type_data
 from .ratfunc import RatFunc
 from .report import CheckReport, timed_report
@@ -41,11 +41,6 @@ def _word_state(ltd, norm, caps, c, k):
                             for i in range(1, k + 1)]])
 
 
-def _state_residual(lhs: FreeState, rhs: FreeState):
-    count, witness = lhs.residual(rhs)
-    return ("pass" if count == 0 else "fail"), count, witness
-
-
 # ---------------------------------------------------------------- lowering
 
 @register("tminus_vacuum")
@@ -53,7 +48,8 @@ def _check_tminus_vacuum(family, n, L, c=Fraction(1)):
     ltd, norm, caps = _context(family, n, L)
     vac = FreeState.vacuum(ltd, norm, caps, c)
     (u,) = _ring_args("U")
-    return _state_residual(vac.apply_tminus(1, u), vac.with_identity_open())
+    return _verdict(*vac.apply_tminus(1, u).residual(
+        vac.with_identity_open()))
 
 
 @register("roundtrip")
@@ -69,9 +65,7 @@ def _check_roundtrip(family, n, L, k=1, c=Fraction(1)):
     st = w.apply_tminus_inv(1, u)
     st = st.apply_tminus(1, u, shared_slot=st.open)
     cnt, wit = st.residual(expected)
-    count += cnt
-    witness = witness or wit
-    return ("pass" if count == 0 else "fail"), count, witness
+    return _verdict(count + cnt, witness or wit)
 
 
 @register("rtt_minus")
@@ -91,7 +85,7 @@ def _check_rtt_minus(family, n, L, k=1, c=Fraction(1)):
     rhs = rhs.apply_tminus(1, u2)
     b2 = rhs.open
     rhs = rhs.mul_open_right(r, (a2, b2))
-    return _state_residual(lhs, rhs)
+    return _verdict(*lhs.residual(rhs))
 
 
 @register("rel_minus")
@@ -106,7 +100,7 @@ def _check_rel_minus(family, n, L, k=1, c=Fraction(1)):
     st = st._map_coeff(
         lambda K: K.transpose_slot(nu, ltd).conj_diag(md, nu, 1))
     st = st.apply_tminus(1, u, shared_slot=nu)
-    return _state_residual(st, w.with_identity_open())
+    return _verdict(*st.residual(w.with_identity_open()))
 
 
 @register("mixed")
@@ -129,7 +123,7 @@ def _check_mixed(family, n, L, k=1, c=Fraction(1)):
     rhs = rhs.mul_open_right(
         rmatrix(ltd, norm, arg_h(arg_diff(u, v), Fraction(c) / 2), caps),
         (a2, b2))
-    return _state_residual(lhs, rhs)
+    return _verdict(*lhs.residual(rhs))
 
 
 # ---------------------------------------------------------------- braiding
@@ -140,13 +134,10 @@ def _two_words(ltd, norm, caps, c):
 
 
 def _canonicalized_residual(lhs: FreeState, rhs: FreeState):
-    raw, raw_wit = lhs.residual(rhs)
-    if raw == 0:
-        return "pass", 0, "raw=0"
-    count, witness = lhs.canonicalize().residual(rhs.canonicalize())
-    if count == 0:
-        return "pass", 0, f"raw={raw}"
-    return "fail", count, witness
+    raw, _ = lhs.residual(rhs)
+    count, witness = lhs.canonicalize().residual(rhs.canonicalize()) \
+        if raw else (0, None)
+    return _verdict(count, witness if count else f"raw={raw}")
 
 
 @register("s_unitarity")
@@ -203,7 +194,7 @@ def _check_s_shift(family, n, L, c=Fraction(1)):
         count += cnt
         if cnt and witness is None:
             witness = diff.witness()
-    return ("pass" if count == 0 else "fail"), count, witness
+    return _verdict(count, witness)
 
 
 @register("hexagon")
@@ -299,7 +290,7 @@ def _weak_assoc_run(family, n, L, c, cap_uv, r_max):
     substituted = cleared._replace(sub_terms)
     scaled = composed.map_entries(
         lambda s: s * (z2v ** (2 * r) * (z0v - 1) ** (2 * r)))
-    verdict, count, witness = _state_residual(substituted, scaled)
+    verdict, count, witness = _verdict(*substituted.residual(scaled))
     if verdict == "pass":
         witness = f"r={r}"
     return verdict, count, witness

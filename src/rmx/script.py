@@ -49,8 +49,9 @@ coordinate map.  Spectral coefficients must be integers.
 
 Each rule is enforced where its token is parsed, so a ``ScriptError``
 names the line and column of the offending token: a declaration's value, a
-slot index (or the ``[`` of a slot pair), a name in a linear form, or the
-``check`` token or end of input for a missing declaration.
+zero denominator, a slot index (or the ``[`` of a slot pair), a name in a
+linear form, or the ``check`` token or end of input for a missing
+declaration.
 """
 
 from __future__ import annotations
@@ -351,7 +352,7 @@ class _Parser:
             value = Fraction(self.expect_int())
             if self.peek()[:2] == ("sym", "/"):
                 self.next()
-                value /= self.expect_int()
+                value /= self.expect_positive("zero denominator")
             return Scalar(value)
         if kind != "name":
             self.error("expected an operator atom")
@@ -396,7 +397,7 @@ class _Parser:
                 num = self.expect_int()
                 if self.peek()[:2] == ("sym", "/"):
                     self.next()
-                    den = self.expect_int()
+                    den = self.expect_positive("zero denominator")
                     coeff *= Fraction(num, den)
                 else:
                     coeff *= num

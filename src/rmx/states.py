@@ -29,10 +29,12 @@ each is appended pinned to the one index pair the contraction keeps (see
 Coefficient entries are keyed by the packed ints of ``tensorop``: one
 b-bit field per row and per column index, rows of slots 1..m then columns,
 slot 1 most significant, so int order is (row, col) tuple order and
-residual witnesses keep it.  The contractions here read and write slots
-through ``_layout`` masks and relabel them with ``_mover``, and add into
-per-key term dicts with the kernel ``hseries._addmul``; ``_raise``,
-``_with_pinned_open`` and ``_contract_pairs`` pass entries on unfiltered.
+residual witnesses keep it.  The two contractions here, a sandwich's
+walk (``_chain_omega``) and a sandwich composed into a state
+(``FreeState._compose``), are each one ``hseries._join`` of streams whose
+keys are read and written through ``_layout`` masks and relabelled with
+``_mover``; ``_raise``, ``_with_pinned_open`` and ``_contract_pairs`` pass
+entries on unfiltered.
 
 All operations return new states; nothing is mutated.
 """
@@ -43,7 +45,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hseries import Caps, HSeries, _add_into, _addmul, _flush
+from .hseries import Caps, HSeries, _add_into, _join
 from .ratfunc import RatFunc
 from .rmatrix import Arg, diag_op, m_diag, rhat_inv, rmatrix
 from .tensorop import TensorOp, _layout, _mover, _operator
@@ -126,7 +128,7 @@ def _chain_omega(N, caps, wslots, sym_wordops, mats) -> TensorOp:
     layout, mlayout = _layout(N, wslots + n), _layout(N, wslots)
     f, tail = layout.field, n * layout.b        # tail: the sym columns' width
     ops = layout.mask((), range(1, wslots + 1))  # the current columns
-    keep = layout.full ^ ops
+    keep, cols = layout.full ^ ops, (1 << mlayout.half) - 1
     start = _mover(mlayout, layout,
                    tuple((s, s) for s in range(1, wslots + 1)))
     frontier = {start(key): val for key, val in mats[0].entries.items()}
@@ -137,18 +139,12 @@ def _chain_omega(N, caps, wslots, sym_wordops, mats) -> TensorOp:
             x << c | x << layout.col(wslots + j + 1) for x in range(N)]
         frontier = {key & clear | (key >> c & f) << grow | put: val
                     for key, val in frontier.items() for put in puts}
-        if mat is None:
-            continue
-        by_row = {}
-        for key, val in mat.entries.items():
-            by_row.setdefault(key >> mlayout.half, []).append(
-                ((key & (1 << mlayout.half) - 1) << tail, val))
-        acc = {}
-        for key, val in frontier.items():
-            row = key & keep
-            for col, mval in by_row.get((key & ops) >> tail, ()):
-                _addmul(acc.setdefault(row | col, {}), val, mval)
-        frontier = _flush(caps, acc)
+        if mat is not None:
+            # the frontier's current columns meet the matrix's rows
+            frontier = _join(caps, (((key & ops) >> tail, key & keep, val)
+                                    for key, val in frontier.items()),
+                             ((key >> mlayout.half, (key & cols) << tail, val)
+                              for key, val in mat.entries.items()))
     return _operator(N, wslots + n, caps, frontier)
 
 
@@ -287,17 +283,11 @@ class FreeState:
                          ((olayout.row(w + 1), sh),) if e else ())
             written = layout.mask((*targets, *(shared,) * e), targets)
             kept = layout.full ^ written
-            kmap = {}
-            for key, kval in K.entries.items():
-                kmap.setdefault(key & written, []).append((key & kept, kval))
-            acc = {}
-            for okey, oval in omega.entries.items():
-                hits = kmap.get(match(okey))
-                if hits:
-                    new = put(okey)
-                    for cleared, kval in hits:
-                        _addmul(acc.setdefault(cleared | new, {}), kval, oval)
-            out_terms.append(Term(_operator(K.N, K.m, caps, _flush(caps, acc)),
+            entries = _join(caps, ((key & written, key & kept, kval)
+                                   for key, kval in K.entries.items()),
+                            ((match(okey), put(okey), oval)
+                             for okey, oval in omega.entries.items()))
+            out_terms.append(Term(_operator(K.N, K.m, caps, entries),
                                   new_words_of_term(term)))
         return self._replace(out_terms)
 

@@ -19,11 +19,14 @@ Two constructors build an operator.  ``TensorOp(N, m, caps, entries)``
 validates: every entry must be an HSeries over the given caps, keyed by
 (row, col) index tuples of m slots or by a packed key, every index in
 0..N-1.  ``_operator`` trusts its caller, and that no entry is zero, in
-code whose operands' shapes and caps are already checked.  ``*``, ``odot``
-and the contractions of ``states`` add into term dicts with the kernel
-``hseries._addmul``, whose ``_flush`` drops what cancelled; ``+`` and
-``states._drop_pairs`` add series with ``hseries._add_into``, which drops
-a sum that cancels; only ``scale`` and the R-matrix build filter products;
+code whose operands' shapes and caps are already checked.  Every
+contraction of operators and states is one ``hseries._join``, which
+matches the packed keys of two operands, adds each pair's series product
+into the term dict of its output key and drops the keys that cancelled;
+here ``*`` and ``odot`` are one split product (``_split``), ``*`` the
+one with every slot in the first block.  ``+`` and ``states._drop_pairs``
+add series with ``hseries._add_into``, which drops a sum that cancels;
+only ``scale`` and the R-matrix build filter products;
 ``identity``, ``-``, ``embed``, ``swap_slots``, ``transpose_slot`` and
 ``conj_diag`` (unit factors) map nonzero entries to nonzero ones.
 Everything else, ``map_entries`` included, goes through the validating
@@ -37,7 +40,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .hseries import Caps, HSeries, _add_into, _addmul, _flush
+from .hseries import Caps, HSeries, _add_into, _join
 from .ratfunc import RatFunc
 
 __all__ = ["TensorOp"]
@@ -223,18 +226,9 @@ class TensorOp:
             return self.scale(other)
         if not isinstance(other, TensorOp):
             return NotImplemented
-        caps = self._match(other)
-        half = _layout(self.N, self.m).half
-        cols = (1 << half) - 1
-        by_row = {}
-        for key, val in other.entries.items():
-            by_row.setdefault(key >> half, []).append((key & cols, val))
-        acc = {}
-        for key, a in self.entries.items():
-            row = key ^ key & cols
-            for col, b in by_row.get(key & cols, ()):
-                _addmul(acc.setdefault(row | col, {}), a, b)
-        return _operator(self.N, self.m, caps, _flush(caps, acc))
+        # the split product with every slot in the first block
+        return self._split(other, self._match(other), range(1, self.m + 1),
+                           ())
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc, HSeries)):
@@ -373,12 +367,18 @@ class TensorOp:
         if mode not in ("LR", "RL"):
             raise ValueError(f"unknown odot mode {mode!r}")
         _check_slots(self.m, *first_slots)
-        layout = _layout(self.N, self.m)
         F = set(first_slots)
         G = set(range(1, self.m + 1)) - F
         if mode == "RL":
             # y_a * other * x_a is the LR product with the halves swapped
             F, G = G, F
+        return self._split(other, caps, F, G)
+
+    def _split(self, other: "TensorOp", caps: Caps, F, G) -> "TensorOp":
+        """sum_a x_a * other * y_a for self = sum_a x_a (x) y_a, x_a on the
+        slots F and y_a on the slots G, which split all slots; the caller
+        checks both operators."""
+        layout = _layout(self.N, self.m)
         rf, cf, rg, cg = (layout.mask(F), layout.mask((), F), layout.mask(G),
                           layout.mask((), G))
         half = layout.half
@@ -386,16 +386,12 @@ class TensorOp:
         # B's F rows and G columns, moved to the F columns and G rows, meet
         # A's there; the result takes A's F rows and G columns and B's G
         # rows and F columns
-        bmap = {}
-        for bk, bv in other.entries.items():
-            bmap.setdefault((bk & rf) >> half | (bk & cg) << half, []).append(
-                (bk & (rg | cf), bv))
-        acc = {}
-        for ak, av in self.entries.items():
-            own = ak & (rf | cg)
-            for part, bv in bmap.get(ak & (cf | rg), ()):
-                _addmul(acc.setdefault(own | part, {}), av, bv)
-        return _operator(self.N, self.m, caps, _flush(caps, acc))
+        meet, own, part = cf | rg, rf | cg, rg | cf
+        return _operator(self.N, self.m, caps, _join(
+            caps, ((ak & meet, ak & own, av)
+                   for ak, av in self.entries.items()),
+            (((bk & rf) >> half | (bk & cg) << half, bk & part, bv)
+             for bk, bv in other.entries.items())))
 
     # -- entrywise maps ------------------------------------------------
 

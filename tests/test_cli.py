@@ -166,6 +166,7 @@ BAD_SUITES = {
     "script repeating order": _bad_script("order 2", "order 2\norder 3"),
     "script declaring slots 0": {"name": "bad", "script":
                                  "type C 1\norder 2\nslots 0\ncheck 1 == 1\n"},
+    "script dividing by 0": _bad_script("== 1", "== 1/0"),
 }
 
 

@@ -1,16 +1,19 @@
 """The coefficient kernel against the unfused route.
 
 Every series product of the package runs through ``hseries._addmul``, which
-adds a * b straight into a term dict, and the contractions build each entry
-once with ``hseries._flush``.  The oracle here is the route they replaced:
-every product is a series of its own and the products of one entry are
-summed pairwise, ``entries[k] = entries[k] + a * b if k in entries else
-a * b``.  Its products and sums are computed below over exponent tuples,
-through the validating ``HSeries`` constructor (which drops monomials beyond
-the caps and zero coefficients), so the oracle shares no arithmetic loop
-with the kernel.  The operator products ``*`` and ``odot`` are checked
-against the tuple-keyed references of ``tests/test_packed.py``, which sum
-with that idiom.
+adds a * b straight into a term dict, and every operator and state
+contraction is one ``hseries._join``, which matches two streams of packed
+keys, adds each pair's product into the term dict of its output key and
+builds each entry once with ``hseries._flush``.  The oracle here is the
+route they replaced: every product is a series of its own and the products
+of one entry are summed pairwise, ``entries[k] = entries[k] + a * b if k in
+entries else a * b``.  Its products and sums are computed below over
+exponent tuples, through the validating ``HSeries`` constructor (which
+drops monomials beyond the caps and zero coefficients), so the oracle
+shares no arithmetic loop with the kernel; ``_join`` is checked against
+all pairs of its two streams.  The operator products ``*`` and ``odot``
+are checked against the tuple-keyed references of ``tests/test_packed.py``,
+which sum with that idiom.
 """
 
 import importlib
@@ -23,7 +26,7 @@ from hypothesis import given, settings, strategies as hst
 
 import rmx
 from rmx import hseries, states, tensorop
-from rmx.hseries import Caps, HSeries, _addmul, _flush, _series
+from rmx.hseries import Caps, HSeries, _addmul, _flush, _join, _series
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
 from rmx.rmatrix import Arg, solve_normalizer
@@ -147,22 +150,81 @@ def test_addmul_truncates_cancels_and_skips_ones(monkeypatch):
     assert list(out) == [1] and out[1] == x + 2 * h + x * u
 
 
+# -- the contraction -------------------------------------------------------
+
+def ref_join(left, right) -> dict:
+    """``_join`` by all pairs: each product a series of its own, summed
+    into its output key by the unfused route, zero sums dropped."""
+    out = {}
+    for (m1, k1, a), (m2, k2, b) in itertools.product(left, right):
+        if m1 == m2:
+            key, p = k1 | k2, ref_product(a, b)
+            out[key] = ref_sum(out[key], p) if key in out else p
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def rand_stream(rng, caps, size, shift):
+    """``size`` (match, kept, series) triples on match keys 0..3, so that
+    keys go unmatched and many pairs meet, and kept keys 0..3 shifted left
+    by ``shift``; one triple in four repeats an earlier one negated, so
+    that the products it takes part in cancel."""
+    out = []
+    for _ in range(size):
+        if out and rng.random() < 0.25:
+            match, kept, s = rng.choice(out)
+            out.append((match, kept, -s))
+        else:
+            out.append((rng.randrange(4), rng.randrange(4) << shift,
+                        rand_series(rng, caps)))
+    return out
+
+
+@settings(max_examples=150)
+@given(caps=hst.sampled_from(CAPS), seed=hst.integers(0, 2 ** 32),
+       sizes=hst.tuples(hst.integers(0, 6), hst.integers(0, 6)))
+def test_join_matches_all_pairs(caps, seed, sizes):
+    rng = random.Random(seed)
+    left = rand_stream(rng, caps, sizes[0], 0)
+    right = rand_stream(rng, caps, sizes[1], 2)
+    got = _join(caps, iter(left), iter(right))
+    assert got == ref_join(left, right)
+    assert all(v.terms and v.caps is caps for v in got.values())
+
+
+def test_join_drops_unmatched_and_cancelled_keys():
+    caps = CAPS[1]
+    h, u = (HSeries.capped_var(v, caps) for v in ("h", "u"))
+    x = HSeries.const(X, caps)
+    one = HSeries.one(caps)
+    assert _join(caps, [], [(0, 0, h)]) == {}
+    assert _join(caps, [(0, 0, h)], []) == {}
+    assert _join(caps, [(0, 1, h)], [(1, 2, u)]) == {}     # no partner
+    # two pairs meet at key 3 and cancel; key 5 keeps x * (1 + h)
+    got = _join(caps, [(0, 1, x), (7, 1, -x)],
+                [(0, 2, h), (7, 2, h), (0, 4, one), (0, 4, h)])
+    assert got == {5: x + x * h}
+
+
 # -- the state layer -------------------------------------------------------
 
 class _patched:
-    """Run a block with ``kernel`` in place of ``_addmul`` everywhere."""
+    """Run a block with ``kernel`` in place of ``hseries._addmul``, which
+    every contraction reaches through ``_join``; ``calls`` counts the
+    products handed to it."""
 
     def __init__(self, kernel):
-        self.kernel = kernel
+        self.kernel, self.calls = kernel, 0
 
     def __enter__(self):
-        self.saved = [(m, m._addmul) for m in (hseries, tensorop, states)]
-        for module, _ in self.saved:
-            module._addmul = self.kernel
+        def counted(acc, a, b):
+            self.calls += 1
+            self.kernel(acc, a, b)
+
+        self.saved, hseries._addmul = hseries._addmul, counted
+        return self
 
     def __exit__(self, *exc):
-        for module, kernel in self.saved:
-            module._addmul = kernel
+        hseries._addmul = self.saved
 
 
 @pytest.mark.parametrize("case", TYPES, ids=["C1", "B1", "D2"])
@@ -183,10 +245,11 @@ def test_lowering_operators_match_the_unfused_route(case, u, k, inverse,
     arg = Arg.make(RatFunc.var("U"), {"u": 1} if u else {})
     op = FreeState.apply_tminus_inv if inverse else FreeState.apply_tminus
     got = op(st, 1, arg, st.open if shared else None)
-    with _patched(unfused_addmul):
+    with _patched(unfused_addmul) as patch:
         rmatrix._build.cache_clear()
         want = op(st, 1, arg, st.open if shared else None)
     rmatrix._build.cache_clear()
+    assert patch.calls > 0
     assert [t.key() for t in got.terms] == [t.key() for t in want.terms]
     assert [t.coeff.entries for t in got.terms] == \
         [t.coeff.entries for t in want.terms]

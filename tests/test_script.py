@@ -152,8 +152,10 @@ check Rhat[1,2](u) == Rhat[1,2](u)
     ("spectral u\n", "spectral u\nformal u : 2\n", 5, 8),
     ("Rhat[1,2](u) ==", "Rhat[1,2](u)^t[3] ==", 5, 22),
     ("slots 2\nspectral u\n", "", 3, 1),
+    ("== Rhat[1,2](u)", "== 1/0", 5, 25),
+    ("Rhat[1,2](u) ==", "Rhat[1,2](1/0u) ==", 5, 19),
 ], ids=["order", "slots", "slot-pair", "undeclared", "twice", "transpose",
-        "missing"])
+        "missing", "zero-denominator", "zero-denominator-in-argument"])
 def test_script_error_names_the_offending_token(old, new, line, col):
     with pytest.raises(ScriptError) as err:
         parse_script(SMALL.replace(old, new))

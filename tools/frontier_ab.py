@@ -15,7 +15,9 @@ between invocations.
 
 Exit status: 0 when every report of a check, its ``elapsed_ms`` aside,
 equals every other report of that check in both checkouts; 1 when one
-differs, with the differing reports printed; 64 on a usage error.
+differs, with the differing reports printed, and 1 when a run prints no
+report, with that run's exit status and standard error; 64 on a usage
+error, such as a checkout without ``src/rmx``.
 """
 
 from __future__ import annotations
