@@ -19,7 +19,7 @@ from .lietype import lie_type_data
 from .ratfunc import RatFunc
 from .report import CheckReport, timed_report
 from .rmatrix import Arg, m_diag, rmatrix, solve_normalizer
-from .states import FreeState, Term, arg_diff, arg_h, arg_sum
+from .states import FreeState, _arg_derivative, arg_diff, arg_h, arg_sum
 
 __all__ = ["module_check", "MODULE_CHECK_NAMES", "weak_assoc_chain"]
 
@@ -36,9 +36,8 @@ def _ring_args(*names):
 
 
 def _word_state(ltd, norm, caps, c, k):
-    return FreeState.pure(ltd, norm, caps, c,
-                          [[Arg.make(RatFunc.var(f"V{i}"))
-                            for i in range(1, k + 1)]])
+    return FreeState.pure(ltd, norm, caps, c, [
+        _ring_args(*(f"V{i}" for i in range(1, k + 1)))])
 
 
 # ---------------------------------------------------------------- lowering
@@ -58,14 +57,29 @@ def _check_roundtrip(family, n, L, k=1, c=Fraction(1)):
     (u,) = _ring_args("U")
     w = _word_state(ltd, norm, caps, c, k)
     expected = w.with_identity_open()
-    st = w.apply_tminus(1, u)
-    st = st.apply_tminus_inv(1, u, shared_slot=st.open)
-    count, witness = st.residual(expected)
-    # reversed composition
-    st = w.apply_tminus_inv(1, u)
-    st = st.apply_tminus(1, u, shared_slot=st.open)
-    cnt, wit = st.residual(expected)
-    return _verdict(count + cnt, witness or wit)
+    count, witness = 0, None
+    # the inverse after the lowering operator, then the reversed order
+    lower, inverse = FreeState.apply_tminus, FreeState.apply_tminus_inv
+    for first, second in ((lower, inverse), (inverse, lower)):
+        st = first(w, 1, u)
+        cnt, wit = second(st, 1, u, shared_slot=st.open).residual(expected)
+        count, witness = count + cnt, witness or wit
+    return _verdict(count, witness)
+
+
+def _exchange(w, first, second, r_left, r_right):
+    """The (count, witness) residual of second(first(w)), times ``r_left``
+    on its two new open slots from the left and those slots then swapped,
+    against first(second(w)) times ``r_right`` on them from the right."""
+    lhs = first(w)
+    a = lhs.open
+    lhs = second(lhs)
+    b = lhs.open
+    lhs = lhs.mul_open(r_left, (b, a)).swap_open(a, b)
+    rhs = second(w)
+    a = rhs.open
+    rhs = first(rhs)
+    return lhs.residual(rhs.mul_open_right(r_right, (a, rhs.open)))
 
 
 @register("rtt_minus")
@@ -73,19 +87,10 @@ def _check_rtt_minus(family, n, L, k=1, c=Fraction(1)):
     # R(u1-u2) T1(u1) T2(u2) = T2(u2) T1(u1) R(u1-u2) on a k-word state
     ltd, norm, caps = _context(family, n, L)
     u1, u2 = _ring_args("U1", "U2")
-    w = _word_state(ltd, norm, caps, c, k)
     r = rmatrix(ltd, norm, arg_diff(u1, u2), caps)
-    lhs = w.apply_tminus(1, u2)
-    a = lhs.open
-    lhs = lhs.apply_tminus(1, u1)
-    b = lhs.open
-    lhs = lhs.mul_open(r, (b, a)).swap_open(a, b)
-    rhs = w.apply_tminus(1, u1)
-    a2 = rhs.open
-    rhs = rhs.apply_tminus(1, u2)
-    b2 = rhs.open
-    rhs = rhs.mul_open_right(r, (a2, b2))
-    return _verdict(*lhs.residual(rhs))
+    return _verdict(*_exchange(_word_state(ltd, norm, caps, c, k),
+                               lambda st: st.apply_tminus(1, u2),
+                               lambda st: st.apply_tminus(1, u1), r, r))
 
 
 @register("rel_minus")
@@ -108,29 +113,20 @@ def _check_mixed(family, n, L, k=1, c=Fraction(1)):
     # R(-v+u-hc/2) T1+(u) T2-(v) = T2-(v) T1+(u) R(-v+u+hc/2)
     ltd, norm, caps = _context(family, n, L)
     u, v = _ring_args("U", "Vm")
-    w = _word_state(ltd, norm, caps, c, k)
-    lhs = w.apply_tminus(1, v)
-    a = lhs.open
-    lhs = lhs.apply_tplus(1, u)
-    b = lhs.open
-    lhs = lhs.mul_open(
-        rmatrix(ltd, norm, arg_h(arg_diff(u, v), -Fraction(c) / 2), caps),
-        (b, a)).swap_open(a, b)
-    rhs = w.apply_tplus(1, u)
-    a2 = rhs.open
-    rhs = rhs.apply_tminus(1, v)
-    b2 = rhs.open
-    rhs = rhs.mul_open_right(
-        rmatrix(ltd, norm, arg_h(arg_diff(u, v), Fraction(c) / 2), caps),
-        (a2, b2))
-    return _verdict(*lhs.residual(rhs))
+    d = arg_diff(u, v)
+    return _verdict(*_exchange(
+        _word_state(ltd, norm, caps, c, k),
+        lambda st: st.apply_tminus(1, v), lambda st: st.apply_tplus(1, u),
+        rmatrix(ltd, norm, arg_h(d, -Fraction(c) / 2), caps),
+        rmatrix(ltd, norm, arg_h(d, Fraction(c) / 2), caps)))
 
 
 # ---------------------------------------------------------------- braiding
 
-def _two_words(ltd, norm, caps, c):
-    x, y = _ring_args("X", "Y")
-    return FreeState.pure(ltd, norm, caps, c, [[x], [y]])
+def _letters(ltd, norm, caps, c, *names):
+    """The pure state with one one-letter word per ring-variable name."""
+    return FreeState.pure(ltd, norm, caps, c,
+                          [[a] for a in _ring_args(*names)])
 
 
 def _canonicalized_residual(lhs: FreeState, rhs: FreeState):
@@ -144,7 +140,7 @@ def _canonicalized_residual(lhs: FreeState, rhs: FreeState):
 def _check_s_unitarity(family, n, L, c=Fraction(1)):
     ltd, norm, caps = _context(family, n, L)
     (z,) = _ring_args("Zs")
-    two = _two_words(ltd, norm, caps, c)
+    two = _letters(ltd, norm, caps, c, "X", "Y")
     out = two.braiding_s(2, 1, z.neg()).braiding_s(1, 2, z)
     return _canonicalized_residual(out, two)
 
@@ -161,10 +157,9 @@ def _check_s_ybe(family, n, L, c=Fraction(1)):
     is not established.
     """
     ltd, norm, caps = _context(family, n, L)
-    x, y, w = _ring_args("X", "Y", "Ww")
     z1, z2 = _ring_args("Za", "Zb")
     z12 = arg_sum(z1, z2)
-    three = FreeState.pure(ltd, norm, caps, c, [[x], [y], [w]])
+    three = _letters(ltd, norm, caps, c, "X", "Y", "Ww")
     lhs = three.braiding_s(2, 3, z2).braiding_s(1, 3, z12) \
                .braiding_s(1, 2, z1)
     rhs = three.braiding_s(1, 2, z1).braiding_s(1, 3, z12) \
@@ -178,22 +173,13 @@ def _check_s_shift(family, n, L, c=Fraction(1)):
     # derivatives in the first factor's arguments equals the derivative in
     # the braiding argument (all additive: d/da = -Z d/dZ on images)
     ltd, norm, caps = _context(family, n, L)
-    (z,) = _ring_args("Zs")
-    two = _two_words(ltd, norm, caps, c)
-    s = two.braiding_s(1, 2, z)
-    xv, zv = RatFunc.var("X"), RatFunc.var("Zs")
-    count = 0
-    witness = None
+    x, z = _ring_args("X", "Zs")
+    s = _letters(ltd, norm, caps, c, "X", "Y").braiding_s(1, 2, z)
+    count, witness = 0, None
     for t in s.terms:
-        du = t.coeff.map_entries(
-            lambda hs: hs.diff_ring_var("X").map_coeffs(lambda q: -(q * xv)))
-        dz = t.coeff.map_entries(
-            lambda hs: hs.diff_ring_var("Zs").map_coeffs(lambda q: -(q * zv)))
-        diff = du - dz
-        cnt = diff.nonzero_count()
-        count += cnt
-        if cnt and witness is None:
-            witness = diff.witness()
+        diff = _arg_derivative(t.coeff, x) - _arg_derivative(t.coeff, z)
+        count += diff.nonzero_count()
+        witness = witness or diff.witness()
     return _verdict(count, witness)
 
 
@@ -201,9 +187,8 @@ def _check_s_shift(family, n, L, c=Fraction(1)):
 def _check_hexagon(family, n, L, c=Fraction(1)):
     # S(z1)(Y(z2) x 1) = (Y(z2) x 1) S_{23}(z1) S_{13}(z1+z2)
     ltd, norm, caps = _context(family, n, L)
-    x, y, w = _ring_args("X", "Y", "Ww")
     z1, z2 = _ring_args("Za", "Zb")
-    three = FreeState.pure(ltd, norm, caps, c, [[x], [y], [w]])
+    three = _letters(ltd, norm, caps, c, "X", "Y", "Ww")
     lhs = three.merge_y(1, 2, z2).braiding_s(1, 2, z1)
     rhs = three.braiding_s(1, 3, arg_sum(z1, z2)).braiding_s(2, 3, z1) \
                .merge_y(1, 2, z2)
@@ -252,11 +237,8 @@ def _weak_assoc_run(family, n, L, c, cap_uv, r_max):
     st = st.apply_tplus(3, xu, shared_slot=nu_u)
     st = st.mul_open_right(rmatrix(ltd, norm, arg_diff(yv, xu), caps),
                            (nu_v, nu_u))
-    # M^{-1} before the transposed factor and M after it, the crossing
-    # convention of the states module
-    amat = rmatrix(ltd, norm, arg_h(arg_diff(yv, xu), -(c + ltd.kappa)),
-                   caps).transpose_slot(1, ltd) \
-        .conj_diag(m_diag(ltd, caps), 1, -1)
+    amat = st._crossing_chain(
+        (1,), [(arg_h(arg_diff(yv, xu), -(c + ltd.kappa)), (1, 2))], 2)
     st = st.odot_open(amat, (nu_v, nu_u), (nu_v,))
     reordered = st._contract_pairs(
         [(nu_u, st._sym_slots(1)[0]), (nu_v, st._sym_slots(2)[0])],
@@ -278,16 +260,8 @@ def _weak_assoc_run(family, n, L, c, cap_uv, r_max):
         return ("inconclusive", 0,
                 f"no admissible prefactor exponent r <= {r_max}")
 
-    f = (z1v - z2v) ** (2 * r)
-    cleared = direct.map_entries(lambda s: (s * f).subs_ring_var(
-        "Z1", z2v * z0v))
-    sub_terms = []
-    for t in cleared.terms:
-        words = tuple(tuple((Arg.make(a.mono.subs_var("Z1", z2v * z0v),
-                                      a.shift_dict()), d)
-                            for a, d in w) for w in t.words)
-        sub_terms.append(Term(t.coeff, words))
-    substituted = cleared._replace(sub_terms)
+    substituted = direct.scale((z1v - z2v) ** (2 * r)).subs_ring_var(
+        "Z1", z2v * z0v)
     scaled = composed.map_entries(
         lambda s: s * (z2v ** (2 * r) * (z0v - 1) ** (2 * r)))
     verdict, count, witness = _verdict(*substituted.residual(scaled))

@@ -52,16 +52,6 @@ from .tensorop import TensorOp, _layout, _mover, _operator
 
 __all__ = ["FreeState", "Term", "arg_sum", "arg_diff", "arg_h"]
 
-# Crossing-type combinations put the diagonal matrix M on the word slots of
-# a slot-transposed chain as M^{-1} before the chain and M after it (the
-# sign -1 of ``TensorOp.conj_diag``).  With the twisted transposition used
-# here (e_ij -> eps_i eps_j e_{j'i'}) M transposes to its own inverse, which
-# exchanges the roles of M and M^{-1} relative to the untwisted convention;
-# this is the choice under which the transposed-chain pairing identities
-# hold exactly (verified by the round-trip, unitarity and
-# weak-associativity tests).
-
-
 # ---------------------------------------------------------------- arguments
 
 def arg_sum(a: Arg, b: Arg) -> Arg:
@@ -219,12 +209,28 @@ class FreeState:
     def factors(self) -> int:
         return len(self.terms[0].words) if self.terms else 0
 
+    def _word(self, factor: int, *positions, term=None) -> tuple:
+        """The word of a 1-based factor in ``term``, by default the first
+        term (every term has the same word lengths).  A factor outside
+        1..factors, or a 1-based word position outside the word, raises a
+        ValueError that names it."""
+        if not 1 <= factor <= self.factors:
+            raise ValueError(f"factor {factor} is not one of "
+                             f"1..{self.factors}")
+        word = (self.terms[0] if term is None else term).words[factor - 1]
+        for p in positions:
+            if not 1 <= p <= len(word):
+                raise ValueError(f"position {p} is not one of "
+                                 f"1..{len(word)} in factor {factor}")
+        return word
+
     def word_length(self, factor: int) -> int:
-        return len(self.terms[0].words[factor - 1])
+        return len(self._word(factor))
 
     def _sym_base(self, factor: int) -> int:
         """Global slot index before the first sym slot of a factor (1-based)."""
-        return self.open + sum(self.word_length(f) for f in range(1, factor))
+        self._word(factor)
+        return self.open + sum(map(len, self.terms[0].words[:factor - 1]))
 
     def _sym_slots(self, factor: int):
         base = self._sym_base(factor)
@@ -236,7 +242,7 @@ class FreeState:
                          terms)
 
     def _plain_word(self, term, factor):
-        word = term.words[factor - 1]
+        word = self._word(factor, term=term)
         if any(d for _, d in word):
             raise ValueError("operator application on a derivative-marked word")
         return tuple(a for a, _ in word)
@@ -326,10 +332,10 @@ class FreeState:
                 s, f = old.row(pin), old.field
                 entries = {move(key) | puts[key >> s & f]: val
                            for key, val in K.entries.items()}
-            words = list(term.words)
-            words[factor - 1] = ((arg, 0),) + words[factor - 1]
-            out_terms.append(Term(_operator(K.N, K.m + 1, K.caps, entries),
-                                  tuple(words)))
+            out_terms.append(Term(
+                _operator(K.N, K.m + 1, K.caps, entries),
+                _with_word(term.words, factor,
+                           ((arg, 0),) + term.words[factor - 1])))
         return self._replace(out_terms)
 
     # -- sandwich builders ----------------------------------------------
@@ -342,22 +348,33 @@ class FreeState:
             (build(self.ltd, self.norm, a, self.caps), slots)
             for a, slots in factors])
 
-    def _crossing(self, first, factors, wslots, bomega):
-        """The crossing half of the inverse lowering operator and of the
-        braiding: M^{-1} on the ``first`` operator slots, the R-matrices
-        transposed in their first slot at the ``(arg, slots)`` factors, then
-        M on ``first``, combined "LR" with the walk ``bomega`` split at
-        ``first``."""
+    def _crossing_chain(self, first, factors, wslots):
+        """The crossing factor on ``wslots`` operator slots: M^{-1} on the
+        ``first`` slots, the R-matrices transposed in their first slot at
+        the ``(arg, slots)`` factors, then M on ``first``.
+
+        With the twisted transposition (e_ij -> eps_i eps_j e_{j'i'}) M
+        transposes to its own inverse, which exchanges the roles of M and
+        M^{-1} relative to the untwisted convention; this is the choice
+        under which the transposed-chain pairing identities hold exactly
+        (verified by the round-trip, unitarity and weak-associativity
+        tests)."""
         N, caps, ltd = self.ltd.N, self.caps, self.ltd
         md = m_diag(ltd, caps)
         diag = diag_op(N, caps, md)
         diag_inv = diag_op(N, caps, [d.inv() for d in md])
-        afull = TensorOp.chain(N, wslots, caps, [
+        return TensorOp.chain(N, wslots, caps, [
             *((diag_inv, (i,)) for i in first),
             *((rmatrix(ltd, self.norm, a, caps).transpose_slot(1, ltd), slots)
               for a, slots in factors),
             *((diag, (i,)) for i in first)])
-        aemb = afull.embed(tuple(range(1, wslots + 1)), bomega.m)
+
+    def _crossing(self, first, factors, wslots, bomega):
+        """The crossing half of the inverse lowering operator and of the
+        braiding: the crossing factor combined "LR" with the walk
+        ``bomega`` split at ``first``."""
+        aemb = self._crossing_chain(first, factors, wslots).embed(
+            tuple(range(1, wslots + 1)), bomega.m)
         return aemb.odot(bomega, tuple(first), "LR")
 
     # -- lowering operator ---------------------------------------------
@@ -448,17 +465,27 @@ class FreeState:
             kept = tuple(range(1, self.open + 1)) \
                 + tuple(range(self.open + 2, K.m + 2))
             return K.embed(kept, K.m + 1)
-        return self._replace([Term(act(t.coeff), t.words)
-                              for t in self.terms], self.open + 1)
+        return self._map_coeff(act, self.open + 1)
 
-    def _map_coeff(self, fn) -> "FreeState":
-        return self._replace([Term(fn(t.coeff), t.words) for t in self.terms])
+    def _map_coeff(self, fn, open_slots=None) -> "FreeState":
+        return self._replace([Term(fn(t.coeff), t.words) for t in self.terms],
+                             open_slots)
 
     def map_entries(self, fn) -> "FreeState":
         return self._map_coeff(lambda K: K.map_entries(fn))
 
     def scale(self, scalar) -> "FreeState":
         return self._map_coeff(lambda K: K.scale(scalar))
+
+    def subs_ring_var(self, name, value) -> "FreeState":
+        """Substitute the ring variable ``name`` by ``value`` in every
+        coefficient and every word argument."""
+        def word(w):
+            return tuple((Arg(a.mono.subs_var(name, value), a.shift), d)
+                         for a, d in w)
+        return self._replace([Term(t.coeff.subs_ring_var(name, value),
+                                   tuple(map(word, t.words)))
+                              for t in self.terms])
 
     # -- braiding -------------------------------------------------------
 
@@ -470,6 +497,8 @@ class FreeState:
         z + u_i - v_j - h(c+kappa) on the first factor's block, slot-ordered
         against the sandwich of plain chains at z + u_i - v_j (outer) and the
         inverse chain at z + u_i - v_j + hc (between the two words)."""
+        if f1 == f2:
+            raise ValueError(f"cannot braid factor {f1} with itself")
         m = self.word_length(f1)
         targets = self._sym_slots(f1) + self._sym_slots(f2)
         wslots = m + self.word_length(f2)
@@ -530,10 +559,11 @@ class FreeState:
         equal the consumed slot's row, and only that row is written."""
         if from_factor == into_factor:
             raise ValueError("cannot merge a factor into itself")
+        word = self._plain_word(self.terms[0], from_factor)
+        self._word(into_factor)
         keys = {t.key()[from_factor - 1] for t in self.terms}
         if len(keys) > 1:
             raise ValueError("merge requires a uniform word on the consumed factor")
-        word = self._plain_word(self.terms[0], from_factor)
         st = self
         nus = []
         for j, a in enumerate(word):       # rightmost operator first
@@ -565,8 +595,7 @@ class FreeState:
             return _operator(K.N, K.m + 1, K.caps, {
                 move(key) | puts[key >> s & f]: val
                 for key, val in K.entries.items()})
-        return self._replace([Term(act(t.coeff), t.words)
-                              for t in self.terms], o + 1)
+        return self._map_coeff(act, o + 1)
 
     def _contract_pairs(self, pairs, drop_factors=()) -> "FreeState":
         """Contract open slots against sym slots (row with row, column with
@@ -618,17 +647,18 @@ class FreeState:
         order raised.  The vacuum has no slots, so it maps to zero."""
         out = []
         for term in self.terms:
-            for f in range(1, self.factors + 1):
-                for j, (arg, dorder) in enumerate(term.words[f - 1]):
+            for f, word in enumerate(term.words, start=1):
+                for j, (arg, dorder) in enumerate(word):
                     dk = _arg_derivative(term.coeff, arg)
-                    if dk is not None and not dk.is_zero():
+                    if not dk.is_zero():
                         out.append(Term(dk, term.words))
-                    words = list(term.words)
-                    w = list(words[f - 1])
-                    w[j] = (arg, dorder + 1)
-                    words[f - 1] = tuple(w)
-                    out.append(Term(term.coeff, tuple(words)))
-        caps = _min_caps([t.coeff.caps for t in out]) if out else self.caps
+                    out.append(Term(term.coeff, _with_word(
+                        term.words, f,
+                        word[:j] + ((arg, dorder + 1),) + word[j + 1:])))
+        # every coefficient has the state's cap names; a capped derivative
+        # lowers one cap
+        caps = {n: min(t.coeff.caps[n] for t in out)
+                for n in self.caps} if out else self.caps
         return FreeState(self.ltd, self.norm, caps, self.c, self.open,
                          [Term(_with_caps(t.coeff, caps), t.words)
                           for t in out])
@@ -639,12 +669,12 @@ class FreeState:
         """Exchange word positions i and i+1 of a factor through the RTT
         relation: the coefficient is rewritten by the inverse R-matrix at
         the argument difference on one side and the R-matrix on the other."""
+        self._word(factor, i, i + 1)
         targets = self._sym_slots(factor)[i - 1:i + 1]
         N, caps = self.ltd.N, self.caps
 
         def omega_of(term):
-            a = term.words[factor - 1][i - 1]
-            b = term.words[factor - 1][i]
+            a, b = self._word(factor, term=term)[i - 1:i + 1]
             if a[1] or b[1]:
                 raise ValueError("swap on a derivative-marked word")
             d = arg_diff(a[0], b[0])
@@ -653,11 +683,9 @@ class FreeState:
             return _chain_omega(N, caps, 2, [2, 1], [rinv, None, r])
 
         def new_words(term):
-            words = list(term.words)
-            w = list(words[factor - 1])
-            w[i - 1], w[i] = w[i], w[i - 1]
-            words[factor - 1] = tuple(w)
-            return tuple(words)
+            w = term.words[factor - 1]
+            return _with_word(term.words, factor,
+                              w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:])
 
         return self._compose(targets, omega_of, new_words)
 
@@ -669,21 +697,8 @@ class FreeState:
         out_terms = []
         for term in self.terms:
             st = self._replace([term])
-            changed = True
-            while changed and st.terms:
-                changed = False
-                t = st.terms[0]
-                for f in range(1, st.factors + 1):
-                    word = t.words[f - 1]
-                    for i in range(1, len(word)):
-                        ka = _slot_key(word[i - 1])[0]
-                        kb = _slot_key(word[i])[0]
-                        if kb < ka:
-                            st = st.rtt_swap(f, i)
-                            changed = True
-                            break
-                    if changed:
-                        break
+            while st.terms and (at := _descent(st.terms[0])):
+                st = st.rtt_swap(*at)
             out_terms.extend(st.terms)
         return self._replace(out_terms)
 
@@ -725,13 +740,27 @@ class FreeState:
 
 # ---------------------------------------------------------------- helpers
 
+def _descent(term: Term):
+    """The first (factor, i) whose word positions i and i+1 are out of the
+    order on zeroth-order argument images, or None."""
+    return next(((f, i) for f, word in enumerate(term.words, start=1)
+                 for i in range(1, len(word))
+                 if _slot_key(word[i])[0] < _slot_key(word[i - 1])[0]), None)
+
+
+def _with_word(words: tuple, factor: int, word: tuple) -> tuple:
+    """``words`` with the 1-based factor's word replaced by ``word``."""
+    return words[:factor - 1] + (word,) + words[factor:]
+
+
 def _arg_derivative(K: TensorOp, arg: Arg):
     """Derivative of a coefficient with respect to a slot argument.
 
     Supported argument shapes: a single ring variable Z (additive a with
     Z = e^{-a}, so d/da = -Z d/dZ) or a single capped variable with a
-    rational coefficient.  Returns None when the coefficient does not
-    depend on the argument's variable."""
+    rational coefficient.  Always returns an operator, with no entries
+    when the coefficient does not depend on the argument's variable; any
+    other argument shape raises ValueError."""
     mono = arg.mono
     shift = arg.shift
     if not shift and not mono.is_constant():
@@ -753,14 +782,6 @@ def _arg_derivative(K: TensorOp, arg: Arg):
                         {key: val.diff_capped(name) * scale
                          for key, val in K.entries.items()})
     raise ValueError(f"cannot attribute a derivative to {arg}")
-
-
-def _min_caps(caps_list):
-    out = dict(caps_list[0])
-    for caps in caps_list[1:]:
-        for n, v in caps.items():
-            out[n] = min(out.get(n, v), v)
-    return out
 
 
 def _with_caps(K: TensorOp, caps) -> TensorOp:

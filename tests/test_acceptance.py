@@ -19,12 +19,12 @@ from rmx.checks import (PolynomialityError, builtin_check,
 from rmx.cli import main
 from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
-from rmx.module_checks import module_check, weak_assoc_chain
+from rmx.module_checks import _exchange, module_check, weak_assoc_chain
 from rmx.ratfunc import RatFunc
 from rmx.rmatrix import (Arg, diag_op, m_diag, rhat_inv, rmatrix,
                          solve_normalizer)
 from rmx.script import parse_script
-from rmx.states import FreeState, arg_diff, arg_h, arg_sum
+from rmx.states import FreeState, _arg_derivative, arg_diff, arg_h, arg_sum
 
 FAMILIES = [("B", 1), ("C", 1), ("D", 2)]
 
@@ -121,9 +121,37 @@ def test_criterion_9_hexagon_b1(c):
     assert rep.witness.startswith("raw=")
 
 
+# the module layer at rank 2 (N=4 and N=5) and at D3 (N=6), L=2
+@pytest.mark.parametrize("family,n", [("C", 2), ("B", 2)])
+@pytest.mark.parametrize("name", ["tminus_vacuum", "rtt_minus", "mixed",
+                                  "roundtrip", "rel_minus", "s_shift",
+                                  "s_unitarity"])
+def test_criterion_8_rank_two(name, family, n):
+    rep = module_check(name, family, n, L=2, c=Fraction(1))
+    assert rep.passed, rep.to_text()
+
+
+@pytest.mark.parametrize("name", ["roundtrip", "rel_minus"])
+def test_criterion_8_d3(name):
+    rep = module_check(name, "D", 3, L=2, c=Fraction(1))
+    assert rep.passed, rep.to_text()
+
+
+def test_criterion_9_hexagon_c2():
+    rep = module_check("hexagon", "C", 2, L=2, c=Fraction(1))
+    assert rep.passed, rep.to_text()
+    assert rep.witness.startswith("raw=")
+
+
 # 10. weak associativity chain at k = m = 1, c = 0, caps 2, L=2
 def test_criterion_10_weak_assoc_chain():
     rep = weak_assoc_chain("C", 1, L=2, c=Fraction(0), cap_uv=2, r_max=16)
+    assert rep.passed, rep.to_text()
+    assert rep.witness.startswith("r=")
+
+
+def test_criterion_10_weak_assoc_chain_c2():
+    rep = weak_assoc_chain("C", 2, L=2, c=Fraction(0), cap_uv=1, r_max=16)
     assert rep.passed, rep.to_text()
     assert rep.witness.startswith("r=")
 
@@ -199,15 +227,9 @@ def test_criterion_11_perturbed_rtt_minus():
     u1, u2 = _ring("U1"), _ring("U2")
     r = rmatrix(ltd, norm, arg_diff(u1, u2), w.caps)
     r_off = rmatrix(ltd, norm, arg_h(arg_diff(u1, u2), 1), w.caps)
-    lhs = w.apply_tminus(1, u2)
-    a = lhs.open
-    lhs = lhs.apply_tminus(1, u1)
-    lhs = lhs.mul_open(r_off, (lhs.open, a)).swap_open(a, lhs.open)
-    rhs = w.apply_tminus(1, u1)
-    a = rhs.open
-    rhs = rhs.apply_tminus(1, u2)
-    rhs = rhs.mul_open_right(r, (a, rhs.open))
-    _assert_state_fails(lhs, rhs)
+    count, witness = _exchange(w, lambda st: st.apply_tminus(1, u2),
+                               lambda st: st.apply_tminus(1, u1), r_off, r)
+    assert count > 0 and witness is not None
 
 
 def test_criterion_11_perturbed_mixed():
@@ -215,15 +237,9 @@ def test_criterion_11_perturbed_mixed():
     ltd, norm, w = _c1_states(3, [["V1"]])
     u, v = _ring("U"), _ring("Vm")
     r = rmatrix(ltd, norm, arg_h(arg_diff(u, v), w.c / 2), w.caps)
-    lhs = w.apply_tminus(1, v)
-    a = lhs.open
-    lhs = lhs.apply_tplus(1, u)
-    lhs = lhs.mul_open(r, (lhs.open, a)).swap_open(a, lhs.open)
-    rhs = w.apply_tplus(1, u)
-    a = rhs.open
-    rhs = rhs.apply_tminus(1, v)
-    rhs = rhs.mul_open_right(r, (a, rhs.open))
-    _assert_state_fails(lhs, rhs)
+    count, witness = _exchange(w, lambda st: st.apply_tminus(1, v),
+                               lambda st: st.apply_tplus(1, u), r, r)
+    assert count > 0 and witness is not None
 
 
 def _assert_perturbed_hexagon_fails(three):
@@ -234,16 +250,23 @@ def _assert_perturbed_hexagon_fails(three):
     _assert_state_fails(lhs.canonicalize(), rhs.canonicalize())
 
 
+def _three_letters(family, n, L):
+    ltd = lie_type_data(family, n)
+    return FreeState.pure(ltd, solve_normalizer(ltd, L=L), {"h": L},
+                          Fraction(1),
+                          [[_ring("X")], [_ring("Y")], [_ring("Ww")]])
+
+
 def test_criterion_11_perturbed_hexagon():
-    _, _, three = _c1_states(3, [["X"], ["Y"], ["Ww"]])
-    _assert_perturbed_hexagon_fails(three)
+    _assert_perturbed_hexagon_fails(_three_letters("C", 1, 3))
 
 
 def test_criterion_11_perturbed_hexagon_b1():
-    ltd = lie_type_data("B", 1)
-    _assert_perturbed_hexagon_fails(FreeState.pure(
-        ltd, solve_normalizer(ltd, L=2), {"h": 2}, Fraction(1),
-        [[_ring("X")], [_ring("Y")], [_ring("Ww")]]))
+    _assert_perturbed_hexagon_fails(_three_letters("B", 1, 2))
+
+
+def test_criterion_11_perturbed_hexagon_c2():
+    _assert_perturbed_hexagon_fails(_three_letters("C", 2, 2))
 
 
 # The s_ybe, tminus_vacuum, s_shift and weak_assoc_chain controls below
@@ -287,19 +310,15 @@ def _s_shift_residual(L, perturbed):
     # the s_shift relation -X d/dX = -Zs d/dZs on the coefficients of
     # S(Zs) T(X)|0> (x) T(Y)|0>, each entry times 1 + X h^2 if ``perturbed``
     _, _, two = _c1_states(L, [["X"], ["Y"]])
-    s = two.braiding_s(1, 2, _ring("Zs"))
-    xv, zv = RatFunc.var("X"), RatFunc.var("Zs")
+    x, z = _ring("X"), _ring("Zs")
+    s = two.braiding_s(1, 2, z)
     if perturbed:
         h = HSeries.capped_var("h", two.caps)
-        s = s.map_entries(lambda e: e * (1 + HSeries.const(xv, two.caps)
-                                         * h ** 2))
+        s = s.map_entries(lambda e: e * (1 + HSeries.const(
+            RatFunc.var("X"), two.caps) * h ** 2))
     count, witness = 0, None
     for t in s.terms:
-        du = t.coeff.map_entries(
-            lambda hs: hs.diff_ring_var("X").map_coeffs(lambda q: -(q * xv)))
-        dz = t.coeff.map_entries(
-            lambda hs: hs.diff_ring_var("Zs").map_coeffs(lambda q: -(q * zv)))
-        diff = du - dz
+        diff = _arg_derivative(t.coeff, x) - _arg_derivative(t.coeff, z)
         count += diff.nonzero_count()
         witness = witness or diff.witness()
     return count, witness
@@ -332,9 +351,8 @@ def test_criterion_11_perturbed_weak_assoc_reordered():
     st = st.apply_tplus(3, xu, shared_slot=nu_u)
     st = st.mul_open_right(rmatrix(ltd, norm, arg_diff(yv, xu), caps),
                            (nu_v, nu_u))
-    amat = rmatrix(ltd, norm, arg_h(arg_diff(yv, xu), -(c + ltd.kappa) + 1),
-                caps).transpose_slot(1, ltd).conj_diag(m_diag(ltd, caps), 1,
-                                                       -1)
+    amat = st._crossing_chain(
+        (1,), [(arg_h(arg_diff(yv, xu), -(c + ltd.kappa) + 1), (1, 2))], 2)
     st = st.odot_open(amat, (nu_v, nu_u), (nu_v,))
     reordered = st._contract_pairs(
         [(nu_u, st._sym_slots(1)[0]), (nu_v, st._sym_slots(2)[0])],

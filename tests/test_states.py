@@ -408,6 +408,62 @@ def test_merge_requires_uniform_word():
         d.merge_y(1, 2, ring("Zz"))
 
 
+BAD_FACTORS = [("apply_tminus", (0,), "factor 0 "),
+               ("apply_tminus_inv", (0,), "factor 0 "),
+               ("apply_tplus", (0,), "factor 0 "),
+               ("braiding_s", (1, 1), "factor 1 with itself"),
+               ("apply_tplus", (3,), "factor 3 "),
+               ("braiding_s", (1, 3), "factor 3 "),
+               ("braiding_s", (0, 2), "factor 0 "),
+               ("apply_tminus", (3,), "factor 3 "),
+               ("merge_y", (0, 1), "factor 0 "),
+               ("merge_y", (1, 3), "factor 3 ")]
+
+
+@pytest.mark.parametrize("name,args,match", BAD_FACTORS,
+                         ids=[f"{n}{a}" for n, a, _ in BAD_FACTORS])
+def test_bad_factor_raises_value_error(name, args, match):
+    # a factor outside 1..2 of a two-factor state is named and never acts
+    # on another factor's slots
+    ltd, norm, caps, c = make_ctx()
+    st = FreeState.pure(ltd, norm, caps, c, [[ring("X")], [ring("Y")]])
+    with pytest.raises(ValueError, match=match):
+        getattr(st, name)(*args, ring("Z"))
+
+
+@pytest.mark.parametrize("i", [0, 2, -1])
+def test_bad_word_position_raises_value_error(i):
+    ltd, norm, caps, c = make_ctx()
+    st = FreeState.pure(ltd, norm, caps, c, [[ring("X"), ring("Y")]])
+    with pytest.raises(ValueError, match=r"position -?\d+ is not one of "
+                                         r"1\.\.2 in factor 1"):
+        st.rtt_swap(1, i)
+    with pytest.raises(ValueError, match="factor 2 is not one of 1..1"):
+        st.rtt_swap(2, 1)
+    assert st.rtt_swap(1, 1).rtt_swap(1, 1) == st
+
+
+def test_subs_ring_var_matches_per_term_rebuild():
+    # a ring-variable word and a capped-shift word, as in weak_assoc_chain,
+    # with coefficients that depend on both after one lowering operator
+    ltd, norm, caps, c = make_ctx(extra_caps={"u": 2})
+    st = FreeState.pure(ltd, norm, caps, c,
+                        [[ring("Z1")], [Arg.make(1, {"u": -1})]])
+    st = st.apply_tminus(2, arg_sum(ring("Z1"), ring("Y")))
+    value = RatFunc.var("Z2") * RatFunc.var("Z0")
+    got = st.subs_ring_var("Z1", value)
+    want = [states.Term(
+        t.coeff.map_entries(lambda s: s.subs_ring_var("Z1", value)),
+        tuple(tuple((Arg.make(a.mono.subs_var("Z1", value),
+                              a.shift_dict()), d) for a, d in w)
+              for w in t.words)) for t in st.terms]
+    assert len(got.terms) == len(want) == len(st.terms)
+    for g, w, t in zip(got.terms, want, st.terms):
+        assert g.key() == w.key() != t.key()
+        assert g.coeff.residual(w.coeff) == (0, None)
+        assert g.coeff.residual(t.coeff)[0] > 0
+
+
 def test_swap_open_rejects_slots_outside_the_open_block():
     ltd, norm, caps, c = make_ctx()
     st = FreeState.pure(ltd, norm, caps, c, [[ring("X")], [ring("Y")]])
