@@ -337,7 +337,7 @@ class HSeries:
 
     def subs_ring_var(self, name: str, value: RatFunc) -> "HSeries":
         """Exact substitution of an uncapped ring variable in every coefficient."""
-        return self.map_coeffs(lambda c: c.subs_var(name, value))
+        return self.map_coeffs(RatFunc.substitution(name, value))
 
     def subst_mult(self, name: str, factor: "HSeries") -> "HSeries":
         """Replace the ring variable ``name`` by name*factor, re-expanded.

@@ -212,6 +212,30 @@ def _clearing_exponent(coeffs: list, factor: RatFunc, r_max: int):
     return r if all((c * f).denom_is_monomial() for c in coeffs) else None
 
 
+def _weak_assoc_reordered(three, xu, yv, shift):
+    """The direct composition of the two vertex maps on ``three`` reordered
+    through the exchange relations, for the outer arguments ``xu`` and
+    ``yv``: the crossing-type conjugated transposed chain, its factor at
+    (yv - xu) e^(shift h), combined by the ordered slot product with the
+    interleaved raising/inverse-lowering chain times the trailing exchange
+    matrix."""
+    ltd, norm, caps, c = three.ltd, three.norm, three.caps, three.c
+    st = three.apply_tminus_inv(3, arg_h(xu, c / 2))
+    nu_u = st.open
+    st = st.apply_tminus_inv(3, arg_h(yv, c / 2))
+    nu_v = st.open
+    st = st.apply_tplus(3, yv, shared_slot=nu_v)
+    st = st.apply_tplus(3, xu, shared_slot=nu_u)
+    st = st.mul_open_right(rmatrix(ltd, norm, arg_diff(yv, xu), caps),
+                           (nu_v, nu_u))
+    amat = st._crossing_chain(
+        (1,), [(arg_h(arg_diff(yv, xu), shift), (1, 2))], 2)
+    st = st.odot_open(amat, (nu_v, nu_u), (nu_v,))
+    return st._contract_pairs(
+        [(nu_u, st._sym_slots(1)[0]), (nu_v, st._sym_slots(2)[0])],
+        drop_factors=(1, 2))
+
+
 def _weak_assoc_run(family, n, L, c, cap_uv, r_max):
     ltd, norm, caps = _context(family, n, L, {"u": cap_uv, "v": cap_uv})
     c = Fraction(c)
@@ -223,26 +247,9 @@ def _weak_assoc_run(family, n, L, c, cap_uv, r_max):
     # direct composition of the two vertex maps
     direct = three.merge_y(2, 3, z2).merge_y(1, 2, z1)
 
-    # the same expression reordered through the exchange relations: the
-    # crossing-type conjugated transposed chain combined by the ordered slot
-    # product with the interleaved raising/inverse-lowering chain times the
-    # trailing exchange matrix
-    xu = arg_sum(z1, uarg)
-    yv = arg_sum(z2, varg)
-    st = three.apply_tminus_inv(3, arg_h(xu, c / 2))
-    nu_u = st.open
-    st = st.apply_tminus_inv(3, arg_h(yv, c / 2))
-    nu_v = st.open
-    st = st.apply_tplus(3, yv, shared_slot=nu_v)
-    st = st.apply_tplus(3, xu, shared_slot=nu_u)
-    st = st.mul_open_right(rmatrix(ltd, norm, arg_diff(yv, xu), caps),
-                           (nu_v, nu_u))
-    amat = st._crossing_chain(
-        (1,), [(arg_h(arg_diff(yv, xu), -(c + ltd.kappa)), (1, 2))], 2)
-    st = st.odot_open(amat, (nu_v, nu_u), (nu_v,))
-    reordered = st._contract_pairs(
-        [(nu_u, st._sym_slots(1)[0]), (nu_v, st._sym_slots(2)[0])],
-        drop_factors=(1, 2))
+    # the same expression reordered through the exchange relations
+    reordered = _weak_assoc_reordered(three, arg_sum(z1, uarg),
+                                      arg_sum(z2, varg), -(c + ltd.kappa))
     rcount, rwit = reordered.residual(direct)
     if rcount:
         return "fail", rcount, ("reordered expression differs: "

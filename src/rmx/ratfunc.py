@@ -70,12 +70,18 @@ integer content:
   is split by sympy's ``factor_list``, imported there and nowhere else, so
   sympy is the fallback for factorization (and the oracle of the tests),
   not a dependency of the arithmetic.  New factors join the registry.
-  Negative powers and ``subs_var`` divide this way, and ``substitution``
-  factors A - B; nothing else factors.
-* ``substitution`` of X by a Laurent monomial A/B with coefficient 1 in
-  p(X)/(c (X-1)^r) writes the numerator down from packed exponents and
-  the denominator from the factorization of A - B, with no trial
-  division (``_LaurentImage`` says why the result is canonical).
+  Negative powers and the term-by-term substitution divide this way, and
+  ``substitution`` factors the image of each denominator factor; nothing
+  else factors.
+* ``substitution`` of X by 0 or by a Laurent monomial A/B with
+  coefficient 1, which ``subs_var`` uses for such values, maps each term
+  p X^e rest of the numerator to p rest A^e B^(d-e) by packed exponents,
+  d the numerator's X-degree.  Each denominator factor maps the same way
+  once per map and is factored over the new variables; the net power of
+  B moves to the numerator or the denominator, and the numerator is
+  tried only against the factors of the new denominator, not at all for
+  p(X)/(c (X-1)^r) (``_MonomialImage`` says why).  Any other value is
+  substituted term by term, by arithmetic on rational functions.
 * An ``int`` or ``Fraction`` operand is not lifted to the variables.  A
   product with it rescales the numerator and the content; a sum adds it as
   the value p/q over the same variables, which has no factors, so only the
@@ -172,6 +178,14 @@ def _packing(n: int) -> _Packing:
 def _overflow(m, pk):
     return ValueError(f"exponent overflow: total degree {m >> pk.top} does "
                       f"not fit a packed field (at most {MAX_DEGREE})")
+
+
+def _fits(poly, reg):
+    """``poly``, over ``reg``'s packing; ValueError if a total degree
+    overflowed its field."""
+    if poly and reg is not None and max(poly) >= reg.pk.limit:
+        raise _overflow(max(poly), reg.pk)
+    return poly
 
 
 def _moved(poly, src, dst, pos):
@@ -685,31 +699,61 @@ def _diff(a, i):
     return _finish(a.vars, reg, new, content, exps)
 
 
-class _LaurentImage:
-    """Substitution of X by a Laurent monomial A/B with coefficient 1.
+class _Plan:
+    """What mapping values over one source tuple needs: the target tuple
+    and its registry (None for no variables), the source field of X, the
+    moves of the other source fields, A and B packed over the target, the
+    images of the source registry's factors met so far, and, when X is the
+    only source variable and A/B is not constant, the index ``at`` of
+    X - 1."""
 
-    A and B are coprime monomials, not both 1.  A value p(X)/(c (X-1)^r)
-    with p of degree d maps to
+    __slots__ = ("names", "reg", "sx", "gx", "stop", "dtop", "pairs", "a",
+                 "b", "at", "images")
 
-        s^r N B^(r-d) / (c u^r prod q^(k r)),   N = sum_i p_i A^i B^(d-i),
 
-    where s (A - B) = u prod q^k is the registry's factorization with the
-    sign s that makes its leading coefficient positive, and B^(r-d) goes
-    to the denominator when r < d.  This is canonical without trial
-    division: N is not divisible by any q, since N = B^d p(1) != 0 where
-    A = B and p(1) != 0 when r > 0, nor by any variable of B, since
-    N = p_d A^d != 0 where that variable vanishes; the joint integer
-    content is gcd(content of p, c), which is 1.
+class _MonomialImage:
+    """Substitution of X by 0 or by a Laurent monomial A/B with coefficient
+    1 (A and B coprime monomials), in values over any tuple containing X.
+
+    A value N / (c prod f_j^e_j) maps to a value over T, the other
+    variables of its tuple and those of A/B.  For a polynomial F of
+    X-degree d, its packed image F~ = B^d F(A/B) sends each term
+    p X^e rest to p rest A^e B^(d-e), summing terms that collide.  With d
+    the X-degree of N and d_j that of f_j,
+
+        N(A/B) / (c prod f_j(A/B)^e_j)
+            = s N~ B^k / (c prod (s_j f_j~)^e_j),    k = sum_j e_j d_j - d,
+
+    where s_j makes the leading coefficient of s_j f_j~ positive and
+    s = prod s_j^e_j; B^k goes to the denominator when k < 0.  Each
+    s_j f_j~ is factorised over T's registry once per image and (source
+    tuple, j); a factor free of X is itself over T, still irreducible, and
+    is not factorised again.  An f_j~ that vanishes raises
+    ZeroDivisionError.  For X -> 0, f~ keeps the terms free of X and there
+    is no B.
+
+    Only a factor of the new denominator can divide s N~, so it is
+    trial-divided by the factors with a positive exponent, except for
+    p(X)/(c (X-1)^r) under a nonconstant A/B, where N~ is divisible by no
+    factor q of A - B, since N~ = B^d p(1) != 0 where A = B and p(1) != 0
+    when r > 0, nor by any variable of B, since N~ = p_d A^d != 0 where
+    that variable vanishes.  Nor is that result trimmed: unless it is a
+    constant, N~ holds A^d and the denominator (A - B)^r, and B^k sits on
+    one side when k != 0.  The joint integer content is divided out.
     """
 
-    __slots__ = ("name", "value", "reg", "a", "b", "sign", "unit", "pole",
-                 "b_factors", "at")
+    __slots__ = ("name", "value", "a", "b", "plans")
 
     @staticmethod
-    def of(name, value) -> "_LaurentImage | None":
-        """The image for X = ``name`` -> ``value``, or None unless ``value``
-        (trimmed) is a Laurent monomial with coefficient 1 other than 1."""
-        if not value.vars or value._fac[0] != 1 or len(value._num) != 1:
+    def of(name, value) -> "_MonomialImage | None":
+        """The image for X = ``name`` -> ``value`` (trimmed), or None
+        unless ``value`` is 0 or a Laurent monomial with coefficient 1."""
+        if not value.vars:
+            if value._num in (0, 1):    # X -> 0 has no A and B; 1 is 1/1
+                ab = 0 if value._num else None
+                return _MonomialImage(name, value, ab, ab)
+            return None
+        if value._fac[0] != 1 or len(value._num) != 1:
             return None
         (a, coeff), = value._num.items()
         reg = _registry(value.vars)
@@ -718,48 +762,195 @@ class _LaurentImage:
             return None
         b = sum(e * next(iter(reg.factors[i]))
                 for i, e in enumerate(value._fac[1]) if e)
-        return _LaurentImage(name, value, reg, a, b)
+        return _MonomialImage(name, value, a, b)
 
-    def __init__(self, name, value, reg, a, b):
-        self.name, self.value, self.reg, self.a, self.b = \
-            name, value, reg, a, b
-        diff = {a: 1, b: -1}
-        self.sign = 1 if _lc(diff) > 0 else -1
-        self.unit, self.pole = reg.factorize(_scale(diff, self.sign))
+    def __init__(self, name, value, a, b):
+        self.name, self.value = name, value
+        self.a, self.b = a, b   # packed over value.vars; None for X -> 0
+        self.plans = {}         # source tuple -> _Plan
+
+    def _plan(self, src) -> _Plan:
+        plan = self.plans[src] = _Plan()
+        i = src.index(self.name)
+        others = src[:i] + src[i + 1:]
+        vnames = self.value.vars
+        plan.names = (tuple(sorted(set(others) | set(vnames))) if others
+                      else vnames)
+        sreg = _registry(src)
+        spk = sreg.pk
+        plan.sx, plan.gx, plan.stop = spk.shifts[i], spk.gens[i], spk.top
+        plan.reg, plan.pairs, plan.a, plan.b = None, None, 0, 0
+        plan.dtop, plan.at, plan.images = 0, None, {}
+        if not plan.names:
+            return plan
+        plan.reg = reg = _registry(plan.names)
         pk = reg.pk
-        self.b_factors = [(reg.index({pk.gens[i]: 1}), e)
-                          for i, e in enumerate(pk.unpack(b)) if e]
-        # the index of X - 1 among the factors over X alone
-        self.at = _registry((name,)).index(_X_MINUS_ONE)
+        plan.dtop = pk.top
+        if others:
+            names = plan.names
+            plan.pairs = [(spk.shifts[src.index(v)], pk.shifts[names.index(v)])
+                          for v in others]
+        else:
+            plan.at = sreg.index(_X_MINUS_ONE)
+        if self.a is not None and vnames:
+            plan.a, plan.b = self.a, self.b
+            if plan.names != vnames:
+                pos = [plan.names.index(v) for v in vnames]
+                plan.a, plan.b = (next(iter(_moved({m: 1}, _packing(len(
+                    vnames)), pk, pos))) for m in (self.a, self.b))
+        return plan
+
+    @staticmethod
+    def _degree(plan, f):
+        """The X-degree of ``f``, over ``plan``'s source."""
+        if plan.pairs is None:  # X alone: the leading term has the top degree
+            return max(f) & _FIELD
+        return max((m >> plan.sx) & _FIELD for m in f)
+
+    def _poly(self, plan, f, d, lift=0, sign=1):
+        """``sign`` f~ over ``plan``'s target, times B^lift as packed
+        ``lift``."""
+        base, step = lift + d * plan.b, plan.a - plan.b
+        if plan.at is not None:
+            # X alone, in the low field, and A != B: no two terms collide
+            return _fits({base + (m & _FIELD) * step: sign * coeff
+                          for m, coeff in f.items()}, plan.reg)
+        sx, gx, stop, dtop, pairs = (plan.sx, plan.gx, plan.stop, plan.dtop,
+                                     plan.pairs)
+        zero = self.a is None
+        out = {}
+        for m, coeff in f.items():
+            e = (m >> sx) & _FIELD
+            if zero and e:
+                continue
+            t = base + e * step
+            if pairs:
+                m -= e * gx
+                r = (m >> stop) << dtop
+                for s, ds in pairs:
+                    r |= ((m >> s) & _FIELD) << ds
+                t += r
+            out[t] = out.get(t, 0) + sign * coeff
+        if len(out) < len(f):
+            out = {m: c for m, c in out.items() if c}
+        return _fits(out, plan.reg)
+
+    def _image(self, plan, src, j):
+        """(d_j, s_j, unit, exponents) for factor j of the registry over
+        ``src``: s_j f_j~ = unit * prod of T's factors to the exponents."""
+        if j == plan.at:    # X - 1 maps to A - B, nonzero as A != B
+            d, image = 1, {plan.a: 1, plan.b: -1}
+        else:
+            f = _registry(src).factors[j]
+            d = self._degree(plan, f)
+            image = self._poly(plan, f, d)
+            if not d:   # still irreducible
+                plan.images[j] = found = (
+                    0, 1, 1, [0] * plan.reg.index(image) + [1])
+                return found
+            if not image:
+                raise ZeroDivisionError(
+                    f"substitution {self.name} -> {self.value} annihilates "
+                    "a denominator")
+        s = 1 if _lc(image) > 0 else -1
+        if plan.reg is None:
+            found = (d, s, s * image[0], ())
+        else:
+            found = (d, s, *plan.reg.factorize(_scale(image, s)))
+        plan.images[j] = found
+        return found
 
     def __call__(self, c: "RatFunc") -> "RatFunc":
-        if not c.vars:
+        if self.name not in c.vars:
             return c
+        num = c._num
         content, exps = c._fac
-        at = self.at
-        if (c.vars != (self.name,) or not c._num
-                or any(e for i, e in enumerate(exps) if i != at)):
-            return c.subs_var(self.name, self.value)
-        r = exps[at] if at < len(exps) else 0
-        d = max(c._num) & _FIELD
-        if not r and not d:
-            return c.trim()     # a constant kept over X
-        reg, a, b = self.reg, self.a, self.b
-        lift = max(r - d, 0) * b
-        sign = self.sign ** r
-        num = {}
-        for m, coeff in c._num.items():
-            i = m & _FIELD
-            num[i * a + (d - i) * b + lift] = sign * coeff
-        top = max(num)
-        if top >= reg.pk.limit:
-            raise _overflow(top, reg.pk)
-        den = [e * r for e in self.pole]
-        for i, e in self.b_factors:
-            den += [0] * (i + 1 - len(den))
-            den[i] += e * max(d - r, 0)
-        return _finish(self.value.vars, reg, num, content * self.unit ** r,
-                       den)
+        if not exps and (not num or len(num) == 1 and 0 in num):
+            return c.trim()     # a constant
+        plan = self.plans.get(c.vars) or self._plan(c.vars)
+        images, at = plan.images, plan.at
+        sign, unit, k, den = 1, content, 0, []
+        for j, e in enumerate(exps):
+            if e:
+                if j != at:
+                    at = None
+                d, s, u, fexps = (images.get(j)
+                                  or self._image(plan, c.vars, j))
+                k += e * d
+                if s < 0 and e & 1:
+                    sign = -sign
+                if u != 1:
+                    unit *= u ** e
+                if den:
+                    den += [0] * (len(fexps) - len(den))
+                    for i, x in enumerate(fexps):
+                        den[i] += e * x
+                else:
+                    den = [e * x for x in fexps]
+        if self.a is None:
+            num = self._poly(plan, num, 0, 0, sign)
+        else:
+            d = self._degree(plan, num)
+            k -= d
+            num = self._poly(plan, num, d, max(k, 0) * plan.b, sign)
+            if k < 0 and plan.b:
+                # B^-k below the line, as its variables
+                reg = plan.reg
+                for v, x in enumerate(reg.pk.unpack(plan.b)):
+                    if x:
+                        i = reg.index({reg.pk.gens[v]: 1})
+                        den += [0] * (i + 1 - len(den))
+                        den[i] -= x * k
+        if plan.reg is None:
+            return RatFunc((), Fraction(num.get(0, 0), unit))
+        if not num:
+            return RatFunc.zero()
+        reg = plan.reg
+        if at is not None:
+            return _finish(plan.names, reg, num, unit, den)
+        for i, e in enumerate(den):
+            if e:
+                num, den[i] = _cancel(num, reg.factors[i], e, reg.pk)
+        return _finish(plan.names, reg, num, unit, den).trim()
+
+
+def _subs_by_terms(c, name, value):
+    """c with ``name`` -> ``value``, an arbitrary RatFunc, by arithmetic on
+    rational functions: each term of the numerator and of each denominator
+    factor is rebuilt, and each factor's image is inverted."""
+    if name not in c.vars:
+        return c
+    idx = c.vars.index(name)
+    powers = {0: RatFunc.one()}
+    unpack = _registry(c.vars).pk.unpack
+
+    def eval_poly(poly):
+        acc = RatFunc.zero()
+        for m, coeff in poly.items():
+            monom = unpack(m)
+            term = RatFunc.const(coeff)
+            for v, e in zip(c.vars, monom):
+                if v == name or e == 0:
+                    continue
+                term = term * RatFunc.var(v) ** e
+            e = monom[idx]
+            if e not in powers:
+                powers[e] = value ** e
+            acc = acc + term * powers[e]
+        return acc
+
+    # the denominator vanishes iff one of its factors does
+    content, exps = c._fac
+    out = eval_poly(c._num) * Fraction(1, content)
+    for p, e in zip(_registry(c.vars).factors, exps):
+        if e:
+            d = eval_poly(p)
+            if d.is_zero():
+                raise ZeroDivisionError(
+                    f"substitution {name} -> {value} annihilates a "
+                    "denominator")
+            out = out * d ** -e
+    return out.trim()
 
 
 # X - 1 over the one variable X, packed
@@ -1052,51 +1243,21 @@ class RatFunc:
         """
         if name not in self.vars:
             return self
-        idx = self.vars.index(name)
-        powers = {0: RatFunc.one()}
-        unpack = _registry(self.vars).pk.unpack
-
-        def eval_poly(poly):
-            acc = RatFunc.zero()
-            for m, coeff in poly.items():
-                monom = unpack(m)
-                term = RatFunc.const(coeff)
-                for v, e in zip(self.vars, monom):
-                    if v == name or e == 0:
-                        continue
-                    term = term * RatFunc.var(v) ** e
-                e = monom[idx]
-                if e not in powers:
-                    powers[e] = value ** e
-                acc = acc + term * powers[e]
-            return acc
-
-        # the denominator vanishes iff one of its factors does
-        content, exps = self._fac
-        out = eval_poly(self._num) * Fraction(1, content)
-        for p, e in zip(_registry(self.vars).factors, exps):
-            if e:
-                d = eval_poly(p)
-                if d.is_zero():
-                    raise ZeroDivisionError(
-                        f"substitution {name} -> {value} annihilates a "
-                        "denominator")
-                out = out * d ** -e
-        return out.trim()
+        return RatFunc.substitution(name, value)(self)
 
     @staticmethod
     def substitution(name: str, value: "RatFunc"):
         """The map c -> c.subs_var(name, value), set up once for many c.
 
-        When ``value`` is a Laurent monomial A/B with coefficient 1 other
-        than 1, a c in ``name`` alone whose denominator is a power of
-        name - 1 maps without arithmetic on rational functions (see
-        ``_LaurentImage``); every other c goes through ``subs_var``.
+        When ``value`` is 0 or a Laurent monomial A/B with coefficient 1,
+        every c maps by packed exponents, and each denominator factor's
+        image is found once per map (see ``_MonomialImage``); any other
+        ``value`` is substituted term by term.
         """
         value = value.trim()
-        image = _LaurentImage.of(name, value)
+        image = _MonomialImage.of(name, value)
         if image is None:
-            return lambda c: c.subs_var(name, value)
+            return lambda c: _subs_by_terms(c, name, value)
         return image
 
     # -- structure inspection -----------------------------------------

@@ -43,10 +43,11 @@ evaluates g1 by the same two steps:
    theta = z d/dz, where theta^m F is cached with F and E^m / m! is the
    part of e^E of total degree m; each output coefficient is combined in
    the field of z alone;
-2. z -> mono, once per output coefficient.  For a Laurent monomial with
-   coefficient 1, which every argument the checks build is, the canonical
-   form is written down from packed exponents (``RatFunc.substitution``);
-   any other mono goes through ``RatFunc.subs_var``.
+2. z -> mono, once per output coefficient, by one ``RatFunc.substitution``
+   per build.  For a Laurent monomial with coefficient 1, which every
+   argument the checks build is, the canonical form is written down from
+   packed exponents with no trial division; any other mono is substituted
+   term by term.
 
 Builds are cached per (type, normaliser, argument, caps), so an R-matrix
 that a check uses twice, such as R_12(u) on both sides of Yang-Baxter, is
@@ -297,6 +298,7 @@ def _solve_normalizer_cached(ltd, L, dz) -> Normalizer:
     _check_functional_equation(g, shifted, rhs)
 
     parts = []
+    at_zero = RatFunc.substitution("z", RatFunc.zero())
     for l, cl in enumerate(g):
         if cl.is_zero():
             parts.append((l, RatFunc.zero(), 0))
@@ -307,7 +309,7 @@ def _solve_normalizer_cached(ltd, L, dz) -> Normalizer:
                 f"h^{l} coefficient denominator is not a power of (1-z): {cl}")
         parts.append((l, rest, rl))
         # constant term 1 at z = 0 (at l = 0), 0 at higher orders
-        at0 = cl.subs_var("z", RatFunc.zero())
+        at0 = at_zero(cl)
         if at0 != (1 if l == 0 else 0):
             raise NormalizerError(
                 f"h^{l} coefficient is {at0} at z = 0, "

@@ -479,11 +479,13 @@ class FreeState:
 
     def subs_ring_var(self, name, value) -> "FreeState":
         """Substitute the ring variable ``name`` by ``value`` in every
-        coefficient and every word argument."""
+        coefficient and every word argument, by one substitution map."""
+        sub = RatFunc.substitution(name, value)
+
         def word(w):
-            return tuple((Arg(a.mono.subs_var(name, value), a.shift), d)
-                         for a, d in w)
-        return self._replace([Term(t.coeff.subs_ring_var(name, value),
+            return tuple((Arg(sub(a.mono), a.shift), d) for a, d in w)
+        return self._replace([Term(t.coeff.map_entries(
+                                       lambda s: s.map_coeffs(sub)),
                                    tuple(map(word, t.words)))
                               for t in self.terms])
 

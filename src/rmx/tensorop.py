@@ -400,7 +400,8 @@ class TensorOp:
                         {k: fn(v) for k, v in self.entries.items()})
 
     def subs_ring_var(self, name, value) -> "TensorOp":
-        return self.map_entries(lambda s: s.subs_ring_var(name, value))
+        sub = RatFunc.substitution(name, value)
+        return self.map_entries(lambda s: s.map_coeffs(sub))
 
     def subst_mult(self, name, factor) -> "TensorOp":
         return self.map_entries(lambda s: s.subst_mult(name, factor))

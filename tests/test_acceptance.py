@@ -19,7 +19,8 @@ from rmx.checks import (PolynomialityError, builtin_check,
 from rmx.cli import main
 from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
-from rmx.module_checks import _exchange, module_check, weak_assoc_chain
+from rmx.module_checks import (_exchange, _weak_assoc_reordered,
+                               module_check, weak_assoc_chain)
 from rmx.ratfunc import RatFunc
 from rmx.rmatrix import (Arg, diag_op, m_diag, rhat_inv, rmatrix,
                          solve_normalizer)
@@ -342,21 +343,8 @@ def test_criterion_11_perturbed_weak_assoc_reordered():
     z1, z2 = _ring("Z1"), _ring("Z2")
     three = FreeState.pure(ltd, norm, caps, c, [[uarg], [varg], []])
     direct = three.merge_y(2, 3, z2).merge_y(1, 2, z1)
-    xu, yv = arg_sum(z1, uarg), arg_sum(z2, varg)
-    st = three.apply_tminus_inv(3, arg_h(xu, c / 2))
-    nu_u = st.open
-    st = st.apply_tminus_inv(3, arg_h(yv, c / 2))
-    nu_v = st.open
-    st = st.apply_tplus(3, yv, shared_slot=nu_v)
-    st = st.apply_tplus(3, xu, shared_slot=nu_u)
-    st = st.mul_open_right(rmatrix(ltd, norm, arg_diff(yv, xu), caps),
-                           (nu_v, nu_u))
-    amat = st._crossing_chain(
-        (1,), [(arg_h(arg_diff(yv, xu), -(c + ltd.kappa) + 1), (1, 2))], 2)
-    st = st.odot_open(amat, (nu_v, nu_u), (nu_v,))
-    reordered = st._contract_pairs(
-        [(nu_u, st._sym_slots(1)[0]), (nu_v, st._sym_slots(2)[0])],
-        drop_factors=(1, 2))
+    reordered = _weak_assoc_reordered(three, arg_sum(z1, uarg),
+                                      arg_sum(z2, varg), -(c + ltd.kappa) + 1)
     _assert_state_fails(reordered, direct)
 
 

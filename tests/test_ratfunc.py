@@ -17,7 +17,8 @@ from sympy.polys.orderings import grlex
 from sympy.polys.rings import ring
 
 import rmx.ratfunc
-from rmx.ratfunc import RatFunc, _packing, _Registry, _registry
+from rmx.ratfunc import (RatFunc, _MonomialImage, _packing, _Registry,
+                        _registry, _subs_by_terms)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -101,9 +102,10 @@ def test_subs_var():
         f.subs_var("Z", RatFunc.one())
 
 
-# RatFunc.substitution maps c -> c.subs_var(name, value); for a Laurent
-# monomial value with coefficient 1 and c = p(X)/(k (X-1)^r) it builds the
-# canonical form directly, which must be the structure subs_var reaches.
+# RatFunc.substitution maps c -> c.subs_var(name, value).  For 0 or a
+# Laurent monomial value with coefficient 1 it builds the canonical form by
+# packed exponents, which must be the structure that the term-by-term route
+# (``_subs_by_terms``, by arithmetic on rational functions) reaches.
 
 X = RatFunc.var("X")
 LAURENT_VARS = ("X", "u", "v", "w")
@@ -135,14 +137,27 @@ def _assert_same_structure(got, want):
         assert (got._num, got._fac) == (want._num, want._fac)
 
 
+def _assert_matches_term_route(c, value):
+    """sub(c) for the map of X -> ``value`` has the structure of the
+    term-by-term route, or both raise ZeroDivisionError."""
+    sub = RatFunc.substitution("X", value)
+    try:
+        want = _subs_by_terms(c, "X", value.trim())
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            sub(c)
+        return
+    _assert_same_structure(sub(c), want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(one_minus_x_fractions(), laurent_monomials())
 def test_laurent_substitution_matches_subs_var(c, value):
     if value.is_constant():
         return
     sub = RatFunc.substitution("X", value)
-    assert isinstance(sub, rmx.ratfunc._LaurentImage)
-    _assert_same_structure(sub(c), c.subs_var("X", value))
+    assert isinstance(sub, _MonomialImage)
+    _assert_same_structure(sub(c), _subs_by_terms(c, "X", value))
 
 
 def test_laurent_substitution_edges():
@@ -159,17 +174,109 @@ def test_laurent_substitution_edges():
                       RatFunc.const(Fraction(2, 3)), RatFunc.zero()):
             _assert_same_structure(
                 RatFunc.substitution("X", value)(coeff),
-                coeff.subs_var("X", value))
-    # other values, and coefficients of another shape, go through subs_var
+                _subs_by_terms(coeff, "X", value))
+    # other values are substituted term by term
     for value in (2 * u, 1 + u, -u):
         sub = RatFunc.substitution("X", value)
-        assert not isinstance(sub, rmx.ratfunc._LaurentImage)
-        _assert_same_structure(sub(c), c.subs_var("X", value))
+        assert not isinstance(sub, _MonomialImage)
+        _assert_same_structure(sub(c), _subs_by_terms(c, "X", value))
+    # coefficients of another shape take the same image
     sub = RatFunc.substitution("X", u / v)
     for coeff in (1 / (X + 1), X * u / (X - 1)):
-        _assert_same_structure(sub(coeff), coeff.subs_var("X", u / v))
+        _assert_same_structure(sub(coeff), _subs_by_terms(coeff, "X", u / v))
     with pytest.raises(ValueError):
         RatFunc.substitution("X", u ** 20000 / v)(X ** 2 / (X - 1))
+
+
+# Coefficients over X, u and v whose denominator factors mix X with the
+# other variables, against values A/B with B != 1 that may share them.
+
+IMAGE_FACTORS = [X - 1, X + 1, X, X - RatFunc.var("u"),
+                 X * RatFunc.var("u") - 1, X + RatFunc.var("v"),
+                 X * RatFunc.var("v") - RatFunc.var("u"),
+                 RatFunc.var("u") - 1, X ** 2 + RatFunc.var("u")]
+
+
+@st.composite
+def mixed_fractions(draw):
+    u, v = RatFunc.var("u"), RatFunc.var("v")
+    num = RatFunc.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        e = draw(st.lists(st.integers(0, 3), min_size=3, max_size=3))
+        num = num + draw(st.integers(-5, 5)) * X ** e[0] * u ** e[1] \
+            * v ** e[2]
+    den = RatFunc.const(draw(st.integers(1, 6)))
+    for f in draw(st.lists(st.sampled_from(IMAGE_FACTORS), max_size=3)):
+        den = den * f ** draw(st.integers(1, 3))
+    return num / den
+
+
+@st.composite
+def laurent_fractions(draw):
+    """A/B over X, u, v, w with B != 1."""
+    exps = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4)
+                .filter(lambda e: min(e) < 0))
+    mono = RatFunc.one()
+    for name, e in zip(LAURENT_VARS, exps):
+        mono = mono * RatFunc.var(name) ** e
+    return mono
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_fractions(), laurent_fractions())
+def test_monomial_image_matches_term_route(c, value):
+    assert isinstance(RatFunc.substitution("X", value), _MonomialImage)
+    _assert_matches_term_route(c, value)
+
+
+def test_monomial_image_edges():
+    u, v = RatFunc.var("u"), RatFunc.var("v")
+    x, y, z0 = (RatFunc.var(n) for n in ("x", "y", "Z0"))
+    # an image that splits: x - y -> x (1 - Z0)
+    got = RatFunc.substitution("y", x * z0)(1 / (x - y) ** 3)
+    assert got == -1 / (x ** 3 * (z0 - 1) ** 3)
+    _assert_same_structure(got, _subs_by_terms(1 / (x - y) ** 3, "y", x * z0))
+    # a numerator image divisible by an image factor, for a c over X and u
+    # whose only denominator factor is X - 1
+    c = (X - u) / (X - 1)
+    got = RatFunc.substitution("X", u ** 2)(c)
+    assert got == u / (u + 1)
+    _assert_same_structure(got, _subs_by_terms(c, "X", u ** 2))
+    for c, value in (((X * v - 1) / (X - 1), 1 / v),
+                     (X * v / (X * v - u), u ** 2 / v)):
+        _assert_matches_term_route(c, value)
+    # X - u -> (1 - u v)/v: the image's leading coefficient is negative, so
+    # an odd exponent moves a sign to the numerator and an even one does not
+    for r in (1, 2, 3):
+        c = (X + 2) / (X - u) ** r
+        got = RatFunc.substitution("X", 1 / v)(c)
+        assert got == (1 + 2 * v) * v ** (r - 1) / (1 - u * v) ** r
+        _assert_same_structure(got, _subs_by_terms(c, "X", 1 / v))
+    # a denominator that the substitution annihilates
+    for c, value in ((1 / (X - u), u), (X / (X * v - u), u / v),
+                     (u / X, RatFunc.zero())):
+        with pytest.raises(ZeroDivisionError, match="annihilates"):
+            RatFunc.substitution("X", value)(c)
+        with pytest.raises(ZeroDivisionError, match="annihilates"):
+            _subs_by_terms(c, "X", value)
+    # a total degree past the packed field
+    with pytest.raises(ValueError, match="overflow"):
+        RatFunc.substitution("X", u ** 20000 / v)(X ** 2 * u / (X - u))
+    with pytest.raises(ValueError, match="overflow"):
+        RatFunc.substitution("X", v / u ** 20000)(u / (X ** 2 + u))
+
+
+def test_monomial_image_at_zero_and_one():
+    u, v = RatFunc.var("u"), RatFunc.var("v")
+    coeffs = [(3 * X ** 2 - 5) / (7 * (X - 1) ** 3), (X * u + 2) / (X + u),
+              (X - u) ** 2 / ((X * u - 1) * (u + 2) * (X + v)),
+              X * u * v + 4 * v, RatFunc.const(Fraction(-2, 9))]
+    for value in (RatFunc.zero(), RatFunc.one()):
+        assert isinstance(RatFunc.substitution("X", value), _MonomialImage)
+        for c in coeffs:
+            _assert_matches_term_route(c, value)
+    assert RatFunc.substitution("X", RatFunc.zero())(coeffs[0]) == \
+        Fraction(5, 7)
 
 
 def test_denominator_shape():
