@@ -28,7 +28,9 @@ Each tuple of variables keeps a registry of the irreducible denominator
 factors met over it: primitive integer polynomials with a positive
 graded-lex leading coefficient, appended as they are found and never
 removed.  In the R-matrix computations these are a few monomials and
-binomials such as ``1 - z``, ``u - v`` and ``u*v - 1``.
+binomials such as ``1 - z``, ``u - v`` and ``u*v - 1``.  The registry also
+forms each power p_i^e (e >= 2) that a sum or an expansion uses once, and
+keeps it.
 
 Canonical form.  Every value is kept with
 
@@ -50,14 +52,20 @@ division against the registry's factors only, then divides out the joint
 integer content:
 
 * N1/D1 + N2/D2: the common denominator takes the larger exponent of each
-  factor.  Only a factor with the same positive exponent on both sides is
-  tried: where the exponents differ, the new numerator is a unit times the
-  other side's numerator modulo that factor, which it does not divide.
-* N1/D1 * N2/D2: N1 is tried against the factors of D2 that D1 lacks, and
-  N2 against those of D1 that D2 lacks; exponents add.
-* d/dx of N/(c * prod p^e): with R the product of the factors that contain
-  x, it is (N' R - N sum e p' R/p) / (c prod p^e R).  No factor of R divides
-  that numerator, so only the factors free of x are tried.
+  factor.  Equal exponent tuples go straight to one scaled numerator sum;
+  otherwise one walk of the two tuples multiplies, at each factor whose
+  exponents differ, only the lower side's numerator, by the registry's
+  power of that factor for the difference.  Only a factor with the same
+  positive exponent on both sides is tried: where the exponents differ,
+  the new numerator is a unit times the other side's numerator modulo that
+  factor, which it does not divide.
+* N1/D1 * N2/D2: one walk of the two exponent tuples tries N1 against the
+  factors of D2 that D1 lacks, and N2 against those of D1 that D2 lacks;
+  exponents add.
+* d/dx of N/(c * prod p^e): one walk of the exponents collects the factors
+  that contain x, building their product R and S = sum e p' R/p one factor
+  at a time; the result is (N' R - N S) / (c prod p^e R).  No factor of R
+  divides that numerator, so only the factors free of x are tried.
 * a / b is a times the reciprocal of b = N/D, which is D/N with the sign
   moved so that the new denominator's leading coefficient is positive.  N
   is split by trial division against the registry; what is left, if it is
@@ -125,6 +133,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd, isqrt
 
 __all__ = ["RatFunc"]
@@ -343,14 +352,6 @@ def _quotient(f, p, pk):
     return q
 
 
-def _times(poly, factors, exps, pk):
-    """``poly * prod factors[i]**exps[i]``."""
-    for p, e in zip(factors, exps):
-        if e:
-            poly = _mul_polys(poly, p if e == 1 else _pow_poly(p, e, pk), pk)
-    return poly
-
-
 def _cancel(num, p, e, pk):
     """Divide ``num`` by ``p`` as often as ``p`` divides it, at most ``e``
     times.  Returns the new ``(num, e)``."""
@@ -360,10 +361,6 @@ def _cancel(num, p, e, pk):
             break
         num, e = q, e - 1
     return num, e
-
-
-def _padded(exps, n):
-    return list(exps) + [0] * (n - len(exps))
 
 
 # -- splitting a new denominator into irreducible factors ---------------
@@ -493,16 +490,27 @@ def _split(f, names, pk):
 
 class _Registry:
     """The irreducible denominator factors met over one variable tuple,
-    append-only, and the interned factorization pairs that index into them."""
+    append-only, their powers that have been used, each formed once, and
+    the interned factorization pairs that index into the factors."""
 
-    __slots__ = ("names", "pk", "factors", "pairs", "moves")
+    __slots__ = ("names", "pk", "factors", "powers", "pairs", "moves")
 
     def __init__(self, names):
         self.names = names
         self.pk = _packing(len(names))
         self.factors = []   # primitive, irreducible, positive leading coeff
+        self.powers = {}    # (index, exponent >= 2) -> that factor's power
         self.pairs = {}     # (content, exponents) -> itself
         self.moves = {}     # source names -> {source index: our index}
+
+    def power(self, i, e):
+        """Factor ``i`` to the power ``e`` >= 1, shared: never mutate it."""
+        if e == 1:
+            return self.factors[i]
+        p = self.powers.get((i, e))
+        if p is None:
+            p = self.powers[i, e] = _pow_poly(self.factors[i], e, self.pk)
+        return p
 
     def pair(self, content, exps):
         """The interned pair; trailing zero exponents are dropped."""
@@ -523,7 +531,11 @@ class _Registry:
     def expand(self, pair):
         """The denominator that ``pair`` describes, multiplied out."""
         content, exps = pair
-        return _times({0: content}, self.factors, exps, self.pk)
+        out = {0: content}
+        for i, e in enumerate(exps):
+            if e:
+                out = _mul_polys(out, self.power(i, e), self.pk)
+        return out
 
     def factorize(self, den):
         """The pair of ``den``, a nonzero polynomial with a positive leading
@@ -632,18 +644,17 @@ def _mul_fractions(a, b):
     its own denominator lacks."""
     c1, ea = a._fac
     c2, eb = b._fac
-    n = max(len(ea), len(eb))
-    ea, eb = _padded(ea, n), _padded(eb, n)
     reg = _registry(a.vars)
-    pk = reg.pk
+    factors, pk = reg.factors, reg.pk
     num1, num2 = a._num, b._num
-    for i, p in enumerate(reg.factors[:n]):
-        if eb[i] and not ea[i]:
-            num1, eb[i] = _cancel(num1, p, eb[i], pk)
-        elif ea[i] and not eb[i]:
-            num2, ea[i] = _cancel(num2, p, ea[i], pk)
-    return _finish(a.vars, reg, _mul_polys(num1, num2, pk), c1 * c2,
-                   [x + y for x, y in zip(ea, eb)])
+    exps = []
+    for i, (x, y) in enumerate(zip_longest(ea, eb, fillvalue=0)):
+        if not x and y:
+            num1, y = _cancel(num1, factors[i], y, pk)
+        elif x and not y:
+            num2, x = _cancel(num2, factors[i], x, pk)
+        exps.append(x + y)
+    return _finish(a.vars, reg, _mul_polys(num1, num2, pk), c1 * c2, exps)
 
 
 def _add(a, b):
@@ -655,21 +666,30 @@ def _add(a, b):
         return b
     c1, ea = a._fac
     c2, eb = b._fac
-    n = max(len(ea), len(eb))
-    ea, eb = _padded(ea, n), _padded(eb, n)
     reg = _registry(a.vars)
-    factors, pk = reg.factors, reg.pk
+    pk = reg.pk
     content = c1 // gcd(c1, c2) * c2
-    up_a = [max(y - x, 0) for x, y in zip(ea, eb)]
-    up_b = [max(x - y, 0) for x, y in zip(ea, eb)]
-    num = _add_polys(_scale(_times(a._num, factors, up_a, pk), content // c1),
-                     _scale(_times(b._num, factors, up_b, pk), content // c2))
+    num1, num2 = a._num, b._num
+    if ea == eb:
+        exps = list(ea)
+        tried = range(len(exps))
+    else:
+        # the side with the lower exponent takes the difference
+        exps, tried = [], []
+        for i, (x, y) in enumerate(zip_longest(ea, eb, fillvalue=0)):
+            if x < y:
+                num1 = _mul_polys(num1, reg.power(i, y - x), pk)
+            elif y < x:
+                num2 = _mul_polys(num2, reg.power(i, x - y), pk)
+            elif x:
+                tried.append(i)
+            exps.append(max(x, y))
+    num = _add_polys(_scale(num1, content // c1), _scale(num2, content // c2))
     if not num:
         return _zero(a.vars)
-    exps = [max(x, y) for x, y in zip(ea, eb)]
-    for i, p in enumerate(factors[:n]):
-        if ea[i] and ea[i] == eb[i]:
-            num, exps[i] = _cancel(num, p, exps[i], pk)
+    for i in tried:
+        if exps[i]:
+            num, exps[i] = _cancel(num, reg.factors[i], exps[i], pk)
     return _finish(a.vars, reg, num, content, exps)
 
 
@@ -678,24 +698,34 @@ def _diff(a, i):
     content, exps = a._fac
     reg = _registry(a.vars)
     factors, pk = reg.factors, reg.pk
-    num = a._num
-    # R is the product of the factors that contain the variable
-    in_r = [int(e > 0 and _degree(factors[k], i, pk) > 0)
-            for k, e in enumerate(exps)]
-    # (N' R - N sum e p' R/p) / (D R)
-    new = _times(_diff_poly(num, i, pk), factors, in_r, pk)
+    s = pk.shifts[i]
+    # R, the product of the factors p that contain the variable, and
+    # S = sum e p' R/p, one such factor at a time (None while R = 1)
+    r = sums = None
+    free, exps = [], list(exps)
     for k, e in enumerate(exps):
-        if in_r[k]:
-            others = [int(j != k and r) for j, r in enumerate(in_r)]
-            new = _add_polys(new, _scale(_times(
-                _mul_polys(num, _diff_poly(factors[k], i, pk), pk), factors,
-                others, pk), e), -1)
+        if not e:
+            continue
+        p = factors[k]
+        if not any((m >> s) & _FIELD for m in p):
+            free.append(k)
+            continue
+        dp = _scale(_diff_poly(p, i, pk), e)
+        if r is None:
+            r, sums = p, dp
+        else:
+            sums = _add_polys(_mul_polys(sums, p, pk), _mul_polys(r, dp, pk))
+            r = _mul_polys(r, p, pk)
+        exps[k] += 1
+    # (N' R - N S) / (D R)
+    num = a._num
+    new = _diff_poly(num, i, pk)
+    if r is not None:
+        new = _add_polys(_mul_polys(new, r, pk), _mul_polys(num, sums, pk), -1)
     if not new:
         return _zero(a.vars)
-    exps = [e + r for e, r in zip(exps, in_r)]
-    for k, p in enumerate(factors[:len(exps)]):
-        if exps[k] and not in_r[k]:
-            new, exps[k] = _cancel(new, p, exps[k], pk)
+    for k in free:
+        new, exps[k] = _cancel(new, factors[k], exps[k], pk)
     return _finish(a.vars, reg, new, content, exps)
 
 
@@ -1313,13 +1343,12 @@ class RatFunc:
         reg = _registry(self.vars)
         unit, mult = reg.factorize(_scale(fp, sign))
         content, exps = self._fac
-        n = max(len(exps), len(mult))
-        exps, mult = _padded(exps, n), _padded(mult, n)
-        k = min(e // m for e, m in zip(exps, mult) if m)
+        both = list(zip_longest(exps, mult, fillvalue=0))
+        k = min(e // m for e, m in both if m)
         if not k:
             return 0, self
         rest = RatFunc(self.vars, self._num, reg.pair(
-            content, [e - k * m for e, m in zip(exps, mult)]))
+            content, [e - k * m for e, m in both]))
         return k, rest._scaled(Fraction((sign * unit) ** k))
 
     # -- printing / serialization -------------------------------------

@@ -341,15 +341,24 @@ class TensorOp:
 
     def conj_diag(self, diag, slot: int, sign: int = 1) -> "TensorOp":
         """Conjugate by a diagonal single-slot operator: D_s T D_s^{-1}
-        (sign=-1 gives D^{-1} T D).  ``diag`` is a list of unit HSeries."""
+        (sign=-1 gives D^{-1} T D).  ``diag`` is a list of unit HSeries.
+        An entry at row i and column j of the slot costs one series product,
+        by left[i] * right[j], formed once per (i, j) that occurs, and none
+        where that is one."""
         _check_slots(self.m, slot)
         layout = _layout(self.N, self.m)
         r, c, f = layout.row(slot), layout.col(slot), layout.field
         inv = [d.inv() for d in diag]
         left, right = (diag, inv) if sign == 1 else (inv, diag)
-        return _operator(self.N, self.m, self.caps,
-                         {k: left[k >> r & f] * v * right[k >> c & f]
-                          for k, v in self.entries.items()})
+        scales, entries = {}, {}
+        for k, v in self.entries.items():
+            ij = k >> r & f, k >> c & f
+            if ij not in scales:
+                s = left[ij[0]] * right[ij[1]]
+                scales[ij] = None if s.is_one() else s  # i = j scales by one
+            s = scales[ij]
+            entries[k] = v if s is None else s * v
+        return _operator(self.N, self.m, self.caps, entries)
 
     def odot(self, other: "TensorOp", first_slots, mode: str) -> "TensorOp":
         """Ordered product of split operators sharing the full slot space.

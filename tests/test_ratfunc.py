@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import os
 import subprocess
@@ -1053,3 +1054,51 @@ def test_overflow_gate_raises_every_time():
     for _ in range(2):
         with pytest.raises(ValueError):
             Z ** 20000 * Z ** 20000
+
+
+# -- the bare fraction kernels ----------------------------------------------
+#
+# ``_add`` and ``_mul_fractions`` walk the two denominator exponent tuples
+# once, and ``_add`` and ``expand`` take each factor power from the
+# registry's table.  The operands share a denominator D (a sum of two of
+# them cancels p**k, equal positive exponents, and leaves trailing zeros
+# when p is D's last factor), and others hold a second factor q alone, at
+# exponents e, e + 2 and e + 3, so that tuples differ in length, a factor
+# sits on one side only, and one example asks for two powers of q.  Each
+# kernel runs on fresh copies, so that no memo hit hides its result.
+
+@st.composite
+def kernel_operands(draw):
+    names = draw(st.sampled_from(POOL_NAMES))
+    fld = _field_for(names)
+    p, q = (_pool(names)[i] for i in draw(
+        st.lists(pool_index, min_size=2, max_size=2, unique=True)))
+    k = draw(st.integers(1, 2))
+    den = draw(pool_denominators(names)) * p ** k
+    num = draw(pool_numerators(names))
+    e = draw(st.integers(0, 1))
+    return [_make(names, num, den),
+            _make(names, p ** k * draw(pool_numerators(names)) - num, den)] + [
+        _make(names, _poly(fld, _terms(draw, names, 1)), q ** (e + x))
+        for x in (0, 2, 3)]
+
+
+def _assert_kernel_result(got, names, ref):
+    _assert_canonical(got, names, ref)
+    assert got._fac is _registry(names).pairs[got._fac]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_operands(), st.sampled_from(("x", "y")))
+def test_bare_kernels_match_sympy(values, name):
+    for a, b in itertools.combinations(values, 2):
+        for op, kernel in KERNELS:
+            for x, y in ((a, b), (b, a)):
+                names, ref = _sympy_op(op, x, y)
+                _assert_kernel_result(
+                    kernel(_fresh(x, names), _fresh(y, names)), names, ref)
+    for a in values[:3]:
+        fld = _field_for(a.vars)
+        i = a.vars.index(name)
+        _assert_kernel_result(R._diff(_fresh(a, a.vars), i), a.vars,
+                              _in_field(a.vars, a).diff(fld.gens[i]))

@@ -8,6 +8,7 @@ import pytest
 from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
+from rmx.rmatrix import diag_op
 from rmx.tensorop import TensorOp
 from test_hseries import _series_from_data
 
@@ -115,6 +116,43 @@ def test_conj_diag_roundtrip():
     rng = random.Random(4)
     a = rand_op(rng, N, 2)
     assert a.conj_diag(diag, 1, 1).conj_diag(diag, 1, -1) == a
+
+
+def _rand_capped_op(rng, N, m, caps, density=0.4):
+    """A random operator whose entries mix every capped variable and the
+    ring variable z."""
+    gens = [HSeries.capped_var(v, caps) for v in caps] + [
+        HSeries.const(RatFunc.var("z"), caps)]
+    entries = {}
+    for row in itertools.product(range(N), repeat=m):
+        for col in itertools.product(range(N), repeat=m):
+            if rng.random() < density:
+                val = HSeries.const(rng.randint(1, 3), caps)
+                for g in gens:
+                    val = val + g * rng.randint(-2, 2)
+                entries[(row, col)] = val
+    return TensorOp(N, m, caps, entries)
+
+
+@pytest.mark.parametrize("caps", [{"h": 3}, {"h": 2, "u": 2}])
+@pytest.mark.parametrize("m", [2, 3])
+def test_conj_diag_matches_diagonal_products(caps, m):
+    # D_s T D_s^-1 (and D_s^-1 T D_s) by embedding D and multiplying, with
+    # units 1 + i*h + u that are not exp-shifts; u is a ring variable under
+    # {h: 3} and a capped one under {h: 2, u: 2}
+    n = 3
+    rng = random.Random(m)
+    u = (HSeries.capped_var("u", caps) if "u" in caps
+         else HSeries.const(RatFunc.var("u"), caps))
+    diag = [HSeries.one(caps) + HSeries.capped_var("h", caps) * i + u
+            for i in range(n)]
+    d, d_inv = (diag_op(n, caps, x) for x in (diag, [x.inv() for x in diag]))
+    for _ in range(2):
+        a = _rand_capped_op(rng, n, m, caps)
+        for slot in range(1, m + 1):
+            left, right = d.embed((slot,), m), d_inv.embed((slot,), m)
+            assert a.conj_diag(diag, slot, 1) == left * a * right
+            assert a.conj_diag(diag, slot, -1) == right * a * left
 
 
 def test_inv_neumann():
