@@ -50,6 +50,15 @@ class PolynomialityError(RuntimeError):
     """Prefactor too small: a coefficient is not polynomial/Laurent as required."""
 
 
+def _context(family, n, L, caps_extra=None):
+    """(type data, normaliser solved to order L, caps h^L plus
+    ``caps_extra``) of a check."""
+    ltd = lie_type_data(family, n)
+    norm = solve_normalizer(ltd, L=L)
+    caps = {"h": L, **(caps_extra or {})}
+    return ltd, norm, caps
+
+
 def _verdict(count: int, witness):
     """(verdict, count, witness) of a residual of ``count`` nonzero
     entries: "pass" iff there are none."""
@@ -112,9 +121,7 @@ for _name, _row in _SCRIPT_CHECKS.items():
 def _check_gfunc(family, n, L):
     # the defining functional equation of the normalizing series, on purpose
     # by subst_mult's Taylor expansion: a route the dilation solve never takes
-    ltd = lie_type_data(family, n)
-    norm = solve_normalizer(ltd, L=L)
-    caps = {"h": L}
+    ltd, norm, caps = _context(family, n, L)
     g = norm.g1
     lhs = g * g.subst_mult("z", HSeries.exp_shift({"h": -ltd.kappa}, caps))
     rhs = HSeries.one(caps)
@@ -127,9 +134,7 @@ def _check_gfunc(family, n, L):
 @register("g_one")
 def _check_g_one(family, n, L):
     # e^{(1+2k)h} g1(Z) g1(1/Z) (Z-e^{-h})(Z-e^{-kh})(1/Z-e^{-h})(1/Z-e^{-kh}) = 1
-    ltd = lie_type_data(family, n)
-    norm = solve_normalizer(ltd, L=L)
-    caps = {"h": L}
+    ltd, norm, caps = _context(family, n, L)
     Z = RatFunc.var("Z")
     g_pos = norm.g1_at(Arg.make(Z), caps)
     g_neg = norm.g1_at(Arg.make(1 / Z), caps)
@@ -144,9 +149,7 @@ def _check_g_one(family, n, L):
 @register("csuni")
 def _check_csuni(family, n, L, k=1, c=Fraction(1)):
     # inverse chain * M * transposed shifted inverse chain = M
-    ltd = lie_type_data(family, n)
-    norm = solve_normalizer(ltd, L=L)
-    caps = {"h": L}
+    ltd, norm, caps = _context(family, n, L)
     m = k + 1
     mslot = m
     u = RatFunc.var("u")
@@ -237,9 +240,7 @@ def correspondence_check(family, n, alpha, a=2, b=2, l=3, r_start=0,
               "l": l, "r_start": r_start, "r_max": r_max}
 
     def run():
-        ltd = lie_type_data(family, n)
-        norm = solve_normalizer(ltd, L=max(l, 1))
-        caps = {"h": l, "u": a, "v": b}
+        ltd, norm, caps = _context(family, n, l, {"u": a, "v": b})
         x = RatFunc.var("x")
         y = RatFunc.var("y")
         lhs_raw = rmatrix(ltd, norm, Arg.make(

@@ -14,21 +14,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .checks import CHECKS, _verdict, builtin_check, pole_order, register
-from .lietype import lie_type_data
+from .checks import (CHECKS, _context, _verdict, builtin_check, pole_order,
+                     register)
 from .ratfunc import RatFunc
 from .report import CheckReport, timed_report
-from .rmatrix import Arg, m_diag, rmatrix, solve_normalizer
+from .rmatrix import Arg, m_diag, rmatrix
 from .states import FreeState, _arg_derivative, arg_diff, arg_h, arg_sum
 
 __all__ = ["module_check", "MODULE_CHECK_NAMES", "weak_assoc_chain"]
-
-
-def _context(family, n, L, caps_extra=None):
-    ltd = lie_type_data(family, n)
-    norm = solve_normalizer(ltd, L=L)
-    caps = {"h": L, **(caps_extra or {})}
-    return ltd, norm, caps
 
 
 def _ring_args(*names):

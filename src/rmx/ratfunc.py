@@ -78,18 +78,19 @@ integer content:
   is split by sympy's ``factor_list``, imported there and nowhere else, so
   sympy is the fallback for factorization (and the oracle of the tests),
   not a dependency of the arithmetic.  New factors join the registry.
-  Negative powers and the term-by-term substitution divide this way, and
-  ``substitution`` factors the image of each denominator factor; nothing
-  else factors.
-* ``substitution`` of X by 0 or by a Laurent monomial A/B with
-  coefficient 1, which ``subs_var`` uses for such values, maps each term
+  Negative powers and the term-by-term substitution (of X by any value
+  that is not a Laurent monomial) divide this way, and ``substitution``
+  factors the image of each denominator factor; nothing else factors.
+* ``substitution`` of X by a Laurent monomial A/B with coefficient 1,
+  which ``subs_var`` uses for such values, maps each term
   p X^e rest of the numerator to p rest A^e B^(d-e) by packed exponents,
   d the numerator's X-degree.  Each denominator factor maps the same way
   once per map and is factored over the new variables; the net power of
   B moves to the numerator or the denominator, and the numerator is
   tried only against the factors of the new denominator, not at all for
-  p(X)/(c (X-1)^r) (``_MonomialImage`` says why).  Any other value is
-  substituted term by term, by arithmetic on rational functions.
+  p(X)/(c (X-1)^r) (``_MonomialImage`` says why).  Any other value, 0
+  included, is substituted term by term, by arithmetic on rational
+  functions.
 * An ``int`` or ``Fraction`` operand is not lifted to the variables.  A
   product with it rescales the numerator and the content; a sum adds it as
   the value p/q over the same variables, which has no factors, so only the
@@ -742,8 +743,9 @@ class _Plan:
 
 
 class _MonomialImage:
-    """Substitution of X by 0 or by a Laurent monomial A/B with coefficient
-    1 (A and B coprime monomials), in values over any tuple containing X.
+    """Substitution of X by a Laurent monomial A/B with coefficient 1 (A
+    and B coprime monomials, both 1 for X -> 1), in values over any tuple
+    containing X.
 
     A value N / (c prod f_j^e_j) maps to a value over T, the other
     variables of its tuple and those of A/B.  For a polynomial F of
@@ -759,8 +761,7 @@ class _MonomialImage:
     s_j f_j~ is factorised over T's registry once per image and (source
     tuple, j); a factor free of X is itself over T, still irreducible, and
     is not factorised again.  An f_j~ that vanishes raises
-    ZeroDivisionError.  For X -> 0, f~ keeps the terms free of X and there
-    is no B.
+    ZeroDivisionError.
 
     Only a factor of the new denominator can divide s N~, so it is
     trial-divided by the factors with a positive exponent, except for
@@ -777,12 +778,9 @@ class _MonomialImage:
     @staticmethod
     def of(name, value) -> "_MonomialImage | None":
         """The image for X = ``name`` -> ``value`` (trimmed), or None
-        unless ``value`` is 0 or a Laurent monomial with coefficient 1."""
-        if not value.vars:
-            if value._num in (0, 1):    # X -> 0 has no A and B; 1 is 1/1
-                ab = 0 if value._num else None
-                return _MonomialImage(name, value, ab, ab)
-            return None
+        unless ``value`` is a Laurent monomial with coefficient 1."""
+        if not value.vars:     # 1 is 1/1; other constants go term by term
+            return _MonomialImage(name, value, 0, 0) if value._num == 1 else None
         if value._fac[0] != 1 or len(value._num) != 1:
             return None
         (a, coeff), = value._num.items()
@@ -796,7 +794,7 @@ class _MonomialImage:
 
     def __init__(self, name, value, a, b):
         self.name, self.value = name, value
-        self.a, self.b = a, b   # packed over value.vars; None for X -> 0
+        self.a, self.b = a, b   # packed over value.vars
         self.plans = {}         # source tuple -> _Plan
 
     def _plan(self, src) -> _Plan:
@@ -822,7 +820,7 @@ class _MonomialImage:
                           for v in others]
         else:
             plan.at = sreg.index(_X_MINUS_ONE)
-        if self.a is not None and vnames:
+        if vnames:
             plan.a, plan.b = self.a, self.b
             if plan.names != vnames:
                 pos = [plan.names.index(v) for v in vnames]
@@ -847,12 +845,9 @@ class _MonomialImage:
                           for m, coeff in f.items()}, plan.reg)
         sx, gx, stop, dtop, pairs = (plan.sx, plan.gx, plan.stop, plan.dtop,
                                      plan.pairs)
-        zero = self.a is None
         out = {}
         for m, coeff in f.items():
             e = (m >> sx) & _FIELD
-            if zero and e:
-                continue
             t = base + e * step
             if pairs:
                 m -= e * gx
@@ -917,20 +912,17 @@ class _MonomialImage:
                         den[i] += e * x
                 else:
                     den = [e * x for x in fexps]
-        if self.a is None:
-            num = self._poly(plan, num, 0, 0, sign)
-        else:
-            d = self._degree(plan, num)
-            k -= d
-            num = self._poly(plan, num, d, max(k, 0) * plan.b, sign)
-            if k < 0 and plan.b:
-                # B^-k below the line, as its variables
-                reg = plan.reg
-                for v, x in enumerate(reg.pk.unpack(plan.b)):
-                    if x:
-                        i = reg.index({reg.pk.gens[v]: 1})
-                        den += [0] * (i + 1 - len(den))
-                        den[i] -= x * k
+        d = self._degree(plan, num)
+        k -= d
+        num = self._poly(plan, num, d, max(k, 0) * plan.b, sign)
+        if k < 0 and plan.b:
+            # B^-k below the line, as its variables
+            reg = plan.reg
+            for v, x in enumerate(reg.pk.unpack(plan.b)):
+                if x:
+                    i = reg.index({reg.pk.gens[v]: 1})
+                    den += [0] * (i + 1 - len(den))
+                    den[i] -= x * k
         if plan.reg is None:
             return RatFunc((), Fraction(num.get(0, 0), unit))
         if not num:
@@ -1279,10 +1271,10 @@ class RatFunc:
     def substitution(name: str, value: "RatFunc"):
         """The map c -> c.subs_var(name, value), set up once for many c.
 
-        When ``value`` is 0 or a Laurent monomial A/B with coefficient 1,
-        every c maps by packed exponents, and each denominator factor's
-        image is found once per map (see ``_MonomialImage``); any other
-        ``value`` is substituted term by term.
+        When ``value`` is a Laurent monomial A/B with coefficient 1, 1
+        included, every c maps by packed exponents, and each denominator
+        factor's image is found once per map (see ``_MonomialImage``); any
+        other ``value``, 0 among them, is substituted term by term.
         """
         value = value.trim()
         image = _MonomialImage.of(name, value)
@@ -1318,13 +1310,6 @@ class RatFunc:
         factors = _registry(self.vars).factors
         return all(len(factors[i]) == 1
                    for i, e in enumerate(self._fac[1]) if e)
-
-    def denom_monomial_exponent(self, name: str) -> int:
-        """Exponent of ``name`` in a monomial denominator."""
-        terms = self.denom_terms()
-        if len(terms) != 1:
-            raise ValueError("denominator is not a monomial")
-        return terms[0][0].get(name, 0)
 
     def remove_denominator_factor(self, factor: "RatFunc"):
         """Return (k, rest) with self = rest / factor^k and factor not dividing

@@ -16,12 +16,12 @@ sum_{0<i<l} g_i S_{l-i}, whose right side holds only lower orders; each
 theta^m g_i is computed once.  A gate checks rhs_l = sum_{i<=l} g_i S_{l-i}
 at every order by exact equality.
 
-The solution is checked against an independent series oracle: the same
-equation solved as a plain power series in z and h, in exact integers
-(each h-order l scaled by s^l * l!, so products are binomial-weighted
-convolutions).  Each h-order n/d of the rational solution must have
-integer coefficients and satisfy d * oracle = n up to the oracle's
-z-degree.
+Each h-order n/d of the solution must have integer coefficients, and
+three facts are read from their lists by z-degree: d is c (z - 1)^r;
+n(0)/d(0) is 1 at h^0 and 0 above; and d * oracle = n up to the oracle's
+z-degree, where the oracle is the same equation solved independently, as
+a plain power series in z and h in exact integers (each h-order l scaled
+by s^l * l!, so products are binomial-weighted convolutions).
 
 The R-matrix is R(x) = e^{(1+2kappa)h/2} g1(x) R+(x), where
 
@@ -230,7 +230,6 @@ class Normalizer:
     ltd: LieTypeData
     L: int
     g1: HSeries            # rational per h-order, ring variable "z"
-    parts: tuple           # ((l, p_l: RatFunc, r_l: int), ...)
     oracle_degree: int
 
     @cached_property
@@ -296,28 +295,9 @@ def _solve_normalizer_cached(ltd, L, dz) -> Normalizer:
         g.append((rhs[l] - known) * half_inv_g0)
         shifted.append(tail + g[l])
     _check_functional_equation(g, shifted, rhs)
-
-    parts = []
-    at_zero = RatFunc.substitution("z", RatFunc.zero())
-    for l, cl in enumerate(g):
-        if cl.is_zero():
-            parts.append((l, RatFunc.zero(), 0))
-            continue
-        rl, rest = cl.remove_denominator_factor(1 - RatFunc.var("z"))
-        if not rest.denom_is_monomial() or rest.denom_monomial_exponent("z") != 0:
-            raise NormalizerError(
-                f"h^{l} coefficient denominator is not a power of (1-z): {cl}")
-        parts.append((l, rest, rl))
-        # constant term 1 at z = 0 (at l = 0), 0 at higher orders
-        at0 = at_zero(cl)
-        if at0 != (1 if l == 0 else 0):
-            raise NormalizerError(
-                f"h^{l} coefficient is {at0} at z = 0, "
-                f"expected {1 if l == 0 else 0}")
-
     g = HSeries(caps, {(l,): cl for l, cl in enumerate(g)})
     _check_against_oracle(g, kappa, L, dz)
-    return Normalizer(ltd, L, g, tuple(parts), dz)
+    return Normalizer(ltd, L, g, dz)
 
 
 def _check_functional_equation(g: list, shifted: list, rhs: list):
@@ -414,18 +394,27 @@ def _z_coeffs(terms, cl) -> list:
 
 
 def _check_against_oracle(g: HSeries, kappa, L: int, dz: int):
-    """Raise NormalizerError unless every h-order n/d of ``g``, expanded in
-    z up to z^dz, equals the integer oracle's: d * G[l] = s^l l! n there,
-    with d(0) != 0 so that the expansion exists."""
+    """Raise NormalizerError unless every h-order n/d of ``g`` has the
+    integer coefficient lists by z-degree that the oracle predicts.  Three
+    facts are read from the two lists: d = c (z - 1)^r, so the order's only
+    pole is at z = 1; n(0)/d(0) is 1 at h^0 and 0 above; and up to z^dz the
+    expansion equals the oracle's, d * G[l] = s^l l! n there."""
     s, G = _integer_oracle(kappa, L, dz)
     for l in range(L):
         cl = g.coeff({"h": l})
-        num = _z_coeffs(cl.numer_terms(), cl)
+        num = _z_coeffs(cl.numer_terms(), cl) + [0] * (dz + 1)
         den = _z_coeffs(cl.denom_terms(), cl)
-        if not den[0]:
-            raise NormalizerError(f"h^{l} coefficient has a pole at z = 0")
+        r = len(den) - 1
+        if den != [den[r] * comb(r, k) * (-1) ** (r - k)
+                   for k in range(r + 1)]:
+            raise NormalizerError(
+                f"h^{l} coefficient denominator is not a power of (1-z): {cl}")
+        want = 1 if l == 0 else 0
+        if num[0] != want * den[0]:
+            raise NormalizerError(
+                f"h^{l} coefficient is {Fraction(num[0], den[0])} at z = 0, "
+                f"expected {want}")
         scale = s ** l * factorial(l)
-        num += [0] * (dz + 1 - len(num))
         if _zmul(den, G[l], dz) != [scale * n for n in num[:dz + 1]]:
             raise NormalizerError(
                 f"series oracle disagrees with the rational solution "

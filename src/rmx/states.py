@@ -47,7 +47,7 @@ from fractions import Fraction
 
 from .hseries import Caps, HSeries, _add_into, _join
 from .ratfunc import RatFunc
-from .rmatrix import Arg, diag_op, m_diag, rhat_inv, rmatrix
+from .rmatrix import Arg, m_diag, rhat_inv, rmatrix
 from .tensorop import TensorOp, _layout, _mover, _operator
 
 __all__ = ["FreeState", "Term", "arg_sum", "arg_diff", "arg_h"]
@@ -351,7 +351,8 @@ class FreeState:
     def _crossing_chain(self, first, factors, wslots):
         """The crossing factor on ``wslots`` operator slots: M^{-1} on the
         ``first`` slots, the R-matrices transposed in their first slot at
-        the ``(arg, slots)`` factors, then M on ``first``.
+        the ``(arg, slots)`` factors, then M on ``first``, formed as the
+        chain conjugated by M in each first slot.
 
         With the twisted transposition (e_ij -> eps_i eps_j e_{j'i'}) M
         transposes to its own inverse, which exchanges the roles of M and
@@ -360,14 +361,13 @@ class FreeState:
         (verified by the round-trip, unitarity and weak-associativity
         tests)."""
         N, caps, ltd = self.ltd.N, self.caps, self.ltd
+        out = TensorOp.chain(N, wslots, caps, [
+            (rmatrix(ltd, self.norm, a, caps).transpose_slot(1, ltd), slots)
+            for a, slots in factors])
         md = m_diag(ltd, caps)
-        diag = diag_op(N, caps, md)
-        diag_inv = diag_op(N, caps, [d.inv() for d in md])
-        return TensorOp.chain(N, wslots, caps, [
-            *((diag_inv, (i,)) for i in first),
-            *((rmatrix(ltd, self.norm, a, caps).transpose_slot(1, ltd), slots)
-              for a, slots in factors),
-            *((diag, (i,)) for i in first)])
+        for i in first:
+            out = out.conj_diag(md, i, -1)
+        return out
 
     def _crossing(self, first, factors, wslots, bomega):
         """The crossing half of the inverse lowering operator and of the

@@ -1,5 +1,6 @@
 """``tools/frontier_ab.py`` end to end, with this checkout on both sides."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,8 +19,10 @@ def test_one_checkout_against_itself_agrees():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[1] == "ybe_hat --order 1"
-    # one median line per side, base first
-    assert [line.split()[0] for line in lines[2:]] == ["base", "change"]
+    # one median line per side, base first, then the pairs won
+    assert [line.split()[0] for line in lines[2:]] == ["base", "change",
+                                                       "won"]
+    assert re.fullmatch(r"  won    \d+ of 10 pairs by change", lines[4])
     assert "REPORTS DIFFER" not in proc.stdout
 
 

@@ -51,6 +51,18 @@ rhs = _rhs_product(ltd.kappa, {"h": 3},
 shifted = [c + _shift_tail(bad, {}, ltd.kappa, j) for j, c in enumerate(bad)]
 # a plain non-integer constant as the normaliser's h^0 coefficient
 half = HSeries.const(Fraction(1, 2), {"h": 1})
+# the normaliser's h-orders; with_h1 replaces the h^1 coefficient
+g3 = [solve_normalizer(ltd, L=3).g1.coeff({"h": l}) for l in range(3)]
+
+def with_h1(c1):
+    return HSeries({"h": 3}, {(0,): g3[0], (1,): c1, (2,): g3[2]})
+
+def message(fn):
+    try:
+        fn()
+    except NormalizerError as exc:
+        return str(exc)
+    return ""
 two = TensorOp.identity(2, 2, caps)
 pure = FreeState.pure(ltd, solve_normalizer(ltd, L=2), caps, 1,
                       [[Arg.make(Z)], [Arg.make(RatFunc.var("Y"))]])
@@ -73,6 +85,10 @@ print(raises(lambda: CheckReport("x", {}, "pass", 1, None, 0)),
       raises(lambda: _check_functional_equation(
           bad, shifted, [rhs.coeff({"h": l}) for l in range(3)])),
       raises(lambda: _check_against_oracle(half, ltd.kappa, 1, 10)),
+      "not a power of (1-z)" in message(lambda: _check_against_oracle(
+          with_h1(g3[1] / (1 + RatFunc.var("z"))), ltd.kappa, 3, 10)),
+      "at z = 0" in message(lambda: _check_against_oracle(
+          with_h1(g3[1] + 1), ltd.kappa, 3, 10)),
       main(["check", "ybe_hat", "--order", "0"]) == 64,
       raises(lambda: parse_script("type C 1\\norder 2\\nslots 2\\n"
                                   "check M[3] == 1\\n"), ScriptError),
@@ -122,4 +138,4 @@ def test_gates_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", GATES], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True"] * 20
+    assert out.stdout.split() == ["True"] * 22

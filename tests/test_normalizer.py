@@ -52,13 +52,14 @@ def test_value_at_origin(family, n):
 @pytest.mark.parametrize("family,n", [("B", 1), ("C", 1), ("D", 2)])
 def test_denominators_are_powers_of_one_minus_z(family, n):
     norm = solve_normalizer(lie_type_data(family, n), L=4)
-    for l, p, r in norm.parts:
-        reconstructed = p / ((1 - z) ** r)
-        assert reconstructed == norm.g1.coeff({"h": l})
-        if not p.is_zero():
-            # p carries no remaining (1 - z) factor: r is the recorded power
-            k, _ = p.remove_denominator_factor(1 - z)
-            assert k == 0
+    for l in range(4):
+        cl = norm.g1.coeff({"h": l})
+        r, p = cl.remove_denominator_factor(1 - z)
+        assert p / ((1 - z) ** r) == cl
+        # p carries no remaining (1 - z) factor, nor any other
+        assert p.remove_denominator_factor(1 - z)[0] == 0
+        (md, _), = p.denom_terms()
+        assert not md
 
 
 def test_evaluation_at_shifted_argument():
@@ -298,4 +299,25 @@ def test_oracle_gate_rejects_a_non_integer_coefficient():
     bad = HSeries({"h": 3}, {(0,): g.coeff({}), (1,): g.coeff({"h": 1}),
                              (2,): Fraction(1, 2)})
     with pytest.raises(NormalizerError, match="not an integer"):
+        _check_against_oracle(bad, ltd.kappa, 3, 10)
+
+
+def _with_h1(g: HSeries, L: int, c1) -> HSeries:
+    """``g``, capped at h^L, with its h^1 coefficient replaced by ``c1``."""
+    coeffs = [g.coeff({"h": l}) for l in range(L)]
+    coeffs[1] = c1
+    return HSeries({"h": L}, {(l,): c for l, c in enumerate(coeffs)})
+
+
+@pytest.mark.parametrize("family,n", [("B", 1), ("C", 1), ("D", 2)])
+@pytest.mark.parametrize("perturb,message", [
+    (lambda c: c / (1 + z),
+     r"^h\^1 coefficient denominator is not a power of \(1-z\): "),
+    (lambda c: c + 1, r"^h\^1 coefficient is 1 at z = 0, expected 0$"),
+], ids=["one_plus_z", "one_at_zero"])
+def test_oracle_gate_rejects_a_wrong_shape(family, n, perturb, message):
+    ltd = lie_type_data(family, n)
+    g = solve_normalizer(ltd, L=3).g1
+    bad = _with_h1(g, 3, perturb(g.coeff({"h": 1})))
+    with pytest.raises(NormalizerError, match=message):
         _check_against_oracle(bad, ltd.kappa, 3, 10)

@@ -9,7 +9,7 @@ from rmx import states
 from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
-from rmx.rmatrix import Arg, solve_normalizer
+from rmx.rmatrix import Arg, diag_op, m_diag, rmatrix, solve_normalizer
 from rmx.states import FreeState, arg_diff, arg_h, arg_sum
 from rmx.tensorop import TensorOp
 
@@ -179,6 +179,37 @@ def test_tminus_inv_chain_matches_matrix_oracle(family, n, L, k):
     word = tuple(ring(f"V{i}") for i in range(1, k + 1))
     assert st._tminus_inv_omega(word, u) == \
         _invert_omega(st._tminus_omega(word, u), k)
+
+
+def _crossing_chain_by_products(st, first, factors, wslots):
+    """The crossing factor as an explicit chain of products: diag(M)^{-1}
+    on each ``first`` slot, the R-matrices transposed in their first slot,
+    then diag(M) on each ``first`` slot."""
+    ltd, caps = st.ltd, st.caps
+    md = m_diag(ltd, caps)
+    diag = diag_op(ltd.N, caps, md)
+    diag_inv = diag_op(ltd.N, caps, [d.inv() for d in md])
+    return TensorOp.chain(ltd.N, wslots, caps, [
+        *((diag_inv, (i,)) for i in first),
+        *((rmatrix(ltd, st.norm, a, caps).transpose_slot(1, ltd), slots)
+          for a, slots in factors),
+        *((diag, (i,)) for i in first)])
+
+
+@pytest.mark.parametrize("family,n", [("C", 1), ("B", 1), ("D", 2)])
+@pytest.mark.parametrize("first", [(1,), (1, 2)])
+def test_crossing_chain_matches_diagonal_products(family, n, first):
+    # the transposed chain of the inverse lowering operator on a two-letter
+    # word, the operator in slot 3; M changes an off-diagonal entry, O(h),
+    # first at h^2
+    ltd = lie_type_data(family, n)
+    st = FreeState.vacuum(ltd, solve_normalizer(ltd, L=3), {"h": 3}, 1)
+    u = ring("U")
+    factors = [(arg_h(arg_diff(ring(f"V{i}"), u), -ltd.kappa), (i, 3))
+               for i in (2, 1)]
+    got = st._crossing_chain(first, factors, 3)
+    assert got == _crossing_chain_by_products(st, first, factors, 3)
+    assert got != _crossing_chain_by_products(st, (), factors, 3)
 
 
 # The roundtrips run at L=3: a sign flip of the hc/2 shift in the inverse

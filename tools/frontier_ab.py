@@ -8,10 +8,11 @@ Each quoted argument is the argument list of one ``rmx check`` run.  For
 each check the two checkouts run alternately, BASE first, ``RUNS`` times
 each, every run a fresh interpreter with the checkout's ``src`` on
 ``PYTHONPATH``.  The script prints the raw median, low and high of the
-reports' ``elapsed_ms`` per checkout, in seconds, and the change of the
-median.  Raw means that no calibration rescales the times: compare the
-two columns of one invocation only, since the machine's speed drifts
-between invocations.
+reports' ``elapsed_ms`` per checkout, in seconds, the change of the
+median, and in how many of the ``RUNS`` alternating pairs (the i-th run
+of each checkout) CHANGE was faster than BASE.  Raw means that no
+calibration rescales the times: compare the two columns of one
+invocation only, since the machine's speed drifts between invocations.
 
 Exit status: 0 when every report of a check, its ``elapsed_ms`` aside,
 equals every other report of that check in both checkouts; 1 when one
@@ -32,7 +33,7 @@ import sys
 from pathlib import Path
 
 USAGE_EXIT = 64
-RUNS = 3
+RUNS = 10
 RUN = "import sys; from rmx.cli import main; sys.exit(main())"
 
 
@@ -84,8 +85,10 @@ def main(argv=None) -> int:
                 reports.setdefault(report, set()).add(side)
                 times[side].append(seconds)
         base, change = (statistics.median(t) for t in times)
+        won = sum(c < b for b, c in zip(*times))
         print(f"{check}\n  base   {spread(times[0])}\n  change "
-              f"{spread(times[1])}  ({(change - base) / base:+.1%})")
+              f"{spread(times[1])}  ({(change - base) / base:+.1%})\n"
+              f"  won    {won} of {RUNS} pairs by change")
         if len(reports) > 1:
             differ = True
             print("  REPORTS DIFFER:")
