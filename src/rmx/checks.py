@@ -25,8 +25,7 @@ from .script import evaluate_sides, parse_script
 from .tensorop import TensorOp
 
 __all__ = ["CHECKS", "CHECK_NAMES", "builtin_check", "evaluate",
-           "correspondence_check", "prefactor_substitute", "clear_pole",
-           "pole_order", "PolynomialityError"]
+           "correspondence_check", "prefactored_verdict", "pole_order"]
 
 CHECKS = {}     # check name -> check function
 
@@ -44,10 +43,6 @@ def register(name):
         CHECKS[name] = check
         return body
     return add
-
-
-class PolynomialityError(RuntimeError):
-    """Prefactor too small: a coefficient is not polynomial/Laurent as required."""
 
 
 def _context(family, n, L, caps_extra=None):
@@ -171,35 +166,6 @@ def _check_csuni(family, n, L, k=1, c=Fraction(1)):
 
 # ------------------------------------------------- prefactor calculus
 
-def _coeff_is_poly_x_laurent_y(coeff: RatFunc, xname: str, yname: str) -> bool:
-    if not coeff.denom_is_monomial():
-        return False
-    terms = coeff.denom_terms()
-    (md, _), = terms
-    return all(v == yname for v in md)
-
-
-def prefactor_substitute(op: TensorOp, r: int, xname: str, yname: str,
-                         zname: str) -> TensorOp:
-    """Multiply by (x-y)^r, verify each coefficient is polynomial in x and
-    Laurent in y, then substitute y = x*z exactly.
-
-    Raises PolynomialityError if any coefficient fails the shape test; the
-    substitution is only defined on the verified decomposition.
-    """
-    x = RatFunc.var(xname)
-    y = RatFunc.var(yname)
-    scaled = op.scale((x - y) ** r)
-    for key, series in scaled.items():
-        for k, coeff in series.terms.items():
-            if not _coeff_is_poly_x_laurent_y(coeff, xname, yname):
-                raise PolynomialityError(
-                    f"entry {key}, monomial {series.caps.monos[k]}: "
-                    f"coefficient {coeff} is "
-                    f"not polynomial in {xname} / Laurent in {yname}")
-    return scaled.subs_ring_var(yname, x * RatFunc.var(zname))
-
-
 def pole_order(coeffs, factor: RatFunc) -> int:
     """The largest multiplicity of the polynomial ``factor`` in the
     denominator of any of ``coeffs``."""
@@ -207,25 +173,32 @@ def pole_order(coeffs, factor: RatFunc) -> int:
                default=0)
 
 
-def clear_pole(op: TensorOp, r_start: int, r_max: int, xname: str,
-               yname: str, zname: str):
-    """(r, prefactor_substitute(op, r, ...)) for the least admissible r in
-    r_start..r_max, or None if there is none.
+def prefactored_verdict(obj, coeffs, x, y, z, rhs, r_max, r_start=0,
+                        power=1):
+    """The verdict of ``obj`` (an operator or a state whose coefficients
+    are the list ``coeffs``) times (x-y)^(power*r), with y = x*z
+    substituted, against ``rhs(r)``, for the least admissible r; the pass
+    witness is "r=<r>".
 
-    Scaling by (x-y)^r clears x - y from a denominator exactly when r is at
-    least its multiplicity there, and it cannot remove any other factor, so
-    the least admissible r is r* = max(r_start, the largest multiplicity),
-    or there is none.
+    r is admissible when r_start <= r <= r_max and every coefficient times
+    (x-y)^(power*r) is polynomial in x and Laurent in y: its denominator is
+    a monomial in y alone.  The power clears x - y from a denominator
+    exactly when power*r is at least its multiplicity there, and removes no
+    other factor, so the least admissible r is r* = max(r_start,
+    ceil(largest multiplicity / power)), or none is, and the verdict is
+    "inconclusive".  This is the one shape gate and substitution of both
+    prefactored checks: ``correspondence_check`` clears at power 1 and
+    ``weak_assoc_chain`` at power 2.
     """
-    x, y = RatFunc.var(xname), RatFunc.var(yname)
-    r = max(r_start, pole_order(
-        (c for s in op.entries.values() for c in s.terms.values()), x - y))
-    if r > r_max:
-        return None
-    try:
-        return r, prefactor_substitute(op, r, xname, yname, zname)
-    except PolynomialityError:
-        return None
+    xv, yv = RatFunc.var(x), RatFunc.var(y)
+    r = max(r_start, -(-pole_order(coeffs, xv - yv) // power))
+    if r <= r_max:
+        f = (xv - yv) ** (power * r)
+        if all((c * f).denom_is_monomial_in(y) for c in coeffs):
+            verdict, count, witness = _verdict(*obj.scale(f).subs_ring_var(
+                y, xv * RatFunc.var(z)).residual(rhs(r)))
+            return verdict, count, f"r={r}" if verdict == "pass" else witness
+    return "inconclusive", 0, f"no admissible prefactor exponent r <= {r_max}"
 
 
 def correspondence_check(family, n, alpha, a=2, b=2, l=3, r_start=0,
@@ -241,24 +214,18 @@ def correspondence_check(family, n, alpha, a=2, b=2, l=3, r_start=0,
 
     def run():
         ltd, norm, caps = _context(family, n, l, {"u": a, "v": b})
-        x = RatFunc.var("x")
-        y = RatFunc.var("y")
+        x, y, z0 = RatFunc.var("x"), RatFunc.var("y"), RatFunc.var("Z0")
         lhs_raw = rmatrix(ltd, norm, Arg.make(
             x / y, {"u": 1, "v": -1, "h": alpha}), caps)
-        found = clear_pole(lhs_raw, r_start, r_max, "x", "y", "Z0")
-        if found is None:
-            return ("inconclusive", 0,
-                    f"no admissible prefactor exponent r <= {r_max}")
-        r, lhs = found
-        z0 = RatFunc.var("Z0")
-        rhs = rmatrix(ltd, norm, Arg.make(
-            1 / z0, {"u": 1, "v": -1, "h": alpha}), caps)
-        rhs = rhs.scale(x ** r * (1 - z0) ** r)
-        verdict, count, witness = _verdict(*lhs.residual(rhs))
-        if verdict == "pass":
-            witness = f"r={r}"
-            return "pass", 0, witness
-        return verdict, count, witness
+
+        def rhs(r):
+            return rmatrix(ltd, norm, Arg.make(
+                1 / z0, {"u": 1, "v": -1, "h": alpha}), caps).scale(
+                    x ** r * (1 - z0) ** r)
+        return prefactored_verdict(
+            lhs_raw, [c for s in lhs_raw.entries.values()
+                      for c in s.terms.values()],
+            "x", "y", "Z0", rhs, r_max, r_start)
 
     return timed_report("correspondence", params, run)
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .checks import (CHECKS, _context, _verdict, builtin_check, pole_order,
-                     register)
+from .checks import (CHECKS, _context, _verdict, builtin_check,
+                     prefactored_verdict, register)
 from .ratfunc import RatFunc
 from .report import CheckReport, timed_report
 from .rmatrix import Arg, m_diag, rmatrix
@@ -190,21 +190,6 @@ def _check_hexagon(family, n, L, c=Fraction(1)):
 
 # ------------------------------------------------- weak associativity
 
-def _clearing_exponent(coeffs: list, factor: RatFunc, r_max: int):
-    """The least r <= r_max such that every coefficient times factor^(2r)
-    has a monomial denominator, or None.
-
-    factor^(2r) clears a pole of order k exactly when 2r >= k, and it
-    removes no other factor, so r* = ceil(k/2) for the largest order k is
-    admissible or none is.
-    """
-    r = -(-pole_order(coeffs, factor) // 2)
-    if r > r_max:
-        return None
-    f = factor ** (2 * r)
-    return r if all((c * f).denom_is_monomial() for c in coeffs) else None
-
-
 def _weak_assoc_reordered(three, xu, yv, shift):
     """The direct composition of the two vertex maps on ``three`` reordered
     through the exchange relations, for the outer arguments ``xu`` and
@@ -251,23 +236,14 @@ def _weak_assoc_run(family, n, L, c, cap_uv, r_max):
     # composition through the intermediate vertex map
     composed = three.merge_y(1, 2, z0).merge_y(1, 2, z2)
 
-    z1v, z2v, z0v = (RatFunc.var(nn) for nn in ("Z1", "Z2", "Z0"))
-
-    r = _clearing_exponent([c for t in direct.terms
-                            for s in t.coeff.entries.values()
-                            for c in s.terms.values()], z1v - z2v, r_max)
-    if r is None:
-        return ("inconclusive", 0,
-                f"no admissible prefactor exponent r <= {r_max}")
-
-    substituted = direct.scale((z1v - z2v) ** (2 * r)).subs_ring_var(
-        "Z1", z2v * z0v)
-    scaled = composed.map_entries(
-        lambda s: s * (z2v ** (2 * r) * (z0v - 1) ** (2 * r)))
-    verdict, count, witness = _verdict(*substituted.residual(scaled))
-    if verdict == "pass":
-        witness = f"r={r}"
-    return verdict, count, witness
+    def rhs(r):
+        return composed.map_entries(
+            lambda s: s * (z2.mono ** (2 * r) * (z0.mono - 1) ** (2 * r)))
+    # (Z2 - Z1)^(2r) = (Z1 - Z2)^(2r) clears the pole along Z1 = Z2
+    return prefactored_verdict(
+        direct, [k for t in direct.terms for s in t.coeff.entries.values()
+                 for k in s.terms.values()],
+        "Z2", "Z1", "Z0", rhs, r_max, power=2)
 
 
 def weak_assoc_chain(family, n, L=2, c=Fraction(0), cap_uv=2,
@@ -276,7 +252,13 @@ def weak_assoc_chain(family, n, L=2, c=Fraction(0), cap_uv=2,
     composition through the intermediate map after clearing the pole in
     the difference of the two outer arguments and substituting their
     ratio, coefficientwise mod the caps; the reordered exchange-relation
-    form of the direct side is verified along the way."""
+    form of the direct side is verified along the way.
+
+    The pole is cleared by ``checks.prefactored_verdict``, the route of the
+    correspondence check too, at (Z1 - Z2)^(2r) with Z1 = Z2*Z0: it takes
+    the least r whose cleared coefficients all have a denominator that is a
+    monomial in Z1 alone, and the verdict is "inconclusive" when no r <=
+    ``r_max`` does."""
     params = {"family": family, "n": n, "L": L, "c": Fraction(c),
               "cap_uv": cap_uv, "r_max": r_max}
     return timed_report("weak_assoc_chain", params,

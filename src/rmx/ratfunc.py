@@ -44,8 +44,9 @@ its factorization over a registry, so equality and hashing are structural.
 It is exactly the form sympy's ``cancel`` returns.  The expanded
 denominator is built only where it is needed: by ``denom_terms`` (and
 through it ``repr``, ``to_data`` and failure witnesses) and as the
-numerator of a reciprocal.  ``denom_is_monomial`` and
-``remove_denominator_factor`` read the factorization.
+numerator of a reciprocal.  ``denom_is_monomial``,
+``denom_is_monomial_in`` and ``remove_denominator_factor`` read the
+factorization.
 
 No operation reduces by a polynomial gcd.  Each cancels by exact trial
 division against the registry's factors only, then divides out the joint
@@ -81,15 +82,15 @@ integer content:
   Negative powers and the term-by-term substitution (of X by any value
   that is not a Laurent monomial) divide this way, and ``substitution``
   factors the image of each denominator factor; nothing else factors.
-* ``substitution`` of X by a Laurent monomial A/B with coefficient 1,
-  which ``subs_var`` uses for such values, maps each term
+* ``substitution`` of X by a nonconstant Laurent monomial A/B with
+  coefficient 1, which ``subs_var`` uses for such values, maps each term
   p X^e rest of the numerator to p rest A^e B^(d-e) by packed exponents,
   d the numerator's X-degree.  Each denominator factor maps the same way
   once per map and is factored over the new variables; the net power of
   B moves to the numerator or the denominator, and the numerator is
   tried only against the factors of the new denominator, not at all for
   p(X)/(c (X-1)^r) (``_MonomialImage`` says why).  Any other value, 0
-  included, is substituted term by term, by arithmetic on rational
+  and 1 included, is substituted term by term, by arithmetic on rational
   functions.
 * An ``int`` or ``Fraction`` operand is not lifted to the variables.  A
   product with it rescales the numerator and the content; a sum adds it as
@@ -193,7 +194,7 @@ def _overflow(m, pk):
 def _fits(poly, reg):
     """``poly``, over ``reg``'s packing; ValueError if a total degree
     overflowed its field."""
-    if poly and reg is not None and max(poly) >= reg.pk.limit:
+    if poly and max(poly) >= reg.pk.limit:
         raise _overflow(max(poly), reg.pk)
     return poly
 
@@ -732,20 +733,19 @@ def _diff(a, i):
 
 class _Plan:
     """What mapping values over one source tuple needs: the target tuple
-    and its registry (None for no variables), the source field of X, the
-    moves of the other source fields, A and B packed over the target, the
-    images of the source registry's factors met so far, and, when X is the
-    only source variable and A/B is not constant, the index ``at`` of
-    X - 1."""
+    and its registry, the source field of X, the moves of the other source
+    fields, A and B packed over the target, the images of the source
+    registry's factors met so far, and, when X is the only source
+    variable, the index ``at`` of X - 1."""
 
     __slots__ = ("names", "reg", "sx", "gx", "stop", "dtop", "pairs", "a",
                  "b", "at", "images")
 
 
 class _MonomialImage:
-    """Substitution of X by a Laurent monomial A/B with coefficient 1 (A
-    and B coprime monomials, both 1 for X -> 1), in values over any tuple
-    containing X.
+    """Substitution of X by a nonconstant Laurent monomial A/B with
+    coefficient 1 (A and B coprime monomials, not both 1), in values over
+    any tuple containing X.  X -> 1, like X -> 0, goes term by term.
 
     A value N / (c prod f_j^e_j) maps to a value over T, the other
     variables of its tuple and those of A/B.  For a polynomial F of
@@ -765,12 +765,12 @@ class _MonomialImage:
 
     Only a factor of the new denominator can divide s N~, so it is
     trial-divided by the factors with a positive exponent, except for
-    p(X)/(c (X-1)^r) under a nonconstant A/B, where N~ is divisible by no
-    factor q of A - B, since N~ = B^d p(1) != 0 where A = B and p(1) != 0
-    when r > 0, nor by any variable of B, since N~ = p_d A^d != 0 where
-    that variable vanishes.  Nor is that result trimmed: unless it is a
-    constant, N~ holds A^d and the denominator (A - B)^r, and B^k sits on
-    one side when k != 0.  The joint integer content is divided out.
+    p(X)/(c (X-1)^r), where N~ is divisible by no factor q of A - B, since
+    N~ = B^d p(1) != 0 where A = B and p(1) != 0 when r > 0, nor by any
+    variable of B, since N~ = p_d A^d != 0 where that variable vanishes.
+    Nor is that result trimmed: unless it is a constant, N~ holds A^d and
+    the denominator (A - B)^r, and B^k sits on one side when k != 0.  The
+    joint integer content is divided out.
     """
 
     __slots__ = ("name", "value", "a", "b", "plans")
@@ -778,10 +778,9 @@ class _MonomialImage:
     @staticmethod
     def of(name, value) -> "_MonomialImage | None":
         """The image for X = ``name`` -> ``value`` (trimmed), or None
-        unless ``value`` is a Laurent monomial with coefficient 1."""
-        if not value.vars:     # 1 is 1/1; other constants go term by term
-            return _MonomialImage(name, value, 0, 0) if value._num == 1 else None
-        if value._fac[0] != 1 or len(value._num) != 1:
+        unless ``value`` is a nonconstant Laurent monomial with coefficient
+        1."""
+        if not value.vars or value._fac[0] != 1 or len(value._num) != 1:
             return None
         (a, coeff), = value._num.items()
         reg = _registry(value.vars)
@@ -807,25 +806,20 @@ class _MonomialImage:
         sreg = _registry(src)
         spk = sreg.pk
         plan.sx, plan.gx, plan.stop = spk.shifts[i], spk.gens[i], spk.top
-        plan.reg, plan.pairs, plan.a, plan.b = None, None, 0, 0
-        plan.dtop, plan.at, plan.images = 0, None, {}
-        if not plan.names:
-            return plan
-        plan.reg = reg = _registry(plan.names)
-        pk = reg.pk
-        plan.dtop = pk.top
+        plan.reg = _registry(plan.names)
+        pk = plan.reg.pk
+        plan.dtop, plan.pairs, plan.at, plan.images = pk.top, None, None, {}
         if others:
             names = plan.names
             plan.pairs = [(spk.shifts[src.index(v)], pk.shifts[names.index(v)])
                           for v in others]
         else:
             plan.at = sreg.index(_X_MINUS_ONE)
-        if vnames:
-            plan.a, plan.b = self.a, self.b
-            if plan.names != vnames:
-                pos = [plan.names.index(v) for v in vnames]
-                plan.a, plan.b = (next(iter(_moved({m: 1}, _packing(len(
-                    vnames)), pk, pos))) for m in (self.a, self.b))
+        plan.a, plan.b = self.a, self.b
+        if plan.names != vnames:
+            pos = [plan.names.index(v) for v in vnames]
+            plan.a, plan.b = (next(iter(_moved({m: 1}, _packing(len(
+                vnames)), pk, pos))) for m in (self.a, self.b))
         return plan
 
     @staticmethod
@@ -878,11 +872,8 @@ class _MonomialImage:
                     f"substitution {self.name} -> {self.value} annihilates "
                     "a denominator")
         s = 1 if _lc(image) > 0 else -1
-        if plan.reg is None:
-            found = (d, s, s * image[0], ())
-        else:
-            found = (d, s, *plan.reg.factorize(_scale(image, s)))
-        plan.images[j] = found
+        plan.images[j] = found = (d, s,
+                                  *plan.reg.factorize(_scale(image, s)))
         return found
 
     def __call__(self, c: "RatFunc") -> "RatFunc":
@@ -923,8 +914,6 @@ class _MonomialImage:
                     i = reg.index({reg.pk.gens[v]: 1})
                     den += [0] * (i + 1 - len(den))
                     den[i] -= x * k
-        if plan.reg is None:
-            return RatFunc((), Fraction(num.get(0, 0), unit))
         if not num:
             return RatFunc.zero()
         reg = plan.reg
@@ -1271,10 +1260,11 @@ class RatFunc:
     def substitution(name: str, value: "RatFunc"):
         """The map c -> c.subs_var(name, value), set up once for many c.
 
-        When ``value`` is a Laurent monomial A/B with coefficient 1, 1
-        included, every c maps by packed exponents, and each denominator
-        factor's image is found once per map (see ``_MonomialImage``); any
-        other ``value``, 0 among them, is substituted term by term.
+        When ``value`` is a nonconstant Laurent monomial A/B with
+        coefficient 1, every c maps by packed exponents, and each
+        denominator factor's image is found once per map (see
+        ``_MonomialImage``); any other ``value``, 0 and 1 among them, is
+        substituted term by term.
         """
         value = value.trim()
         image = _MonomialImage.of(name, value)
@@ -1309,6 +1299,16 @@ class RatFunc:
             return True
         factors = _registry(self.vars).factors
         return all(len(factors[i]) == 1
+                   for i, e in enumerate(self._fac[1]) if e)
+
+    def denom_is_monomial_in(self, name: str) -> bool:
+        """True iff the reduced denominator is c*name^e for some e >= 0."""
+        if not self.vars:
+            return True
+        reg = _registry(self.vars)
+        var = ({reg.pk.gens[self.vars.index(name)]: 1} if name in self.vars
+               else None)
+        return all(reg.factors[i] == var
                    for i, e in enumerate(self._fac[1]) if e)
 
     def remove_denominator_factor(self, factor: "RatFunc"):

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from rmx.checks import (PolynomialityError, builtin_check,
-                        correspondence_check, evaluate, prefactor_substitute)
+from rmx.checks import (builtin_check, correspondence_check, evaluate,
+                        prefactored_verdict)
 from rmx.cli import main
 from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
@@ -379,9 +379,10 @@ def test_criterion_11_perturbed_csuni(delta):
     assert residual.witness() is not None
 
 
-def _correspondence_residual(l, offset):
+def _correspondence_verdict(l, offset):
     # the correspondence at C1, alpha = 1/2, caps 2 with the additive side
-    # at alpha + offset; returns the prefactor exponent and the residual
+    # at alpha + offset, through the check's pole-clearing route; returns
+    # the prefactor exponent and the verdict
     ltd = lie_type_data("C", 1)
     norm = solve_normalizer(ltd, L=l)
     caps = {"h": l, "u": 2, "v": 2}
@@ -389,24 +390,26 @@ def _correspondence_residual(l, offset):
     x, y, z0 = RatFunc.var("x"), RatFunc.var("y"), RatFunc.var("Z0")
     lhs_raw = rmatrix(ltd, norm, Arg.make(x / y, {"u": 1, "v": -1,
                                                   "h": alpha}), caps)
-    for r in range(17):
-        try:
-            lhs = prefactor_substitute(lhs_raw, r, "x", "y", "Z0")
-        except PolynomialityError:
-            continue
-        break
-    rhs = rmatrix(ltd, norm, Arg.make(1 / z0, {"u": 1, "v": -1,
-                                               "h": alpha + offset}), caps)
-    return r, lhs - rhs.scale(x ** r * (1 - z0) ** r)
+    used = []
+
+    def rhs(r):
+        used.append(r)
+        return rmatrix(ltd, norm, Arg.make(1 / z0, {
+            "u": 1, "v": -1, "h": alpha + offset}), caps).scale(
+                x ** r * (1 - z0) ** r)
+    verdict = prefactored_verdict(
+        lhs_raw, [c for s in lhs_raw.entries.values()
+                  for c in s.terms.values()], "x", "y", "Z0", rhs, 16)
+    return used, verdict
 
 
 def test_criterion_11_perturbed_correspondence():
-    assert _correspondence_residual(3, 0)[1].is_zero()
-    assert _correspondence_residual(2, 1)[1].is_zero()
-    r, residual = _correspondence_residual(3, 1)
-    assert r == 4
-    assert residual.nonzero_count() == 6
-    assert residual.witness() is not None
+    assert _correspondence_verdict(3, 0) == ([4], ("pass", 0, "r=4"))
+    assert _correspondence_verdict(2, 1)[1][0] == "pass"
+    used, (verdict, count, witness) = _correspondence_verdict(3, 1)
+    assert used == [4]
+    assert (verdict, count) == ("fail", 6)
+    assert witness is not None
 
 
 def _assert_fails_from_order_one(residual):

@@ -1,16 +1,17 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
-from rmx.checks import (builtin_check, clear_pole, correspondence_check,
-                        evaluate, pole_order, prefactor_substitute,
-                        CHECK_NAMES, PolynomialityError)
+from rmx.checks import (builtin_check, correspondence_check, evaluate,
+                        pole_order, prefactored_verdict, CHECK_NAMES)
 from rmx.lietype import lie_type_data
-from rmx.module_checks import _clearing_exponent, weak_assoc_chain
+from rmx.module_checks import weak_assoc_chain
 from rmx.rmatrix import Arg, rmatrix, solve_normalizer
 from rmx.hseries import HSeries
 from rmx.ratfunc import RatFunc
 from rmx.script import parse_script
+from rmx.states import FreeState, Term
 from rmx.tensorop import TensorOp
 
 
@@ -74,28 +75,6 @@ def test_report_shapes():
     assert "PASS" in rep.to_text()
 
 
-def test_prefactor_substitute_shape_guard():
-    x, y = RatFunc.var("x"), RatFunc.var("y")
-    caps = {"h": 2}
-    bad = TensorOp(2, 1, caps,
-                   {((0,), (0,)): HSeries.const(1 / (x - y), caps)})
-    with pytest.raises(PolynomialityError, match=r"entry \(\(0,\), \(0,\)\)"):
-        prefactor_substitute(bad, 0, "x", "y", "Z0")
-    ok = prefactor_substitute(bad, 1, "x", "y", "Z0")
-    # 1/(x-y) * (x-y)^1 -> 1, then y -> x*Z0 leaves 1
-    assert dict(ok.items())[((0,), (0,))].is_one()
-
-
-def test_prefactor_substitute_laurent_in_y():
-    x, y = RatFunc.var("x"), RatFunc.var("y")
-    caps = {"h": 2}
-    op = TensorOp(2, 1, caps,
-                  {((0,), (0,)): HSeries.const(x / y, caps)})
-    out = prefactor_substitute(op, 0, "x", "y", "Z0")
-    z0 = RatFunc.var("Z0")
-    assert dict(out.items())[((0,), (0,))] == HSeries.const(1 / z0, caps)
-
-
 def test_correspondence_c1():
     rep = correspondence_check("C", 1, alpha=0, a=2, b=2, l=2)
     assert rep.passed, rep.to_text()
@@ -118,56 +97,119 @@ def test_correspondence_inconclusive_bound():
     assert rep.residual_count == 0
 
 
-# The searches that clear_pole and _clearing_exponent replaced: try
-# r = r_start, r_start + 1, ... up to r_max.
+# The search that prefactored_verdict replaces: for r = r_start,
+# r_start + 1, ... up to r_max, scale by (x-y)^(power*r), read every
+# coefficient's expanded denominator, and substitute y = x*z at the first r
+# where each is a monomial in y alone.
 
-def _searched_clear_pole(op, r_start, r_max):
+def _coeffs(obj):
+    ops = ([t.coeff for t in obj.terms] if isinstance(obj, FreeState)
+           else [obj])
+    return [c for op in ops for s in op.entries.values()
+            for c in s.terms.values()]
+
+
+def _denominator_in(coeff, y):
+    (mono, _), *rest = coeff.denom_terms()
+    return not rest and set(mono) <= {y}
+
+
+def _searched(obj, x, y, r_start, r_max, power):
+    xv, yv = RatFunc.var(x), RatFunc.var(y)
     for r in range(r_start, r_max + 1):
-        try:
-            return r, prefactor_substitute(op, r, "x", "y", "Z0")
-        except PolynomialityError:
-            continue
+        scaled = obj.scale((xv - yv) ** (power * r))
+        if all(_denominator_in(c, y) for c in _coeffs(scaled)):
+            return r, scaled.subs_ring_var(y, xv * RatFunc.var("Z0"))
     return None
 
 
-def _searched_clearing_exponent(coeffs, factor, r_max):
-    for r in range(r_max + 1):
-        if all((c * factor ** (2 * r)).denom_is_monomial() for c in coeffs):
-            return r
-    return None
+CAPS = {"h": 2}
 
 
 def _scalar_op(coeffs):
-    caps = {"h": 2}
-    return TensorOp(2, 1, caps, {((i,), (i,)): HSeries.const(c, caps)
+    return TensorOp(2, 1, CAPS, {((i,), (i,)): HSeries.const(c, CAPS)
                                  for i, c in enumerate(coeffs)})
 
 
-def _pole_ops():
+def _scalar_state(coeffs):
+    # one open slot and one empty word
+    return FreeState(lie_type_data("C", 1), None, CAPS, 0, 1,
+                     [Term(_scalar_op(coeffs), ((),))])
+
+
+@functools.lru_cache(maxsize=None)
+def _pole_cases():
+    """name -> (operator or state, x, y): operators over x and y, states
+    over Z2 and Z1, the pair of the weak associativity chain."""
     x, y = RatFunc.var("x"), RatFunc.var("y")
+    z1, z2, z0 = (RatFunc.var(v) for v in ("Z1", "Z2", "Z0"))
     ltd = lie_type_data("C", 1)
     lhs_raw = rmatrix(ltd, solve_normalizer(ltd, L=2), Arg.make(
         x / y, {"u": 1, "v": -1, "h": Fraction(1, 2)}),
         {"h": 2, "u": 2, "v": 2})
-    return {
+    three = FreeState.pure(ltd, solve_normalizer(ltd, L=2),
+                           {"h": 2, "u": 1, "v": 1}, 0,
+                           [[Arg.make(1, {"u": -1})],
+                            [Arg.make(1, {"v": -1})], []])
+    direct = three.merge_y(2, 3, Arg.make(z2)).merge_y(1, 2, Arg.make(z1))
+    ops = {
         "correspondence": lhs_raw,
+        # Laurent in y already: x/y -> 1/Z0 at r = 0
+        "x/y": _scalar_op([x / y]),
+        # the shape guard: inadmissible at r = 0, cleared at r = 1
+        "1/(x-y)": _scalar_op([1 / (x - y)]),
         "order 3 and 1": _scalar_op([x / ((x - y) ** 3 * y ** 2),
                                      1 / (y - x)]),
         "no pole": _scalar_op([x ** 2 / y, RatFunc.const(3)]),
         "other factor": _scalar_op([1 / ((x - y) * (1 + x))]),
     }
+    states = {
+        "weak associativity": direct,
+        "order 3 and 1 over Z0": _scalar_state(
+            [z1 / ((z1 - z2) ** 3 * z0), z2 / (z1 - z2)]),
+        "order 4": _scalar_state([1 / (z2 - z1) ** 4]),
+        "no pole in Z": _scalar_state([z1 * z0 ** 2, RatFunc.const(2)]),
+        "other factor in Z": _scalar_state([1 / ((z1 - z2) ** 2 * (1 + z1))]),
+        # a monomial denominator in x: never admissible
+        "x below": _scalar_state([1 / ((z1 - z2) ** 2 * z2)]),
+    }
+    return ({name: (op, "x", "y") for name, op in ops.items()}
+            | {name: (st, "Z2", "Z1") for name, st in states.items()})
+
+
+def _closed(name, k):
+    """The cleared, substituted form of a case at (x-y)^k, if known."""
+    x, z0 = RatFunc.var("x"), RatFunc.var("Z0")
+    if name == "x/y":
+        return x ** k * (1 - z0) ** k / z0
+    if name == "1/(x-y)":
+        return (x * (1 - z0)) ** (k - 1)
+    return None
 
 
 @pytest.mark.parametrize("r_start", [0, 2, 3, 5])
-@pytest.mark.parametrize("r_max", [1, 3, 16])
+@pytest.mark.parametrize("r_max", [0, 1, 3, 16])
 def test_clear_pole_matches_the_search(r_start, r_max):
-    for name, op in _pole_ops().items():
-        got = clear_pole(op, r_start, r_max, "x", "y", "Z0")
-        want = _searched_clear_pole(op, r_start, r_max)
-        assert (got is None) == (want is None), name
-        if got is not None:
-            assert got[0] == want[0], name
-            assert got[1].entries_data() == want[1].entries_data(), name
+    # both callers' powers, on operators and on states
+    for power in (1, 2):
+        for name, (obj, x, y) in _pole_cases().items():
+            want = _searched(obj, x, y, r_start, r_max, power)
+            if want is None:
+                expected = ("inconclusive", 0,
+                            f"no admissible prefactor exponent r <= {r_max}")
+            else:
+                r, cleared = want
+                expected = ("pass", 0, f"r={r}")
+                closed = _closed(name, power * r)
+                if closed is not None:
+                    assert cleared == _scalar_op([closed]), name
+
+            def rhs(r):
+                assert want is not None, f"{name}: r={r} is not admissible"
+                return want[1]
+            got = prefactored_verdict(obj, _coeffs(obj), x, y, "Z0", rhs,
+                                      r_max, r_start, power)
+            assert got == expected, (name, power)
 
 
 def test_pole_order_reads_every_denominator():
@@ -177,19 +219,6 @@ def test_pole_order_reads_every_denominator():
     assert pole_order(coeffs, x - y) == 3
     assert pole_order(coeffs, y - x) == 3
     assert pole_order([], x - y) == 0
-
-
-def test_clearing_exponent_matches_the_search():
-    z1, z2, z0 = (RatFunc.var(v) for v in ("Z1", "Z2", "Z0"))
-    cases = [[z1 / ((z1 - z2) ** 3 * z0), z2 / (z1 - z2)],
-             [1 / (z2 - z1) ** 4],
-             [z1 * z0 ** 2, RatFunc.const(2)],
-             [1 / ((z1 - z2) ** 2 * (1 + z1))]]
-    for coeffs in cases:
-        for r_max in (0, 1, 2, 16):
-            assert (_clearing_exponent(coeffs, z1 - z2, r_max)
-                    == _searched_clearing_exponent(coeffs, z1 - z2, r_max)), \
-                (coeffs, r_max)
 
 
 def test_correspondence_exponent_above_the_least():

@@ -1,5 +1,6 @@
 """``tools/frontier_ab.py`` end to end, with this checkout on both sides."""
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -7,6 +8,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "frontier_ab.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("frontier_ab", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 def _run(*args):
@@ -31,3 +44,18 @@ def test_a_directory_without_src_rmx_is_a_usage_error(tmp_path):
     assert proc.returncode == 64
     assert proc.stdout == ""
     assert "has no src/rmx" in proc.stderr
+
+
+def test_the_side_that_runs_first_alternates(tmp_path, monkeypatch):
+    tool = _load_tool()
+    base, change = tmp_path / "base", tmp_path / "change"
+    for root in (base, change):
+        (root / "src" / "rmx").mkdir(parents=True)
+    calls = []
+
+    def run_check(root, args):
+        calls.append(root)
+        return "{}", 1.0
+    monkeypatch.setattr(tool, "run_check", run_check)
+    assert tool.main([str(base), str(change), "ybe_hat --order 1"]) == 0
+    assert calls == [base, change, change, base] * (tool.RUNS // 2)

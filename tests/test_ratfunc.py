@@ -272,16 +272,18 @@ def test_monomial_image_at_zero_and_one():
     coeffs = [(3 * X ** 2 - 5) / (7 * (X - 1) ** 3), (X * u + 2) / (X + u),
               (X - u) ** 2 / ((X * u - 1) * (u + 2) * (X + v)),
               X * u * v + 4 * v, RatFunc.const(Fraction(-2, 9))]
-    # X -> 1 is the monomial 1/1; X -> 0 goes term by term
-    assert isinstance(RatFunc.substitution("X", RatFunc.one()),
-                      _MonomialImage)
-    assert not isinstance(RatFunc.substitution("X", RatFunc.zero()),
-                          _MonomialImage)
+    # constants, 0 and 1 among them, go term by term
     for value in (RatFunc.zero(), RatFunc.one()):
+        assert not isinstance(RatFunc.substitution("X", value),
+                              _MonomialImage)
         for c in coeffs:
             _assert_matches_term_route(c, value)
     assert RatFunc.substitution("X", RatFunc.zero())(coeffs[0]) == \
         Fraction(5, 7)
+    assert RatFunc.substitution("X", RatFunc.one())(coeffs[1]) == \
+        (u + 2) / (u + 1)
+    assert RatFunc.substitution("X", RatFunc.one())(coeffs[3]) == \
+        u * v + 4 * v
 
 
 def test_denominator_shape():
@@ -290,6 +292,13 @@ def test_denominator_shape():
     assert f.denom_terms() == [({"Z": 3}, 1)]
     g = 1 / (1 - Z)
     assert not g.denom_is_monomial()
+    # a monomial in one named variable, with any content
+    assert f.denom_is_monomial_in("Z") and not f.denom_is_monomial_in("W")
+    assert (W / (3 * Z ** 2)).denom_is_monomial_in("Z")
+    assert not (1 / (Z * W)).denom_is_monomial_in("Z")
+    assert not g.denom_is_monomial_in("Z")
+    assert (Z * W + 1).denom_is_monomial_in("V")
+    assert RatFunc.const(Fraction(1, 2)).denom_is_monomial_in("Z")
 
 
 def test_remove_denominator_factor():

@@ -5,12 +5,14 @@
         "s_ybe --family C --n 2 --order 2"
 
 Each quoted argument is the argument list of one ``rmx check`` run.  For
-each check the two checkouts run alternately, BASE first, ``RUNS`` times
-each, every run a fresh interpreter with the checkout's ``src`` on
-``PYTHONPATH``.  The script prints the raw median, low and high of the
-reports' ``elapsed_ms`` per checkout, in seconds, the change of the
-median, and in how many of the ``RUNS`` alternating pairs (the i-th run
-of each checkout) CHANGE was faster than BASE.  Raw means that no
+each check the two checkouts run alternately, ``RUNS`` times each, every
+run a fresh interpreter with the checkout's ``src`` on ``PYTHONPATH``.
+BASE runs first in the even pairs and CHANGE first in the odd ones, so
+that an effect of run order falls on both sides alike.  The script
+prints the raw median, low and high of the reports' ``elapsed_ms`` per
+checkout, in seconds, the change of the median, and in how many of the
+``RUNS`` alternating pairs (the i-th run of each checkout) CHANGE was
+faster than BASE.  Raw means that no
 calibration rescales the times: compare the two columns of one
 invocation only, since the machine's speed drifts between invocations.
 
@@ -61,8 +63,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("base", type=Path, help="checkout timed first")
-    parser.add_argument("change", type=Path, help="checkout timed second")
+    parser.add_argument("base", type=Path, help="checkout without the change")
+    parser.add_argument("change", type=Path, help="checkout with the change")
     parser.add_argument("checks", nargs="+",
                         help='one quoted "rmx check" argument list each')
     try:
@@ -79,9 +81,9 @@ def main(argv=None) -> int:
     for check in opts.checks:
         args = shlex.split(check)
         reports, times = {}, ([], [])
-        for _ in range(RUNS):
-            for side, root in enumerate(roots):
-                report, seconds = run_check(root, args)
+        for i in range(RUNS):
+            for side in (0, 1) if i % 2 == 0 else (1, 0):
+                report, seconds = run_check(roots[side], args)
                 reports.setdefault(report, set()).add(side)
                 times[side].append(seconds)
         base, change = (statistics.median(t) for t in times)
