@@ -79,19 +79,16 @@ integer content:
   is split by sympy's ``factor_list``, imported there and nowhere else, so
   sympy is the fallback for factorization (and the oracle of the tests),
   not a dependency of the arithmetic.  New factors join the registry.
-  Negative powers and the term-by-term substitution (of X by any value
-  that is not a Laurent monomial) divide this way, and ``substitution``
-  factors the image of each denominator factor; nothing else factors.
+  Negative powers and the term-by-term substitution divide this way, and
+  ``substitution`` factors A - B below; nothing else factors.
 * ``substitution`` of X by a nonconstant Laurent monomial A/B with
-  coefficient 1, which ``subs_var`` uses for such values, maps each term
-  p X^e rest of the numerator to p rest A^e B^(d-e) by packed exponents,
-  d the numerator's X-degree.  Each denominator factor maps the same way
-  once per map and is factored over the new variables; the net power of
-  B moves to the numerator or the denominator, and the numerator is
-  tried only against the factors of the new denominator, not at all for
-  p(X)/(c (X-1)^r) (``_MonomialImage`` says why).  Any other value, 0
-  and 1 included, is substituted term by term, by arithmetic on rational
-  functions.
+  coefficient 1, which ``subs_var`` uses for such values, maps two shapes
+  by packed exponents: p(X)/(c (X-1)^r) over X alone goes to
+  s^r p~ B^(r-d) / (c (s (A-B))^r), p~ = B^d p(A/B) and d the degree of p,
+  with no trial division (``_MonomialImage`` says why); a polynomial over
+  a larger tuple, when B = 1, maps each term p X^e rest to p rest A^e.
+  Every other coefficient, and every other value, 0 and 1 included, is
+  substituted term by term, by arithmetic on rational functions.
 * An ``int`` or ``Fraction`` operand is not lifted to the variables.  A
   product with it rescales the numerator and the content; a sum adds it as
   the value p/q over the same variables, which has no factors, so only the
@@ -731,49 +728,36 @@ def _diff(a, i):
     return _finish(a.vars, reg, new, content, exps)
 
 
-class _Plan:
-    """What mapping values over one source tuple needs: the target tuple
-    and its registry, the source field of X, the moves of the other source
-    fields, A and B packed over the target, the images of the source
-    registry's factors met so far, and, when X is the only source
-    variable, the index ``at`` of X - 1."""
-
-    __slots__ = ("names", "reg", "sx", "gx", "stop", "dtop", "pairs", "a",
-                 "b", "at", "images")
-
-
 class _MonomialImage:
     """Substitution of X by a nonconstant Laurent monomial A/B with
-    coefficient 1 (A and B coprime monomials, not both 1), in values over
-    any tuple containing X.  X -> 1, like X -> 0, goes term by term.
+    coefficient 1 (A and B coprime monomials, not both 1), by packed
+    exponents for the two coefficient shapes that the checks substitute:
 
-    A value N / (c prod f_j^e_j) maps to a value over T, the other
-    variables of its tuple and those of A/B.  For a polynomial F of
-    X-degree d, its packed image F~ = B^d F(A/B) sends each term
-    p X^e rest to p rest A^e B^(d-e), summing terms that collide.  With d
-    the X-degree of N and d_j that of f_j,
+    (a) p(X)/(c (X-1)^r), r >= 0, over X alone.  With d the degree of p and
+        p~ = B^d p(A/B), which sends each term p_e X^e to p_e A^e B^(d-e),
 
-        N(A/B) / (c prod f_j(A/B)^e_j)
-            = s N~ B^k / (c prod (s_j f_j~)^e_j),    k = sum_j e_j d_j - d,
+            p(A/B) / (c (A/B - 1)^r) = s^r p~ B^(r-d) / (c (s (A-B))^r),
 
-    where s_j makes the leading coefficient of s_j f_j~ positive and
-    s = prod s_j^e_j; B^k goes to the denominator when k < 0.  Each
-    s_j f_j~ is factorised over T's registry once per image and (source
-    tuple, j); a factor free of X is itself over T, still irreducible, and
-    is not factorised again.  An f_j~ that vanishes raises
-    ZeroDivisionError.
+        where s makes the leading coefficient of s (A - B) positive, and
+        B^(r-d) goes to the denominator, as its variables, when r < d.  No
+        two terms of p~ collide, as A != B.  s (A - B) is primitive; it is
+        factored over the registry of A/B's variables once per image.  p~
+        is divisible by no factor q of A - B, since p~ = B^d p(1) != 0
+        where A = B and p(1) != 0 when r > 0, nor by any variable of B,
+        since p~ = p_d A^d != 0 where that variable vanishes, so nothing is
+        trial-divided.  Nor is the result trimmed: unless it is a constant,
+        p~ holds A^d and the denominator (A - B)^r, and B^(r-d) sits on one
+        side when r != d.  The joint integer content is divided out.
+    (b) a polynomial over a larger tuple, when B = 1: each term p X^e rest
+        maps to p rest A^e over the other variables and those of A, summing
+        terms that collide.  The image can lose variables, so it is
+        trimmed.
 
-    Only a factor of the new denominator can divide s N~, so it is
-    trial-divided by the factors with a positive exponent, except for
-    p(X)/(c (X-1)^r), where N~ is divisible by no factor q of A - B, since
-    N~ = B^d p(1) != 0 where A = B and p(1) != 0 when r > 0, nor by any
-    variable of B, since N~ = p_d A^d != 0 where that variable vanishes.
-    Nor is that result trimmed: unless it is a constant, N~ holds A^d and
-    the denominator (A - B)^r, and B^k sits on one side when k != 0.  The
-    joint integer content is divided out.
+    Every other coefficient, with any other denominator factor or over a
+    larger tuple when B != 1, goes term by term (``_subs_by_terms``).
     """
 
-    __slots__ = ("name", "value", "a", "b", "plans")
+    __slots__ = ("name", "value", "a", "b", "shape_a", "moves")
 
     @staticmethod
     def of(name, value) -> "_MonomialImage | None":
@@ -794,87 +778,42 @@ class _MonomialImage:
     def __init__(self, name, value, a, b):
         self.name, self.value = name, value
         self.a, self.b = a, b   # packed over value.vars
-        self.plans = {}         # source tuple -> _Plan
+        self.shape_a = None     # shape (a)'s setting, once met
+        self.moves = {}         # source tuple -> shape (b)'s setting
 
-    def _plan(self, src) -> _Plan:
-        plan = self.plans[src] = _Plan()
+    def _set_shape_a(self):
+        """Shape (a)'s setting: the index of X - 1 over (X,), s, the
+        exponents of s (A - B), and the (index, exponent) of each variable
+        of B, over the registry of A/B's variables."""
+        reg = _registry(self.value.vars)
+        pk = reg.pk
+        diff = {self.a: 1, self.b: -1}
+        s = 1 if _lc(diff) > 0 else -1
+        bvars = [(reg.index({pk.gens[v]: 1}), x)
+                 for v, x in enumerate(pk.unpack(self.b)) if x]
+        self.shape_a = (_registry((self.name,)).index(_X_MINUS_ONE), s,
+                   reg.factorize(_scale(diff, s))[1], bvars)
+
+    def _move(self, src):
+        """Shape (b)'s setting for values over ``src``: the target tuple and
+        its registry, X's field and generator, the total-degree shifts of
+        both packings, the moves of the other fields, and A packed over the
+        target."""
         i = src.index(self.name)
         others = src[:i] + src[i + 1:]
         vnames = self.value.vars
-        plan.names = (tuple(sorted(set(others) | set(vnames))) if others
-                      else vnames)
-        sreg = _registry(src)
-        spk = sreg.pk
-        plan.sx, plan.gx, plan.stop = spk.shifts[i], spk.gens[i], spk.top
-        plan.reg = _registry(plan.names)
-        pk = plan.reg.pk
-        plan.dtop, plan.pairs, plan.at, plan.images = pk.top, None, None, {}
-        if others:
-            names = plan.names
-            plan.pairs = [(spk.shifts[src.index(v)], pk.shifts[names.index(v)])
-                          for v in others]
-        else:
-            plan.at = sreg.index(_X_MINUS_ONE)
-        plan.a, plan.b = self.a, self.b
-        if plan.names != vnames:
-            pos = [plan.names.index(v) for v in vnames]
-            plan.a, plan.b = (next(iter(_moved({m: 1}, _packing(len(
-                vnames)), pk, pos))) for m in (self.a, self.b))
-        return plan
-
-    @staticmethod
-    def _degree(plan, f):
-        """The X-degree of ``f``, over ``plan``'s source."""
-        if plan.pairs is None:  # X alone: the leading term has the top degree
-            return max(f) & _FIELD
-        return max((m >> plan.sx) & _FIELD for m in f)
-
-    def _poly(self, plan, f, d, lift=0, sign=1):
-        """``sign`` f~ over ``plan``'s target, times B^lift as packed
-        ``lift``."""
-        base, step = lift + d * plan.b, plan.a - plan.b
-        if plan.at is not None:
-            # X alone, in the low field, and A != B: no two terms collide
-            return _fits({base + (m & _FIELD) * step: sign * coeff
-                          for m, coeff in f.items()}, plan.reg)
-        sx, gx, stop, dtop, pairs = (plan.sx, plan.gx, plan.stop, plan.dtop,
-                                     plan.pairs)
-        out = {}
-        for m, coeff in f.items():
-            e = (m >> sx) & _FIELD
-            t = base + e * step
-            if pairs:
-                m -= e * gx
-                r = (m >> stop) << dtop
-                for s, ds in pairs:
-                    r |= ((m >> s) & _FIELD) << ds
-                t += r
-            out[t] = out.get(t, 0) + sign * coeff
-        if len(out) < len(f):
-            out = {m: c for m, c in out.items() if c}
-        return _fits(out, plan.reg)
-
-    def _image(self, plan, src, j):
-        """(d_j, s_j, unit, exponents) for factor j of the registry over
-        ``src``: s_j f_j~ = unit * prod of T's factors to the exponents."""
-        if j == plan.at:    # X - 1 maps to A - B, nonzero as A != B
-            d, image = 1, {plan.a: 1, plan.b: -1}
-        else:
-            f = _registry(src).factors[j]
-            d = self._degree(plan, f)
-            image = self._poly(plan, f, d)
-            if not d:   # still irreducible
-                plan.images[j] = found = (
-                    0, 1, 1, [0] * plan.reg.index(image) + [1])
-                return found
-            if not image:
-                raise ZeroDivisionError(
-                    f"substitution {self.name} -> {self.value} annihilates "
-                    "a denominator")
-        s = 1 if _lc(image) > 0 else -1
-        plan.images[j] = found = (d, s,
-                                  *plan.reg.factorize(_scale(image, s)))
-        return found
+        names = tuple(sorted(set(others) | set(vnames)))
+        spk, reg = _registry(src).pk, _registry(names)
+        pk = reg.pk
+        a = self.a
+        if names != vnames:
+            a, = _moved({a: 1}, _packing(len(vnames)), pk,
+                        [names.index(v) for v in vnames])
+        move = self.moves[src] = (
+            names, reg, spk.shifts[i], spk.gens[i], spk.top, pk.top,
+            [(spk.shifts[src.index(v)], pk.shifts[names.index(v)])
+             for v in others], a)
+        return move
 
     def __call__(self, c: "RatFunc") -> "RatFunc":
         if self.name not in c.vars:
@@ -883,46 +822,54 @@ class _MonomialImage:
         content, exps = c._fac
         if not exps and (not num or len(num) == 1 and 0 in num):
             return c.trim()     # a constant
-        plan = self.plans.get(c.vars) or self._plan(c.vars)
-        images, at = plan.images, plan.at
-        sign, unit, k, den = 1, content, 0, []
-        for j, e in enumerate(exps):
-            if e:
-                if j != at:
-                    at = None
-                d, s, u, fexps = (images.get(j)
-                                  or self._image(plan, c.vars, j))
-                k += e * d
-                if s < 0 and e & 1:
-                    sign = -sign
-                if u != 1:
-                    unit *= u ** e
-                if den:
-                    den += [0] * (len(fexps) - len(den))
-                    for i, x in enumerate(fexps):
-                        den[i] += e * x
-                else:
-                    den = [e * x for x in fexps]
-        d = self._degree(plan, num)
-        k -= d
-        num = self._poly(plan, num, d, max(k, 0) * plan.b, sign)
-        if k < 0 and plan.b:
-            # B^-k below the line, as its variables
-            reg = plan.reg
-            for v, x in enumerate(reg.pk.unpack(plan.b)):
-                if x:
-                    i = reg.index({reg.pk.gens[v]: 1})
-                    den += [0] * (i + 1 - len(den))
-                    den[i] -= x * k
-        if not num:
+        if len(c.vars) == 1:
+            if self.shape_a is None:
+                self._set_shape_a()
+            at = self.shape_a[0]
+            if len(exps) <= at + 1 and not any(exps[:at]):
+                return self._one_variable(num, content,
+                                          exps[at] if exps else 0)
+        elif not exps and not self.b:
+            return self._polynomial(c.vars, num, content)
+        return _subs_by_terms(c, self.name, self.value)
+
+    def _one_variable(self, num, content, r):
+        """Shape (a): p(X) = ``num`` over ``content`` (X - 1)^r."""
+        _, s, dexps, bvars = self.shape_a
+        names = self.value.vars
+        reg = _registry(names)
+        d = max(num) & _FIELD   # the leading term has the top degree
+        k = r - d
+        a, b = self.a, self.b
+        base, step = (d + max(k, 0)) * b, a - b
+        sign = -1 if s < 0 and r & 1 else 1
+        num = _fits({base + (m & _FIELD) * step: sign * coeff
+                     for m, coeff in num.items()}, reg)
+        den = [r * x for x in dexps]
+        if k < 0:
+            for i, x in bvars:
+                den += [0] * (i + 1 - len(den))
+                den[i] -= k * x
+        return _finish(names, reg, num, content, den)
+
+    def _polynomial(self, src, num, content):
+        """Shape (b): ``num`` / ``content`` over ``src``."""
+        names, reg, sx, gx, stop, dtop, pairs, a = (self.moves.get(src)
+                                                    or self._move(src))
+        out = {}
+        for m, coeff in num.items():
+            e = (m >> sx) & _FIELD
+            m -= e * gx
+            t = (m >> stop) << dtop
+            for s, ds in pairs:
+                t |= ((m >> s) & _FIELD) << ds
+            t += e * a
+            out[t] = out.get(t, 0) + coeff
+        if len(out) < len(num):
+            out = {m: coeff for m, coeff in out.items() if coeff}
+        if not out:
             return RatFunc.zero()
-        reg = plan.reg
-        if at is not None:
-            return _finish(plan.names, reg, num, unit, den)
-        for i, e in enumerate(den):
-            if e:
-                num, den[i] = _cancel(num, reg.factors[i], e, reg.pk)
-        return _finish(plan.names, reg, num, unit, den).trim()
+        return _finish(names, reg, _fits(out, reg), content, ()).trim()
 
 
 def _subs_by_terms(c, name, value):
@@ -1261,10 +1208,10 @@ class RatFunc:
         """The map c -> c.subs_var(name, value), set up once for many c.
 
         When ``value`` is a nonconstant Laurent monomial A/B with
-        coefficient 1, every c maps by packed exponents, and each
-        denominator factor's image is found once per map (see
-        ``_MonomialImage``); any other ``value``, 0 and 1 among them, is
-        substituted term by term.
+        coefficient 1, p(X)/(c (X-1)^r) over X alone, and a polynomial over
+        a larger tuple when B = 1, map by packed exponents (see
+        ``_MonomialImage``); every other c, and every c for any other
+        ``value``, 0 and 1 among them, is substituted term by term.
         """
         value = value.trim()
         image = _MonomialImage.of(name, value)

@@ -39,6 +39,15 @@ def test_one_checkout_against_itself_agrees():
     assert "REPORTS DIFFER" not in proc.stdout
 
 
+def test_runs_of_a_check_of_a_few_ms_get_distinct_times():
+    tool = _load_tool()
+    runs = [tool.run_check(ROOT, ["ybe_hat", "--order", "1"])
+            for _ in range(10)]
+    assert len({report for report, _ in runs}) == 1
+    times = [seconds for _, seconds in runs]
+    assert len(set(times)) == 10 and 0 < min(times)
+
+
 def test_a_directory_without_src_rmx_is_a_usage_error(tmp_path):
     proc = _run(tmp_path, ROOT, "ybe_hat --order 1")
     assert proc.returncode == 64

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -103,10 +104,12 @@ def test_subs_var():
         f.subs_var("Z", RatFunc.one())
 
 
-# RatFunc.substitution maps c -> c.subs_var(name, value).  For 0 or a
-# Laurent monomial value with coefficient 1 it builds the canonical form by
-# packed exponents, which must be the structure that the term-by-term route
-# (``_subs_by_terms``, by arithmetic on rational functions) reaches.
+# RatFunc.substitution maps c -> c.subs_var(name, value).  For a value A/B, a
+# nonconstant Laurent monomial with coefficient 1, it maps two shapes of c by
+# packed exponents: p(X)/(c (X-1)^r) over X alone, and a polynomial over a
+# larger tuple when B = 1.  Their canonical form must be the structure that
+# the term-by-term route (``_subs_by_terms``, by arithmetic on rational
+# functions) reaches, and every other c must take that route.
 
 X = RatFunc.var("X")
 LAURENT_VARS = ("X", "u", "v", "w")
@@ -122,8 +125,8 @@ def one_minus_x_fractions(draw):
 
 
 @st.composite
-def laurent_monomials(draw):
-    exps = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def laurent_monomials(draw, low=-3):
+    exps = draw(st.lists(st.integers(low, 3), min_size=4, max_size=4))
     mono = RatFunc.one()
     for name, e in zip(LAURENT_VARS, exps):
         mono = mono * RatFunc.var(name) ** e
@@ -138,17 +141,58 @@ def _assert_same_structure(got, want):
         assert (got._num, got._fac) == (want._num, want._fac)
 
 
-def _assert_matches_term_route(c, value):
+@contextmanager
+def _term_route_calls():
+    """The coefficients that reach ``_subs_by_terms`` inside the block."""
+    calls = []
+    real = rmx.ratfunc._subs_by_terms
+
+    def counted(c, name, value):
+        calls.append(c)
+        return real(c, name, value)
+    rmx.ratfunc._subs_by_terms = counted
+    try:
+        yield calls
+    finally:
+        rmx.ratfunc._subs_by_terms = real
+
+
+def _is_polynomial(c) -> bool:
+    (monomial, _), *rest = c.denom_terms()
+    return not monomial and not rest
+
+
+def _goes_term_by_term(c, value) -> bool:
+    """Whether X -> ``value`` substitutes c term by term: c has X, is not a
+    constant, and has neither packed shape."""
+    if "X" not in c.vars or c.is_constant():
+        return False
+    if c.vars == ("X",):
+        return not _is_polynomial(c.remove_denominator_factor(X - 1)[1])
+    return not (_is_polynomial(c) and _is_polynomial(value))
+
+
+def _assert_route(c, value, term_route=None):
     """sub(c) for the map of X -> ``value`` has the structure of the
-    term-by-term route, or both raise ZeroDivisionError."""
+    term-by-term route, or both raise ZeroDivisionError, and it went term by
+    term exactly when ``term_route`` (by default, when c has no packed
+    shape).  Returns sub(c), or None if it raised."""
+    if term_route is None:
+        term_route = _goes_term_by_term(c, value)
     sub = RatFunc.substitution("X", value)
+    with _term_route_calls() as calls:
+        try:
+            got = sub(c)
+        except ZeroDivisionError:
+            got = None
+    assert len(calls) == term_route
     try:
         want = _subs_by_terms(c, "X", value.trim())
     except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
-            sub(c)
-        return
-    _assert_same_structure(sub(c), want)
+        assert got is None
+        return None
+    _assert_same_structure(got, want)
+    return got
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,41 +200,46 @@ def _assert_matches_term_route(c, value):
 def test_laurent_substitution_matches_subs_var(c, value):
     if value.is_constant():
         return
-    sub = RatFunc.substitution("X", value)
-    assert isinstance(sub, _MonomialImage)
-    _assert_same_structure(sub(c), _subs_by_terms(c, "X", value))
+    assert isinstance(RatFunc.substitution("X", value), _MonomialImage)
+    _assert_route(c, value, term_route=False)
 
 
 def test_laurent_substitution_edges():
     u, v, w = (RatFunc.var(n) for n in "uvw")
     c = (3 * X ** 4 - X + 2) / (5 * (X - 1) ** 2)
     cases = [
-        u / (v ** 3 * w ** 2),     # deg B > deg A, r < d: B below the line
+        u / (v ** 3 * w ** 2),     # deg B > deg A
         1 / (u ** 2 * v),          # A = 1
         u ** 2,                    # B = 1, A - 1 splits as (u - 1)(u + 1)
         u ** 3 / v ** 3,           # A - B has a quadratic factor
     ]
     for value in cases:
+        # r < d puts B^(d-r) below the line, r > d B^(r-d) above it
         for coeff in (c, c * (X - 1) ** -4, X ** 5 / (X - 1),
-                      RatFunc.const(Fraction(2, 3)), RatFunc.zero()):
-            _assert_same_structure(
-                RatFunc.substitution("X", value)(coeff),
-                _subs_by_terms(coeff, "X", value))
+                      X ** 2 - 7, RatFunc.const(Fraction(2, 3)),
+                      RatFunc.zero()):
+            _assert_route(coeff, value, term_route=False)
+    # B != 1 at r < d and at r > d
+    assert _assert_route(X ** 3 / (X - 1), u / v, term_route=False) == \
+        u ** 3 / (v ** 2 * (u - v))
+    assert _assert_route((X + 1) / (X - 1) ** 3, u / v,
+                         term_route=False) == v ** 2 * (u + v) / (u - v) ** 3
     # other values are substituted term by term
     for value in (2 * u, 1 + u, -u):
-        sub = RatFunc.substitution("X", value)
-        assert not isinstance(sub, _MonomialImage)
-        _assert_same_structure(sub(c), _subs_by_terms(c, "X", value))
-    # coefficients of another shape take the same image
-    sub = RatFunc.substitution("X", u / v)
-    for coeff in (1 / (X + 1), X * u / (X - 1)):
-        _assert_same_structure(sub(coeff), _subs_by_terms(coeff, "X", u / v))
-    with pytest.raises(ValueError):
+        assert not isinstance(RatFunc.substitution("X", value),
+                              _MonomialImage)
+        _assert_route(c, value, term_route=True)
+    # so are coefficients over X alone with another denominator factor
+    for coeff in (1 / (X + 1), X / ((X - 1) * (X + 2)), (X - 1) / X):
+        _assert_route(coeff, u / v, term_route=True)
+    with _term_route_calls() as calls, pytest.raises(ValueError,
+                                                     match="overflow"):
         RatFunc.substitution("X", u ** 20000 / v)(X ** 2 / (X - 1))
+    assert calls == []
 
 
 # Coefficients over X, u and v whose denominator factors mix X with the
-# other variables, against values A/B with B != 1 that may share them.
+# other variables, against values A/B that may share them.
 
 IMAGE_FACTORS = [X - 1, X + 1, X, X - RatFunc.var("u"),
                  X * RatFunc.var("u") - 1, X + RatFunc.var("v"),
@@ -212,47 +261,48 @@ def mixed_fractions(draw):
     return num / den
 
 
-@st.composite
-def laurent_fractions(draw):
-    """A/B over X, u, v, w with B != 1."""
-    exps = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4)
-                .filter(lambda e: min(e) < 0))
-    mono = RatFunc.one()
-    for name, e in zip(LAURENT_VARS, exps):
-        mono = mono * RatFunc.var(name) ** e
-    return mono
-
-
 @settings(max_examples=200, deadline=None)
-@given(mixed_fractions(), laurent_fractions())
+@given(mixed_fractions(),
+       st.one_of(laurent_monomials(), laurent_monomials(low=0)))
 def test_monomial_image_matches_term_route(c, value):
+    if value.is_constant():
+        return
     assert isinstance(RatFunc.substitution("X", value), _MonomialImage)
-    _assert_matches_term_route(c, value)
+    _assert_route(c, value)
 
 
 def test_monomial_image_edges():
-    u, v = RatFunc.var("u"), RatFunc.var("v")
+    u, v, w = (RatFunc.var(n) for n in "uvw")
     x, y, z0 = (RatFunc.var(n) for n in ("x", "y", "Z0"))
-    # an image that splits: x - y -> x (1 - Z0)
+    # polynomials over a larger tuple, B = 1: y -> x Z0 as in the
+    # correspondence check, an image that cancels to 0, one that loses
+    # variables, and one that collides terms without cancelling
+    got = RatFunc.substitution("y", x * z0)((x - y) ** 3 * 2)
+    assert got == 2 * x ** 3 * (1 - z0) ** 3
+    assert _assert_route(X * w - u * w, u, term_route=False).is_zero()
+    got = _assert_route(X * w - u * w + 3 * v, u, term_route=False)
+    assert got.vars == ("v",) and got == 3 * v
+    assert _assert_route(X * u + u ** 2 + w, u, term_route=False) == \
+        2 * u ** 2 + w
+    for coeff in (X ** 3 * u - 2 * v, (X * w + u) / 4):
+        _assert_route(coeff, u ** 2 * v, term_route=False)
+    # a polynomial over a larger tuple goes term by term when B != 1, and
+    # so does any coefficient over a larger tuple with a denominator
+    assert _assert_route(X * u + 1, 1 / v, term_route=True) == (u + v) / v
+    assert _assert_route(X - u, u ** 2 / v ** 3, term_route=True) == \
+        u * (u - v ** 3) / v ** 3
     got = RatFunc.substitution("y", x * z0)(1 / (x - y) ** 3)
     assert got == -1 / (x ** 3 * (z0 - 1) ** 3)
-    _assert_same_structure(got, _subs_by_terms(1 / (x - y) ** 3, "y", x * z0))
-    # a numerator image divisible by an image factor, for a c over X and u
-    # whose only denominator factor is X - 1
-    c = (X - u) / (X - 1)
-    got = RatFunc.substitution("X", u ** 2)(c)
-    assert got == u / (u + 1)
-    _assert_same_structure(got, _subs_by_terms(c, "X", u ** 2))
+    assert _assert_route((X - u) / (X - 1), u ** 2, term_route=True) == \
+        u / (u + 1)
     for c, value in (((X * v - 1) / (X - 1), 1 / v),
                      (X * v / (X * v - u), u ** 2 / v)):
-        _assert_matches_term_route(c, value)
+        _assert_route(c, value, term_route=True)
     # X - u -> (1 - u v)/v: the image's leading coefficient is negative, so
     # an odd exponent moves a sign to the numerator and an even one does not
     for r in (1, 2, 3):
-        c = (X + 2) / (X - u) ** r
-        got = RatFunc.substitution("X", 1 / v)(c)
+        got = _assert_route((X + 2) / (X - u) ** r, 1 / v, term_route=True)
         assert got == (1 + 2 * v) * v ** (r - 1) / (1 - u * v) ** r
-        _assert_same_structure(got, _subs_by_terms(c, "X", 1 / v))
     # a denominator that the substitution annihilates
     for c, value in ((1 / (X - u), u), (X / (X * v - u), u / v),
                      (u / X, RatFunc.zero())):
@@ -260,7 +310,11 @@ def test_monomial_image_edges():
             RatFunc.substitution("X", value)(c)
         with pytest.raises(ZeroDivisionError, match="annihilates"):
             _subs_by_terms(c, "X", value)
-    # a total degree past the packed field
+    # a total degree past the packed field, on either route
+    with _term_route_calls() as calls, pytest.raises(ValueError,
+                                                     match="overflow"):
+        RatFunc.substitution("X", u ** 20000)(X ** 2 * w - u)
+    assert calls == []
     with pytest.raises(ValueError, match="overflow"):
         RatFunc.substitution("X", u ** 20000 / v)(X ** 2 * u / (X - u))
     with pytest.raises(ValueError, match="overflow"):
@@ -277,7 +331,7 @@ def test_monomial_image_at_zero_and_one():
         assert not isinstance(RatFunc.substitution("X", value),
                               _MonomialImage)
         for c in coeffs:
-            _assert_matches_term_route(c, value)
+            _assert_route(c, value, term_route=True)
     assert RatFunc.substitution("X", RatFunc.zero())(coeffs[0]) == \
         Fraction(5, 7)
     assert RatFunc.substitution("X", RatFunc.one())(coeffs[1]) == \

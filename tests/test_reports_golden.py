@@ -66,15 +66,47 @@ def test_reports_match_golden(tmp_path):
     assert_golden(*run_suite(tmp_path / "suite.json"))
 
 
-def test_reports_match_golden_under_python_O(tmp_path):
-    path = tmp_path / "suite.json"
-    path.write_text(json.dumps(SUITE))
+def run_python(*args):
+    """A fresh interpreter with ``src`` on its path, run with ``args``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-O", "-m", "rmx.cli", "suite",
-                          str(path), "--format", "json"], env=env,
-                         capture_output=True, text=True, timeout=600)
+    return subprocess.run([sys.executable, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_reports_match_golden_under_python_O(tmp_path):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(SUITE))
+    out = run_python("-O", "-m", "rmx.cli", "suite", path, "--format", "json")
+    assert out.stdout, out.stderr
+    assert_golden(out.returncode, without_timings(out.stdout))
+
+
+# The checks give ``RatFunc.substitution`` only the two coefficient shapes
+# that it maps by packed exponents.  A third shape would go to the slower
+# term-by-term route, ``rmx.ratfunc._subs_by_terms``, so this prelude
+# replaces that route by one that raises.  It runs in a fresh interpreter,
+# where no cached R-matrix build hides a substitution.
+NO_TERM_ROUTE = """\
+import sys
+import rmx.ratfunc
+
+
+def refuse(c, name, value):
+    raise AssertionError(f"{name} -> {value} in {c} went term by term")
+
+
+rmx.ratfunc._subs_by_terms = refuse
+"""
+
+
+def test_golden_suite_takes_no_term_route(tmp_path):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(SUITE))
+    out = run_python("-c", NO_TERM_ROUTE + "from rmx.cli import main\n"
+                     "sys.exit(main(['suite', sys.argv[1], '--format', "
+                     "'json']))", path)
     assert out.stdout, out.stderr
     assert_golden(out.returncode, without_timings(out.stdout))
 

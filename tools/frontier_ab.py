@@ -8,12 +8,13 @@ Each quoted argument is the argument list of one ``rmx check`` run.  For
 each check the two checkouts run alternately, ``RUNS`` times each, every
 run a fresh interpreter with the checkout's ``src`` on ``PYTHONPATH``.
 BASE runs first in the even pairs and CHANGE first in the odd ones, so
-that an effect of run order falls on both sides alike.  The script
-prints the raw median, low and high of the reports' ``elapsed_ms`` per
-checkout, in seconds, the change of the median, and in how many of the
-``RUNS`` alternating pairs (the i-th run of each checkout) CHANGE was
-faster than BASE.  Raw means that no
-calibration rescales the times: compare the two columns of one
+that an effect of run order falls on both sides alike.  Each run times
+itself with ``time.perf_counter`` around the check, after the imports,
+and prints those seconds after its report.  The script prints the raw
+median, low and high of these times per checkout, to 0.1 ms, the change
+of the median, and in how many of the ``RUNS`` alternating pairs (the
+i-th run of each checkout) CHANGE was faster than BASE.  Raw means that
+no calibration rescales the times: compare the two columns of one
 invocation only, since the machine's speed drifts between invocations.
 
 Exit status: 0 when every report of a check, its ``elapsed_ms`` aside,
@@ -36,7 +37,14 @@ from pathlib import Path
 
 USAGE_EXIT = 64
 RUNS = 10
-RUN = "import sys; from rmx.cli import main; sys.exit(main())"
+# the check's seconds go on the last line of standard output, after the
+# report
+RUN = ("import sys, time\n"
+       "from rmx.cli import main\n"
+       "start = time.perf_counter()\n"
+       "code = main()\n"
+       "print(time.perf_counter() - start)\n"
+       "sys.exit(code)")
 
 
 def run_check(root: Path, args: list) -> tuple:
@@ -45,18 +53,20 @@ def run_check(root: Path, args: list) -> tuple:
     proc = subprocess.run(
         [sys.executable, "-c", RUN, "check", *args, "--format", "json"],
         env=env, capture_output=True, text=True)
+    text, _, seconds = proc.stdout.rstrip().rpartition("\n")
     try:
-        report, = json.loads(proc.stdout)
+        report, = json.loads(text)
+        seconds = float(seconds)
     except ValueError:
         raise SystemExit(f"{root}: rmx check {shlex.join(args)} printed no "
                          f"report (exit {proc.returncode}):\n{proc.stderr}")
-    seconds = report.pop("elapsed_ms") / 1000
+    del report["elapsed_ms"]
     return json.dumps(report, sort_keys=True), seconds
 
 
 def spread(times: list) -> str:
-    return (f"{statistics.median(times):8.3f} s "
-            f"[{min(times):.3f}, {max(times):.3f}]")
+    return (f"{statistics.median(times):9.4f} s "
+            f"[{min(times):.4f}, {max(times):.4f}]")
 
 
 def main(argv=None) -> int:
