@@ -112,15 +112,16 @@ check Rhat[1,2](u) == Rhat[1,2](u)
 
 
 def test_pole_surfaces_as_eval_error():
-    text = """\
-type C 1
-order 2
-slots 2
-spectral u
-check Rhat[1,2](u-u+h) == 1
-"""
-    with pytest.raises(EvalError, match=r"Rhat\[1,2\]"):
-        evaluate_sides(parse_script(text))
+    # the message names the atom with its argument's linear form reduced
+    for atom, shown in (("Rhat[1,2](u-u+h)", "Rhat[1,2](h)"),
+                        ("Rhat[1,2](u-u)", "Rhat[1,2](0)"),
+                        ("Rhat[2,1](1/2h-u+u-h)", "Rhat[2,1](-1/2h)")):
+        text = ("type C 1\norder 2\nslots 2\nspectral u\n"
+                f"check {atom} == 1\n")
+        with pytest.raises(EvalError) as err:
+            evaluate_sides(parse_script(text))
+        assert str(err.value) == (f"{shown}: R-matrix pole: "
+                                  "argument equals 1 at order zero")
 
 
 def test_reassociation_invariance():
