@@ -47,6 +47,11 @@ R-matrix arguments are additive linear forms in the spectral variables, h
 and the formal variables; the evaluator passes them through the exponential
 coordinate map.  Spectral coefficients must be integers.
 
+``^-1`` inverts only an operator whose constant part (h and the formal
+variables at 0) is a nonzero scalar times the identity, as for a product of
+R-matrices; ``P[1,2]^-1`` raises ``ValueError: constant part is not scalar;
+cannot invert``, which ``rmx suite`` reports as an ``error``.
+
 Each rule is enforced where its token is parsed, so a ``ScriptError``
 names the line and column of the offending token: a declaration's value, a
 zero denominator, a slot index (or the ``[`` of a slot pair), a name in a
@@ -65,8 +70,8 @@ from .ratfunc import RatFunc
 from .rmatrix import Arg, diag_op, m_diag, rmatrix, solve_normalizer
 from .tensorop import TensorOp
 
-__all__ = ["parse_script", "print_script", "ScriptError", "EvalError",
-           "IdentityScript", "evaluate_sides"]
+__all__ = ["parse_script", "ScriptError", "EvalError", "IdentityScript",
+           "evaluate_sides"]
 
 
 class ScriptError(ValueError):
@@ -429,8 +434,6 @@ def parse_script(text: str) -> IdentityScript:
     return _Parser(text).parse()
 
 
-# ---------------------------------------------------------------- printer
-
 def _print_linform(lf: LinForm) -> str:
     parts = []
     for name, coeff in lf.coeffs:
@@ -447,39 +450,6 @@ def _print_linform(lf: LinForm) -> str:
         else:
             parts.append(body)
     return "".join(parts) if parts else "0"
-
-
-def _print_expr(node, top=False) -> str:
-    if isinstance(node, LinForm):
-        return _print_linform(node)
-    if isinstance(node, Scalar):
-        v = node.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(node, Atom):
-        slots = ",".join(str(s) for s in node.slots)
-        args = "; ".join(_print_expr(a, top=True) for a in node.args)
-        return f"{node.name}[{slots}]" + (f"({args})" if node.args else "")
-    if isinstance(node, Inv):
-        return f"{_print_expr(node.expr)}^-1"
-    if isinstance(node, Transpose):
-        return f"{_print_expr(node.expr)}^t[{node.slot}]"
-    if isinstance(node, Prod):
-        body = " * ".join(_print_expr(f) for f in node.factors)
-        return body if top else f"({body})"
-    raise TypeError(f"cannot print {node!r}")
-
-
-def print_script(script: IdentityScript) -> str:
-    lines = [f"type {script.family} {script.n}",
-             f"order {script.order}",
-             f"slots {script.slots}"]
-    if script.spectral:
-        lines.append("spectral " + " ".join(script.spectral))
-    for name, cap in script.formal:
-        lines.append(f"formal {name} : {cap}")
-    lines.append(f"check {_print_expr(script.lhs, top=True)} == "
-                 f"{_print_expr(script.rhs, top=True)}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- evaluator
@@ -524,7 +494,8 @@ class _Context:
             try:
                 r = rmatrix(ltd, self.norm, self.arg_of(args[0]), caps)
             except ZeroDivisionError as exc:
-                raise EvalError(f"{_print_expr(node)}: {exc}") from exc
+                raise EvalError(f"{name}[{','.join(map(str, slots))}]"
+                                f"({_print_linform(args[0])}): {exc}") from exc
             return r.embed(slots, m)
         if name == "M":
             return diag_op(ltd.N, caps, self.mdiag).embed(slots, m)

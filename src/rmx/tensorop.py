@@ -10,10 +10,9 @@ b = max(1, (N-1).bit_length()) bits, the rows of slots 1..m and then their
 columns, slot 1 most significant.  Every field is below 2^b, so keys
 compare as their fields do from the most significant one down, which is
 the order of (row, col) tuple pairs; sorted keys unpack to sorted tuples,
-and witnesses and serialised entries keep tuple order.  Structural
-operations relabel keys by masks and shifts (``_mover``).  The validating
-constructor packs tuple keys, and ``items``, ``witness`` and
-``entries_data`` unpack them.
+and witnesses and ``items`` keep tuple order.  Structural operations
+relabel keys by masks and shifts (``_mover``).  The validating
+constructor packs tuple keys, and ``items`` and ``witness`` unpack them.
 
 Two constructors build an operator.  ``TensorOp(N, m, caps, entries)``
 validates: every entry must be an HSeries over the given caps, keyed by
@@ -273,10 +272,12 @@ class TensorOp:
         ident = TensorOp.identity(self.N, self.m, self.caps)
         # split T = c*(1 - X) with X nilpotent mod caps
         diag0 = None
+        diagonal = 0
         half = _layout(self.N, self.m).half
         for key, val in self.entries.items():
             c0 = val.coeff({})
             if key >> half == key & (1 << half) - 1:
+                diagonal += 1
                 if diag0 is None:
                     diag0 = c0
                 elif not (c0 - diag0).is_zero():
@@ -285,6 +286,9 @@ class TensorOp:
                 raise ValueError("constant part is not scalar; cannot invert")
         if diag0 is None or diag0.is_zero():
             raise ZeroDivisionError("operator is not invertible at order zero")
+        if diagonal < self.N ** self.m:
+            # an absent diagonal entry is a zero beside diag0
+            raise ValueError("constant part is not scalar; cannot invert")
         scaled = self.scale(RatFunc.one() / diag0)
         x = ident - scaled
         acc = ident
@@ -438,11 +442,3 @@ class TensorOp:
     def __repr__(self):
         return (f"TensorOp(N={self.N}, m={self.m}, "
                 f"{len(self.entries)} nonzero entries)")
-
-    # -- serialization --------------------------------------------------
-
-    def entries_data(self):
-        caps = [[n, self.caps[n]] for n in sorted(self.caps)]
-        entries = [[list(r), list(c), v.to_data()]
-                   for (r, c), v in self.items()]
-        return [self.N, self.m, caps, entries]

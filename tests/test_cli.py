@@ -105,6 +105,22 @@ def test_suite_entry_error_keeps_other_reports(tmp_path, capsys, fmt):
                                     "slots": 2}
 
 
+def test_inverse_of_a_nonscalar_constant_part_is_an_error_report(tmp_path,
+                                                                  capsys):
+    # ^-1 inverts only a scalar times the identity at order zero; P is not
+    script = "type C 1\norder 2\nslots 2\ncheck P[1,2]^-1 == P[1,2]\n"
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps([{"name": "p_inverse", "script": script}]))
+    code = main(["suite", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    report, = json.loads(captured.out)
+    assert code == 1
+    assert (report["verdict"], report["residual_count"], report["witness"]) \
+        == ("error", 0, "ValueError: constant part is not scalar; "
+                        "cannot invert")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_check_error_report(monkeypatch, capsys):
     def broken(family, n, L):
         raise ZeroDivisionError("pole")

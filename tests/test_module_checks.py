@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from rmx.lietype import lie_type_data
-from rmx.module_checks import (MODULE_CHECK_NAMES, module_check,
-                               weak_assoc_chain)
+from rmx.module_checks import (MODULE_CHECK_NAMES, _canonicalized_residual,
+                               module_check, weak_assoc_chain)
 from rmx.ratfunc import RatFunc
 from rmx.rmatrix import Arg, m_diag, solve_normalizer
 from rmx.states import FreeState, arg_h
@@ -102,3 +102,21 @@ def test_report_params_round_trip():
     assert list(d) == ["name", "params", "verdict", "residual_count",
                        "witness", "elapsed_ms"]
     assert d["params"]["family"] == "C"
+
+
+def test_canonicalized_residual_rescues_an_rtt_rewrite():
+    # no registered check reaches the rescue: every passing check's raw
+    # residual is 0.  w.rtt_swap(1, 1) holds the word (Y, X) with the
+    # R-matrix rewrite of the coefficient; it differs from w entry by entry
+    # and agrees with it once both words are sorted back
+    ltd = lie_type_data("C", 1)
+    norm = solve_normalizer(ltd, L=2)
+    x, y = Arg.make(RatFunc.var("X")), Arg.make(RatFunc.var("Y"))
+    w = FreeState.pure(ltd, norm, {"h": 2}, Fraction(1), [[x, y]])
+    swapped = w.rtt_swap(1, 1)
+    assert _canonicalized_residual(swapped, w) == ("pass", 0, "raw=48")
+    assert _canonicalized_residual(w, swapped) == ("pass", 0, "raw=48")
+    # the word (Y, X) with no rewrite is another state
+    yx = FreeState.pure(ltd, norm, {"h": 2}, Fraction(1), [[y, x]])
+    assert _canonicalized_residual(yx, w) == (
+        "fail", 32, ([0, 0, 0, 0], [0, 1, 0, 1], "-1 + ((-2*X)/(-Y + X))*h"))

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
-from rmx.script import (EvalError, ScriptError, evaluate_sides, parse_script,
-                        print_script)
+from rmx.script import (Atom, EvalError, IdentityScript, Inv, LinForm, Prod,
+                        Scalar, ScriptError, Transpose, evaluate_sides,
+                        parse_script)
 
 YBE = """\
 type C 1
@@ -12,16 +15,23 @@ check Rhat[1,2](u) * Rhat[1,3](u+v) * Rhat[2,3](v) == Rhat[2,3](v) * Rhat[1,3](u
 """
 
 
-def test_parse_roundtrip():
-    script = parse_script(YBE)
-    assert script.family == "C" and script.n == 1
-    assert script.order == 3 and script.slots == 3
-    assert script.spectral == ("u", "v")
-    printed = print_script(script)
-    assert parse_script(printed) == script
+def _lin(**coeffs):
+    return LinForm(tuple(sorted((name, Fraction(c))
+                                for name, c in coeffs.items())))
 
 
-def test_roundtrip_with_postfix_and_formal():
+def _rhat(i, j, **coeffs):
+    return Atom("Rhat", (i, j), (_lin(**coeffs),))
+
+
+def test_parse_ybe():
+    assert parse_script(YBE) == IdentityScript(
+        "C", 1, 3, 3, ("u", "v"), (),
+        Prod((_rhat(1, 2, u=1), _rhat(1, 3, u=1, v=1), _rhat(2, 3, v=1))),
+        Prod((_rhat(2, 3, v=1), _rhat(1, 3, u=1, v=1), _rhat(1, 2, u=1))))
+
+
+def test_parse_postfix_and_formal():
     text = """\
 type B 1
 order 2
@@ -30,12 +40,16 @@ spectral u
 formal w : 2
 check Rhat[1,2](u+1/2h-w)^t[1]^-1 * M[1] == conjM[2](P[1,2] * 1/2)
 """
-    script = parse_script(text)
-    printed = print_script(script)
-    assert parse_script(printed) == script
+    # postfixes apply left to right: the transpose first, then the inverse
+    r = _rhat(1, 2, u=1, h=Fraction(1, 2), w=-1)
+    assert parse_script(text) == IdentityScript(
+        "B", 1, 2, 2, ("u",), (("w", 2),),
+        Prod((Inv(Transpose(r, 1)), Atom("M", (1,), ()))),
+        Atom("conjM", (2,), (Prod((Atom("P", (1, 2), ()),
+                                   Scalar(Fraction(1, 2)))),)))
 
 
-def test_odot_roundtrip():
+def test_parse_odot():
     text = """\
 type C 1
 order 2
@@ -44,7 +58,10 @@ spectral u
 check odotLR[1](Rhat[1,2](u); M[2]) == odotRL[2](Rhat[2,1](-u); P[1,2])
 """
     script = parse_script(text)
-    assert parse_script(print_script(script)) == script
+    assert script.lhs == Atom("odotLR", (1,),
+                              (_rhat(1, 2, u=1), Atom("M", (2,), ())))
+    assert script.rhs == Atom("odotRL", (2,),
+                              (_rhat(2, 1, u=-1), Atom("P", (1, 2), ())))
 
 
 def test_parse_error_position():

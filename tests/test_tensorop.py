@@ -166,6 +166,22 @@ def test_inv_neumann():
     assert (a.inv() * a).is_identity()
 
 
+@pytest.mark.parametrize("constant,error", [
+    ({((0, 1), (1, 0)): 1}, "not scalar"),            # the flip
+    ({((0, 0), (0, 0)): 2, ((1, 1), (1, 1)): 3}, "not scalar"),
+    # diag(1, 0, 0, 0): the absent diagonal entries are zeros, and the
+    # Neumann series of the projector 1 - T never ends
+    ({((0, 0), (0, 0)): 1}, "not scalar"),
+    ({}, "not invertible at order zero"),
+], ids=["off-diagonal", "unequal", "absent-diagonal", "zero"])
+def test_inv_needs_a_scalar_constant_part(constant, error):
+    entries = {key: HSeries.const(Fraction(c), CAPS) + h()
+               for key, c in constant.items()}
+    entries[((1, 0), (0, 1))] = h()
+    with pytest.raises((ValueError, ZeroDivisionError), match=error):
+        TensorOp(N, 2, CAPS, entries).inv()
+
+
 def dense_odot(a, b, first_slots, mode):
     """Brute-force oracle: expand A over matrix units of the first/second
     factor spaces and multiply operator by operator."""
@@ -209,15 +225,17 @@ def test_odot_lr_identity_is_mul():
 
 
 def test_serialization_roundtrip():
+    # the tuple view, written as JSON, rebuilds the operator through the
+    # validating constructor
     rng = random.Random(10)
     a = rand_op(rng, N, 2)
-    text = json.dumps(a.entries_data())
-    size, m, caps, entries = json.loads(text)
-    back = TensorOp(size, m, dict(caps),
-                    {(tuple(r), tuple(c)): _series_from_data(v)
-                     for r, c, v in entries})
+    text = json.dumps([[row, col, v.to_data()] for (row, col), v in a.items()])
+    back = TensorOp(N, 2, CAPS, {(tuple(r), tuple(c)): _series_from_data(v)
+                                 for r, c, v in json.loads(text)})
     assert back == a
-    assert json.dumps(back.entries_data()) == text
+    assert back.items() == a.items()
+    keys = [key for key, _ in a.items()]
+    assert keys == sorted(keys) and len(keys) == len(a.entries)
 
 
 def test_binary_ops_reject_other_caps():
