@@ -10,8 +10,9 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "frontier_ab.py"
 
 
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("frontier_ab", TOOL)
+def _load_tool(path=TOOL):
+    """The script at ``path`` as a module, with no bytecode written."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True

@@ -1,40 +1,28 @@
 """``tools/traffic.py``: its survey in a fresh interpreter on one cheap
 check, and its fixed set bound to the checks' signatures without a run."""
 
-import importlib.util
 import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+from test_frontier_ab import _load_tool
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "traffic.py"
+PATHS = [str(TOOL.parent), str(ROOT / "src")]
 
 # a fresh interpreter, so that no cache of this process hides a call
 SURVEY = f"""\
 import json, sys
 from functools import partial
-sys.path.insert(0, {str(TOOL.parent)!r})
+sys.path[:0] = {PATHS!r}
 import traffic
 import rmx
 print(json.dumps(traffic.survey(
     [partial(rmx.builtin_check, "ybe_hat", "C", 1, L=1)])))
 """
-
-
-def _load_tool(monkeypatch):
-    # the tool puts src and perfbench on sys.path; undo that after the test
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("traffic", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
 
 
 def test_survey_of_one_check():
@@ -52,7 +40,8 @@ def test_survey_of_one_check():
 
 
 def test_fixed_set_binds_to_the_checks(monkeypatch):
-    tool = _load_tool(monkeypatch)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tool = _load_tool(TOOL)
     runs = list(tool.fixed_set())
     # 24 workload entries per seed, 43 grid checks, 18 golden entries,
     # 5 correspondence and 4 weak_assoc_chain configurations
@@ -61,6 +50,6 @@ def test_fixed_set_binds_to_the_checks(monkeypatch):
         inspect.signature(run.func).bind(*run.args, **run.keywords)
 
 
-def test_an_argument_is_a_usage_error(monkeypatch, capsys):
-    assert _load_tool(monkeypatch).main(["--help"]) == 64
+def test_an_argument_is_a_usage_error(capsys):
+    assert _load_tool(TOOL).main(["--help"]) == 64
     assert "usage: python3 tools/traffic.py" in capsys.readouterr().err

@@ -39,7 +39,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rmx"
 USAGE_EXIT = 64
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 PERTURBED_YBE = ("type C 1\norder 2\nslots 3\nspectral u v\n"
                  "check Rhat[1,2](u) * Rhat[1,3](u+v) * Rhat[2,3](v) == "
@@ -54,7 +53,8 @@ WEAK_ASSOC = (("C", 1, 2, 0, 2, 16), ("C", 1, 3, 1, 1, 16),
 
 
 def fixed_set():
-    """Yield the survey's runs; the first imports ``rmx``."""
+    """Yield the survey's runs; the first imports ``rmx``.  Needs ``src``
+    and ``perfbench`` on ``sys.path``."""
     import workloads
     for seed in (0, 1):
         for workload in workloads.WORKLOADS:
@@ -178,6 +178,7 @@ def main(argv=None) -> int:
     if sys.argv[1:] if argv is None else argv:
         print("usage: python3 tools/traffic.py", file=sys.stderr)
         return USAGE_EXIT
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     sys.dont_write_bytecode = True
     start = time.perf_counter()
     result = survey(fixed_set())
