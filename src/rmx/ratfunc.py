@@ -89,6 +89,9 @@ integer content:
   a larger tuple, when B = 1, maps each term p X^e rest to p rest A^e.
   Every other coefficient, and every other value, 0 and 1 included, is
   substituted term by term, by arithmetic on rational functions.
+* ``pole_at_one`` writes p(X)/(c (X-1)^r) over X alone from integer
+  coefficients that its caller, the Q[w, 1/w] kernel of ``rmatrix``, has
+  already put in canonical form; it divides nothing.
 * An ``int`` or ``Fraction`` operand is not lifted to the variables.  A
   product with it rescales the numerator and the content; a sum adds it as
   the value p/q over the same variables, which has no factors, so only the
@@ -1218,6 +1221,19 @@ class RatFunc:
         if image is None:
             return lambda c: _subs_by_terms(c, name, value)
         return image
+
+    @staticmethod
+    def pole_at_one(name: str, coeffs: list, content: int, r: int):
+        """p(X) / (content (X - 1)^r) over X = ``name`` alone, p's integer
+        coefficients listed by X-degree in ``coeffs``, held as given: the
+        caller vouches for the canonical form (content > 0, joint integer
+        content 1, p(1) != 0 when r > 0), so nothing is trial-divided."""
+        names = (name,)
+        reg = _registry(names)
+        x = reg.pk.gens[0]
+        num = _fits({e * x: c for e, c in enumerate(coeffs) if c}, reg)
+        exps = [0] * reg.index(_X_MINUS_ONE) + [r]
+        return RatFunc(names, num, reg.pair(content, exps))
 
     # -- structure inspection -----------------------------------------
 

@@ -11,17 +11,23 @@ capped formal variables (h included).  The normalizing series g1 solves
 one h-order at a time; each h-order is rational in z with denominator a
 power of (1 - z).  With g1 = sum g_l h^l and theta = z d/dz, the h^j
 coefficient of g1(z e^{-kappa h}) is S_j = sum_m ((-kappa)^m / m!)
-theta^m g_{j-m}, and order l reads 2 g_0 g_l = rhs_l - g_0 (S_l - g_l) -
+theta^m g_{j-m}, and order l reads 2 g0 g_l = rhs_l - g0 (S_l - g_l) -
 sum_{0<i<l} g_i S_{l-i}, whose right side holds only lower orders; each
 theta^m g_i is computed once.  A gate checks rhs_l = sum_{i<=l} g_i S_{l-i}
 at every order by exact equality.
 
-Each h-order n/d of the solution must have integer coefficients, and
-three facts are read from their lists by z-degree: d is c (z - 1)^r;
-n(0)/d(0) is 1 at h^0 and 0 above; and d * oracle = n up to the oracle's
-z-degree, where the oracle is the same equation solved independently, as
-a plain power series in z and h in exact integers (each h-order l scaled
-by s^l * l!, so products are binomial-weighted convolutions).
+The right side, the solve and the gate run in the ring Q[w, 1/w] with
+w = z - 1 (``_Laurent``), where theta is (1 + w) d/dw and a value's
+canonical form is a dict of integers over one denominator, so no step
+divides or factors.  Each h-order then becomes a RatFunc over ("z",),
+p(z) / (c (z - 1)^r), and those form ``Normalizer.g1``.
+
+Each h-order n/d of g1 must have integer coefficients, and three facts
+are read from their lists by z-degree: d is c (z - 1)^r; n(0)/d(0) is 1
+at h^0 and 0 above; and d * oracle = n up to the oracle's z-degree, where
+the oracle is the same equation solved independently, as a plain power
+series in z and h in exact integers (each h-order l scaled by s^l * l!,
+so products are binomial-weighted convolutions).
 
 The R-matrix is R(x) = e^{(1+2kappa)h/2} g1(x) R+(x), where
 
@@ -32,17 +38,17 @@ fall into groups by their exact coefficient triple in (Rconst, P, Q), and
 every entry of a group shares one combination of the three series.
 
 R depends on its argument only through the one variable x.  So once per
-(type, normaliser), the value of each group of R at x = z is formed under
-caps h^L, as s = prefactor * g1(z) times the group's combination of R+(z);
-each of its h-orders is rational in z with a power of z - 1 as its
-denominator.  A build at x = mono * e^E, E a linear form in the capped
-variables, instantiates these values in two exact steps, and ``g1_at``
-evaluates g1 by the same two steps:
+(type, normaliser), the value of each group of R at x = z is formed in
+Q[w, 1/w] under caps h^L, as s = prefactor * g1(z) times the group's
+combination of R+(z).  A build at x = mono * e^E, E a linear form in the
+capped variables, instantiates these values in two exact steps, and
+``g1_at`` evaluates g1 by the same two steps:
 
 1. the dilation expansion F(z e^E) = sum_m (E^m / m!) theta^m F(z) with
-   theta = z d/dz, where theta^m F is cached with F and E^m / m! is the
-   part of e^E of total degree m; each output coefficient is combined in
-   the field of z alone;
+   theta = z d/dz, where theta^m F is formed in Q[w, 1/w], cached with F
+   and converted once into a series of RatFuncs over ("z",), and E^m / m!
+   is the part of e^E of total degree m; each output coefficient is
+   combined in the field of z alone;
 2. z -> mono, once per output coefficient, by one ``RatFunc.substitution``
    per build.  For a Laurent monomial with coefficient 1, which every
    argument the checks build is, the canonical form is written down from
@@ -59,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from .hseries import Caps, HSeries
 from .lietype import LieTypeData
@@ -177,24 +183,142 @@ def diag_op(N: int, caps: dict, diag) -> TensorOp:
     return TensorOp(N, 1, caps, {((i,), (i,)): diag[i] for i in range(N)})
 
 
+class _Laurent:
+    """An element p / d of Q[w, 1/w], w = z - 1: ``terms`` maps the
+    w-exponents of p, of either sign, to its nonzero ``int`` coefficients,
+    ``den`` is the positive ``int`` d, and those integers have joint
+    content 1, so the form is canonical and equality is structural; zero
+    is {} over 1.  Every h-order of g1, of its theta-images and of R's
+    template values has its only pole at z = 1, so lies in this ring."""
+
+    __slots__ = ("terms", "den")
+
+    def __init__(self, terms: dict, den: int = 1):
+        # ``terms`` holds no zero; the joint content is divided out here
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {e: c // g for e, c in terms.items()}
+            den //= g
+        self.terms, self.den = terms, den
+
+    @staticmethod
+    def const(c) -> "_Laurent":
+        c = Fraction(c)
+        return _Laurent({0: c.numerator} if c else {}, c.denominator)
+
+    def __eq__(self, other):
+        return self.terms == other.terms and self.den == other.den
+
+    __hash__ = None
+
+    def __neg__(self):
+        return _Laurent({e: -c for e, c in self.terms.items()}, self.den)
+
+    def __add__(self, other):
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        d1, d2 = self.den, other.den
+        den = d1 // gcd(d1, d2) * d2
+        s1, s2 = den // d1, den // d2
+        out = {e: s1 * c for e, c in self.terms.items()}
+        for e, c in other.terms.items():
+            c = out.get(e, 0) + s2 * c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return _Laurent(out, den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return _Laurent({e: c for e, c in out.items() if c},
+                        self.den * other.den)
+
+    def theta(self) -> "_Laurent":
+        """theta = z d/dz = (1 + w) d/dw, one pass over the terms."""
+        out = {}
+        for e, c in self.terms.items():
+            if e:
+                out[e - 1] = out.get(e - 1, 0) + e * c
+                out[e] = out.get(e, 0) + e * c
+        return _Laurent({e: c for e, c in out.items() if c}, self.den)
+
+    def ratfunc(self) -> RatFunc:
+        """Self as the RatFunc p~(z) / (d (z - 1)^r) over ("z",), where r
+        is the order of the pole at w = 0 and p~(z) = w^r p(w) expanded
+        in z.  When r > 0, p~ is nonzero at z = 1, and taking w to z - 1
+        keeps the content of p~, so the form is canonical as it stands."""
+        terms = self.terms
+        r = max(0, -min(terms, default=0))
+        coeffs = [0] * (max(terms, default=0) + r + 1)
+        for e, b in terms.items():
+            k = e + r       # b w^k = b (z - 1)^k
+            for j in range(k + 1):
+                coeffs[j] += -b * comb(k, j) if (k - j) & 1 \
+                    else b * comb(k, j)
+        return RatFunc.pole_at_one("z", coeffs, self.den, r)
+
+
+_W_ZERO = _Laurent({})
+
+
+def _hmul(a: list, b: list) -> list:
+    """The product of two series in h truncated after h^(L-1), each a list
+    of its L h-orders in Q[w, 1/w]."""
+    out = []
+    for l in range(len(a)):
+        acc = _W_ZERO
+        for i in range(l + 1):
+            if a[i].terms and b[l - i].terms:
+                acc = acc + a[i] * b[l - i]
+        out.append(acc)
+    return out
+
+
+def _hexp(c, L: int) -> list:
+    """e^{c h} by h-order, to h^(L-1)."""
+    c = Fraction(c)
+    return [_Laurent.const(c ** j / factorial(j)) for j in range(L)]
+
+
+def _hseries(orders: list, caps: Caps) -> HSeries:
+    """The h-orders ``orders`` in Q[w, 1/w] as a series over ``caps`` =
+    {h: L}, each nonzero one as a RatFunc over ("z",)."""
+    return HSeries(caps, {(l,): c.ratfunc()
+                          for l, c in enumerate(orders) if c.terms})
+
+
 class _Dilations:
-    """A series F in the ring variable z and its images theta^m F under
-    theta = z d/dz, each computed on first use.  F at x = mono * e^E is
+    """A series F = sum_l F_l h^l, each F_l in Q[w, 1/w], and its images
+    theta^m F under theta = z d/dz, each computed on first use in
+    Q[w, 1/w] and converted once into a series of RatFuncs over ("z",)
+    under ``caps`` = {h: L}.  F at x = mono * e^E is
 
         F(z e^E) = sum_m (E^m / m!) theta^m F(z),  then z -> mono,
 
     the Taylor series of F(z e^t) in t; the sum is finite because E, a
     linear form in the capped variables, is nilpotent."""
 
-    def __init__(self, series: HSeries):
-        self._thetas = {0: series}
+    def __init__(self, orders: list, caps: Caps):
+        self._caps = caps
+        self._orders = [list(orders)]   # theta^m F's h-orders, by m
+        self._thetas = {}               # m -> theta^m F as an HSeries
 
     def theta(self, m: int) -> HSeries:
         found = self._thetas.get(m)
         if found is None:
-            z = RatFunc.var("z")
-            found = self._thetas[m] = self.theta(m - 1).map_coeffs(
-                lambda c: z * c.diff("z"))
+            orders = self._orders
+            while len(orders) <= m:
+                orders.append([c.theta() for c in orders[-1]])
+            found = self._thetas[m] = _hseries(orders[m], self._caps)
         return found
 
 
@@ -225,30 +349,25 @@ def _evaluate(dil: _Dilations, point: tuple, caps: Caps) -> HSeries:
 @dataclass(frozen=True, eq=False)
 class Normalizer:
     """The solved g1; hashed by identity, as each is solved once per
-    (type, L, oracle z-degree)."""
+    (type, L, oracle z-degree).  ``g1`` is the series the gates and the
+    checks read; ``orders`` holds its h-orders in Q[w, 1/w], from which
+    ``g1_at`` and the R-matrix templates work."""
 
     ltd: LieTypeData
     L: int
     g1: HSeries            # rational per h-order, ring variable "z"
     oracle_degree: int
+    orders: tuple          # the h-orders of g1 as _Laurent values
 
     @cached_property
     def _dilations(self) -> _Dilations:
-        return _Dilations(self.g1)
+        return _Dilations(self.orders, self.g1.caps)
 
     def g1_at(self, arg: Arg, caps: dict) -> HSeries:
         """Evaluate g1 at a multiplicative argument, exactly, by the route
         of every R-matrix build."""
         caps = Caps.of(caps)
         return _evaluate(self._dilations, _point(arg, caps, self.L), caps)
-
-
-def _rhs_product(kappa, caps, zval):
-    """(1 - z e^{-h})(1 - z e^{h})(1 - z e^{-kh})(1 - z e^{kh}) for given z."""
-    out = HSeries.one(caps)
-    for a in (-1, 1, -kappa, kappa):
-        out = out * (1 - zval * HSeries.exp_shift({"h": Fraction(a)}, caps))
-    return out
 
 
 def solve_normalizer(ltd: LieTypeData, L: int = 4, z_degree_oracle: int = 10) -> Normalizer:
@@ -261,50 +380,61 @@ def solve_normalizer(ltd: LieTypeData, L: int = 4, z_degree_oracle: int = 10) ->
     return _solve_normalizer_cached(ltd, L, z_degree_oracle)
 
 
-def _shift_tail(g: list, thetas: dict, kappa, j: int) -> RatFunc:
-    """S_j - g_j, the terms m >= 1 of the h^j coefficient
-    S_j = sum_m ((-kappa)^m / m!) theta^m g_{j-m} of g1(z e^{-kappa h}).
-    ``thetas`` caches theta^m g_i under (i, m), computed from
-    theta^{m-1} g_i."""
-    out = RatFunc.zero()
-    for m in range(1, j + 1):
-        found = thetas.get((j - m, m))
-        if found is None:
-            found = thetas[j - m, m] = RatFunc.var("z") * thetas.get(
-                (j - m, m - 1), g[j - m]).diff("z")
-        out = out + found * (Fraction(-kappa) ** m / factorial(m))
+def _rhs_orders(kappa, L: int) -> list:
+    """The h-orders, to h^(L-1), of the functional equation's right side
+    1 / prod_b (1 - z e^{b h}), b = -1, 1, -kappa, kappa, in Q[w, 1/w]:
+    the h^0 part of each factor is -w, and its h^j part is
+    -(1 + w) b^j / j!, so the product starts at w^4."""
+    one_plus_w = _Laurent({0: 1, 1: 1})
+    prod = [_Laurent({0: 1})] + [_W_ZERO] * (L - 1)
+    for b in (-1, 1, -kappa, kappa):
+        factor = [-c * one_plus_w for c in _hexp(b, L)]
+        factor[0] = _Laurent({1: -1})
+        prod = _hmul(prod, factor)
+    inv0 = _Laurent({-4: 1})
+    out = [inv0]
+    for l in range(1, L):
+        acc = _W_ZERO
+        for j in range(1, l + 1):
+            acc = acc + prod[j] * out[l - j]
+        out.append(-(inv0 * acc))
     return out
 
 
 @lru_cache(maxsize=None)
 def _solve_normalizer_cached(ltd, L, dz) -> Normalizer:
     kappa = ltd.kappa
-    caps = {"h": L}
-    z = RatFunc.var("z")
-    rhs_series = _rhs_product(kappa, caps, HSeries.const(z, caps)).inv()
-    rhs = [rhs_series.coeff({"h": l}) for l in range(L)]
-    g0 = 1 / ((1 - z) ** 2)
-    half_inv_g0 = (1 - z) ** 2 * Fraction(1, 2)
-    g, shifted, thetas = [g0], [g0], {}
+    rhs = _rhs_orders(kappa, L)
+    weights = [_Laurent.const(Fraction(-kappa) ** m / factorial(m))
+               for m in range(L)]
+    g0 = _Laurent({-2: 1})                 # 1 / (1 - z)^2 = w^-2
+    half_inv_g0 = _Laurent({2: 1}, 2)      # w^2 / 2
+    # thetas[i, m] = theta^m g_i, each formed once from theta^(m-1) g_i
+    g, shifted, thetas = [g0], [g0], {(0, 0): g0}
     for l in range(1, L):
-        # order l: 2 g0 g_l = rhs_l - g0 (S_l - g_l) - sum_{0<i<l} g_i S_{l-i}
-        tail = _shift_tail(g, thetas, kappa, l)
+        # order l: 2 g0 g_l = rhs_l - g0 (S_l - g_l) - sum_{0<i<l} g_i S_{l-i},
+        # where S_l - g_l = sum_{m>=1} ((-kappa)^m / m!) theta^m g_{l-m}
+        tail = _W_ZERO
+        for m in range(1, l + 1):
+            t = thetas[l - m, m] = thetas[l - m, m - 1].theta()
+            tail = tail + weights[m] * t
         known = g0 * tail
         for i in range(1, l):
             known = known + g[i] * shifted[l - i]
         g.append((rhs[l] - known) * half_inv_g0)
+        thetas[l, 0] = g[l]
         shifted.append(tail + g[l])
     _check_functional_equation(g, shifted, rhs)
-    g = HSeries(caps, {(l,): cl for l, cl in enumerate(g)})
-    _check_against_oracle(g, kappa, L, dz)
-    return Normalizer(ltd, L, g, dz)
+    g1 = _hseries(g, Caps.of({"h": L}))
+    _check_against_oracle(g1, kappa, L, dz)
+    return Normalizer(ltd, L, g1, dz, tuple(g))
 
 
 def _check_functional_equation(g: list, shifted: list, rhs: list):
     """Raise NormalizerError at the first h-order l where rhs_l differs
     from sum_{i<=l} g_i S_{l-i}, the h^l coefficient of
-    g1(z) g1(z e^{-kappa h}); lists are indexed by h-order and compared
-    by exact equality."""
+    g1(z) g1(z e^{-kappa h}); lists are indexed by h-order, hold values
+    in Q[w, 1/w] and are compared by exact, structural equality."""
     for l, want in enumerate(rhs):
         got = g[0] * shifted[l]
         for i in range(1, l + 1):
@@ -430,9 +560,10 @@ def rmatrix(ltd: LieTypeData, norm: Normalizer, arg: Arg, caps: dict) -> TensorO
 def _r_template(ltd: LieTypeData, norm: Normalizer) -> tuple:
     """Per group of R's entries, the dilations of its value at x = z under
     caps h^L, e^{(1+2kappa)h/2} g1(z) times the group's combination of
-    R+(z), with the group's packed keys.  Each coefficient is rational in
-    z with a power of z - 1 as its denominator."""
-    caps = Caps.of({"h": norm.L})
+    R+(z), with the group's packed keys.  The values are formed from
+    ``norm.orders`` in Q[w, 1/w], where x = z is 1 + w."""
+    L = norm.L
+    caps = Caps.of({"h": L})
     ops = build_constant_ops(ltd, caps)
     zero = HSeries.zero(caps)
     groups = {}
@@ -442,21 +573,29 @@ def _r_template(ltd: LieTypeData, norm: Normalizer) -> tuple:
                        for name in ("Rconst", "P", "Q"))
         exact = tuple(frozenset(c.terms.items()) for c in coeffs)
         groups.setdefault(exact, (coeffs, []))[1].append(key)
-    xi = HSeries.exp_shift({"h": -ltd.kappa}, caps)
-    qinv2m1 = _q(caps, -2) - 1
-    s = HSeries.exp_shift({"h": Fraction(1, 2) + ltd.kappa}, caps) \
-        * norm.g1_at(Arg.make("z"), caps)
-    # s * R+(z): three scalar series, then one combination per group
-    x = HSeries.const(RatFunc.var("z"), caps)
-    xm1 = x - 1
-    s_xmxi = s * (x - xi)
-    a = s_xmxi * xm1 * _q(caps, -1)
-    b = s_xmxi * qinv2m1
-    c = s * xm1 * (xi * qinv2m1)
-    values = ((rc * a - pc * b + qc * c, tuple(keys))
-              for (rc, pc, qc), keys in groups.values())
-    return tuple((_Dilations(val), keys) for val, keys in values
-                 if not val.is_zero())
+
+    def scalar(series):
+        return [_Laurent.const(series.coeff({"h": l}).as_fraction())
+                for l in range(L)]
+
+    xi = _hexp(-ltd.kappa, L)
+    qinv2m1 = [_W_ZERO] + _hexp(-1, L)[1:]
+    s = _hmul(_hexp(Fraction(1, 2) + ltd.kappa, L), norm.orders)
+    # s * R+(z): three scalar series, then one combination per group;
+    # x - 1 = w, and x - xi is w at h^0 and -xi above
+    xm1 = [_Laurent({1: 1})] + [_W_ZERO] * (L - 1)
+    s_xmxi = _hmul(s, [_Laurent({1: 1})] + [-c for c in xi[1:]])
+    a = _hmul(_hmul(s_xmxi, xm1), _hexp(Fraction(-1, 2), L))
+    b = _hmul(s_xmxi, qinv2m1)
+    c = _hmul(_hmul(s, xm1), _hmul(xi, qinv2m1))
+    out = []
+    for (rc, pc, qc), keys in groups.values():
+        val = [u - v + t for u, v, t in zip(_hmul(scalar(rc), a),
+                                            _hmul(scalar(pc), b),
+                                            _hmul(scalar(qc), c))]
+        if any(v.terms for v in val):
+            out.append((_Dilations(val, caps), tuple(keys)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -16,14 +16,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 GATES = """
 from fractions import Fraction
+from math import factorial
 from rmx.cli import main
 from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc, _packing, _registry
 from rmx.report import CheckReport
-from rmx.rmatrix import (Arg, NormalizerError, _check_against_oracle,
-                         _check_functional_equation, _rhs_product,
-                         _shift_tail, solve_normalizer)
+from rmx.rmatrix import (Arg, NormalizerError, _Laurent,
+                         _check_against_oracle, _check_functional_equation,
+                         _rhs_orders, solve_normalizer)
 from rmx.script import ScriptError, parse_script
 from rmx.states import FreeState, _chain_omega
 from rmx.tensorop import TensorOp
@@ -44,11 +45,21 @@ vac = FreeState.vacuum(ltd, solve_normalizer(ltd, L=2), caps, 1)
 # the normaliser perturbed at its top h-order
 bad_g1 = (solve_normalizer(ltd, L=3).g1
           + HSeries.capped_var("h", {"h": 3}) ** 2 * (RatFunc.var("z") / 7))
-# the same, as h-order lists for the functional-equation gate
-bad = [bad_g1.coeff({"h": l}) for l in range(3)]
-rhs = _rhs_product(ltd.kappa, {"h": 3},
-                   HSeries.const(RatFunc.var("z"), {"h": 3})).inv()
-shifted = [c + _shift_tail(bad, {}, ltd.kappa, j) for j, c in enumerate(bad)]
+# the same, as h-order lists in Q[w, 1/w] for the functional-equation
+# gate: z/7 is (1 + w)/7, and S_j = sum_m ((-kappa)^m / m!) theta^m g_{j-m}
+bad = list(solve_normalizer(ltd, L=3).orders)
+bad[2] = bad[2] + _Laurent({0: 1, 1: 1}, 7)
+
+def shift(j):
+    out = _Laurent({})
+    for m in range(j + 1):
+        t = bad[j - m]
+        for _ in range(m):
+            t = t.theta()
+        out = out + _Laurent.const(Fraction(-ltd.kappa) ** m
+                                   / factorial(m)) * t
+    return out
+shifted = [shift(j) for j in range(3)]
 # a plain non-integer constant as the normaliser's h^0 coefficient
 half = HSeries.const(Fraction(1, 2), {"h": 1})
 # the normaliser's h-orders; with_h1 replaces the h^1 coefficient
@@ -83,7 +94,7 @@ print(raises(lambda: CheckReport("x", {}, "pass", 1, None, 0)),
                  + TensorOp.identity(2, 1, {"h": 3})),
       raises(lambda: _check_against_oracle(bad_g1, ltd.kappa, 3, 10)),
       raises(lambda: _check_functional_equation(
-          bad, shifted, [rhs.coeff({"h": l}) for l in range(3)])),
+          bad, shifted, _rhs_orders(ltd.kappa, 3))),
       raises(lambda: _check_against_oracle(half, ltd.kappa, 1, 10)),
       "not a power of (1-z)" in message(lambda: _check_against_oracle(
           with_h1(g3[1] / (1 + RatFunc.var("z"))), ltd.kappa, 3, 10)),

@@ -8,11 +8,20 @@ from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
 from rmx.rmatrix import (Arg, NormalizerError, _check_against_oracle,
                          _check_functional_equation, _integer_oracle,
-                         _rhs_product, _shift_tail, _solve_normalizer_cached,
+                         _Laurent, _rhs_orders, _solve_normalizer_cached,
                          solve_normalizer)
 
 z = RatFunc.var("z")
 TYPES = [("B", 1), ("C", 1), ("D", 2), ("C", 2), ("B", 2), ("D", 3)]
+
+
+def _rhs_product(kappa, caps, zval):
+    """(1 - z e^{-h})(1 - z e^{h})(1 - z e^{-kh})(1 - z e^{kh}) for given z,
+    by series arithmetic: the reference routes below invert it."""
+    out = HSeries.one(caps)
+    for a in (-1, 1, -kappa, kappa):
+        out = out * (1 - zval * HSeries.exp_shift({"h": Fraction(a)}, caps))
+    return out
 
 
 def test_leading_coefficient():
@@ -253,33 +262,48 @@ def _reference_g1(ltd, L: int) -> HSeries:
 @pytest.mark.parametrize("family,n", TYPES)
 def test_dilation_solve_matches_reference_loop(family, n):
     ltd = lie_type_data(family, n)
-    for L in range(1, 7):
+    for L in range(1, 11):
         assert solve_normalizer(ltd, L=L).g1 == _reference_g1(ltd, L), L
 
 
+@pytest.mark.parametrize("family,n", TYPES)
+def test_rhs_orders_match_the_inverted_product(family, n):
+    kappa = lie_type_data(family, n).kappa
+    caps = {"h": 6}
+    rhs = _rhs_product(kappa, caps, HSeries.const(z, caps)).inv()
+    assert ([c.ratfunc() for c in _rhs_orders(kappa, 6)]
+            == [rhs.coeff({"h": l}) for l in range(6)])
+
+
 def test_solve_differentiates_once_per_dilation(monkeypatch):
-    # theta^m g_i for m >= 1 and m + i <= L - 1: L(L-1)/2 derivatives
+    # theta^m g_i for m >= 1 and m + i <= L - 1: L(L-1)/2 thetas in w
     calls = []
-    diff = RatFunc.diff
-    monkeypatch.setattr(RatFunc, "diff",
-                        lambda self, name: calls.append(name) or diff(self, name))
+    theta = _Laurent.theta
+    monkeypatch.setattr(_Laurent, "theta",
+                        lambda self: calls.append(1) or theta(self))
     _solve_normalizer_cached.cache_clear()
     solve_normalizer(lie_type_data("C", 1), L=6)
-    assert calls == ["z"] * 15
+    assert len(calls) == 15
 
 
 def _gate_inputs(ltd, L: int, perturb_at=None) -> tuple:
-    """(g, shifted, rhs) by h-order for the functional-equation gate, with
-    g_l raised by z/7 at ``perturb_at``."""
-    g = [solve_normalizer(ltd, L=L).g1.coeff({"h": l}) for l in range(L)]
+    """(g, shifted, rhs) by h-order in Q[w, 1/w] for the
+    functional-equation gate, with g_l raised by z/7 = (1 + w)/7 at
+    ``perturb_at``; S_j = sum_m ((-kappa)^m / m!) theta^m g_{j-m}."""
+    g = list(solve_normalizer(ltd, L=L).orders)
     if perturb_at is not None:
-        g[perturb_at] = g[perturb_at] + z / 7
-    thetas = {}
-    shifted = [c + _shift_tail(g, thetas, ltd.kappa, j)
-               for j, c in enumerate(g)]
-    caps = {"h": L}
-    rhs = _rhs_product(ltd.kappa, caps, HSeries.const(z, caps)).inv()
-    return g, shifted, [rhs.coeff({"h": l}) for l in range(L)]
+        g[perturb_at] = g[perturb_at] + _Laurent({0: 1, 1: 1}, 7)
+    shifted = []
+    for j in range(L):
+        s = _Laurent({})
+        for m in range(j + 1):
+            t = g[j - m]
+            for _ in range(m):
+                t = t.theta()
+            s = s + _Laurent.const(Fraction(-ltd.kappa) ** m
+                                   / factorial(m)) * t
+        shifted.append(s)
+    return g, shifted, _rhs_orders(ltd.kappa, L)
 
 
 @pytest.mark.parametrize("family,n", [("B", 1), ("C", 1), ("D", 2)])

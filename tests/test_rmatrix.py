@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmx.hseries import HSeries
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
-from rmx.rmatrix import (Arg, build_constant_ops, m_diag, rhat_inv, rmatrix,
-                         solve_normalizer)
+from rmx.rmatrix import (Arg, _Laurent, build_constant_ops, m_diag, rhat_inv,
+                         rmatrix, solve_normalizer)
 from rmx.tensorop import TensorOp
 
 CAPS = {"h": 3}
@@ -217,15 +218,21 @@ GRID_SHIFTS = [({}, {}), ({"h": Fraction(1, 2)}, {}), ({"h": -2}, {}),
                ({"h": Fraction(1, 2), "a": 1, "b": -1}, {"a": 2, "b": 2})]
 
 
-@pytest.mark.parametrize("L", [2, 3, 4])
-@pytest.mark.parametrize("family,n", [("B", 1), ("C", 1), ("D", 2), ("C", 2),
-                                      ("B", 2)])
+# at L = 6, the shifts h/2 and -2h only
+DEEP_SHIFTS = GRID_SHIFTS[1:3]
+
+
+@pytest.mark.parametrize("family,n,L", [
+    *((family, n, L) for family, n in [("B", 1), ("C", 1), ("D", 2), ("C", 2),
+                                       ("B", 2)] for L in (2, 3, 4)),
+    ("C", 1, 6), ("B", 1, 6)])
 def test_template_build_matches_per_argument_route(family, n, L):
-    # 5 monomials x 4 shifts per type and order: 300 builds in all
+    # 5 monomials x 4 shifts per type and order, and 5 x 2 at L = 6: 320
+    # builds in all
     ltd = lie_type_data(family, n)
     norm = solve_normalizer(ltd, L=L)
     for mono in GRID_MONOS:
-        for shift, extra in GRID_SHIFTS:
+        for shift, extra in DEEP_SHIFTS if L == 6 else GRID_SHIFTS:
             caps = {"h": L, **extra}
             arg = Arg.make(mono, shift)
             assert (rmatrix(ltd, norm, arg, caps)
@@ -310,3 +317,49 @@ def test_builds_are_cached_per_argument_and_caps():
                  for key, val in op.entries.items()}
     assert other.entries == {key: val for key, val in truncated.items()
                              if not val.is_zero()}
+
+
+# -- the Q[w, 1/w] kernel, w = z - 1 ----------------------------------------
+#
+# Its oracle is RatFunc: a value sum_e a_e w^e / d is rebuilt as
+# sum_e (a_e / d) (z - 1)^e by rational-function arithmetic, and sums,
+# products and theta = z d/dz are compared after conversion, structure
+# (variables, numerator, denominator factorization) included.
+
+ZV = RatFunc.var("z")
+LAURENT_SPANS = {"pole": (-5, -1), "polynomial": (0, 5), "constant": (0, 0),
+                 "laurent": (-5, 5)}
+
+
+@st.composite
+def laurents(draw):
+    """A pure pole c w^-k, a polynomial, a constant or a Laurent
+    polynomial in w, over a denominator up to 12."""
+    shape = draw(st.sampled_from(sorted(LAURENT_SPANS)))
+    exps = draw(st.lists(st.integers(*LAURENT_SPANS[shape]), min_size=1,
+                         max_size=1 if shape == "pole" else 5))
+    coeff = st.integers(-30, 30).filter(bool)
+    return _Laurent({e: draw(coeff) for e in exps}, draw(st.integers(1, 12)))
+
+
+def _as_ratfunc(a):
+    out = 0 * ZV
+    for e, c in a.terms.items():
+        out = out + (ZV - 1) ** e * Fraction(c, a.den)
+    return out
+
+
+def _structure(f):
+    return f.vars, f._num, f._fac
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurents(), laurents(), st.booleans())
+def test_laurent_kernel_matches_ratfunc(a, b, cancel):
+    if cancel:
+        b = -a      # the sum cancels to 0
+    fa, fb = _as_ratfunc(a), _as_ratfunc(b)
+    for got, want in [(a, fa), (b, fb), (a + b, fa + fb), (a - b, fa - fb),
+                      (a * b, fa * fb), (a.theta(), ZV * fa.diff("z"))]:
+        assert _structure(got.ratfunc()) == _structure(want), (a, b)
+    assert (a + b == _Laurent({})) == (fa + fb).is_zero()

@@ -2,10 +2,11 @@
 
 ``perfbench/tracer.py`` replaces methods and functions of rmx by name, so a
 renamed or deleted one breaks the benchmark.  This installs the tracer in a
-fresh interpreter and runs small checks through it: an R-matrix identity
-and the normaliser's functional equation (the one check that re-expands a
-series by ``subst_mult``), then a module-layer check, whose state
-operations the tracer reads through ``FreeState.terms``.
+fresh interpreter and runs small checks through it: an R-matrix identity,
+the normaliser's functional equation (the one check that re-expands a
+series by ``subst_mult``) and ``g_one`` (the one check that evaluates g1 by
+``Normalizer.g1_at``), then a module-layer check, whose state operations
+the tracer reads through ``FreeState.terms``.
 """
 
 import json
@@ -24,7 +25,9 @@ tracer.install()
 import rmx
 rep = rmx.builtin_check("unitarity_hat", "C", 1, L=2)
 gfunc = rmx.builtin_check("gfunc", "C", 1, L=2)
-print(json.dumps([[rep.verdict, gfunc.verdict], tracer.counts()]))
+g_one = rmx.builtin_check("g_one", "C", 1, L=2)
+print(json.dumps([[rep.verdict, gfunc.verdict, g_one.verdict],
+                  tracer.counts()]))
 rep = rmx.module_check("tminus_vacuum", "C", 1, L=2)
 print(json.dumps([rep.verdict, tracer.counts()]))
 """
@@ -40,7 +43,7 @@ def test_tracer_installs_and_counts():
     assert out.returncode == 0, out.stderr
     first, second = out.stdout.splitlines()[-2:]
     verdicts, counts = json.loads(first)
-    assert verdicts == ["pass", "pass"]
+    assert verdicts == ["pass", "pass", "pass"]
     for boundary in ("ratfunc.ops", "hseries.mul", "hseries.inv",
                      "hseries.subst_mult", "hseries._remap", "tensorop.mul",
                      "tensorop.embed", "rmatrix.build", "rmatrix.g1_at",
