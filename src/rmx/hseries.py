@@ -13,6 +13,13 @@ are keyed by monomial numbers of the caps, numbered so that a product of
 two monomials is numbered by the sum of their numbers, and only products
 can leave the caps.
 
+Two loops multiply.  ``HSeries.__mul__`` tests every pair of terms against
+the caps.  ``_join``, the one contraction of operators and states, indexes
+the right operand's terms by match key, each bucket sorted by exponent of
+h, and ends each left term's walk at the cap of h, so it never forms the
+pairs past that cap (most pairs of a contraction with an R-matrix, which
+is 1 + O(h)).  Neither multiplies an exact one.
+
 All values are immutable and hold only nonzero coefficients.
 """
 
@@ -22,6 +29,7 @@ import itertools
 from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial
+from operator import itemgetter
 
 from .ratfunc import RatFunc
 
@@ -37,9 +45,12 @@ class Caps(Mapping):
     the numbers of two monomials within the caps add without carrying.
     ``monos`` maps the number of each monomial within the caps to its
     exponent tuple and ``index`` maps back; the constant monomial is 0.
+    ``h_cap`` is the cap of h and ``h_orders`` maps the number of each
+    monomial within the caps to its exponent of h, read at h's position
+    among the names; without h they are 1 and 0.
     """
 
-    __slots__ = ("names", "_caps", "monos", "index")
+    __slots__ = ("names", "_caps", "monos", "index", "h_cap", "h_orders")
     _interned = {}
 
     def __init__(self, items: tuple):
@@ -54,6 +65,10 @@ class Caps(Mapping):
             mono: sum(e * s for e, s in zip(mono, strides))
             for mono in itertools.product(*(range(c) for _, c in items))}
         self.monos = {k: mono for mono, k in self.index.items()}
+        at = self.names.index("h") if "h" in self._caps else None
+        self.h_cap = self._caps.get("h", 1)
+        self.h_orders = {k: 0 if at is None else mono[at]
+                         for k, mono in self.monos.items()}
 
     @staticmethod
     def of(caps) -> "Caps":
@@ -107,40 +122,55 @@ def _add_into(terms: dict, k: int, coeff: RatFunc):
     terms[k] = coeff
 
 
-def _addmul(acc: dict, a: "HSeries", b: "HSeries"):
-    """acc += a * b, the one product loop of ``HSeries.__mul__`` and
-    ``_join``: ``acc`` maps monomial numbers of the caps of a and b
-    (matched by the caller) to nonzero coefficients.  Exact-one
-    coefficients, so exact-one series, are not multiplied."""
-    within = a.caps.monos
-    for i, c1 in a.terms.items():
-        one = None              # c1.is_one(), asked when a term fits
-        for j, c2 in b.terms.items():
-            if i + j in within:
-                if one is None:
-                    one = c1.is_one()
-                _add_into(acc, i + j,
-                          c2 if one else c1 if c2.is_one() else c1 * c2)
-
-
 def _flush(caps: Caps, acc: dict) -> dict:
     """Key -> term dict as key -> series over ``caps``, empty ones dropped."""
     return {key: _series(caps, terms) for key, terms in acc.items() if terms}
+
+
+# a term entry of ``_join``'s index by its first field, the exponent of h
+_h_order = itemgetter(0)
 
 
 def _join(caps: Caps, left, right) -> dict:
     """The one contraction of the package: ``left`` and ``right`` are
     streams of (match, kept, series) triples, and every pair with equal
     ``match`` adds a * b (a from ``left``) at the key ``kept_left |
-    kept_right``.  The right stream is indexed by ``match``.  Returns key ->
-    series over ``caps``, keys whose products cancelled dropped."""
+    kept_right``.  Returns key -> series over ``caps``, keys whose
+    products cancelled dropped.
+
+    The right stream is indexed by its terms, not its series: the bucket
+    of a match key holds one (h-order, monomial number, kept, coefficient)
+    entry per term of its series, sorted by the exponent of h.  The walk of
+    a left term of h-order e over its bucket stops at the first entry whose
+    h-order reaches h_cap - e, so no pair past the cap of h is formed.  Every other
+    capped variable is tested per pair through ``caps.monos``, and no
+    exact one is multiplied."""
+    cap, orders, within = caps.h_cap, caps.h_orders, caps.monos
     index = {}
     for match, kept, b in right:
-        index.setdefault(match, []).append((kept, b))
+        bucket = index.get(match)
+        if bucket is None:
+            bucket = index[match] = []
+        for j, c in b.terms.items():
+            bucket.append((orders[j], j, kept, c))
+    for bucket in index.values():
+        bucket.sort(key=_h_order)
     acc = {}
     for match, kept, a in left:
-        for other, b in index.get(match, ()):
-            _addmul(acc.setdefault(kept | other, {}), a, b)
+        bucket = index.get(match)
+        if bucket is None:
+            continue
+        for i, c1 in a.terms.items():
+            room = cap - orders[i]      # the h-orders a partner may have
+            one = None              # c1.is_one(), asked when a pair fits
+            for e, j, other, c2 in bucket:
+                if e >= room:
+                    break
+                if i + j in within:
+                    if one is None:
+                        one = c1.is_one()
+                    _add_into(acc.setdefault(kept | other, {}), i + j,
+                              c2 if one else c1 if c2.is_one() else c1 * c2)
     return _flush(caps, acc)
 
 
@@ -274,7 +304,15 @@ class HSeries:
             if other is NotImplemented:
                 return other
         caps, terms = self.caps.match(other.caps), {}
-        _addmul(terms, self, other)
+        within = caps.monos
+        for i, c1 in self.terms.items():
+            one = None              # c1.is_one(), asked when a term fits
+            for j, c2 in other.terms.items():
+                if i + j in within:
+                    if one is None:
+                        one = c1.is_one()
+                    _add_into(terms, i + j,
+                              c2 if one else c1 if c2.is_one() else c1 * c2)
         return _series(caps, terms)
 
     __rmul__ = __mul__

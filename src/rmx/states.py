@@ -33,8 +33,10 @@ residual witnesses keep it.  The two contractions here, a sandwich's
 walk (``_chain_omega``) and a sandwich composed into a state
 (``FreeState._compose``), are each one ``hseries._join`` of streams whose
 keys are read and written through ``_layout`` masks and relabelled with
-``_mover``; ``_raise``, ``_with_pinned_open`` and ``_contract_pairs`` pass
-entries on unfiltered.
+``_mover``.  Every R-matrix is 1 + O(h), so most pairs of terms in a
+sandwich pass the cap of h; the join's term index, sorted by exponent of
+h, ends each walk before them.  ``_raise``, ``_with_pinned_open`` and
+``_contract_pairs`` pass entries on unfiltered.
 
 All operations return new states; nothing is mutated.
 """

@@ -20,12 +20,14 @@ validates: every entry must be an HSeries over the given caps, keyed by
 0..N-1.  ``_operator`` trusts its caller, and that no entry is zero, in
 code whose operands' shapes and caps are already checked.  Every
 contraction of operators and states is one ``hseries._join``, which
-matches the packed keys of two operands, adds each pair's series product
-into the term dict of its output key and drops the keys that cancelled;
-here ``*`` and ``odot`` are one split product (``_split``), ``*`` the
-one with every slot in the first block.  ``+`` and ``states._drop_pairs``
-add series with ``hseries._add_into``, which drops a sum that cancels;
-only ``scale`` and the R-matrix build filter products;
+matches the packed keys of two operands, indexes the right operand's
+terms sorted by exponent of h, adds each pair of terms that fits the caps
+into the term dict of its output key, ending each walk at the cap of h,
+and drops the keys that cancelled; here ``*`` and ``odot`` are one split
+product (``_split``), ``*`` the one with every slot in the first block.
+``+`` and ``states._drop_pairs`` add series with ``hseries._add_into``,
+which drops a sum that cancels; only ``scale`` and the R-matrix build
+filter products;
 ``identity``, ``-``, ``embed``, ``swap_slots``, ``transpose_slot`` and
 ``conj_diag`` (unit factors) map nonzero entries to nonzero ones.
 Everything else, ``map_entries`` included, goes through the validating

@@ -1,19 +1,20 @@
-"""The coefficient kernel against the unfused route.
+"""The coefficient kernels against the unfused route.
 
-Every series product of the package runs through ``hseries._addmul``, which
-adds a * b straight into a term dict, and every operator and state
-contraction is one ``hseries._join``, which matches two streams of packed
-keys, adds each pair's product into the term dict of its output key and
-builds each entry once with ``hseries._flush``.  The oracle here is the
-route they replaced: every product is a series of its own and the products
-of one entry are summed pairwise, ``entries[k] = entries[k] + a * b if k in
-entries else a * b``.  Its products and sums are computed below over
-exponent tuples, through the validating ``HSeries`` constructor (which
-drops monomials beyond the caps and zero coefficients), so the oracle
-shares no arithmetic loop with the kernel; ``_join`` is checked against
-all pairs of its two streams.  The operator products ``*`` and ``odot``
-are checked against the tuple-keyed references of ``tests/test_packed.py``,
-which sum with that idiom.
+A product of two series, ``HSeries.__mul__``, adds a * b term by term
+into one term dict, and every operator and state contraction is one
+``hseries._join``, which matches two streams of packed keys, indexes the
+right stream's terms by their exponent of h, adds each pair that fits the
+caps into the term dict of its output key and builds each entry once with
+``hseries._flush``.  The oracle here is the route they replaced: every
+product is a series of its own and the products of one entry are summed
+pairwise, ``entries[k] = entries[k] + a * b if k in entries else a * b``.
+Its products and sums are computed below over exponent tuples, through the
+validating ``HSeries`` constructor (which drops monomials beyond the caps
+and zero coefficients), so the oracle shares no arithmetic loop with the
+kernels; ``_join`` is checked against all pairs of its two streams, over
+cap sets with h first, h after another name and no h at all.  The
+operator products ``*`` and ``odot`` are checked against the tuple-keyed
+references of ``tests/test_packed.py``, which sum with that idiom.
 """
 
 import importlib
@@ -26,7 +27,7 @@ from hypothesis import given, settings, strategies as hst
 
 import rmx
 from rmx import hseries, states, tensorop
-from rmx.hseries import Caps, HSeries, _addmul, _flush, _join, _series
+from rmx.hseries import Caps, HSeries, _flush, _join, _series
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
 from rmx.rmatrix import Arg, solve_normalizer
@@ -40,6 +41,10 @@ rmatrix = importlib.import_module("rmx.rmatrix")
 TYPES = [("C", 1), ("B", 1), ("D", 2)]
 # one capped variable and two
 CAPS = [Caps.of({"h": 3}), Caps.of({"h": 2, "u": 2})]
+# for the join, also a cap set without h and two where a name sorts
+# before h, so that monomial numbers do not run in h-order
+JOIN_CAPS = CAPS + [Caps.of({"u": 2, "v": 3}), Caps.of({"a": 2, "h": 3}),
+                    Caps.of({"a": 3, "h": 2})]
 X = RatFunc.var("X")
 # exact ones over no variables and over ("X",), values that cancel each
 # other, and a value with a denominator
@@ -71,21 +76,15 @@ def ref_sum(a: HSeries, b: HSeries) -> HSeries:
     return HSeries(a.caps, terms)
 
 
-def unfused_addmul(acc: dict, a: HSeries, b: HSeries):
-    """The kernel's contract by the unfused route: the product built, then
-    added to the series that ``acc`` holds."""
-    total = ref_sum(_series(a.caps, dict(acc)), ref_product(a, b))
-    acc.clear()
-    acc.update(total.terms)
-
-
 # -- drawing operands ------------------------------------------------------
 
-def rand_series(rng, caps, size=None) -> HSeries:
-    """A series of up to ``size`` terms; one in four is exactly one."""
-    if rng.random() < 0.25:
+def rand_series(rng, caps, size=None, low=0) -> HSeries:
+    """A series of up to ``size`` terms of h-order ``low`` or more; with
+    ``low`` 0, one in four is exactly one."""
+    if not low and rng.random() < 0.25:
         return HSeries.one(caps)
-    monos = list(caps.index)
+    at = caps.names.index("h") if "h" in caps else None
+    monos = [mono for mono in caps.index if at is None or mono[at] >= low]
     size = rng.randint(1, 3) if size is None else size
     return HSeries(caps, {mono: rng.choice(COEFFS)
                           for mono in rng.sample(monos, min(size,
@@ -100,19 +99,31 @@ def rand_op(rng, N, m, caps, count) -> TensorOp:
 
 # -- the kernel on its own -------------------------------------------------
 
+def _one_key(products) -> tuple:
+    """(left, right) streams that join every (a, b) of ``products`` at
+    output key 0, each pair on a match key of its own."""
+    return ([(n, 0, a) for n, (a, _) in enumerate(products)],
+            [(n, 0, b) for n, (_, b) in enumerate(products)])
+
+
+def _at_key_0(joined: dict) -> dict:
+    return joined[0].terms if 0 in joined else {}
+
+
 @settings(max_examples=150)
 @given(caps=hst.sampled_from(CAPS), seed=hst.integers(0, 2 ** 32),
        count=hst.integers(1, 5))
-def test_addmul_matches_product_then_sum(caps, seed, count):
-    # several products into one term dict, as a contraction adds them
+def test_product_and_join_match_product_then_sum(caps, seed, count):
+    # several products into one output key, as a contraction adds them
     rng = random.Random(seed)
-    acc, want, last = {}, HSeries.zero(caps), None
+    products, want, last = [], HSeries.zero(caps), None
     for _ in range(count):
         if last is not None and rng.random() < 0.3:
             a, b = -last[0], last[1]        # cancels the last product
         else:
             a, b = rand_series(rng, caps), rand_series(rng, caps)
-        _addmul(acc, a, b)
+        products.append((a, b))
+        acc = _at_key_0(_join(caps, *_one_key(products)))
         want = ref_sum(want, ref_product(a, b))
         assert acc == want.terms
         assert all(not c.is_zero() for c in acc.values())
@@ -120,15 +131,15 @@ def test_addmul_matches_product_then_sum(caps, seed, count):
         last = a, b
 
 
-def test_addmul_truncates_cancels_and_skips_ones(monkeypatch):
+def test_product_and_join_truncate_cancel_and_skip_ones(monkeypatch):
     caps = CAPS[1]
     h, u = (HSeries.capped_var(v, caps) for v in ("h", "u"))
-    acc = {}
-    _addmul(acc, h, h)                  # h^2 is beyond the cap of h
-    _addmul(acc, h * u, u)              # so is u^2
-    assert acc == {}
-    _addmul(acc, h + u, h - u)          # h u - u h cancels
-    assert acc == {}
+    # h^2 is beyond the cap of h, and so is u^2
+    assert _join(caps, *_one_key([(h, h), (h * u, u)])) == {}
+    assert (h * h).is_zero() and (h * u * u).is_zero()
+    # h u - u h cancels
+    assert _join(caps, *_one_key([(h + u, h - u)])) == {}
+    assert ((h + u) * (h - u)).is_zero()
     x = HSeries.const(X, caps)
     xh, xuh = x + h, x * u + h
     lifted_one = HSeries.const(RatFunc.one().lift(("X",)), caps)
@@ -140,11 +151,13 @@ def test_addmul_truncates_cancels_and_skips_ones(monkeypatch):
         return times(p, q)
 
     monkeypatch.setattr(RatFunc, "__mul__", counted)
-    _addmul(acc, HSeries.one(caps), xh)
-    _addmul(acc, xuh, lifted_one)
+    acc = _at_key_0(_join(caps, *_one_key([(HSeries.one(caps), xh),
+                                            (xuh, lifted_one)])))
+    products = HSeries.one(caps) * xh, xuh * lifted_one
     monkeypatch.undo()
     assert calls == []                  # every factor was an exact one
     assert _series(caps, acc) == x + 2 * h + x * u
+    assert products == (xh, xuh)
     # a sum that cancels to an empty term dict is dropped by the flush
     out = _flush(caps, {1: dict(acc), 2: {}})
     assert list(out) == [1] and out[1] == x + 2 * h + x * u
@@ -166,21 +179,24 @@ def ref_join(left, right) -> dict:
 def rand_stream(rng, caps, size, shift):
     """``size`` (match, kept, series) triples on match keys 0..3, so that
     keys go unmatched and many pairs meet, and kept keys 0..3 shifted left
-    by ``shift``; one triple in four repeats an earlier one negated, so
-    that the products it takes part in cancel."""
+    by ``shift``.  Each series has its own lowest h-order, so that a pair
+    can pass the cap of h while its other exponents fit, and one triple in
+    four repeats an earlier one negated, so that the products it takes
+    part in cancel."""
     out = []
     for _ in range(size):
         if out and rng.random() < 0.25:
             match, kept, s = rng.choice(out)
             out.append((match, kept, -s))
         else:
+            low = rng.randrange(caps.get("h", 1))
             out.append((rng.randrange(4), rng.randrange(4) << shift,
-                        rand_series(rng, caps)))
+                        rand_series(rng, caps, low=low)))
     return out
 
 
-@settings(max_examples=150)
-@given(caps=hst.sampled_from(CAPS), seed=hst.integers(0, 2 ** 32),
+@settings(max_examples=300)
+@given(caps=hst.sampled_from(JOIN_CAPS), seed=hst.integers(0, 2 ** 32),
        sizes=hst.tuples(hst.integers(0, 6), hst.integers(0, 6)))
 def test_join_matches_all_pairs(caps, seed, sizes):
     rng = random.Random(seed)
@@ -205,26 +221,52 @@ def test_join_drops_unmatched_and_cancelled_keys():
     assert got == {5: x + x * h}
 
 
+def test_join_stops_by_the_exponent_of_h():
+    # a sorts before h, so numbers are not in h-order: h^2 is 2, a is 5
+    caps = Caps.of({"a": 2, "h": 3})
+    a, h = (HSeries.capped_var(v, caps) for v in ("a", "h"))
+    x = HSeries.const(X, caps)
+    assert caps.names == ("a", "h")
+    # (a + x h^2)(h + a + x): a h + x a + x a h^2 + x^2 h^2 fit the caps;
+    # a^2 and h^3 do not
+    got = _join(caps, [(0, 0, a + x * h * h)], [(0, 0, h + a + x)])
+    assert got == {0: a * h + x * a + x * a * h * h + x * x * h * h}
+    # with the larger cap on a, a^2 fits: the stop reads h, not a
+    caps = Caps.of({"a": 3, "h": 2})
+    a, h = (HSeries.capped_var(v, caps) for v in ("a", "h"))
+    assert _join(caps, [(0, 0, a)], [(0, 0, a + h)]) == {0: a * a + a * h}
+    # without h nothing stops early: u^2 fits, u^3 does not
+    caps = Caps.of({"u": 3})
+    u = HSeries.capped_var("u", caps)
+    assert _join(caps, [(0, 0, u), (1, 0, u * u)],
+                 [(0, 0, u + u * u), (1, 0, u)]) == {0: u * u}
+
+
 # -- the state layer -------------------------------------------------------
 
 class _patched:
-    """Run a block with ``kernel`` in place of ``hseries._addmul``, which
-    every contraction reaches through ``_join``; ``calls`` counts the
-    products handed to it."""
+    """Run a block with ``join`` in place of ``hseries._join`` in the two
+    modules that contract through it, ``tensorop`` and ``states``;
+    ``calls`` counts the contractions handed to it."""
 
-    def __init__(self, kernel):
-        self.kernel, self.calls = kernel, 0
+    MODULES = (tensorop, states)
+
+    def __init__(self, join):
+        self.join, self.calls = join, 0
 
     def __enter__(self):
-        def counted(acc, a, b):
+        def counted(caps, left, right):
             self.calls += 1
-            self.kernel(acc, a, b)
+            return self.join(list(left), list(right))
 
-        self.saved, hseries._addmul = hseries._addmul, counted
+        self.saved = [module._join for module in self.MODULES]
+        for module in self.MODULES:
+            module._join = counted
         return self
 
     def __exit__(self, *exc):
-        hseries._addmul = self.saved
+        for module, saved in zip(self.MODULES, self.saved):
+            module._join = saved
 
 
 @pytest.mark.parametrize("case", TYPES, ids=["C1", "B1", "D2"])
@@ -245,7 +287,7 @@ def test_lowering_operators_match_the_unfused_route(case, u, k, inverse,
     arg = Arg.make(RatFunc.var("U"), {"u": 1} if u else {})
     op = FreeState.apply_tminus_inv if inverse else FreeState.apply_tminus
     got = op(st, 1, arg, st.open if shared else None)
-    with _patched(unfused_addmul) as patch:
+    with _patched(ref_join) as patch:
         rmatrix._build.cache_clear()
         want = op(st, 1, arg, st.open if shared else None)
     rmatrix._build.cache_clear()

@@ -33,7 +33,7 @@ def test_survey_of_one_check():
     never, unrun = result["ratfunc.py"]
     assert "_subs_by_terms" in never and "_subs_by_terms" not in unrun
     never, unrun = result["hseries.py"]
-    assert "_addmul" not in never
+    assert "HSeries.__mul__" not in never
     # the check never reaches the module layer
     never, unrun = result["states.py"]
     assert "FreeState.merge_y" in never and not unrun
