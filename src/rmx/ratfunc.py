@@ -105,30 +105,26 @@ The memo of sums and products.  In the operator products of the R-matrix
 and state checks, most sums and products of values with variables repeat
 one already computed.  So ``+`` and ``*`` of two values that both have
 variables (``-`` too, as a sum with the negation) are computed once per pair
-of operand values, by hash-consing (Filliatre and Conchon, "Type-safe
-modular hash-consing", ACM Workshop on ML 2006):
+of operand values:
 
-* The first time a value reaches ``+`` or ``*`` it is interned: keyed by
-  (variables, numerator items, denominator pair), the first equal value
-  interned becomes its representative, cached on the value's ``_canon``
-  slot.  Canonical form makes equal values equal keys.
-* The sum table and the product table map the ``id`` pair of the two
-  operands' representatives, before the operands are moved to their common
-  variables, to the result.  Each entry holds both representatives and the
-  result.  An ``id`` is unique only among live objects, so an entry that
-  did not keep its operands alive could be found again by new values that
-  reuse their ids; holding them means no id in a key is reused while the
-  entry exists.
+* A value's key is (variables, numerator items, denominator pair).
+  Canonical form makes it unique: two values over the same variables are
+  equal exactly when their keys are.  The variables belong in the key,
+  since a packed monomial and a factor's index mean something only over
+  its tuple.  The key is formed the first time the value reaches ``+``,
+  ``*`` or ``hash`` and cached on its ``_key`` slot, so hashing and the
+  memo share it.
+* The sum table and the product table map the pair of the two operands'
+  keys, taken before the operands are moved to their common variables, to
+  the result.  An entry holds the keys and the result, not the operands.
 * A sum or product with an ``int``, a ``Fraction`` or a value without
   variables takes the constant paths above and is not memoised; caching
   those gains nothing measurable.  Nor are quotients, powers, derivatives
   or substitutions.
 * The tables last for the whole process, shared by every check run in it.
-  When one of them reaches ``_MEMO_BOUND`` (8,192) entries, all of them are
-  emptied together, and every representative gives up its role, so values
-  intern again when next used.  A benchmark pass interns under 2,000 values.
-  Threads that race on the tables can compute a result twice or lose a
-  representative, but an entry never pairs a key with a wrong result.
+  When one of them reaches ``_MEMO_BOUND`` (8,192) entries, both are
+  emptied together.  Threads that race on the tables can compute a result
+  twice, but an entry never pairs a key with a wrong result.
 """
 
 from __future__ import annotations
@@ -920,55 +916,38 @@ _X_MINUS_ONE = {_packing(1).gens[0]: 1, 0: -1}
 
 # -- the memo of sums and products ---------------------------------------
 
-# Every table below is emptied, all together, when one of them reaches this
-# many entries.
+# Both tables are emptied together when one of them reaches this many
+# entries.
 _MEMO_BOUND = 8192
-_INTERNED = {}      # (vars, numerator items, denominator pair) -> value
-_SUMS = {}          # (id(a), id(b)) of interned a, b -> (a, b, a + b)
-_PRODUCTS = {}      # (id(a), id(b)) of interned a, b -> (a, b, a * b)
+_SUMS = {}          # (key of a, key of b) -> a + b
+_PRODUCTS = {}      # (key of a, key of b) -> a * b
 
 
 def _forget():
-    """Empty every table.  The interned values stop being representatives,
-    so a value that still points at one is interned again when next used."""
-    for rep in list(_INTERNED.values()):
-        rep._canon = None
-    _INTERNED.clear()
+    """Empty both tables."""
     _SUMS.clear()
     _PRODUCTS.clear()
 
 
-def _interned(a):
-    """The representative of ``a``, a canonical value with variables: the
-    first value equal to it that was interned since the tables were last
-    emptied."""
-    rep = a._canon
-    if rep is not None and rep._canon is rep:
-        return rep
-    key = (a.vars, frozenset(a._num.items()), a._fac)
-    rep = _INTERNED.get(key)
-    if rep is None:
-        if len(_INTERNED) >= _MEMO_BOUND:
-            _forget()
-        rep = _INTERNED[key] = a
-    a._canon = rep
-    return rep
+def _key_of(a):
+    """The structural key of ``a``, a canonical value with variables:
+    (variables, numerator items, denominator pair), formed once per value."""
+    key = a._key
+    if key is None:
+        key = a._key = (a.vars, frozenset(a._num.items()), a._fac)
+    return key
 
 
 def _memoised(table, kernel, a, b):
     """``kernel`` of ``a`` and ``b``, two values with variables, over their
-    common variables, computed once per pair of representatives.  An entry
-    holds both operands, so neither ``id`` in its key can be reused while
-    the entry exists."""
-    a, b = _interned(a), _interned(b)
-    key = (id(a), id(b))
-    hit = table.get(key)
-    if hit is not None:
-        return hit[2]
-    out = kernel(*a._unify(b))
-    if len(table) >= _MEMO_BOUND:
-        _forget()
-    table[key] = (a, b, out)
+    common variables, computed once per pair of operand keys."""
+    key = (_key_of(a), _key_of(b))
+    out = table.get(key)
+    if out is None:
+        out = kernel(*a._unify(b))
+        if len(table) >= _MEMO_BOUND:
+            _forget()
+        table[key] = out
     return out
 
 
@@ -981,13 +960,13 @@ class RatFunc:
     the polynomial path.
     """
 
-    __slots__ = ("vars", "_num", "_fac", "_canon")
+    __slots__ = ("vars", "_num", "_fac", "_key")
 
     def __init__(self, names, num, fac=None):
         self.vars = tuple(names)
         self._num = num     # the numerator, or the Fraction of a constant
         self._fac = fac     # the denominator's (content, exponents)
-        self._canon = None  # the interned representative, once there is one
+        self._key = None    # the structural key, once it is formed
 
     def _den(self):
         """The expanded denominator."""
@@ -1187,7 +1166,7 @@ class RatFunc:
         t = self.trim()
         if not t.vars:
             return hash(t._num)
-        return hash((t.vars, frozenset(t._num.items()), t._fac))
+        return hash(_key_of(t))
 
     # -- calculus / substitution --------------------------------------
 

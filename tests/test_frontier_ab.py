@@ -33,10 +33,18 @@ def test_one_checkout_against_itself_agrees():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[1] == "ybe_hat --order 1"
-    # one median line per side, base first, then the pairs won
+    # one line per side, base first, then the pairs won and the gap
     assert [line.split()[0] for line in lines[2:]] == ["base", "change",
-                                                       "won"]
+                                                       "won", "gap"]
+    # median, then [quartiles] and [low, high]
+    pair = r"\[\d+\.\d{4}, \d+\.\d{4}\]"
+    times = rf"\s+\d+\.\d{{4}} s {pair} {pair}"
+    assert re.fullmatch(r"  base" + times, lines[2])
+    assert re.fullmatch(r"  change" + times + r"  \([+-]\d+\.\d%\)",
+                        lines[3])
     assert re.fullmatch(r"  won    \d+ of 10 pairs by change", lines[4])
+    assert re.fullmatch(r"  gap    \d+\.\d{4} s (exceeds|is within) the "
+                        r"base IQR \d+\.\d{4} s", lines[5])
     assert "REPORTS DIFFER" not in proc.stdout
 
 

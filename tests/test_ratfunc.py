@@ -1024,17 +1024,17 @@ def test_fraction_ops_take_no_gcd():
 
 # -- the memo of sums and products ------------------------------------------
 #
-# ``+`` and ``*`` of values with variables go through a process-wide memo;
-# the bare kernels ``_add`` and ``_mul`` do not.  Each memoised result must
-# be structurally the kernel's result on fresh, uninterned copies of the
-# operands, and sympy's canonical form.
+# ``+`` and ``*`` of values with variables go through a process-wide memo
+# keyed by the operands' structural keys; the bare kernels ``_add`` and
+# ``_mul`` do not.  Each memoised result must be structurally the kernel's
+# result on fresh copies of the operands, and sympy's canonical form.
 
 R = rmx.ratfunc
 KERNELS = ((add, R._add), (mul, R._mul))
 
 
 def _fresh(a, names):
-    """A copy of ``a`` over ``names`` that was never interned."""
+    """A copy of ``a`` over ``names`` whose key was never formed."""
     a = a.lift(names)
     return RatFunc(a.vars, dict(a._num), a._fac)
 
@@ -1054,7 +1054,7 @@ def test_memoised_sums_and_products_match_kernels_and_sympy(a, b):
     for op, kernel in KERNELS:
         names, ref = _sympy_op(op, a, b)
         # the first call may compute; the second, and one on equal copies
-        # that were never interned, must find it
+        # that were never used, must find it
         for x, y in ((a, b), (a, b), (_fresh(a, a.vars), _fresh(b, b.vars))):
             _assert_canonical(_assert_kernel(op, kernel, x, y), names, ref)
 
@@ -1072,31 +1072,42 @@ def _check_all_pairs(values):
 
 
 def test_memo_entries_survive_the_death_of_their_callers_values():
-    # entries pin their operands, so no id in a key is reused while the
-    # entry lives, even once every other reference is gone
+    # an entry is found by the keys of its operands, not by the objects:
+    # once the values that made it are freed, new values in their place
+    # (which may reuse their ids) still get their own results
     _check_all_pairs(_products(1))
     gc.collect()
     _check_all_pairs(_products(2))
-    # emptied, every old value is freed and its id may be reused
     R._forget()
-    assert not R._INTERNED and not R._SUMS and not R._PRODUCTS
+    assert not R._SUMS and not R._PRODUCTS
     gc.collect()
     _check_all_pairs(_products(3))
     _check_all_pairs(_products(1))
+
+
+def test_equal_copies_hit_the_memo():
+    x, y = RatFunc.var("x"), RatFunc.var("y")
+    a, b = (x + 1) / (y - 2), (x * y - 3) / (x - y)
+    for op, _ in KERNELS:
+        op(a, b)
+        sizes = len(R._SUMS), len(R._PRODUCTS)
+        got = op(_fresh(a, a.vars), _fresh(b, b.vars))
+        assert (len(R._SUMS), len(R._PRODUCTS)) == sizes
+        assert got is op(a, b)
 
 
 def _fill(pairs, ops):
     """Run ``ops`` on every pair, checking every 97th result against its
     kernel and every table's size against the bound after each pair; True
     iff some table was emptied on the way."""
-    sizes, emptied = [0, 0, 0], False
+    sizes, emptied = [0, 0], False
     for k, (a, b) in enumerate(pairs):
         for op, kernel in ops:
             if k % 97:
                 op(a, b)
             else:
                 _assert_kernel(op, kernel, a, b)
-        now = [len(t) for t in (R._INTERNED, R._SUMS, R._PRODUCTS)]
+        now = [len(t) for t in (R._SUMS, R._PRODUCTS)]
         assert max(now) <= R._MEMO_BOUND, now
         emptied = emptied or any(x < y for x, y in zip(now, sizes))
         sizes = now
@@ -1107,10 +1118,10 @@ def test_memo_tables_stay_within_their_bound():
     bound = R._MEMO_BOUND
     z, w = RatFunc.var("Z"), RatFunc.var("W")
     R._forget()
-    # more distinct values than the bound: the interned table fills first
-    # (``z + i`` adds a constant, which is not memoised)
+    # more distinct pairs than the bound, each operation once: both tables
+    # fill together (``z + i`` adds a constant, which is not memoised)
     assert _fill(((z + i, w) for i in range(bound + 100)), KERNELS)
-    # fewer values, but more pairs than the bound: a memo table fills first
+    # the products alone fill their table, and both are emptied
     R._forget()
     values = [z + i for i in range(isqrt(bound) + 2)]
     assert _fill(((a, b) for a in values for b in values), KERNELS[1:])

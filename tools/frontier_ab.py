@@ -11,10 +11,13 @@ BASE runs first in the even pairs and CHANGE first in the odd ones, so
 that an effect of run order falls on both sides alike.  Each run times
 itself with ``time.perf_counter`` around the check, after the imports,
 and prints those seconds after its report.  The script prints the raw
-median, low and high of these times per checkout, to 0.1 ms, the change
-of the median, and in how many of the ``RUNS`` alternating pairs (the
-i-th run of each checkout) CHANGE was faster than BASE.  Raw means that
-no calibration rescales the times: compare the two columns of one
+median, quartiles (``statistics.quantiles``, n=4), low and high of these
+times per checkout, to 0.1 ms, the change of the median, in how many of
+the ``RUNS`` alternating pairs (the i-th run of each checkout) CHANGE was
+faster than BASE, and whether the gap between the medians exceeds BASE's
+interquartile range.  A gain may be claimed only when CHANGE wins at
+least nine tenths of the pairs and the gap exceeds that range.  Raw means
+that no calibration rescales the times: compare the two columns of one
 invocation only, since the machine's speed drifts between invocations.
 
 Exit status: 0 when every report of a check, its ``elapsed_ms`` aside,
@@ -65,8 +68,17 @@ def run_check(root: Path, args: list) -> tuple:
 
 
 def spread(times: list) -> str:
-    return (f"{statistics.median(times):9.4f} s "
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return (f"{statistics.median(times):9.4f} s [{q1:.4f}, {q3:.4f}] "
             f"[{min(times):.4f}, {max(times):.4f}]")
+
+
+def gap(base: list, change: list) -> str:
+    """Whether the medians lie further apart than BASE's quartiles."""
+    q1, _, q3 = statistics.quantiles(base, n=4)
+    diff = abs(statistics.median(change) - statistics.median(base))
+    verdict = "exceeds" if diff > q3 - q1 else "is within"
+    return f"{diff:.4f} s {verdict} the base IQR {q3 - q1:.4f} s"
 
 
 def main(argv=None) -> int:
@@ -87,7 +99,8 @@ def main(argv=None) -> int:
             print(f"{root} has no src/rmx", file=sys.stderr)
             return USAGE_EXIT
     differ = False
-    print(f"raw seconds, median [low, high] of {RUNS} alternating runs")
+    print(f"raw seconds, median [quartiles] [low, high] of {RUNS} "
+          "alternating runs")
     for check in opts.checks:
         args = shlex.split(check)
         reports, times = {}, ([], [])
@@ -100,7 +113,8 @@ def main(argv=None) -> int:
         won = sum(c < b for b, c in zip(*times))
         print(f"{check}\n  base   {spread(times[0])}\n  change "
               f"{spread(times[1])}  ({(change - base) / base:+.1%})\n"
-              f"  won    {won} of {RUNS} pairs by change")
+              f"  won    {won} of {RUNS} pairs by change\n"
+              f"  gap    {gap(*times)}")
         if len(reports) > 1:
             differ = True
             print("  REPORTS DIFFER:")
