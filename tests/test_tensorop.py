@@ -307,3 +307,108 @@ def test_keys_and_slots_out_of_range_raise():
                    lambda: a.odot(a, (slot,), "LR")):
             with pytest.raises(ValueError, match=f"slot {slot} "):
                 op()
+
+
+# -- dense oracles at N = 3 and 4 with multi-term entries --------------------
+
+MULTI = {"h": 3, "u": 2}
+
+
+def _multi_term_op(rng, N, m, count, caps=MULTI):
+    """About ``count`` random entries on m slots, each a series of one to
+    five terms in h and u with rational or z-dependent coefficients, so
+    that most entries hold several terms."""
+    monos = [(e, f) for e in range(caps["h"]) for f in range(caps["u"])]
+    coeffs = [RatFunc.one(), RatFunc.const(-2), RatFunc.const(Fraction(1, 3)),
+              RatFunc.var("z"), 1 - RatFunc.var("z")]
+    entries = {}
+    for _ in range(count):
+        key = tuple(tuple(rng.randrange(N) for _ in range(m)) for _ in "rc")
+        entries[key] = HSeries(caps, {
+            mono: rng.choice(coeffs)
+            for mono in rng.sample(monos, rng.randint(1, 5))})
+    return TensorOp(N, m, caps, entries)
+
+
+def _dense(op) -> dict:
+    """(row, col) -> series of every nonzero entry, index tuples as keys."""
+    return dict(op.items())
+
+
+def _summed(pairs) -> dict:
+    """Sum series per key with HSeries arithmetic, zero sums dropped."""
+    out = {}
+    for key, val in pairs:
+        out[key] = out[key] + val if key in out else val
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def dense_mul(a: dict, b: dict) -> dict:
+    """A B by all pairs of entries: A[r, k] B[k, c] summed into [r, c]."""
+    return _summed(((ar, bc), av * bv) for (ar, ac), av in a.items()
+                   for (br, bc), bv in b.items() if ac == br)
+
+
+def dense_odot_pairs(a: dict, b: dict, m: int, first, mode) -> dict:
+    """The split product by all pairs of entries, in index tuples:
+    (A odot B)[R, C] = sum A[(R_F, K'_G), (K_F, C_G)] B[(K_F, R_G),
+    (C_F, K'_G)], F the first slots for "LR" and the others for "RL"."""
+    F = {s - 1 for s in first}
+    if mode == "RL":
+        F = set(range(m)) - F
+
+    def fits(ar, ac, br, bc):
+        # A's F columns meet B's F rows, A's G rows meet B's G columns
+        return all(ac[i] == br[i] if i in F else ar[i] == bc[i]
+                   for i in range(m))
+
+    def out(ar, ac, br, bc):
+        return (tuple(ar[i] if i in F else br[i] for i in range(m)),
+                tuple(bc[i] if i in F else ac[i] for i in range(m)))
+
+    return _summed((out(ar, ac, br, bc), av * bv)
+                   for (ar, ac), av in a.items()
+                   for (br, bc), bv in b.items() if fits(ar, ac, br, bc))
+
+
+@pytest.mark.parametrize("N,m", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_mul_and_odot_match_dense_products_of_multi_term_entries(N, m):
+    rng = random.Random(100 * N + m)
+    count = 3 * N ** m
+    a, b = (_multi_term_op(rng, N, m, count) for _ in "ab")
+    ea, eb = _dense(a), _dense(b)
+    assert any(len(v.terms) > 1 for v in ea.values())
+    assert _dense(a * b) == dense_mul(ea, eb)
+    for first in [(1,), (m,), tuple(range(1, m + 1)), ()]:
+        for mode in ("LR", "RL"):
+            assert _dense(a.odot(b, first, mode)) == \
+                dense_odot_pairs(ea, eb, m, first, mode), (first, mode)
+
+
+def test_residual_and_nonzero_count_count_entries_not_terms():
+    caps = MULTI
+    h, u = (HSeries.capped_var(v, caps) for v in ("h", "u"))
+    z = HSeries.const(RatFunc.var("z"), caps)
+    three = 1 + h + h * u          # an entry of three terms
+    a = TensorOp(3, 2, caps, {((0, 1), (2, 0)): three,
+                              ((1, 1), (1, 1)): z + u,
+                              ((2, 0), (0, 2)): h})
+    assert a.nonzero_count() == 3
+    assert a.residual(a) == (0, None)
+    # two terms of one entry differ: one entry, and its witness is the
+    # difference of that entry's series
+    b = TensorOp(3, 2, caps, {((0, 1), (2, 0)): three - h * h - h * u,
+                              ((1, 1), (1, 1)): z + u,
+                              ((2, 0), (0, 2)): h})
+    count, witness = a.residual(b)
+    assert count == 1
+    assert witness == ([0, 1], [2, 0], repr(h * h + h * u))
+    assert (a - b).nonzero_count() == 1
+    assert (a - b).witness() == witness
+    # an entry on one side only counts once, however many terms it has
+    c = TensorOp(3, 2, caps, {((1, 1), (1, 1)): z + u,
+                              ((2, 0), (0, 2)): h})
+    assert a.residual(c)[0] == 1 and c.residual(a)[0] == 1
+    assert a.residual(c)[1] == ([0, 1], [2, 0], repr(three))
+    assert c.residual(a)[1] == ([0, 1], [2, 0], repr(-three))
+    assert a.witness() == ([0, 1], [2, 0], repr(three))
