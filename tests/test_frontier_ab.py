@@ -36,12 +36,12 @@ def test_one_checkout_against_itself_agrees():
     # one line per side, base first, then the pairs won and the gap
     assert [line.split()[0] for line in lines[2:]] == ["base", "change",
                                                        "won", "gap"]
-    # median, then [quartiles] and [low, high]
+    # median, then [quartiles] and [low, high], then the median peak RSS
     pair = r"\[\d+\.\d{4}, \d+\.\d{4}\]"
-    times = rf"\s+\d+\.\d{{4}} s {pair} {pair}"
+    times = rf"\s+\d+\.\d{{4}} s {pair} {pair}\s+\d+\.\d MB"
     assert re.fullmatch(r"  base" + times, lines[2])
-    assert re.fullmatch(r"  change" + times + r"  \([+-]\d+\.\d%\)",
-                        lines[3])
+    assert re.fullmatch(r"  change" + times
+                        + r"  \([+-]\d+\.\d%, peak [+-]\d+\.\d%\)", lines[3])
     assert re.fullmatch(r"  won    \d+ of 10 pairs by change", lines[4])
     assert re.fullmatch(r"  gap    \d+\.\d{4} s (exceeds|is within) the "
                         r"base IQR \d+\.\d{4} s", lines[5])
@@ -52,9 +52,30 @@ def test_runs_of_a_check_of_a_few_ms_get_distinct_times():
     tool = _load_tool()
     runs = [tool.run_check(ROOT, ["ybe_hat", "--order", "1"])
             for _ in range(10)]
-    assert len({report for report, _ in runs}) == 1
-    times = [seconds for _, seconds in runs]
+    assert len({report for report, _, _ in runs}) == 1
+    times = [seconds for _, seconds, _ in runs]
     assert len(set(times)) == 10 and 0 < min(times)
+    # each run's own peak RSS in MB: an interpreter with rmx and sympy
+    # loaded holds some MB, and far less than a GB
+    assert all(1 < peak < 1024 for _, _, peak in runs)
+
+
+def test_peak_medians_are_reported_per_checkout(tmp_path, monkeypatch,
+                                                 capsys):
+    tool = _load_tool()
+    base, change = tmp_path / "base", tmp_path / "change"
+    for root in (base, change):
+        (root / "src" / "rmx").mkdir(parents=True)
+    peaks = iter([100.0, 50.0, 60.0, 110.0] * (tool.RUNS // 2))
+
+    def run_check(root, args):
+        return "{}", 1.0, next(peaks)
+    monkeypatch.setattr(tool, "run_check", run_check)
+    assert tool.main([str(base), str(change), "ybe_hat --order 1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # base ran 100 and 110 MB, change 50 and 60 MB, alternately
+    assert lines[2].endswith("   105.0 MB")
+    assert lines[3].endswith("    55.0 MB  (+0.0%, peak -47.6%)")
 
 
 def test_a_directory_without_src_rmx_is_a_usage_error(tmp_path):
@@ -73,7 +94,7 @@ def test_the_side_that_runs_first_alternates(tmp_path, monkeypatch):
 
     def run_check(root, args):
         calls.append(root)
-        return "{}", 1.0
+        return "{}", 1.0, 1.0
     monkeypatch.setattr(tool, "run_check", run_check)
     assert tool.main([str(base), str(change), "ybe_hat --order 1"]) == 0
     assert calls == [base, change, change, base] * (tool.RUNS // 2)
