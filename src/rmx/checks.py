@@ -223,8 +223,7 @@ def correspondence_check(family, n, alpha, a=2, b=2, l=3, r_start=0,
                 1 / z0, {"u": 1, "v": -1, "h": alpha}), caps).scale(
                     x ** r * (1 - z0) ** r)
         return prefactored_verdict(
-            lhs_raw, [c for s in lhs_raw.entries.values()
-                      for c in s.terms.values()],
+            lhs_raw, list(lhs_raw.entries.values()),
             "x", "y", "Z0", rhs, r_max, r_start)
 
     return timed_report("correspondence", params, run)

@@ -13,14 +13,17 @@ are keyed by monomial numbers of the caps, numbered so that a product of
 two monomials is numbered by the sum of their numbers, and only products
 can leave the caps.
 
-Two loops multiply.  ``HSeries.__mul__`` tests every pair of terms against
-the caps.  ``_join``, the one contraction of operators and states, indexes
-the right operand's terms by match key, each bucket sorted by exponent of
-h, and ends each left term's walk at the cap of h, so it never forms the
-pairs past that cap (most pairs of a contraction with an R-matrix, which
-is 1 + O(h)).  Neither multiplies an exact one.  They stay two because a
-single product of two series gains nothing from an index it must first
-build and sort: ``__mul__`` routed through ``_join`` made the benchmark's
+Operators and states hold no series: their terms live in one flat dict
+per operator, keyed by ``entry << caps.width | monomial number`` (see
+``tensorop``).  Two loops multiply.  ``HSeries.__mul__`` tests every pair
+of terms against the caps.  ``_join``, the one contraction of operators
+and states, takes term streams, indexes the right one by match key, each
+bucket sorted by exponent of h, ends each left term's walk at the cap of h
+(most pairs of a contraction with an R-matrix, which is 1 + O(h), pass
+it), and adds each product straight into one flat dict.  Neither
+multiplies an exact one.  They stay two because a single
+product of two series gains nothing from an index it must first build and
+sort: ``__mul__`` routed through ``_join`` made the benchmark's
 ``module_suite`` and ``rmatrix_suite`` 0.8-4.5% slower.
 
 All values are immutable and hold only nonzero coefficients.
@@ -50,10 +53,12 @@ class Caps(Mapping):
     exponent tuple and ``index`` maps back; the constant monomial is 0.
     ``h_cap`` is the cap of h and ``h_orders`` maps the number of each
     monomial within the caps to its exponent of h, read at h's position
-    among the names; without h they are 1 and 0.
+    among the names; without h they are 1 and 0.  ``width`` bits, masked
+    by ``low``, hold the sum of two numbers of monomials within the caps.
     """
 
-    __slots__ = ("names", "_caps", "monos", "index", "h_cap", "h_orders")
+    __slots__ = ("names", "_caps", "monos", "index", "h_cap", "h_orders",
+                 "width", "low")
     _interned = {}
 
     def __init__(self, items: tuple):
@@ -72,6 +77,8 @@ class Caps(Mapping):
         self.h_cap = self._caps.get("h", 1)
         self.h_orders = {k: 0 if at is None else mono[at]
                          for k, mono in self.monos.items()}
+        self.width = (2 * max(self.monos)).bit_length()
+        self.low = (1 << self.width) - 1
 
     @staticmethod
     def of(caps) -> "Caps":
@@ -115,8 +122,7 @@ def _series(caps: Caps, terms: dict) -> "HSeries":
 
 
 def _add_into(terms: dict, k: int, coeff: RatFunc):
-    """terms[k] += coeff, keeping only nonzero values (coefficients, or
-    the series of an operator's entries)."""
+    """terms[k] += coeff, keeping only nonzero values."""
     if k in terms:
         coeff = terms[k] + coeff
         if coeff.is_zero():
@@ -125,56 +131,53 @@ def _add_into(terms: dict, k: int, coeff: RatFunc):
     terms[k] = coeff
 
 
-def _flush(caps: Caps, acc: dict) -> dict:
-    """Key -> term dict as key -> series over ``caps``, empty ones dropped."""
-    return {key: _series(caps, terms) for key, terms in acc.items() if terms}
-
-
 # a term entry of ``_join``'s index by its first field, the exponent of h
 _h_order = itemgetter(0)
 
 
 def _join(caps: Caps, left, right) -> dict:
     """The one contraction of the package: ``left`` and ``right`` are
-    streams of (match, kept, series) triples, and every pair with equal
-    ``match`` adds a * b (a from ``left``) at the key ``kept_left |
-    kept_right``.  Returns key -> series over ``caps``, keys whose
-    products cancelled dropped.
+    streams of (match, key, coefficient) triples, one per term, whose keys'
+    low ``caps.width`` bits are the term's monomial number.  Every pair
+    with equal ``match`` whose monomials multiply within the caps adds
+    a * b (a from ``left``) at ``key_left + key_right``: the entry fields
+    the two keys keep are disjoint and their monomial numbers add without
+    carrying, so ``+`` is ``|`` on the fields and the product's number in
+    the low bits.  Returns flat key -> coefficient, cancelled keys dropped.
 
-    The right stream is indexed by its terms, not its series: the bucket
-    of a match key holds one (h-order, monomial number, kept, coefficient)
-    entry per term of its series, sorted by the exponent of h.  The walk of
-    a left term of h-order e over its bucket stops at the first entry whose
-    h-order reaches h_cap - e, so no pair past the cap of h is formed.  Every other
+    The right stream is indexed by match key, each bucket of (h-order,
+    monomial number, key, coefficient) sorted by the exponent of h.  The
+    walk of a left term of h-order e stops at the first whose h-order
+    reaches h_cap - e, so no pair past the cap of h is formed.  Every other
     capped variable is tested per pair through ``caps.monos``, and no
     exact one is multiplied."""
-    cap, orders, within = caps.h_cap, caps.h_orders, caps.monos
+    cap, orders, within, low = caps.h_cap, caps.h_orders, caps.monos, caps.low
     index = {}
-    for match, kept, b in right:
+    for match, key, c in right:
         bucket = index.get(match)
         if bucket is None:
             bucket = index[match] = []
-        for j, c in b.terms.items():
-            bucket.append((orders[j], j, kept, c))
+        j = key & low
+        bucket.append((orders[j], j, key, c))
     for bucket in index.values():
         bucket.sort(key=_h_order)
     acc = {}
-    for match, kept, a in left:
+    for match, key, c1 in left:
         bucket = index.get(match)
         if bucket is None:
             continue
-        for i, c1 in a.terms.items():
-            room = cap - orders[i]      # the h-orders a partner may have
-            one = None              # c1.is_one(), asked when a pair fits
-            for e, j, other, c2 in bucket:
-                if e >= room:
-                    break
-                if i + j in within:
-                    if one is None:
-                        one = c1.is_one()
-                    _add_into(acc.setdefault(kept | other, {}), i + j,
-                              c2 if one else c1 if c2.is_one() else c1 * c2)
-    return _flush(caps, acc)
+        i = key & low
+        room = cap - orders[i]          # the h-orders a partner may have
+        one = None                  # c1.is_one(), asked when a pair fits
+        for e, j, other, c2 in bucket:
+            if e >= room:
+                break
+            if i + j in within:
+                if one is None:
+                    one = c1.is_one()
+                _add_into(acc, key + other,
+                          c2 if one else c1 if c2.is_one() else c1 * c2)
+    return acc
 
 
 class HSeries:

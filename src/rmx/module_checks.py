@@ -237,12 +237,10 @@ def _weak_assoc_run(family, n, L, c, cap_uv, r_max):
     composed = three.merge_y(1, 2, z0).merge_y(1, 2, z2)
 
     def rhs(r):
-        return composed.map_entries(
-            lambda s: s * (z2.mono ** (2 * r) * (z0.mono - 1) ** (2 * r)))
+        return composed.scale(z2.mono ** (2 * r) * (z0.mono - 1) ** (2 * r))
     # (Z2 - Z1)^(2r) = (Z1 - Z2)^(2r) clears the pole along Z1 = Z2
     return prefactored_verdict(
-        direct, [k for t in direct.terms for s in t.coeff.entries.values()
-                 for k in s.terms.values()],
+        direct, [k for t in direct.terms for k in t.coeff.entries.values()],
         "Z2", "Z1", "Z0", rhs, r_max, power=2)
 
 

@@ -560,17 +560,15 @@ def rmatrix(ltd: LieTypeData, norm: Normalizer, arg: Arg, caps: dict) -> TensorO
 def _r_template(ltd: LieTypeData, norm: Normalizer) -> tuple:
     """Per group of R's entries, the dilations of its value at x = z under
     caps h^L, e^{(1+2kappa)h/2} g1(z) times the group's combination of
-    R+(z), with the group's packed keys.  The values are formed from
-    ``norm.orders`` in Q[w, 1/w], where x = z is 1 + w."""
+    R+(z), with the group's unshifted packed keys.  The values are formed
+    from ``norm.orders`` in Q[w, 1/w], where x = z is 1 + w."""
     L = norm.L
     caps = Caps.of({"h": L})
     ops = build_constant_ops(ltd, caps)
-    zero = HSeries.zero(caps)
+    names = ("Rconst", "P", "Q")
     groups = {}
-    for key in {**ops["Rconst"].entries, **ops["P"].entries,
-                **ops["Q"].entries}:
-        coeffs = tuple(ops[name].entries.get(key, zero)
-                       for name in ("Rconst", "P", "Q"))
+    for key in sorted(set().union(*(ops[name]._keys() for name in names))):
+        coeffs = tuple(ops[name]._entry(key) for name in names)
         exact = tuple(frozenset(c.terms.items()) for c in coeffs)
         groups.setdefault(exact, (coeffs, []))[1].append(key)
 
@@ -603,12 +601,11 @@ def _build(ltd: LieTypeData, norm: Normalizer, arg: Arg,
            caps: Caps) -> TensorOp:
     # one build per (type, normaliser, argument, caps): operators are
     # immutable, so every caller can share it
-    point = _point(arg, caps, norm.L)
+    point, width = _point(arg, caps, norm.L), caps.width
     entries = {}
     for dil, keys in _r_template(ltd, norm):
-        val = _evaluate(dil, point, caps)
-        if val.terms:       # a group's value can vanish at the point
-            entries.update(dict.fromkeys(keys, val))
+        terms = _evaluate(dil, point, caps).terms.items()
+        entries.update({key << width | j: c for key in keys for j, c in terms})
     return _operator(ltd.N, 2, caps, entries)
 
 

@@ -26,17 +26,17 @@ vertex map is the exception: its slots are contracted away at the end, so
 each is appended pinned to the one index pair the contraction keeps (see
 ``merge_y``).
 
-Coefficient entries are keyed by the packed ints of ``tensorop``: one
-b-bit field per row and per column index, rows of slots 1..m then columns,
-slot 1 most significant, so int order is (row, col) tuple order and
-residual witnesses keep it.  The two contractions here, a sandwich's
-walk (``_chain_omega``) and a sandwich composed into a state
-(``FreeState._compose``), are each one ``hseries._join`` of streams whose
-keys are read and written through ``_layout`` masks and relabelled with
-``_mover``.  Every R-matrix is 1 + O(h), so most pairs of terms in a
-sandwich pass the cap of h; the join's term index, sorted by exponent of
-h, ends each walk before them.  ``_raise``, ``_with_pinned_open`` and
-``_contract_pairs`` pass entries on unfiltered.
+Coefficients are ``TensorOp``s, so their terms are keyed by the flat keys
+of ``tensorop``: b-bit fields for the row and column indices above the
+caps' ``width`` low bits of the monomial number, so ``key >> width`` order
+is (row, col) tuple order and residual witnesses keep it.  A sandwich's
+walk (``_chain_omega``) and its composition into a state
+(``FreeState._compose``) are each one ``hseries._join`` of term streams
+whose keys are read and written through ``_layout`` masks and ``_mover``
+relabellings, which carry the low bits along.  Every R-matrix is 1 + O(h),
+so most pairs of terms in a sandwich pass the cap of h; the join's index,
+sorted by exponent of h, ends each walk before them.  ``_raise``,
+``_with_pinned_open`` and ``_contract_pairs`` pass terms on unfiltered.
 
 All operations return new states; nothing is mutated.
 """
@@ -105,8 +105,8 @@ def _chain_omega(N, caps, wslots, sym_wordops, mats) -> TensorOp:
     result lives on wslots + len(sym_wordops) slots, sym slots appended in
     generator order.
 
-    The walk keeps a frontier of keys in the result's layout (the sym slots
-    of generators not yet read at 0) -> series over the product so far."""
+    The walk keeps a frontier of flat keys in the result's layout (the sym
+    slots of generators not yet read at 0) -> terms of the product so far."""
     if len(mats) != len(sym_wordops) + 1:
         raise ValueError(f"{len(mats)} matrices for "
                          f"{len(sym_wordops)} generators")
@@ -117,10 +117,11 @@ def _chain_omega(N, caps, wslots, sym_wordops, mats) -> TensorOp:
                 raise ValueError(f"a matrix on {mat.m} slots, not {wslots}")
             caps.match(mat.caps)
     n = len(sym_wordops)
-    layout, mlayout = _layout(N, wslots + n), _layout(N, wslots)
+    width, low = caps.width, caps.low
+    layout, mlayout = _layout(N, wslots + n, width), _layout(N, wslots, width)
     f, tail = layout.field, n * layout.b        # tail: the sym columns' width
     ops = layout.mask((), range(1, wslots + 1))  # the current columns
-    keep, cols = layout.full ^ ops, (1 << mlayout.half) - 1
+    keep, cols = layout.full ^ ops, mlayout.mask((), range(1, wslots + 1))
     start = _mover(mlayout, layout,
                    tuple((s, s) for s in range(1, wslots + 1)))
     frontier = {start(key): val for key, val in mats[0].entries.items()}
@@ -135,7 +136,8 @@ def _chain_omega(N, caps, wslots, sym_wordops, mats) -> TensorOp:
             # the frontier's current columns meet the matrix's rows
             frontier = _join(caps, (((key & ops) >> tail, key & keep, val)
                                     for key, val in frontier.items()),
-                             ((key >> mlayout.half, (key & cols) << tail, val)
+                             ((key >> mlayout.half & ~low,
+                               (key & cols) << tail | key & low, val)
                               for key, val in mat.entries.items()))
     return _operator(N, wslots + n, caps, frontier)
 
@@ -279,13 +281,13 @@ class FreeState:
             if omega.m != 2 * w + e:
                 raise ValueError(f"omega has {omega.m} slots, not {2 * w + e}")
             caps = K.caps.match(omega.caps)
-            layout, olayout = _layout(K.N, K.m), _layout(K.N, omega.m)
+            layout, olayout = K._flat(), omega._flat()
             # omega's P, Q and J meet K's target rows and columns and the
             # shared row; its P', Q' and I replace them
             sh = layout.row(shared) if e else None
             match = _mover(olayout, layout,
                            tuple(zip(range(1, w + 1), targets)),
-                           ((olayout.col(w + 1), sh),) if e else ())
+                           ((olayout.col(w + 1), sh),) if e else (), False)
             put = _mover(olayout, layout,
                          tuple(zip(range(w + e + 1, 2 * w + e + 1), targets)),
                          ((olayout.row(w + 1), sh),) if e else ())
@@ -320,7 +322,7 @@ class FreeState:
         out_terms = []
         for term in self.terms:
             K = term.coeff
-            old, new = _layout(K.N, K.m), _layout(K.N, K.m + 1)
+            old, new = K._flat(), _layout(K.N, K.m + 1, K.caps.width)
             # nu's old row becomes the new slot's column
             move = _mover(old, new, tuple(
                 (s, s + (s > pos)) for s in range(1, K.m + 1) if s != nu),
@@ -486,8 +488,7 @@ class FreeState:
 
         def word(w):
             return tuple((Arg(sub(a.mono), a.shift), d) for a, d in w)
-        return self._replace([Term(t.coeff.map_entries(
-                                       lambda s: s.map_coeffs(sub)),
+        return self._replace([Term(t.coeff.map_coeffs(sub),
                                    tuple(map(word, t.words)))
                               for t in self.terms])
 
@@ -590,7 +591,7 @@ class FreeState:
         o = self.open
 
         def act(K):
-            old, new = _layout(K.N, K.m), _layout(K.N, K.m + 1)
+            old, new = K._flat(), _layout(K.N, K.m + 1, K.caps.width)
             move = _mover(old, new, tuple((s, s + (s > o))
                                           for s in range(1, K.m + 1)))
             puts = [c << new.row(o + 1) | c << new.col(o + 1)
@@ -606,9 +607,10 @@ class FreeState:
         column, summed) and delete both; optionally drop the factors whose
         word slots were consumed."""
         def agreeing(K):
-            layout = _layout(K.N, K.m)
+            layout = K._flat()
             firsts = [a for a, _ in pairs]
-            onto = _mover(layout, layout, tuple((b, a) for a, b in pairs))
+            onto = _mover(layout, layout, tuple((b, a) for a, b in pairs),
+                          (), False)
             mask = layout.mask(firsts, firsts)
             return _operator(K.N, K.m, K.caps, {
                 key: val for key, val in K.entries.items()
@@ -626,7 +628,7 @@ class FreeState:
         for term in self.terms:
             K = term.coeff
             kept = [s for s in range(1, K.m + 1) if s not in drop]
-            old, new = _layout(K.N, K.m), _layout(K.N, len(kept))
+            old, new = K._flat(), _layout(K.N, len(kept), K.caps.width)
             move = _mover(old, new, tuple(zip(kept, range(1, len(kept) + 1))))
             entries = {}
             for key, val in K.entries.items():
@@ -773,8 +775,7 @@ def _arg_derivative(K: TensorOp, arg: Arg):
             raise ValueError(f"cannot attribute a derivative to {arg}")
         name = names[0]
         z = RatFunc.var(name)
-        return K.map_entries(
-            lambda s: s.diff_ring_var(name).map_coeffs(lambda c: -(c * z)))
+        return K.map_coeffs(lambda c: -(c.diff(name) * z))
     if mono.is_constant() and len(shift) == 1:
         (name, coeff), = shift
         if name not in K.caps or K.caps[name] < 2:
@@ -784,7 +785,7 @@ def _arg_derivative(K: TensorOp, arg: Arg):
         reduced = {**K.caps, name: K.caps[name] - 1}
         return TensorOp(K.N, K.m, reduced,
                         {key: val.diff_capped(name) * scale
-                         for key, val in K.entries.items()})
+                         for key, val in K.items()})
     raise ValueError(f"cannot attribute a derivative to {arg}")
 
 
@@ -793,5 +794,4 @@ def _with_caps(K: TensorOp, caps) -> TensorOp:
     if K.caps is caps:
         return K
     return TensorOp(K.N, K.m, caps,
-                    {key: val.with_caps(caps)
-                     for key, val in K.entries.items()})
+                    {key: val.with_caps(caps) for key, val in K.items()})

@@ -1,38 +1,33 @@
 """Sparse operators on tensor powers of C^N with truncated-series entries.
 
 An operator on m slots maps index tuples of length m (0-based per-slot
-indices) to index tuples of length m.  Entries are HSeries over the
-operator's caps; absent entries are zero.  Slot arguments in the public API
-are 1-based, matching the usual subscript notation A_{rs} for embeddings.
+indices) to index tuples of length m; absent entries are zero.  Slot
+arguments in the public API are 1-based, as in the subscripts of A_{rs}.
 
-``entries`` is keyed by packed ints (``_Layout``): 2m fields of
+An entry is keyed by a packed int (``_Layout``): 2m fields of
 b = max(1, (N-1).bit_length()) bits, the rows of slots 1..m and then their
-columns, slot 1 most significant.  Every field is below 2^b, so keys
-compare as their fields do from the most significant one down, which is
-the order of (row, col) tuple pairs; sorted keys unpack to sorted tuples,
-and witnesses and ``items`` keep tuple order.  Structural operations
-relabel keys by masks and shifts (``_mover``).  The validating
-constructor packs tuple keys, and ``items`` and ``witness`` unpack them.
+columns, slot 1 most significant, so sorted keys unpack to sorted (row,
+col) tuples.  ``entries`` is one flat dict over the terms of all entries:
+``entry << S | j``, with S = ``caps.width`` and j a monomial number of the
+caps, maps to the term's nonzero RatFunc coefficient.  An operator's layout
+shifts every field up by S, so its masks and key movers (``_mover``) act
+on ``key >> S`` and carry the low bits along.  Reports count entries, not
+terms: ``nonzero_count`` and ``residual`` count distinct ``key >> S``, and
+``items`` and witnesses assemble an entry's series from its terms.
 
-Two constructors build an operator.  ``TensorOp(N, m, caps, entries)``
-validates: every entry must be an HSeries over the given caps, keyed by
-(row, col) index tuples of m slots or by a packed key, every index in
-0..N-1.  ``_operator`` trusts its caller, and that no entry is zero, in
-code whose operands' shapes and caps are already checked.  Every
-contraction of operators and states is one ``hseries._join``, which
-matches the packed keys of two operands, indexes the right operand's
-terms sorted by exponent of h, adds each pair of terms that fits the caps
-into the term dict of its output key, ending each walk at the cap of h,
-and drops the keys that cancelled; here ``*`` and ``odot`` are one split
-product (``_split``), ``*`` the one with every slot in the first block.
-``+`` and ``states._drop_pairs`` add series with ``hseries._add_into``,
-which drops a sum that cancels; only ``scale`` and the R-matrix build
-filter products;
-``identity``, ``-``, ``embed``, ``swap_slots``, ``transpose_slot`` and
-``conj_diag`` (unit factors) map nonzero entries to nonzero ones.
-Everything else, ``map_entries`` included, goes through the validating
-constructor, and every binary operation checks the shapes and caps of its
-operands.
+``TensorOp(N, m, caps, entries)`` validates: each entry an HSeries over the
+caps, keyed by (row, col) index tuples or by a packed key of ``_layout(N,
+m)`` (no shift), each index in 0..N-1.  ``_operator`` trusts its caller,
+and that no coefficient is zero.  Every contraction is one
+``hseries._join`` of two term streams, which adds each product that fits
+the caps straight into the output's flat dict and drops the keys that
+cancelled: ``*`` and ``odot`` are one split product (``_split``), and
+``scale`` and ``conj_diag`` join the terms with a series'.  ``+`` and
+``states._drop_pairs`` add with ``hseries._add_into``, which drops a sum
+that cancels, and ``map_coeffs`` drops a zero; ``identity``, ``-``,
+``embed``, ``swap_slots`` and ``transpose_slot`` map nonzero terms to
+nonzero ones.  ``map_entries`` maps whole series through the validating
+constructor.  Every binary operation checks its operands' shapes and caps.
 """
 
 from __future__ import annotations
@@ -41,28 +36,30 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .hseries import Caps, HSeries, _add_into, _join
+from .hseries import Caps, HSeries, _add_into, _join, _series
 from .ratfunc import RatFunc
 
 __all__ = ["TensorOp"]
 
 
 class _Layout:
-    """Packed keys on m slots of C^N: ``row(s)`` and ``col(s)`` are the
-    shifts of slot s's fields (1-based), ``half`` the columns' width."""
+    """Packed keys on m slots of C^N above ``width`` low bits: ``row(s)``
+    and ``col(s)`` are the shifts of slot s's fields (1-based), ``half``
+    the columns' width and ``full`` the mask of every bit, low ones too."""
 
-    __slots__ = ("N", "m", "b", "field", "half", "full")
+    __slots__ = ("N", "m", "b", "width", "field", "half", "full")
 
-    def __init__(self, N, m):
+    def __init__(self, N, m, width=0):
         self.N, self.m, self.b = N, m, max(1, (N - 1).bit_length())
+        self.width = width
         self.field, self.half = (1 << self.b) - 1, m * self.b
-        self.full = (1 << 2 * self.half) - 1
+        self.full = (1 << 2 * self.half + width) - 1
 
     def row(self, s) -> int:
-        return (2 * self.m - s) * self.b
+        return (2 * self.m - s) * self.b + self.width
 
     def col(self, s) -> int:
-        return (self.m - s) * self.b
+        return (self.m - s) * self.b + self.width
 
     def mask(self, rows=(), cols=()) -> int:
         return sum(self.field << self.row(s) for s in set(rows)) \
@@ -73,11 +70,11 @@ class _Layout:
         key = 0
         for i in idx:
             key = key << self.b | i
-        return key
+        return key << self.width
 
     def unpack(self, key) -> tuple:
         idx = tuple(key >> s & self.field
-                    for s in range((2 * self.m - 1) * self.b, -1, -self.b))
+                    for s in range(self.row(1), self.width - 1, -self.b))
         return idx[:self.m], idx[self.m:]
 
     def diagonal(self, slots) -> list:
@@ -104,13 +101,14 @@ _layout = lru_cache(maxsize=None)(_Layout)
 
 
 @lru_cache(maxsize=None)
-def _mover(src: _Layout, dst: _Layout, slots=(), fields=()):
+def _mover(src: _Layout, dst: _Layout, slots=(), fields=(), low=True):
     """The map of keys of ``src`` to keys of ``dst`` that moves the row and
     column of slot s to those of slot t for each (s, t) pair of ``slots``,
-    and the field at each source shift of ``fields`` to its target shift;
-    other fields of the result are 0.  Fields moved by one distance share
-    a mask, so the map costs one mask and shift per distance."""
-    masks = {}
+    the field at each source shift of ``fields`` to its target shift, and
+    keeps the low bits if ``low``; other fields of the result are 0.
+    Fields moved by one distance share a mask, so the map costs one mask
+    and shift per distance."""
+    masks = {0: (1 << src.width) - 1} if low and src.width else {}
     for a, b in fields + tuple(f for s, t in slots for f in (
             (src.row(s), dst.row(t)), (src.col(s), dst.col(t)))):
         masks[b - a] = masks.get(b - a, 0) | src.field << a
@@ -131,8 +129,8 @@ def _check_slots(m: int, *slots):
 
 
 def _operator(N: int, m: int, caps: Caps, entries: dict) -> "TensorOp":
-    """An operator from packed nonzero entries built over ``caps`` on m
-    slots, as they are."""
+    """An operator from flat keys of m slots over ``caps`` to nonzero
+    coefficients, as they are."""
     out = object.__new__(TensorOp)
     out.N = N
     out.m = m
@@ -149,25 +147,24 @@ class TensorOp:
         self.N = N
         self.m = m
         self.caps = caps = Caps.of(caps)
-        self.entries = {}
-        layout = _layout(N, m)
+        self.entries, layout = {}, _layout(N, m)
         for key, val in entries.items():
             if not isinstance(val, HSeries):
                 raise TypeError(f"entry {key} is a {type(val).__name__}, "
                                 "not an HSeries")
-            key = layout.key(key)
+            base = layout.key(key) << caps.width
             caps.match(val.caps)
-            if not val.is_zero():
-                self.entries[key] = val
+            for j, c in val.terms.items():
+                self.entries[base | j] = c
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def identity(N, m, caps) -> "TensorOp":
         caps = Caps.of(caps)
-        one = HSeries.one(caps)
         return _operator(N, m, caps, dict.fromkeys(
-            _layout(N, m).diagonal(range(1, m + 1)), one))
+            _layout(N, m, caps.width).diagonal(range(1, m + 1)),
+            RatFunc.one()))
 
     @staticmethod
     def chain(N, m, caps, factors) -> "TensorOp":
@@ -219,8 +216,12 @@ class TensorOp:
 
     def scale(self, scalar) -> "TensorOp":
         """Multiply every entry by a scalar (HSeries, RatFunc or rational)."""
-        return _operator(self.N, self.m, self.caps, {
-            k: p for k, v in self.entries.items() if (p := v * scalar).terms})
+        if not isinstance(scalar, HSeries):
+            return self.map_coeffs(lambda c: c * scalar)
+        caps = self.caps.match(scalar.caps)
+        return _operator(self.N, self.m, caps, _join(
+            caps, ((0, k, c) for k, c in self.entries.items()),
+            ((0, j, c) for j, c in scalar.terms.items())))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc, HSeries)):
@@ -243,20 +244,19 @@ class TensorOp:
 
     def residual(self, other: "TensorOp") -> tuple:
         """(number of nonzero entries of self - other, witness), found by
-        comparing: an entry counts when its series differ or it is on one
-        side only.  The witness is ``(self - other).witness()``, and only
-        its entry is subtracted."""
+        comparing terms: an entry counts when any of its terms differs or
+        is on one side only.  The witness is ``(self - other).witness()``,
+        and only its entry is subtracted."""
         self._match(other)
-        a, b = self.entries, other.entries
-        keys = [k for k, v in a.items() if k not in b or b[k].terms != v.terms]
-        keys += [k for k in b if k not in a]
-        if not keys:
+        a, b, width = self.entries, other.entries, self.caps.width
+        if a == b:      # a dict comparison, which tries identity first
             return 0, None
+        keys = {k >> width for k, v in a.items() if k not in b or b[k] != v}
+        keys.update(k >> width for k in b if k not in a)
         key = min(keys)
-        zero = HSeries.zero(self.caps)
         row, col = _layout(self.N, self.m).unpack(key)
         return len(keys), (list(row), list(col),
-                           repr(a.get(key, zero) - b.get(key, zero)))
+                           repr(self._entry(key) - other._entry(key)))
 
     def __hash__(self):
         raise TypeError("TensorOp is unhashable")
@@ -271,38 +271,29 @@ class TensorOp:
         """Inverse by Neumann iteration; requires invertible entrywise-constant
         part only in the special case handled here: classical part equal to a
         scalar multiple of the identity."""
-        ident = TensorOp.identity(self.N, self.m, self.caps)
-        # split T = c*(1 - X) with X nilpotent mod caps
-        diag0 = None
-        diagonal = 0
+        # split T = c*(1 - X) with X nilpotent mod caps; the constant part is
+        # the terms of monomial number 0, and every diagonal entry needs one
         half = _layout(self.N, self.m).half
-        for key, val in self.entries.items():
-            c0 = val.coeff({})
-            if key >> half == key & (1 << half) - 1:
-                diagonal += 1
-                if diag0 is None:
-                    diag0 = c0
-                elif not (c0 - diag0).is_zero():
-                    raise ValueError("constant part is not scalar; cannot invert")
-            elif not c0.is_zero():
-                raise ValueError("constant part is not scalar; cannot invert")
-        if diag0 is None or diag0.is_zero():
+        constants = {k >> self.caps.width: c for k, c in self.entries.items()
+                     if not k & self.caps.low}
+        if not constants:
             raise ZeroDivisionError("operator is not invertible at order zero")
-        if diagonal < self.N ** self.m:
-            # an absent diagonal entry is a zero beside diag0
+        diag0 = next(iter(constants.values()))
+        if len(constants) < self.N ** self.m or any(
+                key >> half != key & (1 << half) - 1 or c0 != diag0
+                for key, c0 in constants.items()):
             raise ValueError("constant part is not scalar; cannot invert")
-        scaled = self.scale(RatFunc.one() / diag0)
-        x = ident - scaled
-        acc = ident
-        power = ident
-        while True:
-            power = power * x
-            if power.is_zero():
-                break
+        ident = TensorOp.identity(self.N, self.m, self.caps)
+        x = ident - self.scale(RatFunc.one() / diag0)
+        acc = power = ident
+        while not (power := power * x).is_zero():
             acc = acc + power
         return acc.scale(RatFunc.one() / diag0)
 
     # -- structural operations ----------------------------------------
+
+    def _flat(self) -> _Layout:
+        return _layout(self.N, self.m, self.caps.width)
 
     def embed(self, slots, m: int) -> "TensorOp":
         """View this operator in m slots, its i-th slot placed at slots[i]
@@ -312,8 +303,8 @@ class TensorOp:
             raise ValueError(f"embed needs {self.m} distinct slots: {slots}")
         if not all(1 <= s <= m for s in slots):
             raise ValueError(f"slots {slots} out of range 1..{m}")
-        dst = _layout(self.N, m)
-        move = _mover(_layout(self.N, self.m), dst, tuple(enumerate(slots, 1)))
+        dst = _layout(self.N, m, self.caps.width)
+        move = _mover(self._flat(), dst, tuple(enumerate(slots, 1)))
         moved = [(move(key), val) for key, val in self.entries.items()]
         return _operator(self.N, m, self.caps, {
             key | f: val for f in dst.diagonal([s for s in range(1, m + 1)
@@ -323,7 +314,7 @@ class TensorOp:
     def swap_slots(self, s1: int, s2: int) -> "TensorOp":
         """Conjugate by the flip of two slots (1-based)."""
         _check_slots(self.m, s1, s2)
-        layout, flip = _layout(self.N, self.m), {s1: s2, s2: s1}
+        layout, flip = self._flat(), {s1: s2, s2: s1}
         move = _mover(layout, layout, tuple(
             (s, flip.get(s, s)) for s in range(1, self.m + 1)))
         return _operator(self.N, self.m, self.caps,
@@ -332,13 +323,13 @@ class TensorOp:
     def transpose_slot(self, slot: int, ltd) -> "TensorOp":
         """Twisted transposition e_ij -> eps_i eps_j e_{j'i'} in one slot."""
         _check_slots(self.m, slot)
-        layout = _layout(self.N, self.m)
+        layout = self._flat()
         r, c, f = layout.row(slot), layout.col(slot), layout.field
         keep = layout.full ^ layout.mask((slot,), (slot,))
         to = [[(ltd.iprime(j) << r | ltd.iprime(i) << c,
                 ltd.eps[i] * ltd.eps[j]) for j in range(self.N)]
               for i in range(self.N)]
-        # (i, j) -> (j', i') is a bijection, so no two entries meet
+        # (i, j) -> (j', i') is a bijection, so no two terms meet
         entries = {}
         for key, val in self.entries.items():
             put, sign = to[key >> r & f][key >> c & f]
@@ -348,23 +339,20 @@ class TensorOp:
     def conj_diag(self, diag, slot: int, sign: int = 1) -> "TensorOp":
         """Conjugate by a diagonal single-slot operator: D_s T D_s^{-1}
         (sign=-1 gives D^{-1} T D).  ``diag`` is a list of unit HSeries.
-        An entry at row i and column j of the slot costs one series product,
-        by left[i] * right[j], formed once per (i, j) that occurs, and none
-        where that is one."""
+        The terms of an entry at row i and column j of the slot join with
+        those of left[i] * right[j], which is exactly one where i = j."""
         _check_slots(self.m, slot)
-        layout = _layout(self.N, self.m)
-        r, c, f = layout.row(slot), layout.col(slot), layout.field
+        layout = self._flat()
+        r, c = layout.row(slot), layout.col(slot)
         inv = [d.inv() for d in diag]
         left, right = (diag, inv) if sign == 1 else (inv, diag)
-        scales, entries = {}, {}
-        for k, v in self.entries.items():
-            ij = k >> r & f, k >> c & f
-            if ij not in scales:
-                s = left[ij[0]] * right[ij[1]]
-                scales[ij] = None if s.is_one() else s  # i = j scales by one
-            s = scales[ij]
-            entries[k] = v if s is None else s * v
-        return _operator(self.N, self.m, self.caps, entries)
+        ij = layout.mask((slot,), (slot,))
+        scales = [(i << r | j << c, k, x) for i in range(self.N)
+                  for j in range(self.N)
+                  for k, x in (left[i] * right[j]).terms.items()]
+        return _operator(self.N, self.m, self.caps, _join(
+            self.caps, ((k & ij, k, v) for k, v in self.entries.items()),
+            scales))
 
     def odot(self, other: "TensorOp", first_slots, mode: str) -> "TensorOp":
         """Ordered product of split operators sharing the full slot space.
@@ -393,15 +381,15 @@ class TensorOp:
         """sum_a x_a * other * y_a for self = sum_a x_a (x) y_a, x_a on the
         slots F and y_a on the slots G, which split all slots; the caller
         checks both operators."""
-        layout = _layout(self.N, self.m)
+        layout = self._flat()
         rf, cf, rg, cg = (layout.mask(F), layout.mask((), F), layout.mask(G),
                           layout.mask((), G))
         half = layout.half
         # (A odot B)[R,C] = sum A[(R_F,K'_G),(K_F,C_G)] B[(K_F,R_G),(C_F,K'_G)]
         # B's F rows and G columns, moved to the F columns and G rows, meet
         # A's there; the result takes A's F rows and G columns and B's G
-        # rows and F columns
-        meet, own, part = cf | rg, rf | cg, rg | cf
+        # rows and F columns, and each side keeps its monomial number
+        meet, own, part = cf | rg, rf | cg | caps.low, rg | cf | caps.low
         return _operator(self.N, self.m, caps, _join(
             caps, ((ak & meet, ak & own, av)
                    for ak, av in self.entries.items()),
@@ -410,37 +398,52 @@ class TensorOp:
 
     # -- entrywise maps ------------------------------------------------
 
+    def map_coeffs(self, fn) -> "TensorOp":
+        """Apply ``fn`` to every coefficient, dropping those mapped to 0."""
+        return _operator(self.N, self.m, self.caps, {
+            k: d for k, c in self.entries.items()
+            if not (d := fn(c)).is_zero()})
+
     def map_entries(self, fn) -> "TensorOp":
+        """Apply ``fn`` to the series of every entry."""
         return TensorOp(self.N, self.m, self.caps,
-                        {k: fn(v) for k, v in self.entries.items()})
+                        {key: fn(val) for key, val in self.items()})
 
     def subs_ring_var(self, name, value) -> "TensorOp":
-        sub = RatFunc.substitution(name, value)
-        return self.map_entries(lambda s: s.map_coeffs(sub))
+        return self.map_coeffs(RatFunc.substitution(name, value))
 
     def subst_mult(self, name, factor) -> "TensorOp":
         return self.map_entries(lambda s: s.subst_mult(name, factor))
 
     # -- reporting ------------------------------------------------------
 
+    def _entry(self, key: int) -> HSeries:
+        """The series of the entry of unshifted packed key ``key``."""
+        base, terms = key << self.caps.width, self.entries
+        return _series(self.caps, {j: terms[base | j] for j in self.caps.monos
+                                   if base | j in terms})
+
+    def _keys(self) -> set:
+        """The unshifted packed keys of the nonzero entries."""
+        return {k >> self.caps.width for k in self.entries}
+
     def nonzero_count(self) -> int:
-        return len(self.entries)
+        return len(self._keys())
 
     def items(self) -> list:
-        """The ((row, col), series) pairs of the nonzero entries, index
-        tuples unpacked, in key order (which is tuple order)."""
+        """((row, col) tuples, series) of the entries, in key = tuple order."""
         layout = _layout(self.N, self.m)
-        return [(layout.unpack(k), self.entries[k])
-                for k in sorted(self.entries)]
+        return [(layout.unpack(key), self._entry(key))
+                for key in sorted(self._keys())]
 
     def witness(self):
         """A deterministic sample nonzero entry: (row, col, repr) or None."""
         if not self.entries:
             return None
-        key = min(self.entries)
+        key = min(self.entries) >> self.caps.width
         row, col = _layout(self.N, self.m).unpack(key)
-        return (list(row), list(col), repr(self.entries[key]))
+        return (list(row), list(col), repr(self._entry(key)))
 
     def __repr__(self):
         return (f"TensorOp(N={self.N}, m={self.m}, "
-                f"{len(self.entries)} nonzero entries)")
+                f"{self.nonzero_count()} nonzero entries)")

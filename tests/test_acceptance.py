@@ -398,8 +398,7 @@ def _correspondence_verdict(l, offset):
             "u": 1, "v": -1, "h": alpha + offset}), caps).scale(
                 x ** r * (1 - z0) ** r)
     verdict = prefactored_verdict(
-        lhs_raw, [c for s in lhs_raw.entries.values()
-                  for c in s.terms.values()], "x", "y", "Z0", rhs, 16)
+        lhs_raw, list(lhs_raw.entries.values()), "x", "y", "Z0", rhs, 16)
     return used, verdict
 
 

@@ -105,8 +105,7 @@ def test_correspondence_inconclusive_bound():
 def _coeffs(obj):
     ops = ([t.coeff for t in obj.terms] if isinstance(obj, FreeState)
            else [obj])
-    return [c for op in ops for s in op.entries.values()
-            for c in s.terms.values()]
+    return [c for op in ops for c in op.entries.values()]
 
 
 def _denominator_in(coeff, y):

@@ -2,13 +2,14 @@
 
 A product of two series, ``HSeries.__mul__``, adds a * b term by term
 into one term dict, and every operator and state contraction is one
-``hseries._join``, which matches two streams of packed keys, indexes the
-right stream's terms by their exponent of h, adds each pair that fits the
-caps into the term dict of its output key and builds each entry once with
-``hseries._flush``.  The oracle here is the route they replaced: every
-product is a series of its own and the products of one entry are summed
-pairwise, ``entries[k] = entries[k] + a * b if k in entries else a * b``.
-Its products and sums are computed below over exponent tuples, through the
+``hseries._join``, which matches two streams of terms by packed keys,
+indexes the right stream by the exponent of h and adds each pair that fits
+the caps straight into one flat dict, at the sum of the two terms' flat
+keys (entry fields, then the monomial number in the low ``caps.width``
+bits).  The oracle here is the route they replaced: every product is a
+series of its own and the products of one entry are summed pairwise,
+``entries[k] = entries[k] + a * b if k in entries else a * b``.  Its
+products and sums are computed below over exponent tuples, through the
 validating ``HSeries`` constructor (which drops monomials beyond the caps
 and zero coefficients), so the oracle shares no arithmetic loop with the
 kernels; ``_join`` is checked against all pairs of its two streams, over
@@ -27,7 +28,7 @@ from hypothesis import given, settings, strategies as hst
 
 import rmx
 from rmx import hseries, states, tensorop
-from rmx.hseries import Caps, HSeries, _flush, _join, _series
+from rmx.hseries import Caps, HSeries, _join, _series
 from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
 from rmx.rmatrix import Arg, solve_normalizer
@@ -99,22 +100,34 @@ def rand_op(rng, N, m, caps, count) -> TensorOp:
 
 # -- the kernel on its own -------------------------------------------------
 
-def _one_key(products) -> tuple:
-    """(left, right) streams that join every (a, b) of ``products`` at
-    output key 0, each pair on a match key of its own."""
-    return ([(n, 0, a) for n, (a, _) in enumerate(products)],
-            [(n, 0, b) for n, (_, b) in enumerate(products)])
+def _terms(caps, stream) -> list:
+    """A stream of (match, entry, series) triples as the term stream
+    ``_join`` takes: (match, flat key, coefficient), one per term."""
+    return [(match, entry << caps.width | j, c)
+            for match, entry, s in stream for j, c in s.terms.items()]
 
 
-def _at_key_0(joined: dict) -> dict:
-    return joined[0].terms if 0 in joined else {}
+def _grouped(caps, flat: dict) -> dict:
+    """A flat dict as entry -> series, ``items`` style."""
+    out = {}
+    for k, c in flat.items():
+        out.setdefault(k >> caps.width, {})[k & caps.low] = c
+    return {k: _series(caps, terms) for k, terms in out.items()}
+
+
+def _one_key(caps, products) -> tuple:
+    """(left, right) term streams that join every (a, b) of ``products``
+    at entry 0, each pair on a match key of its own."""
+    return (_terms(caps, [(n, 0, a) for n, (a, _) in enumerate(products)]),
+            _terms(caps, [(n, 0, b) for n, (_, b) in enumerate(products)]))
 
 
 @settings(max_examples=150)
 @given(caps=hst.sampled_from(CAPS), seed=hst.integers(0, 2 ** 32),
        count=hst.integers(1, 5))
 def test_product_and_join_match_product_then_sum(caps, seed, count):
-    # several products into one output key, as a contraction adds them
+    # several products into one output entry, as a contraction adds them;
+    # at entry 0 a flat key is the monomial number
     rng = random.Random(seed)
     products, want, last = [], HSeries.zero(caps), None
     for _ in range(count):
@@ -123,7 +136,7 @@ def test_product_and_join_match_product_then_sum(caps, seed, count):
         else:
             a, b = rand_series(rng, caps), rand_series(rng, caps)
         products.append((a, b))
-        acc = _at_key_0(_join(caps, *_one_key(products)))
+        acc = _join(caps, *_one_key(caps, products))
         want = ref_sum(want, ref_product(a, b))
         assert acc == want.terms
         assert all(not c.is_zero() for c in acc.values())
@@ -135,10 +148,10 @@ def test_product_and_join_truncate_cancel_and_skip_ones(monkeypatch):
     caps = CAPS[1]
     h, u = (HSeries.capped_var(v, caps) for v in ("h", "u"))
     # h^2 is beyond the cap of h, and so is u^2
-    assert _join(caps, *_one_key([(h, h), (h * u, u)])) == {}
+    assert _join(caps, *_one_key(caps, [(h, h), (h * u, u)])) == {}
     assert (h * h).is_zero() and (h * u * u).is_zero()
     # h u - u h cancels
-    assert _join(caps, *_one_key([(h + u, h - u)])) == {}
+    assert _join(caps, *_one_key(caps, [(h + u, h - u)])) == {}
     assert ((h + u) * (h - u)).is_zero()
     x = HSeries.const(X, caps)
     xh, xuh = x + h, x * u + h
@@ -151,38 +164,47 @@ def test_product_and_join_truncate_cancel_and_skip_ones(monkeypatch):
         return times(p, q)
 
     monkeypatch.setattr(RatFunc, "__mul__", counted)
-    acc = _at_key_0(_join(caps, *_one_key([(HSeries.one(caps), xh),
-                                            (xuh, lifted_one)])))
+    acc = _join(caps, *_one_key(caps, [(HSeries.one(caps), xh),
+                                       (xuh, lifted_one)]))
     products = HSeries.one(caps) * xh, xuh * lifted_one
     monkeypatch.undo()
     assert calls == []                  # every factor was an exact one
     assert _series(caps, acc) == x + 2 * h + x * u
     assert products == (xh, xuh)
-    # a sum that cancels to an empty term dict is dropped by the flush
-    out = _flush(caps, {1: dict(acc), 2: {}})
-    assert list(out) == [1] and out[1] == x + 2 * h + x * u
+    # an entry whose sum cancels leaves no term; the other entry stays
+    got = _join(caps, _terms(caps, [(0, 1, x + h), (1, 1, -x - h),
+                                    (0, 2, x), (1, 2, u)]),
+                _terms(caps, [(0, 0, HSeries.one(caps)),
+                              (1, 0, HSeries.one(caps))]))
+    assert _grouped(caps, got) == {2: x + u}
 
 
 # -- the contraction -------------------------------------------------------
 
-def ref_join(left, right) -> dict:
-    """``_join`` by all pairs: each product a series of its own, summed
-    into its output key by the unfused route, zero sums dropped."""
+def ref_join(caps, left, right) -> dict:
+    """``_join`` by all pairs of terms, as a flat dict: each term and each
+    product a series of its own, its monomial multiplied by exponent
+    tuples, summed into its output entry by the unfused route, zero sums
+    dropped."""
+    width, low, monos = caps.width, caps.low, caps.monos
     out = {}
     for (m1, k1, a), (m2, k2, b) in itertools.product(left, right):
         if m1 == m2:
-            key, p = k1 | k2, ref_product(a, b)
+            key = k1 >> width | k2 >> width
+            p = ref_product(HSeries(caps, {monos[k1 & low]: a}),
+                            HSeries(caps, {monos[k2 & low]: b}))
             out[key] = ref_sum(out[key], p) if key in out else p
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return {k << width | j: c for k, v in out.items()
+            for j, c in v.terms.items()}
 
 
 def rand_stream(rng, caps, size, shift):
     """``size`` (match, kept, series) triples on match keys 0..3, so that
-    keys go unmatched and many pairs meet, and kept keys 0..3 shifted left
-    by ``shift``.  Each series has its own lowest h-order, so that a pair
-    can pass the cap of h while its other exponents fit, and one triple in
-    four repeats an earlier one negated, so that the products it takes
-    part in cancel."""
+    keys go unmatched and many pairs meet, and kept entries 0..3 shifted
+    left by ``shift``.  Each series has its own lowest h-order, so that a
+    pair can pass the cap of h while its other exponents fit, and one
+    triple in four repeats an earlier one negated, so that the products it
+    takes part in cancel."""
     out = []
     for _ in range(size):
         if out and rng.random() < 0.25:
@@ -200,11 +222,12 @@ def rand_stream(rng, caps, size, shift):
        sizes=hst.tuples(hst.integers(0, 6), hst.integers(0, 6)))
 def test_join_matches_all_pairs(caps, seed, sizes):
     rng = random.Random(seed)
-    left = rand_stream(rng, caps, sizes[0], 0)
-    right = rand_stream(rng, caps, sizes[1], 2)
+    left = _terms(caps, rand_stream(rng, caps, sizes[0], 0))
+    right = _terms(caps, rand_stream(rng, caps, sizes[1], 2))
     got = _join(caps, iter(left), iter(right))
-    assert got == ref_join(left, right)
-    assert all(v.terms and v.caps is caps for v in got.values())
+    assert got == ref_join(caps, left, right)
+    assert all(isinstance(v, RatFunc) and not v.is_zero()
+               for v in got.values())
 
 
 def test_join_drops_unmatched_and_cancelled_keys():
@@ -212,13 +235,15 @@ def test_join_drops_unmatched_and_cancelled_keys():
     h, u = (HSeries.capped_var(v, caps) for v in ("h", "u"))
     x = HSeries.const(X, caps)
     one = HSeries.one(caps)
-    assert _join(caps, [], [(0, 0, h)]) == {}
-    assert _join(caps, [(0, 0, h)], []) == {}
-    assert _join(caps, [(0, 1, h)], [(1, 2, u)]) == {}     # no partner
-    # two pairs meet at key 3 and cancel; key 5 keeps x * (1 + h)
-    got = _join(caps, [(0, 1, x), (7, 1, -x)],
-                [(0, 2, h), (7, 2, h), (0, 4, one), (0, 4, h)])
-    assert got == {5: x + x * h}
+    assert _join(caps, [], _terms(caps, [(0, 0, h)])) == {}
+    assert _join(caps, _terms(caps, [(0, 0, h)]), []) == {}
+    assert _join(caps, _terms(caps, [(0, 1, h)]),
+                 _terms(caps, [(1, 2, u)])) == {}     # no partner
+    # two pairs meet at entry 3 and cancel; entry 5 keeps x * (1 + h)
+    got = _join(caps, _terms(caps, [(0, 1, x), (7, 1, -x)]),
+                _terms(caps, [(0, 2, h), (7, 2, h), (0, 4, one),
+                              (0, 4, h)]))
+    assert _grouped(caps, got) == {5: x + x * h}
 
 
 def test_join_stops_by_the_exponent_of_h():
@@ -227,19 +252,32 @@ def test_join_stops_by_the_exponent_of_h():
     a, h = (HSeries.capped_var(v, caps) for v in ("a", "h"))
     x = HSeries.const(X, caps)
     assert caps.names == ("a", "h")
+
+    def join(caps, left, right):
+        return _grouped(caps, _join(caps, _terms(caps, left),
+                                    _terms(caps, right)))
     # (a + x h^2)(h + a + x): a h + x a + x a h^2 + x^2 h^2 fit the caps;
     # a^2 and h^3 do not
-    got = _join(caps, [(0, 0, a + x * h * h)], [(0, 0, h + a + x)])
+    got = join(caps, [(0, 0, a + x * h * h)], [(0, 0, h + a + x)])
     assert got == {0: a * h + x * a + x * a * h * h + x * x * h * h}
     # with the larger cap on a, a^2 fits: the stop reads h, not a
     caps = Caps.of({"a": 3, "h": 2})
     a, h = (HSeries.capped_var(v, caps) for v in ("a", "h"))
-    assert _join(caps, [(0, 0, a)], [(0, 0, a + h)]) == {0: a * a + a * h}
+    assert join(caps, [(0, 0, a)], [(0, 0, a + h)]) == {0: a * a + a * h}
     # without h nothing stops early: u^2 fits, u^3 does not
     caps = Caps.of({"u": 3})
     u = HSeries.capped_var("u", caps)
-    assert _join(caps, [(0, 0, u), (1, 0, u * u)],
-                 [(0, 0, u + u * u), (1, 0, u)]) == {0: u * u}
+    assert join(caps, [(0, 0, u), (1, 0, u * u)],
+                [(0, 0, u + u * u), (1, 0, u)]) == {0: u * u}
+
+
+def test_flat_keys_leave_room_for_every_product():
+    # the sum of two monomial numbers within the caps fits the low bits,
+    # so it never carries into an entry field
+    for caps in JOIN_CAPS:
+        top = max(caps.monos)
+        assert 2 * top <= caps.low and caps.low == (1 << caps.width) - 1
+    assert Caps.of({"h": 1}).width == 0
 
 
 # -- the state layer -------------------------------------------------------
@@ -257,7 +295,7 @@ class _patched:
     def __enter__(self):
         def counted(caps, left, right):
             self.calls += 1
-            return self.join(list(left), list(right))
+            return self.join(caps, list(left), list(right))
 
         self.saved = [module._join for module in self.MODULES]
         for module in self.MODULES:
@@ -302,12 +340,13 @@ def test_lowering_operators_match_the_unfused_route(case, u, k, inverse,
 def test_no_builder_stores_an_empty_series(monkeypatch):
     # every operator the trusted constructor builds, through the builders
     # of TensorOp, the R-matrix builds and the state operations of a
-    # hexagon check, holds only nonzero series
+    # hexagon check, holds only nonzero RatFunc coefficients, no series
     built = tensorop._operator
     empty = []
 
     def checked(N, m, caps, entries):
-        empty.extend(k for k, v in entries.items() if not v.terms)
+        empty.extend(k for k, v in entries.items()
+                     if not isinstance(v, RatFunc) or v.is_zero())
         return built(N, m, caps, entries)
 
     for module in (tensorop, rmatrix, states):
@@ -327,7 +366,8 @@ def test_no_builder_stores_an_empty_series(monkeypatch):
                TensorOp.identity(3, 2, caps),
                rmatrix.rmatrix(ltd, norm, Arg.make(X), caps),
                rmatrix.rhat_inv(ltd, norm, Arg.make(X), caps)):
-        assert all(v.terms for v in op.entries.values())
+        assert all(isinstance(v, RatFunc) and not v.is_zero()
+                   for v in op.entries.values())
     # hexagon reaches merge_y and braiding_s, weak_assoc_chain the pair
     # contraction
     for report in (rmx.module_check("hexagon", family="C", n=1, L=2),

@@ -235,7 +235,7 @@ def test_serialization_roundtrip():
     assert back == a
     assert back.items() == a.items()
     keys = [key for key, _ in a.items()]
-    assert keys == sorted(keys) and len(keys) == len(a.entries)
+    assert keys == sorted(keys) and len(keys) == a.nonzero_count()
 
 
 def test_binary_ops_reject_other_caps():
