@@ -122,7 +122,7 @@ of operand values:
   those gains nothing measurable.  Nor are quotients, powers, derivatives
   or substitutions.
 * The tables last for the whole process, shared by every check run in it.
-  When one of them reaches ``_MEMO_BOUND`` (8,192) entries, both are
+  When one of them reaches ``_MEMO_BOUND`` (131,072) entries, both are
   emptied together.  Threads that race on the tables can compute a result
   twice, but an entry never pairs a key with a wrong result.
 """
@@ -916,9 +916,9 @@ _X_MINUS_ONE = {_packing(1).gens[0]: 1, 0: -1}
 
 # -- the memo of sums and products ---------------------------------------
 
-# Both tables are emptied together when one of them reaches this many
-# entries.
-_MEMO_BOUND = 8192
+# Both tables are emptied together when one reaches this many entries; the
+# tables of hexagon B1 L=4 end at 118,928 sums and 21,770 products.
+_MEMO_BOUND = 131072
 _SUMS = {}          # (key of a, key of b) -> a + b
 _PRODUCTS = {}      # (key of a, key of b) -> a * b
 

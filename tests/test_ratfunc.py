@@ -1115,7 +1115,10 @@ def _fill(pairs, ops):
 
 
 def test_memo_tables_stay_within_their_bound():
+    # one fixed bound, sized for the module frontier: the tables of
+    # hexagon B1 L=4 end at 118,928 sums and 21,770 products, below it
     bound = R._MEMO_BOUND
+    assert bound == 131_072
     z, w = RatFunc.var("Z"), RatFunc.var("W")
     R._forget()
     # more distinct pairs than the bound, each operation once: both tables
