@@ -287,7 +287,7 @@ class FreeState:
             sh = layout.row(shared) if e else None
             match = _mover(olayout, layout,
                            tuple(zip(range(1, w + 1), targets)),
-                           ((olayout.col(w + 1), sh),) if e else (), False)
+                           ((olayout.col(w + 1), sh),) if e else (), low=False)
             put = _mover(olayout, layout,
                          tuple(zip(range(w + e + 1, 2 * w + e + 1), targets)),
                          ((olayout.row(w + 1), sh),) if e else ())
@@ -610,7 +610,7 @@ class FreeState:
             layout = K._flat()
             firsts = [a for a, _ in pairs]
             onto = _mover(layout, layout, tuple((b, a) for a, b in pairs),
-                          (), False)
+                          low=False)
             mask = layout.mask(firsts, firsts)
             return _operator(K.N, K.m, K.caps, {
                 key: val for key, val in K.entries.items()
