@@ -116,8 +116,7 @@ class Caps(Mapping):
 def _series(caps: Caps, terms: dict) -> "HSeries":
     """A series from its caps and its number-keyed nonzero terms, as is."""
     out = object.__new__(HSeries)
-    out.caps = caps
-    out.terms = terms
+    out.caps, out.terms = caps, terms
     return out
 
 

@@ -70,7 +70,7 @@ from math import comb, factorial, gcd
 from .hseries import Caps, HSeries
 from .lietype import LieTypeData
 from .ratfunc import RatFunc
-from .tensorop import TensorOp, _operator
+from .tensorop import TensorOp, _grouped, _operator
 
 __all__ = ["Arg", "build_constant_ops", "solve_normalizer", "Normalizer",
            "rmatrix", "rhat_inv", "m_diag", "diag_op", "NormalizerError"]
@@ -566,9 +566,9 @@ def _r_template(ltd: LieTypeData, norm: Normalizer) -> tuple:
     caps = Caps.of({"h": L})
     ops = build_constant_ops(ltd, caps)
     names = ("Rconst", "P", "Q")
-    groups = {}
-    for key in sorted(set().union(*(ops[name]._keys() for name in names))):
-        coeffs = tuple(ops[name]._entry(key) for name in names)
+    groups, series = {}, [_grouped(caps, ops[n].entries) for n in names]
+    for key in sorted(set().union(*series)):
+        coeffs = tuple(s.get(key, HSeries(caps, {})) for s in series)
         exact = tuple(frozenset(c.terms.items()) for c in coeffs)
         groups.setdefault(exact, (coeffs, []))[1].append(key)
 

@@ -132,11 +132,16 @@ def _operator(N: int, m: int, caps: Caps, entries: dict) -> "TensorOp":
     """An operator from flat keys of m slots over ``caps`` to nonzero
     coefficients, as they are."""
     out = object.__new__(TensorOp)
-    out.N = N
-    out.m = m
-    out.caps = caps
-    out.entries = entries
+    out.N, out.m, out.caps, out.entries = N, m, caps, entries
     return out
+
+
+def _grouped(caps: Caps, flat: dict) -> dict:
+    """Unshifted packed entry key -> series of a flat term dict, one pass."""
+    width, low, out = caps.width, caps.low, {}
+    for k, c in flat.items():
+        out.setdefault(k >> width, {})[k & low] = c
+    return {key: _series(caps, terms) for key, terms in out.items()}
 
 
 class TensorOp:
@@ -144,8 +149,7 @@ class TensorOp:
     __slots__ = ("N", "m", "caps", "entries")
 
     def __init__(self, N: int, m: int, caps, entries: dict):
-        self.N = N
-        self.m = m
+        self.N, self.m = N, m
         self.caps = caps = Caps.of(caps)
         self.entries, layout = {}, _layout(N, m)
         for key, val in entries.items():
@@ -340,19 +344,20 @@ class TensorOp:
         """Conjugate by a diagonal single-slot operator: D_s T D_s^{-1}
         (sign=-1 gives D^{-1} T D).  ``diag`` is a list of unit HSeries.
         The terms of an entry at row i and column j of the slot join with
-        those of left[i] * right[j], which is exactly one where i = j."""
+        those of left[i] * right[j], formed once for each pair i != j that
+        occurs; where i = j that product is exactly one, and they stay."""
         _check_slots(self.m, slot)
         layout = self._flat()
-        r, c = layout.row(slot), layout.col(slot)
+        r, c, f = layout.row(slot), layout.col(slot), layout.field
         inv = [d.inv() for d in diag]
         left, right = (diag, inv) if sign == 1 else (inv, diag)
-        ij = layout.mask((slot,), (slot,))
-        scales = [(i << r | j << c, k, x) for i in range(self.N)
-                  for j in range(self.N)
-                  for k, x in (left[i] * right[j]).terms.items()]
-        return _operator(self.N, self.m, self.caps, _join(
-            self.caps, ((k & ij, k, v) for k, v in self.entries.items()),
-            scales))
+        ij, entries = layout.mask((slot,), (slot,)), self.entries
+        kept = {k: v for k, v in entries.items() if k >> r & f == k >> c & f}
+        terms = [(k & ij, k, v) for k, v in entries.items() if k not in kept]
+        scales = [(p, k, x) for p in {p for p, _, _ in terms} for k, x in
+                  (left[p >> r & f] * right[p >> c & f]).terms.items()]
+        kept.update(_join(self.caps, terms, scales))
+        return _operator(self.N, self.m, self.caps, kept)
 
     def odot(self, other: "TensorOp", first_slots, mode: str) -> "TensorOp":
         """Ordered product of split operators sharing the full slot space.
@@ -423,18 +428,14 @@ class TensorOp:
         return _series(self.caps, {j: terms[base | j] for j in self.caps.monos
                                    if base | j in terms})
 
-    def _keys(self) -> set:
-        """The unshifted packed keys of the nonzero entries."""
-        return {k >> self.caps.width for k in self.entries}
-
     def nonzero_count(self) -> int:
-        return len(self._keys())
+        return len({k >> self.caps.width for k in self.entries})
 
     def items(self) -> list:
         """((row, col) tuples, series) of the entries, in key = tuple order."""
         layout = _layout(self.N, self.m)
-        return [(layout.unpack(key), self._entry(key))
-                for key in sorted(self._keys())]
+        return [(layout.unpack(key), val) for key, val
+                in sorted(_grouped(self.caps, self.entries).items())]
 
     def witness(self):
         """A deterministic sample nonzero entry: (row, col, repr) or None."""

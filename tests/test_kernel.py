@@ -33,7 +33,7 @@ from rmx.lietype import lie_type_data
 from rmx.ratfunc import RatFunc
 from rmx.rmatrix import Arg, solve_normalizer
 from rmx.states import FreeState
-from rmx.tensorop import TensorOp
+from rmx.tensorop import TensorOp, _grouped
 
 # the module: the package exports the function ``rmatrix`` under its name
 rmatrix = importlib.import_module("rmx.rmatrix")
@@ -105,14 +105,6 @@ def _terms(caps, stream) -> list:
     ``_join`` takes: (match, flat key, coefficient), one per term."""
     return [(match, entry << caps.width | j, c)
             for match, entry, s in stream for j, c in s.terms.items()]
-
-
-def _grouped(caps, flat: dict) -> dict:
-    """A flat dict as entry -> series, ``items`` style."""
-    out = {}
-    for k, c in flat.items():
-        out.setdefault(k >> caps.width, {})[k & caps.low] = c
-    return {k: _series(caps, terms) for k, terms in out.items()}
 
 
 def _one_key(caps, products) -> tuple:
