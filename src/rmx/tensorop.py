@@ -12,8 +12,8 @@ col) tuples.  ``entries`` is one flat dict over the terms of all entries:
 caps, maps to the term's nonzero RatFunc coefficient.  An operator's layout
 shifts every field up by S, so its masks and key movers (``_mover``) act
 on ``key >> S`` and carry the low bits along.  Reports count entries, not
-terms: ``nonzero_count`` and ``residual`` count distinct ``key >> S``, and
-``items`` and witnesses assemble an entry's series from its terms.
+terms: ``nonzero_count`` and ``residual`` count distinct ``key >> S``,
+and ``items`` (by ``_grouped``, one pass) and witnesses form the series.
 
 ``TensorOp(N, m, caps, entries)`` validates: each entry an HSeries over the
 caps, keyed by (row, col) index tuples or by a packed key of ``_layout(N,
